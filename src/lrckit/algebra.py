@@ -11,7 +11,6 @@ point anywhere.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -259,6 +258,10 @@ class FiniteField:
 
     def __hash__(self) -> int:
         return hash((self.p, self.m, self.modulus))
+
+    def __reduce__(self):
+        # pickle the spec, not the tables; the receiver rebuilds them
+        return (FiniteField, (self.p, self.m, self.modulus))
 
     def __repr__(self) -> str:
         if self.m == 1:

@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import fixtures, serial
-from .algebra import FiniteField, Matrix, dump_matrix, load_matrix
+from .algebra import FiniteField, dump_matrix, load_matrix
 from .bounds import classify, length_bound, singleton_bound
 from .designs import (
     ag_steiner,
@@ -334,13 +334,26 @@ def _add_layout_args(p):
     p.add_argument("--s-points", dest="s_points", help="explicit global points (csv)")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="lrckit", description=__doc__)
     ap.add_argument(
         "--workers",
-        type=int,
-        default=int(os.environ.get("LRCKIT_WORKERS", "1")),
-        help="worker count for sweeps and distance search",
+        type=_positive_int,
+        # a string default goes through the type check too, so a bad
+        # LRCKIT_WORKERS is a usage error like a bad --workers
+        default=os.environ.get("LRCKIT_WORKERS", "1"),
+        help="worker processes for sweeps and distance search (default "
+        "LRCKIT_WORKERS or 1); must be >= 1 and is clamped to the CPU count",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 

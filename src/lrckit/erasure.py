@@ -12,13 +12,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 
 from .algebra import FiniteField, Matrix, Poly, interpolate, poly_from_roots
 from .errors import Inconsistent, Infeasible, InvalidParameter, NotAdmissible
-from .lrc import EvaluationLayout, LinearCode, _block_polys, _global_poly
+from .lrc import EvaluationLayout, LinearCode, _global_poly
 
 
 @dataclass(frozen=True)
@@ -269,157 +272,81 @@ def decode_linear(code: LinearCode, erased, received) -> list[int] | None:
 # exact minimum distance
 
 
-def _pass_serial_prime(cols, nrows, p, inv_table, size) -> bool:
-    """True iff some <=size columns are dependent; DFS over independent
-    prefixes in lexicographic order."""
-    ncols = len(cols)
-
-    def extend(pivots, start, depth):
-        limit = ncols - (size - depth) + 1
-        for j in range(start, limit if depth + 1 < size else ncols):
-            v = list(cols[j])
-            for pi, pvec in pivots:
-                c = v[pi]
-                if c:
-                    v = [(a - c * b) % p for a, b in zip(v, pvec)]
-            pi = -1
-            for i in range(nrows):
-                if v[i]:
-                    pi = i
-                    break
-            if pi < 0:
-                return True
-            if depth + 1 < size:
-                inv = inv_table[v[pi]]
-                if inv != 1:
-                    v = [a * inv % p for a in v]
-                if extend(pivots + [(pi, v)], j + 1, depth + 1):
-                    return True
-        return False
-
-    return extend([], 0, 0)
+def pool_size(workers: int, tasks: int) -> int:
+    """Worker processes worth starting: the request clamped to the CPU
+    count and to the number of tasks, and at least one."""
+    if workers <= 1:
+        return 1
+    return max(1, min(workers, os.cpu_count() or 1, tasks))
 
 
-def _pass_serial_generic(cols, nrows, fld: FiniteField, size) -> bool:
-    ncols = len(cols)
-    sub, mul, inv = fld.sub, fld.mul, fld.inv
-
-    def extend(pivots, start, depth):
-        limit = ncols - (size - depth) + 1
-        for j in range(start, limit if depth + 1 < size else ncols):
-            v = list(cols[j])
-            for pi, pvec in pivots:
-                c = v[pi]
-                if c:
-                    v = [sub(a, mul(c, b)) for a, b in zip(v, pvec)]
-            pi = -1
-            for i in range(nrows):
-                if v[i]:
-                    pi = i
-                    break
-            if pi < 0:
-                return True
-            if depth + 1 < size:
-                s = inv(v[pi])
-                if s != 1:
-                    v = [mul(a, s) for a in v]
-                if extend(pivots + [(pi, v)], j + 1, depth + 1):
-                    return True
-        return False
-
-    return extend([], 0, 0)
+@contextmanager
+def chunk_map(workers: int):
+    """Yield a ``map`` for running chunks of work: the builtin one for a
+    single worker, else the map of one process pool that lives for the
+    whole block.  Functions and arguments must pickle when workers > 1."""
+    if workers <= 1:
+        yield map
+        return
+    with ProcessPoolExecutor(max_workers=workers) as ex:
+        yield ex.map
 
 
-def _distance_pass_worker(args) -> bool:
-    cols, nrows, field_spec, size, first_range = args
-    p, m, modulus = field_spec
-    if m == 1:
-        inv_table = [0] * p
-        for a in range(1, p):
-            inv_table[a] = pow(a, p - 2, p)
-        for j0 in first_range:
-            if _first_fixed_pass(cols, nrows, (p, inv_table, None), size, j0):
-                return True
+def _row_ops(fld: FiniteField):
+    """(eliminate, normalise) for the distance DFS: eliminate(v, c, u) is
+    v - c*u, and normalise(v, i) scales v so that v[i] == 1."""
+    if fld.m == 1:
+        p, inv = fld.p, fld._inv
+
+        def eliminate(v, c, u):
+            return [(a - c * b) % p for a, b in zip(v, u)]
+
+        def normalise(v, i):
+            s = inv[v[i]]
+            return v if s == 1 else [a * s % p for a in v]
+
     else:
-        fld = FiniteField(p, m, modulus)
-        for j0 in first_range:
-            if _first_fixed_pass(cols, nrows, (None, None, fld), size, j0):
+        sub, mul, inv = fld.sub, fld.mul, fld.inv
+
+        def eliminate(v, c, u):
+            return [sub(a, mul(c, b)) for a, b in zip(v, u)]
+
+        def normalise(v, i):
+            s = inv(v[i])
+            return v if s == 1 else [mul(a, s) for a in v]
+
+    return eliminate, normalise
+
+
+def _dependent_subset(cols, nrows, fld: FiniteField, size, firsts) -> bool:
+    """True iff some ``size`` columns whose lowest index is in ``firsts``
+    are dependent, given that no smaller subset is.  DFS over independent
+    prefixes in lexicographic order, reducing each new column against the
+    normalised pivots of its prefix."""
+    eliminate, normalise = _row_ops(fld)
+    ncols = len(cols)
+
+    def extend(pivots, js, depth):
+        for j in js:
+            v = cols[j]
+            for pi, u in pivots:
+                c = v[pi]
+                if c:
+                    v = eliminate(v, c, u)
+            for pi in range(nrows):
+                if v[pi]:
+                    break
+            else:
                 return True
-    return False
-
-
-def _first_fixed_pass(cols, nrows, ops, size, j0) -> bool:
-    """Run one pass restricted to subsets whose first column is j0."""
-    p, inv_table, fld = ops
-    v = list(cols[j0])
-    pi = -1
-    for i in range(nrows):
-        if v[i]:
-            pi = i
-            break
-    if pi < 0:
-        return True
-    if size == 1:
+            if depth + 1 < size and extend(
+                pivots + [(pi, normalise(v, pi))],
+                range(j + 1, ncols - size + depth + 2),
+                depth + 1,
+            ):
+                return True
         return False
-    if fld is None:
-        inv = inv_table[v[pi]]
-        if inv != 1:
-            v = [a * inv % p for a in v]
-        return _sub_extend_prime(cols, nrows, p, inv_table, size, [(pi, v)], j0 + 1, 1)
-    s = fld.inv(v[pi])
-    if s != 1:
-        v = [fld.mul(a, s) for a in v]
-    return _sub_extend_generic(cols, nrows, fld, size, [(pi, v)], j0 + 1, 1)
 
-
-def _sub_extend_prime(cols, nrows, p, inv_table, size, pivots, start, depth) -> bool:
-    ncols = len(cols)
-    limit = ncols - (size - depth) + 1
-    for j in range(start, limit if depth + 1 < size else ncols):
-        v = list(cols[j])
-        for pi, pvec in pivots:
-            c = v[pi]
-            if c:
-                v = [(a - c * b) % p for a, b in zip(v, pvec)]
-        pi = -1
-        for i in range(nrows):
-            if v[i]:
-                pi = i
-                break
-        if pi < 0:
-            return True
-        if depth + 1 < size:
-            inv = inv_table[v[pi]]
-            if inv != 1:
-                v = [a * inv % p for a in v]
-            if _sub_extend_prime(cols, nrows, p, inv_table, size, pivots + [(pi, v)], j + 1, depth + 1):
-                return True
-    return False
-
-
-def _sub_extend_generic(cols, nrows, fld, size, pivots, start, depth) -> bool:
-    ncols = len(cols)
-    limit = ncols - (size - depth) + 1
-    for j in range(start, limit if depth + 1 < size else ncols):
-        v = list(cols[j])
-        for pi, pvec in pivots:
-            c = v[pi]
-            if c:
-                v = [fld.sub(a, fld.mul(c, b)) for a, b in zip(v, pvec)]
-        pi = -1
-        for i in range(nrows):
-            if v[i]:
-                pi = i
-                break
-        if pi < 0:
-            return True
-        if depth + 1 < size:
-            s = fld.inv(v[pi])
-            if s != 1:
-                v = [fld.mul(a, s) for a in v]
-            if _sub_extend_generic(cols, nrows, fld, size, pivots + [(pi, v)], j + 1, depth + 1):
-                return True
-    return False
+    return extend([], firsts, 0)
 
 
 def min_distance(
@@ -436,6 +363,10 @@ def min_distance(
     first hit is exact.  ``d_max`` bounds the search (default n - rank + 1,
     which always terminates).  Raises Infeasible when the projected number
     of rank tests exceeds ``node_guard``.
+
+    With ``workers`` > 1 each pass splits its subsets by lowest column,
+    interleaved across one process pool that serves every pass of the call;
+    the pool size is clamped by ``pool_size``.
     """
     n = h.ncols
     if n == 0:
@@ -443,28 +374,19 @@ def min_distance(
     if d_max is None:
         d_max = h.rank() + 1  # any rank+1 columns are dependent
     cols = [tuple(h.column(j)) for j in range(n)]
-    fld = h.field
-    field_spec = (fld.p, fld.m, tuple(fld.modulus))
+    w = pool_size(workers, n)
     est = 0
-    for s in range(1, d_max + 1):
-        est += math.comb(n, s)
-        if est > node_guard:
-            raise Infeasible(
-                f"distance search would need ~{est} rank tests (> {node_guard})"
-            )
-        if workers <= 1:
-            if fld.m == 1:
-                found = _pass_serial_prime(cols, h.nrows, fld.p, fld._inv, s)
-            else:
-                found = _pass_serial_generic(cols, h.nrows, fld, s)
-        else:
-            firsts = list(range(0, n - s + 1))
-            chunks = [firsts[i::workers] for i in range(workers)]
-            args = [(cols, h.nrows, field_spec, s, c) for c in chunks if c]
-            with ProcessPoolExecutor(max_workers=workers) as ex:
-                found = any(ex.map(_distance_pass_worker, args))
-        if found:
-            return s
+    with chunk_map(w) as run:
+        for s in range(1, d_max + 1):
+            est += math.comb(n, s)
+            if est > node_guard:
+                raise Infeasible(
+                    f"distance search would need ~{est} rank tests (> {node_guard})"
+                )
+            firsts = range(n - s + 1)
+            search = partial(_dependent_subset, cols, h.nrows, h.field, s)
+            if any(run(search, [firsts[i::w] for i in range(w)])):
+                return s
     raise Infeasible(f"no dependent subset of size <= {d_max} found")
 
 

@@ -17,24 +17,15 @@ from importlib import resources
 from .algebra import FiniteField, Matrix, load_matrix
 from .bounds import classify, singleton_bound
 from .designs import ag_steiner, pg_steiner
-from .erasure import (
-    ErasurePattern,
-    decode_linear,
-    decode_structured,
-    heavy_global_patterns,
-    min_distance,
-    pattern_admissible,
-    recoverable,
-)
+from .erasure import ErasurePattern, min_distance, recoverable
 from .errors import InternalInvariantViolation
-from .gsd import basic_array, check_array, truncated_array
+from .gsd import check_array, truncated_array
 from .lrc import (
     EvaluationLayout,
     LinearCode,
     LrcParams,
     build_code,
     build_layout,
-    encode,
     generator_matrix,
     verify_locality,
 )

@@ -16,13 +16,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from functools import partial
 
-from .algebra import FiniteField, Matrix
 from .errors import Infeasible, InvalidParameter, NotRegular
 from .lrc import EvaluationLayout, LinearCode
-from .erasure import recoverable
+from .erasure import chunk_map, pool_size, recoverable
 
 
 @dataclass
@@ -176,19 +175,17 @@ def truncated_array(layout: EvaluationLayout, code: LinearCode) -> ArrayLayout:
 # disk + sector sweeps
 
 
-def _sweep_worker(args):
-    field_spec, rows, chunk, max_witness = args
-    p, m, modulus = field_spec
-    fld = FiniteField(p, m, modulus)
-    h = Matrix(fld, rows)
+def _sweep_task(h, max_witness, chunk):
+    """Test each (index, coords) pattern of a chunk; returns the counts and
+    the chunk's first ``max_witness`` failures as (index, coords) pairs."""
     checked = passed = 0
     failures = []
-    for coords in chunk:
+    for index, coords in chunk:
         checked += 1
         if recoverable(h, coords):
             passed += 1
         elif len(failures) < max_witness:
-            failures.append(list(coords))
+            failures.append((index, list(coords)))
     return checked, passed, failures
 
 
@@ -214,6 +211,9 @@ def check_array(
     mode draws ``count`` patterns from the given seed.  The report carries
     the sector-disk qualification bit y*rows + gamma > d - 1 when the
     minimum distance ``d`` is supplied.
+
+    ``failures`` holds the first ``max_witness`` unrecoverable patterns in
+    pattern order, sorted; it is the same for every worker count.
     """
     if columns not in ("all", "data"):
         raise InvalidParameter("columns must be 'all' or 'data'")
@@ -259,29 +259,17 @@ def check_array(
     else:
         raise InvalidParameter("mode must be 'exhaustive' or 'sampled'")
 
-    h = arr.code.check
-    if workers <= 1:
-        checked = passed = 0
-        failures: list[list[int]] = []
-        for coords in patterns:
-            checked += 1
-            if recoverable(h, coords):
-                passed += 1
-            elif len(failures) < max_witness:
-                failures.append(list(coords))
-    else:
-        fld = h.field
-        spec = (fld.p, fld.m, tuple(fld.modulus))
-        chunks = [patterns[i::workers] for i in range(workers)]
-        args = [(spec, h.rows, c, max_witness) for c in chunks if c]
-        checked = passed = 0
-        parts: list[list[list[int]]] = []
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            for c, p_, f in ex.map(_sweep_worker, args):
-                checked += c
-                passed += p_
-                parts.append(f)
-        failures = sorted(itertools.chain.from_iterable(parts))[:max_witness]
+    indexed = list(enumerate(patterns))
+    w = pool_size(workers, len(indexed))
+    checked = passed = 0
+    witnesses: list[tuple[int, list[int]]] = []
+    with chunk_map(w) as run:
+        sweep = partial(_sweep_task, arr.code.check, max_witness)
+        for c, p_, f in run(sweep, [indexed[i::w] for i in range(w)]):
+            checked += c
+            passed += p_
+            witnesses.extend(f)
+    failures = [coords for _, coords in sorted(witnesses)[:max_witness]]
 
     report = {
         "construction": arr.construction,

@@ -328,12 +328,8 @@ class LinearCode:
 def build_code(layout: EvaluationLayout, with_generator: bool = False) -> LinearCode:
     p = layout.params
     h = parity_check_matrix(layout)
-    local = {}
-    row = 0
-    for b, a in enumerate(layout.sets):
-        cnt = len(a) - p.delta + 1
-        local[b] = tuple(range(row, row + p.delta - 1))
-        row += p.delta - 1
+    d1 = p.delta - 1
+    local = {b: tuple(range(b * d1, (b + 1) * d1)) for b in range(len(layout.sets))}
     code = LinearCode(
         field=layout.field,
         n=layout.n,

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -196,3 +197,17 @@ def test_subfield_embedding_is_homomorphism():
             assert emb[F4.mul(a, b)] == F16.mul(emb[a], emb[b])
     with pytest.raises(InvalidParameter):
         subfield_embedding(F9, F16)
+
+
+def test_field_pickles_as_its_spec():
+    blob = pickle.dumps(F16)
+    assert len(blob) < 200  # the spec, not the log/exp/addition tables
+    again = pickle.loads(blob)
+    assert again == F16 and again is not F16
+    for a in range(16):
+        for b in range(16):
+            assert again.add(a, b) == F16.add(a, b)
+            assert again.mul(a, b) == F16.mul(a, b)
+    assert [again.inv(a) for a in range(1, 16)] == [F16.inv(a) for a in range(1, 16)]
+    m = pickle.loads(pickle.dumps(Matrix(F11, [[1, 2], [3, 4]])))
+    assert m.field == F11 and m.rank() == 2

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -7,12 +8,13 @@ import pytest
 from lrckit.cli import main
 
 
-def run_cli(*args, input_text=None):
+def run_cli(*args, input_text=None, env=None):
     proc = subprocess.run(
         [sys.executable, "-m", "lrckit.cli", *args],
         capture_output=True,
         text=True,
         input=input_text,
+        env=None if env is None else {**os.environ, **env},
     )
     return proc
 
@@ -37,6 +39,27 @@ def test_usage_error_exit_code():
     assert proc.returncode == 2
     proc = run_cli("designs", "gen", "--family", "cyclotomic", "--prime-powers", "7", "--e", "4")
     assert proc.returncode == 2  # divisibility violated
+
+
+SINGLETON = ("bounds", "singleton", "--n", "24", "--k", "14", "--r", "2", "--delta", "2")
+
+
+@pytest.mark.parametrize(
+    "args, env",
+    [
+        (("--workers", "0", *SINGLETON), None),
+        (("--workers", "-3", *SINGLETON), None),
+        (("--workers", "two", *SINGLETON), None),
+        (SINGLETON, {"LRCKIT_WORKERS": "two"}),
+        (SINGLETON, {"LRCKIT_WORKERS": "0"}),
+    ],
+)
+def test_bad_worker_count_is_a_usage_error(args, env):
+    proc = run_cli(*args, env=env)
+    assert proc.returncode == 2
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--workers" in errors[0]
+    assert "Traceback" not in proc.stderr
 
 
 def test_reports_are_byte_identical():

@@ -1,8 +1,10 @@
-import itertools
+import os
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from lrckit import erasure
 from lrckit.algebra import FiniteField, Matrix
 from lrckit.erasure import (
     ErasurePattern,
@@ -14,6 +16,7 @@ from lrckit.erasure import (
     naive_min_distance,
     pattern_admissible,
     pattern_iter,
+    pool_size,
     recoverable,
 )
 from lrckit.errors import Inconsistent, Infeasible, InvalidParameter, NotAdmissible
@@ -184,18 +187,58 @@ def test_min_distance_parity_code():
     assert min_distance(h) == 2
 
 
-def test_min_distance_matches_naive():
-    rng = random.Random(21)
-    for fld in (F11, FiniteField(2, 2)):
-        for _ in range(6):
-            m = Matrix(fld, [[rng.randrange(fld.q) for _ in range(8)] for _ in range(4)])
-            if m.rank() == 0:
-                continue
-            assert min_distance(m) == naive_min_distance(m)
+# prime fields take the inline ``% p`` row operations, extension fields the
+# table-driven ones
+DISTANCE_FIELDS = [FiniteField(5), FiniteField(7), FiniteField(2, 2), FiniteField(2, 3),
+                   FiniteField(3, 2), FiniteField(2, 4)]
+
+
+@st.composite
+def small_matrices(draw):
+    fld = draw(st.sampled_from(DISTANCE_FIELDS))
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 9))
+    entry = st.one_of(st.just(0), st.integers(0, fld.q - 1))  # zeros make sparse columns
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    return Matrix(fld, draw(st.lists(row, min_size=nrows, max_size=nrows)), ncols)
+
+
+@given(small_matrices())
+@settings(max_examples=80, deadline=None)
+def test_min_distance_matches_naive(m):
+    def distance(search):
+        try:
+            return search(m)
+        except Infeasible:
+            return None
+
+    d = distance(min_distance)
+    assert d == distance(naive_min_distance)
+    # only a matrix of full column rank has no dependent columns at all
+    assert (d is None) == (m.rank() == m.ncols)
 
 
 def test_min_distance_workers_agree(example1_check):
     assert min_distance(example1_check) == min_distance(example1_check, workers=2) == 5
+
+
+def test_pool_size_is_clamped():
+    cpus = os.cpu_count() or 1
+    assert pool_size(10**6, 1) == 1
+    assert pool_size(10**6, 10**6) == cpus
+    assert pool_size(2, 10**6) == min(2, cpus)
+    assert pool_size(4, 0) == 1
+    for workers in (1, 0, -3):
+        assert pool_size(workers, 100) == 1
+
+
+def test_single_worker_starts_no_pool(monkeypatch, example1_check):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(erasure, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(erasure.os, "cpu_count", no_pool)
+    assert min_distance(example1_check, workers=1) == 5
+    assert min_distance(example1_check, workers=0) == 5
 
 
 def test_min_distance_guard():

@@ -1,6 +1,6 @@
 import pytest
 
-from lrckit import serial
+from lrckit import erasure, serial
 from lrckit.algebra import FiniteField
 from lrckit.designs import pg_steiner
 from lrckit.errors import Infeasible, InvalidParameter, NotRegular
@@ -145,11 +145,25 @@ def test_recovery_claims_sweeps(ex1_array):
 
 
 def test_check_array_sampled_deterministic(ex1_array):
-    a = check_array(ex1_array, y=1, gamma=2, mode="sampled", count=50, seed=3)
-    b = check_array(ex1_array, y=1, gamma=2, mode="sampled", count=50, seed=3)
-    assert a == b
-    c = check_array(ex1_array, y=1, gamma=2, mode="sampled", count=50, seed=3, workers=2)
-    assert c == a
+    # the second shape has 159 failures, more than max_witness: the witnesses
+    # must still be the first ones in pattern order for every worker count
+    shapes = [(dict(y=1, gamma=2, count=50), 1), (dict(y=2, gamma=3, count=400), 159)]
+    for shape, failing in shapes:
+        a = check_array(ex1_array, mode="sampled", seed=3, **shape)
+        b = check_array(ex1_array, mode="sampled", seed=3, **shape)
+        assert a == b
+        assert a["checked"] - a["recoverable"] == failing
+        c = check_array(ex1_array, mode="sampled", seed=3, workers=2, **shape)
+        assert c == a
+
+
+def test_check_array_single_worker_starts_no_pool(ex1_array, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(erasure, "ProcessPoolExecutor", no_pool)
+    rep = check_array(ex1_array, y=1, gamma=1, mode="sampled", count=20, seed=1, workers=1)
+    assert rep["checked"] == 20
 
 
 def test_check_array_exhaustive_guard(ex1_array):
