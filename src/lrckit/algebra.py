@@ -11,10 +11,11 @@ point anywhere.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .errors import DuplicateNode, InvalidParameter
+from .errors import DuplicateNode, InternalInvariantViolation, InvalidParameter
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
@@ -38,19 +39,15 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     """Split q = p^m into (p, m); raises if q is not a prime power."""
     if q < 2:
         raise InvalidParameter(f"{q} is not a prime power")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            if not is_prime(p):
-                raise InvalidParameter(f"{q} is not a prime power")
-            m = 0
-            n = q
-            while n % p == 0:
-                n //= p
-                m += 1
-            if n != 1:
-                raise InvalidParameter(f"{q} is not a prime power")
-            return p, m
-    raise InvalidParameter(f"{q} is not a prime power")
+    # the smallest divisor above 1 is prime
+    p = next((f for f in range(2, math.isqrt(q) + 1) if q % f == 0), q)
+    m, rest = 0, q
+    while rest % p == 0:
+        rest //= p
+        m += 1
+    if rest != 1:
+        raise InvalidParameter(f"{q} is not a prime power")
+    return p, m
 
 
 # ----------------------------------------------------------------------
@@ -100,7 +97,7 @@ def _smallest_irreducible(p: int, m: int) -> list[int]:
         cand = tail + [1]
         if _is_irreducible(cand, p):
             return cand
-    raise InternalError_unreachable()  # pragma: no cover
+    raise InternalInvariantViolation(f"no irreducible of degree {m} over F_{p}")  # pragma: no cover
 
 
 class FiniteField:
@@ -178,7 +175,7 @@ class FiniteField:
                 gen = g
                 break
         if gen is None:  # pragma: no cover - q=2 handled by m==1 branch
-            raise InternalError_unreachable()
+            raise InternalInvariantViolation(f"F_{q} has no primitive element")
         self.generator = gen
         self._exp = [1] * (2 * (q - 1))
         self._log = [0] * q
@@ -237,14 +234,12 @@ class FiniteField:
         return self.mul(a, self.inv(b))
 
     def pow(self, a: int, e: int) -> int:
+        if a == 0 and e < 0:
+            raise ZeroDivisionError("inversion of zero field element")
         if self.m == 1:
             return pow(a, e, self.p) if e >= 0 else pow(self._inv[a], -e, self.p)
         if a == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise ZeroDivisionError("inversion of zero field element")
-            return 0
+            return 1 if e == 0 else 0
         return self._exp[(self._log[a] * e) % (self.q - 1)]
 
     def elements(self) -> range:
@@ -260,8 +255,9 @@ class FiniteField:
         return hash((self.p, self.m, self.modulus))
 
     def __reduce__(self):
-        # pickle the spec, not the tables; the receiver rebuilds them
-        return (FiniteField, (self.p, self.m, self.modulus))
+        # pickle the spec, not the tables; the receiver rebuilds them once
+        # per process and shares that instance among later unpicklings
+        return (_shared_field, (self.p, self.m, self.modulus))
 
     def __repr__(self) -> str:
         if self.m == 1:
@@ -269,8 +265,10 @@ class FiniteField:
         return f"FiniteField({self.p}, {self.m})"
 
 
-class InternalError_unreachable(AssertionError):
-    pass
+@lru_cache(maxsize=None)
+def _shared_field(p: int, m: int, modulus: tuple[int, ...]) -> FiniteField:
+    """The unpickling constructor: one FiniteField per spec and process."""
+    return FiniteField(p, m, modulus)
 
 
 @lru_cache(maxsize=None)
@@ -300,7 +298,7 @@ def subfield_embedding(small: FiniteField, big: FiniteField) -> list[int]:
             root = x
             break
     if root is None:  # pragma: no cover
-        raise InternalError_unreachable()
+        raise InternalInvariantViolation("the subfield modulus has no root")
     table = []
     for a in range(small.q):
         cs = small.coords(a)
@@ -431,6 +429,15 @@ def poly_from_roots(fld: FiniteField, roots: Iterable[int]) -> Poly:
     for r in roots:
         out = out * Poly(fld, [fld.neg(r), 1])
     return out
+
+
+def value_from_roots(fld: FiniteField, roots: Iterable[int], x: int) -> int:
+    """prod (x - r) over the roots: the value at x of
+    ``poly_from_roots(fld, roots)``, without building the polynomial."""
+    acc = 1
+    for r in roots:
+        acc = fld.mul(acc, fld.sub(x, r))
+    return acc
 
 
 def interpolate(fld: FiniteField, points: Sequence[tuple[int, int]]) -> Poly:
@@ -653,6 +660,16 @@ def dump_matrix(mat: Matrix) -> str:
 
 
 def load_matrix(text: str) -> Matrix:
+    """Parse the matrix text format; raises InvalidParameter on bad input."""
+    try:
+        return _parse_matrix(text)
+    except InvalidParameter:
+        raise
+    except ValueError as exc:  # a token that is not an integer, a short line
+        raise InvalidParameter(f"malformed matrix file: {exc}") from None
+
+
+def _parse_matrix(text: str) -> Matrix:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise InvalidParameter("empty matrix file")

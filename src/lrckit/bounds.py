@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import mpmath
 
+from .algebra import factor_prime_power
 from .errors import InvalidParameter
 
 
@@ -31,8 +32,10 @@ def length_bound(q: int, r: int, delta: int, h: int, a: int) -> dict:
 
     Returns a dict with ``applicable`` False when T(a) < 2; otherwise the
     branch used, the certified floor, and either the exact rational value
-    or a certified enclosing interval.
+    or a certified enclosing interval.  Raises InvalidParameter unless q is
+    a prime power.
     """
+    factor_prime_power(q)
     if not (0 <= a <= h):
         raise InvalidParameter("need 0 <= a <= h")
     d = h + delta
@@ -99,8 +102,10 @@ def classify(
     ``optimal`` compares d with the Singleton-type bound.  The length bound
     assumes d = h + delta and r | k; when k is not divisible by r the bound
     is still evaluated but flagged advisory, and when d != h + delta the
-    bound is marked inapplicable.
+    bound is marked inapplicable.  Raises InvalidParameter unless q is a
+    prime power.
     """
+    factor_prime_power(q)
     singleton = singleton_bound(n, k, r, delta)
     out: dict = {
         "n": n,

@@ -9,6 +9,7 @@ fails, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -52,16 +53,39 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _load_json(path: str):
+    try:
+        return json.loads(_read(path))
+    except json.JSONDecodeError as exc:
+        raise InvalidParameter(f"{path}: not valid JSON ({exc})") from None
+
+
+def _load_layout(path: str):
+    return serial.layout_from_dict(_load_json(path))
+
+
 def _emit(args, obj) -> None:
     _write(getattr(args, "out", None), serial.dumps(obj))
 
 
 def _ints(csv: str) -> list[int]:
-    return [int(tok) for tok in csv.replace(",", " ").split()]
+    try:
+        return [int(tok) for tok in csv.replace(",", " ").split()]
+    except ValueError:
+        raise InvalidParameter(f"expected integers, got {csv!r}") from None
+
+
+def _require(args, names, what: str) -> None:
+    """Raise InvalidParameter naming the options in ``names`` left unset."""
+    missing = [f"--{n.replace('_', '-')}" for n in names if getattr(args, n) is None]
+    if missing:
+        raise InvalidParameter(f"{what} needs {', '.join(missing)}")
 
 
 def _build_design(args):
     fam = args.family
+    _require(args, ("prime_powers", "e") if fam == "cyclotomic" else ("q1", "beta"),
+             f"--family {fam}")
     if fam == "ag":
         return ag_steiner(args.q1, args.beta)
     if fam == "pg":
@@ -105,7 +129,10 @@ def cmd_designs_verify(args) -> int:
 
 def _layout_from_args(args):
     if args.layout:
-        return serial.layout_from_dict(__import__("json").loads(_read(args.layout)))
+        return _load_layout(args.layout)
+    _require(args, ("p", "r", "delta", "ell", "v", "h"), "a layout without --layout")
+    if not (args.design_file or args.family):
+        raise InvalidParameter("a layout without --layout needs --family or --design-file")
     params = LrcParams(r=args.r, delta=args.delta, ell=args.ell, v=args.v, h=args.h)
     fld = FiniteField(args.p, args.m)
     if args.design_file:
@@ -146,8 +173,8 @@ def cmd_lrc_verify(args) -> int:
 
 
 def cmd_erasure_check(args) -> int:
-    layout = serial.layout_from_dict(__import__("json").loads(_read(args.layout)))
-    pat = serial.pattern_from_dict(layout, __import__("json").loads(_read(args.pattern)))
+    layout = _load_layout(args.layout)
+    pat = serial.pattern_from_dict(layout, _load_json(args.pattern))
     rep = pattern_admissible(layout, pat)
     _emit(
         args,
@@ -163,8 +190,8 @@ def cmd_erasure_check(args) -> int:
 
 
 def cmd_erasure_decode(args) -> int:
-    layout = serial.layout_from_dict(__import__("json").loads(_read(args.layout)))
-    pat = serial.pattern_from_dict(layout, __import__("json").loads(_read(args.pattern)))
+    layout = _load_layout(args.layout)
+    pat = serial.pattern_from_dict(layout, _load_json(args.pattern))
     word = _ints(args.word)
     if len(word) != layout.n:
         raise InvalidParameter(f"word must have length {layout.n}")
@@ -191,22 +218,19 @@ def cmd_erasure_distance(args) -> int:
     return 0
 
 
+def _build_array(args):
+    layout = _load_layout(args.layout)
+    build = {"basic": basic_array, "rearranged": rearranged_array, "truncated": truncated_array}
+    return build[args.construction](layout, build_code(layout))
+
+
 def cmd_gsd_build(args) -> int:
-    layout = serial.layout_from_dict(__import__("json").loads(_read(args.layout)))
-    code = build_code(layout)
-    arr = {"basic": basic_array, "rearranged": rearranged_array, "truncated": truncated_array}[
-        args.construction
-    ](layout, code)
-    _emit(args, serial.array_to_dict(arr))
+    _emit(args, serial.array_to_dict(_build_array(args)))
     return 0
 
 
 def cmd_gsd_check(args) -> int:
-    layout = serial.layout_from_dict(__import__("json").loads(_read(args.layout)))
-    code = build_code(layout)
-    arr = {"basic": basic_array, "rearranged": rearranged_array, "truncated": truncated_array}[
-        args.construction
-    ](layout, code)
+    arr = _build_array(args)
     rep = check_array(
         arr,
         y=args.y,
@@ -225,6 +249,8 @@ def cmd_gsd_check(args) -> int:
 
 def cmd_gsd_params(args) -> int:
     kw = {"delta": args.delta, "v": args.v}
+    _require(args, ("prime_powers", "e") if args.family == "regularpacking" else ("q1", "beta"),
+             f"--family {args.family}")
     if args.family == "regularpacking":
         kw.update(prime_powers=_ints(args.prime_powers), e=args.e)
     else:
@@ -236,6 +262,7 @@ def cmd_gsd_params(args) -> int:
 def _goppa_from_args(args) -> GoppaParams:
     from .algebra import Poly
 
+    _require(args, ("p",), "goppa")
     fld = FiniteField(args.p, args.m)
     g1 = Poly(fld, _ints(args.g1))
     g2 = Poly(fld, _ints(args.g2)) if args.g2 else Poly(fld, [1])
@@ -477,7 +504,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except InvalidParameter as exc:
+    except (InvalidParameter, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LrckitError as exc:

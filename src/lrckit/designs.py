@@ -355,6 +355,9 @@ def load_design(text: str) -> Design:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise InvalidParameter("empty design file")
-    n, tau, t = (int(x) for x in lines[0].split())
-    blocks = [tuple(int(x) for x in ln.split()) for ln in lines[1:]]
+    try:
+        n, tau, t = (int(x) for x in lines[0].split())
+        blocks = [tuple(int(x) for x in ln.split()) for ln in lines[1:]]
+    except ValueError as exc:  # a token that is not an integer, a short header
+        raise InvalidParameter(f"malformed design file: {exc}") from None
     return Design(num_points=n, blocks=blocks, tau=tau, block_size=t)

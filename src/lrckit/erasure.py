@@ -19,9 +19,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 
-from .algebra import FiniteField, Matrix, Poly, interpolate, poly_from_roots
+from .algebra import FiniteField, Matrix, interpolate, value_from_roots
 from .errors import Inconsistent, Infeasible, InvalidParameter, NotAdmissible
-from .lrc import EvaluationLayout, LinearCode, _global_poly
+from .lrc import EvaluationLayout, LinearCode, _row_value, encode
 
 
 @dataclass(frozen=True)
@@ -117,6 +117,16 @@ def decode_structured(layout: EvaluationLayout, received, pat: ErasurePattern) -
     scaled survivors and surviving global parities, and the per-set
     polynomials are then read back off the exclusive points.
 
+    The polynomial construction defines the code, but the decoder builds
+    only the polynomials it must interpolate: those of light sets with
+    erasures, the unknown part and the heavy sets.  Every other polynomial
+    is needed only at points and comes from the layout's cached parity
+    check (``layout.check_rows``) as scalars: a light set's survivors are
+    checked against its local rows, the known part at s is a partial dot
+    product of global row s over the light blocks, phi(s) =
+    Delta(s)/U(s), and the recovered information is re-encoded through
+    the same rows.
+
     ``received`` holds None at erased coordinates; those entries are never
     read.  Raises NotAdmissible or Inconsistent.
     """
@@ -131,41 +141,36 @@ def decode_structured(layout: EvaluationLayout, received, pat: ErasurePattern) -
             raise InvalidParameter("survivor coordinate is missing")
 
     heavy = rep.heavy_sets
-    heavy_set = set(heavy)
-    polys: list[Poly | None] = [None] * len(layout.sets)
+    rows = layout.check_rows
+    # survivors in place, light erasures filled below, heavy blocks zero
+    word = [0 if c in erased else received[c] for c in range(layout.n)]
     for b, a in enumerate(layout.sets):
-        if b in heavy_set:
+        coords = layout.block_coords(b)
+        if b in heavy:
+            for c in coords:
+                word[c] = 0
             continue
-        pts = [
-            (x, received[layout.coord(b, t)])
-            for t, x in enumerate(a)
-            if x not in pat.sets[b]
-        ]
-        need = layout.interp_count(b)
-        f = interpolate(fld, pts[:need])
-        for x, y in pts[need:]:
-            if f(x) != y:
+        if pat.sets[b]:
+            pts = [(x, word[c]) for x, c in zip(a, coords) if x not in pat.sets[b]]
+            f = interpolate(fld, pts[: layout.interp_count(b)])
+            for x, c in zip(a, coords):
+                if x in pat.sets[b]:
+                    word[c] = f(x)
+        # the block's survivors lie on one polynomial iff its local rows hold
+        for pivot, terms in rows[b * (p.delta - 1): (b + 1) * (p.delta - 1)]:
+            if word[pivot] != _row_value(fld, terms, word):
                 raise Inconsistent(f"survivors of set {b} are off-polynomial")
-        polys[b] = f
 
     if heavy:
         union_pts = set()
         for t in heavy:
             union_pts |= set(layout.sets[t])
         union_sorted = sorted(union_pts)
-        union_poly = poly_from_roots(fld, union_sorted)
-        gs = [layout.g_poly(b) for b in range(len(layout.sets))]
-        delta_poly = Poly.one(fld)
-        for g in gs:
-            delta_poly = delta_poly * g
-        phi, rem = divmod(delta_poly, union_poly)
-        assert rem.is_zero()
-        known = Poly.zero(fld)
-        for b in range(len(layout.sets)):
-            if b in heavy_set or polys[b].is_zero():
-                continue
-            known = known + polys[b] * (delta_poly // gs[b])
-        e_polys = {t: union_poly // gs[t] for t in heavy}
+        # e_t(x) = prod_{y in U \ A_t} (x - y), which vanishes on U \ A_t
+        outside = {t: [y for y in union_sorted if y not in layout.sets[t]] for t in heavy}
+
+        def e(t, x):
+            return value_from_roots(fld, outside[t], x)
 
         erased_pts = set()
         for t in heavy:
@@ -179,13 +184,16 @@ def decode_structured(layout: EvaluationLayout, received, pat: ErasurePattern) -
                 a = layout.sets[t]
                 if x in a:
                     c = received[layout.coord(t, a.index(x))]
-                    acc = fld.add(acc, fld.mul(e_polys[t](x), c))
+                    acc = fld.add(acc, fld.mul(e(t, x), c))
             values.append((x, acc))
+        global_rows = rows[len(rows) - p.h:]
         for i, s in enumerate(layout.s_points):
             if s in pat.globals_:
                 continue
             c = received[layout.global_coord(i)]
-            values.append((s, fld.div(fld.sub(c, known(s)), phi(s))))
+            known = _row_value(fld, global_rows[i][1], word)
+            phi = fld.div(layout.delta_at_s[i], value_from_roots(fld, union_sorted, s))
+            values.append((s, fld.div(fld.sub(c, known), phi)))
 
         need = len(union_pts) - p.delta + 1
         if len(values) < need:
@@ -203,18 +211,15 @@ def decode_structured(layout: EvaluationLayout, received, pat: ErasurePattern) -
                     others |= set(layout.sets[j])
             exclusive = [x for x in a if x not in others]
             need_t = layout.interp_count(t)
-            pts = [(x, fld.div(f_comb(x), e_polys[t](x))) for x in exclusive[:need_t]]
+            pts = [(x, fld.div(f_comb(x), e(t, x))) for x in exclusive[:need_t]]
             f = interpolate(fld, pts)
             for x in exclusive[need_t:]:
-                if fld.mul(f(x), e_polys[t](x)) != f_comb(x):
+                if fld.mul(f(x), e(t, x)) != f_comb(x):
                     raise Inconsistent(f"heavy set {t} recovery is inconsistent")
-            polys[t] = f
+            for c, x in zip(layout.block_coords(t), a[:need_t]):
+                word[c] = f(x)
 
-    word = []
-    for b, a in enumerate(layout.sets):
-        word.extend(polys[b](x) for x in a)
-    f_all = _global_poly(layout, polys)
-    word.extend(f_all(s) for s in layout.s_points)
+    word = encode(layout, [word[c] for c in layout.info_coords])
     for c in range(layout.n):
         if c not in erased and word[c] != received[c]:
             raise Inconsistent("decoded word disagrees with a survivor")

@@ -2,6 +2,17 @@
 information locality: evaluation layouts, the encoder, generator and
 parity-check synthesis, and locality verification.
 
+The construction is the paper's: block i carries a polynomial f_i of
+degree < |A_i|-delta+1 interpolating its information symbols, and the
+global parities are the values at S of sum_i f_i * prod_{j != i} g_j with
+g_j = prod_{x in A_j} (x - y).  That polynomial encoder defines the
+structural parity check H, whose rows each have one pivot at a
+local-parity or global coordinate and are otherwise supported on
+information coordinates.  Each layout synthesises H once, from scalar
+values of those polynomials, as sparse rows (``check_rows``); the encoder,
+the structured decoder and ``parity_check_matrix`` all run from them, so no
+polynomial is built per codeword.
+
 A layout consists of an ordered h-subset S of the field (global-parity
 evaluation points) and ordered sets A_1..A_{L+1} of field elements disjoint
 from S, with |A_i| = r+delta-1 for i <= L and |A_{L+1}| = v+delta-1.
@@ -13,8 +24,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
-from .algebra import FiniteField, Matrix, Poly, interpolate, poly_from_roots
+from .algebra import FiniteField, Matrix, value_from_roots
 from .designs import Design
 from .errors import (
     FieldTooSmall,
@@ -126,8 +138,62 @@ class EvaluationLayout:
         off = self.block_offsets[block]
         return tuple(range(off, off + len(self.sets[block])))
 
-    def g_poly(self, block: int) -> Poly:
-        return poly_from_roots(self.field, self.sets[block])
+    # -- the structural parity check, synthesised once per layout ----------
+
+    @cached_property
+    def info_coords(self) -> tuple[int, ...]:
+        """Coordinates carrying the information symbols, in encoding order:
+        the first |A_i|-delta+1 positions of each block."""
+        return tuple(c for b in range(len(self.sets))
+                     for c in self.block_coords(b)[: self.interp_count(b)])
+
+    @cached_property
+    def delta_at_s(self) -> tuple[int, ...]:
+        """Delta(s) = prod_i g_i(s) at each global point s."""
+        roots = [x for a in self.sets for x in a]
+        return tuple(value_from_roots(self.field, roots, s) for s in self.s_points)
+
+    @cached_property
+    def check_rows(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+        """The structural parity check as sparse rows ``(pivot, terms)``:
+        every codeword has ``word[pivot] = sum(c * word[j] for j, c in
+        terms)``, with the terms on information coordinates only, so H
+        holds -c at j and 1 at the pivot.
+
+        delta-1 local rows per block come first, block by block: the
+        Lagrange basis of the block's information points evaluated at each
+        local-parity point.  Then one global row per point s of S: the
+        same basis at s, scaled by Delta(s)/g_i(s).
+        """
+        fld = self.field
+        rows = []
+        bases = []  # per block: (information coordinates, nodes, weights)
+        for b, a in enumerate(self.sets):
+            cnt = self.interp_count(b)
+            nodes = a[:cnt]
+            weights = [fld.inv(value_from_roots(fld, nodes[:u] + nodes[u + 1:], x))
+                       for u, x in enumerate(nodes)]
+            info = self.block_coords(b)[:cnt]
+            bases.append((info, nodes, weights))
+            for t in range(cnt, len(a)):
+                rows.append((self.coord(b, t),
+                             tuple(zip(info, _lagrange_at(fld, nodes, weights, a[t])))))
+        for j, s in enumerate(self.s_points):
+            terms = []
+            for (info, nodes, weights), a in zip(bases, self.sets):
+                scale = fld.div(self.delta_at_s[j], value_from_roots(fld, a, s))
+                terms.extend(zip(info, (fld.mul(scale, c)
+                                        for c in _lagrange_at(fld, nodes, weights, s))))
+            rows.append((self.global_coord(j), tuple(terms)))
+        return tuple(rows)
+
+
+def _lagrange_at(fld: FiniteField, nodes, weights, x: int) -> list[int]:
+    """Values at x, which is not a node, of the Lagrange basis on ``nodes``
+    with barycentric ``weights``: w_u * prod_{i != u} (x - x_i)."""
+    full = value_from_roots(fld, nodes, x)
+    return [fld.mul(fld.mul(w, full), fld.inv(fld.sub(x, xu)))
+            for xu, w in zip(nodes, weights)]
 
 
 def default_global_points(fld: FiniteField, h: int, forbidden=()) -> tuple[int, ...]:
@@ -196,54 +262,35 @@ def build_layout(
 # encoding
 
 
-def _block_polys(layout: EvaluationLayout, info) -> list[Poly]:
-    """Step 1: the interpolation polynomial of every block."""
-    p = layout.params
-    if len(info) != p.k:
-        raise InvalidParameter(f"information vector must have length {p.k}")
-    polys = []
-    pos = 0
-    for b, a in enumerate(layout.sets):
-        cnt = layout.interp_count(b)
-        pts = list(zip(a[:cnt], info[pos: pos + cnt]))
-        pos += cnt
-        polys.append(interpolate(layout.field, pts))
-    return polys
-
-
-def _global_poly(layout: EvaluationLayout, polys: list[Poly]) -> Poly:
-    """Step 2 combination: sum_i f_i * prod_{j != i} g_j, computed with
-    prefix/suffix products so no rational functions appear."""
-    fld = layout.field
-    gs = [layout.g_poly(b) for b in range(len(layout.sets))]
-    n = len(gs)
-    prefix = [Poly.one(fld)]
-    for g in gs[:-1]:
-        prefix.append(prefix[-1] * g)
-    suffix = [Poly.one(fld)] * n
-    for i in range(n - 2, -1, -1):
-        suffix[i] = suffix[i + 1] * gs[i + 1]
-    acc = Poly.zero(fld)
-    for i, f in enumerate(polys):
-        if not f.is_zero():
-            acc = acc + f * prefix[i] * suffix[i]
+def _row_value(fld: FiniteField, terms, word) -> int:
+    """sum(c * word[j] for j, c in terms) over the field."""
+    if fld.m == 1:
+        return sum(c * word[j] for j, c in terms) % fld.p
+    mul, add = fld.mul, fld.add
+    acc = 0
+    for j, c in terms:
+        acc = add(acc, mul(c, word[j]))
     return acc
 
 
 def encode(layout: EvaluationLayout, info) -> list[int]:
     """Map k information symbols to an n-symbol codeword.
 
-    Information is consumed block-major: the first |A_i|-delta+1 points of
-    each block carry its symbols; the global parities evaluate the step-2
-    polynomial at the points of S.
+    The code is systematic: information is placed block-major on the first
+    |A_i|-delta+1 coordinates of each block, and every local-parity and
+    global coordinate is a dot product of the information with one cached
+    row of the structural parity check.  The result is the codeword of the
+    two-step polynomial encoder, which defines those rows.
     """
-    polys = _block_polys(layout, info)
-    word = []
-    for b, a in enumerate(layout.sets):
-        f = polys[b]
-        word.extend(f(x) for x in a)
-    f_comb = _global_poly(layout, polys)
-    word.extend(f_comb(s) for s in layout.s_points)
+    p = layout.params
+    if len(info) != p.k:
+        raise InvalidParameter(f"information vector must have length {p.k}")
+    fld = layout.field
+    word = [0] * layout.n
+    for c, x in zip(layout.info_coords, info):
+        word[c] = x
+    for pivot, terms in layout.check_rows:
+        word[pivot] = _row_value(fld, terms, word)
     return word
 
 
@@ -264,43 +311,19 @@ def parity_check_matrix(layout: EvaluationLayout) -> Matrix:
     non-information positions through interpolation, plus h global rows
     tying the global parities to the information positions.
 
-    Every row has a unique pivot (a local parity or global coordinate), so
-    the matrix has full row rank n-k and spans the nullspace of the
-    generator matrix.
+    The dense form of ``layout.check_rows``.  Every row has a unique pivot
+    (a local parity or global coordinate), so the matrix has full row rank
+    n-k and spans the nullspace of the generator matrix.
     """
     fld = layout.field
-    p = layout.params
     n = layout.n
     rows = []
-    lagr: list[list[Poly]] = []
-    for b, a in enumerate(layout.sets):
-        cnt = layout.interp_count(b)
-        basis = []
-        for u in range(cnt):
-            num = poly_from_roots(fld, [x for i, x in enumerate(a[:cnt]) if i != u])
-            basis.append(num.scale(fld.inv(num(a[u]))))
-        lagr.append(basis)
-        for t in range(cnt, len(a)):
-            row = [0] * n
-            theta = a[t]
-            for u in range(cnt):
-                row[layout.coord(b, u)] = fld.neg(basis[u](theta))
-            row[layout.coord(b, t)] = 1
-            rows.append(row)
-    if p.h:
-        g_at = [[layout.g_poly(b)(s) for b in range(len(layout.sets))]
-                for s in layout.s_points]
-        for j, s in enumerate(layout.s_points):
-            delta_at_s = 1
-            for val in g_at[j]:
-                delta_at_s = fld.mul(delta_at_s, val)
-            row = [0] * n
-            for b, a in enumerate(layout.sets):
-                scale = fld.mul(delta_at_s, fld.inv(g_at[j][b]))
-                for u in range(layout.interp_count(b)):
-                    row[layout.coord(b, u)] = fld.neg(fld.mul(scale, lagr[b][u](s)))
-            row[layout.global_coord(j)] = 1
-            rows.append(row)
+    for pivot, terms in layout.check_rows:
+        row = [0] * n
+        for j, c in terms:
+            row[j] = fld.neg(c)
+        row[pivot] = 1
+        rows.append(row)
     return Matrix(fld, rows, n)
 
 

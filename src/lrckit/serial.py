@@ -39,14 +39,15 @@ def layout_to_dict(layout: EvaluationLayout) -> dict:
 
 
 def layout_from_dict(d: dict) -> EvaluationLayout:
-    params = LrcParams(**d["params"])
-    return EvaluationLayout(
-        field_from_dict(d["field"]),
-        params,
-        [tuple(a) for a in d["sets"]],
-        tuple(d["s_points"]),
-        truncated_tail=tuple(d.get("truncated_tail", ())),
-    )
+    try:
+        params = LrcParams(**d["params"])
+        fld = field_from_dict(d["field"])
+        sets = [tuple(a) for a in d["sets"]]
+        s_points = tuple(d["s_points"])
+        tail = tuple(d.get("truncated_tail", ()))
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise InvalidParameter(f"malformed layout: {exc!r}") from None
+    return EvaluationLayout(fld, params, sets, s_points, truncated_tail=tail)
 
 
 def pattern_to_dict(pat: ErasurePattern) -> dict:
@@ -57,10 +58,13 @@ def pattern_to_dict(pat: ErasurePattern) -> dict:
 
 
 def pattern_from_dict(layout: EvaluationLayout, d: dict) -> ErasurePattern:
-    sets = d.get("sets", [])
-    if len(sets) > len(layout.sets):
-        raise InvalidParameter("pattern has more sets than the layout")
-    return ErasurePattern.make(layout, sets, d.get("globals", []))
+    try:
+        sets, globs = d.get("sets", []), d.get("globals", [])
+        if len(sets) > len(layout.sets):
+            raise InvalidParameter("pattern has more sets than the layout")
+        return ErasurePattern.make(layout, sets, globs)
+    except (TypeError, AttributeError) as exc:
+        raise InvalidParameter(f"malformed pattern: {exc!r}") from None
 
 
 def array_to_dict(arr: ArrayLayout) -> dict:

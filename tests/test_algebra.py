@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lrckit import algebra
 from lrckit.algebra import (
     FiniteField,
     Matrix,
@@ -15,7 +16,7 @@ from lrckit.algebra import (
     same_row_space,
     subfield_embedding,
 )
-from lrckit.errors import DuplicateNode, InvalidParameter
+from lrckit.errors import DuplicateNode, InternalInvariantViolation, InvalidParameter
 
 F11 = FiniteField(11)
 F13 = FiniteField(13)
@@ -50,6 +51,20 @@ def test_bad_field_parameters():
         FiniteField(2, 2, modulus=[0, 0, 1])  # x^2 is reducible
     with pytest.raises(ZeroDivisionError):
         F11.inv(0)
+
+
+@pytest.mark.parametrize("fld", [FiniteField(7), F16])
+def test_zero_to_a_negative_power_raises(fld):
+    with pytest.raises(ZeroDivisionError):
+        fld.pow(0, -1)
+    assert fld.pow(0, 0) == 1 and fld.pow(0, 3) == 0
+    assert fld.pow(3, -1) == fld.inv(3)
+
+
+def test_missing_irreducible_is_an_invariant_violation(monkeypatch):
+    monkeypatch.setattr(algebra, "_is_irreducible", lambda coeffs, p: False)
+    with pytest.raises(InternalInvariantViolation):
+        algebra._smallest_irreducible(2, 3)
 
 
 @given(st.sampled_from(FIELDS), st.data())
@@ -211,3 +226,12 @@ def test_field_pickles_as_its_spec():
     assert [again.inv(a) for a in range(1, 16)] == [F16.inv(a) for a in range(1, 16)]
     m = pickle.loads(pickle.dumps(Matrix(F11, [[1, 2], [3, 4]])))
     assert m.field == F11 and m.rank() == 2
+
+
+def test_unpickled_fields_are_shared():
+    # a worker unpickles the field of every task; it is rebuilt only once
+    blob = pickle.dumps(FiniteField(2, 5))
+    first = pickle.loads(blob)
+    assert pickle.loads(blob) is first
+    assert pickle.loads(pickle.dumps(FiniteField(2, 5))) is first
+    assert pickle.loads(pickle.dumps(FiniteField(3, 2))) is not first

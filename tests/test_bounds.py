@@ -15,6 +15,14 @@ def test_singleton_examples():
         singleton_bound(10, 0, 2, 2)
 
 
+@pytest.mark.parametrize("q", [0, 1, 6, 12, 100])
+def test_bounds_reject_non_prime_power_q(q):
+    with pytest.raises(InvalidParameter):
+        length_bound(q, 2, 2, 3, 0)
+    with pytest.raises(InvalidParameter):
+        classify(24, 14, 5, 2, 2, q)
+
+
 def test_length_bound_example1_parameters():
     rep = length_bound(11, 2, 2, 3, 0)
     assert rep["applicable"] and rep["branch"] == "even"

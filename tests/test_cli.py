@@ -62,6 +62,46 @@ def test_bad_worker_count_is_a_usage_error(args, env):
     assert "Traceback" not in proc.stderr
 
 
+LENGTH = ("bounds", "length", "--r", "2", "--delta", "2", "--h", "3", "--a", "0")
+CLASSIFY = ("bounds", "classify", "--n", "24", "--k", "14", "--d", "5", "--r", "2",
+            "--delta", "2")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("erasure", "distance", "--check", "/nonexistent/H.txt"),
+        ("erasure", "distance", "--check", "{bad_matrix}"),
+        ("designs", "verify", "--in", "{bad_design}"),
+        ("lrc", "verify", "--layout", "{not_json}"),
+        ("erasure", "check", "--layout", "{not_json}", "--pattern", "{not_json}"),
+        ("gsd", "build", "--layout", "{no_keys}", "--construction", "basic"),
+        ("erasure", "check", "--layout", "{ex1_layout}", "--pattern", "{a_list}"),
+        ("designs", "gen", "--family", "ag", "--q1", "3"),
+        ("designs", "gen", "--family", "cyclotomic", "--e", "4"),
+        ("gsd", "params", "--family", "pg", "--q1", "8", "--delta", "3", "--v", "1"),
+        ("lrc", "construct", "--p", "13", "--family", "ag", "--q1", "3", "--beta", "2"),
+        ("goppa", "build", "--g1", "0,1", "--sets", "2,3"),
+        ("goppa", "build", "--p", "2", "--m", "4", "--g1", "0,x", "--sets", "2,3"),
+        (*LENGTH, "--q", "1"),
+        (*LENGTH, "--q", "6"),
+        (*CLASSIFY, "--q", "6"),
+    ],
+)
+def test_bad_invocations_are_usage_errors(tmp_path, capsys, example1_layout, args):
+    from lrckit import serial
+
+    files = {"{not_json}": "{not json", "{no_keys}": "{}", "{a_list}": "[]",
+             "{ex1_layout}": serial.dumps(serial.layout_to_dict(example1_layout)),
+             "{bad_matrix}": "11 2 2\n1 x\n3 4\n", "{bad_design}": "3 2 a\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in args]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_reports_are_byte_identical():
     args = (
         "gsd", "params", "--family", "pg", "--q1", "8", "--beta", "2",

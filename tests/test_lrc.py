@@ -11,7 +11,6 @@ from lrckit.fixtures import example1_check, example1_permutation
 from lrckit.lrc import (
     EvaluationLayout,
     LrcParams,
-    _block_polys,
     build_code,
     build_layout,
     encode,
@@ -20,6 +19,7 @@ from lrckit.lrc import (
     random_code,
     verify_locality,
 )
+from polyref import block_polys, g_poly
 
 F11 = FiniteField(11)
 F13 = FiniteField(13)
@@ -111,9 +111,9 @@ def test_global_parity_scalar_cross_check(example1_layout):
     rng = random.Random(4)
     info = [rng.randrange(11) for _ in range(lay.params.k)]
     word = encode(lay, info)
-    polys = _block_polys(lay, info)
+    polys = block_polys(lay, info)
     for i, s in enumerate(lay.s_points):
-        g_at = [lay.g_poly(b)(s) for b in range(len(lay.sets))]
+        g_at = [g_poly(lay, b)(s) for b in range(len(lay.sets))]
         delta = 1
         for v in g_at:
             delta = F11.mul(delta, v)
