@@ -6,12 +6,18 @@ field F_{p^m} the integer ``sum(c_i * p**i)`` encodes the element with
 monomial-basis coordinates ``(c_0, ..., c_{m-1})``; for prime fields the
 encoding is the residue itself.  All arithmetic is exact — no floating
 point anywhere.
+
+The split between prime fields (residues mod p) and extension fields (log
+tables, XOR addition in characteristic 2) lives in ``FiniteField`` alone:
+every other loop reaches field arithmetic through its scalar methods and
+vector kernels.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -100,12 +106,33 @@ def _smallest_irreducible(p: int, m: int) -> list[int]:
     raise InternalInvariantViolation(f"no irreducible of degree {m} over F_{p}")  # pragma: no cover
 
 
+def _smallest_generator(q: int, mul) -> int:
+    """Smallest-encoded element of multiplicative order q - 1 under
+    ``mul``: a primitive element of F_q, or 1 for F_2."""
+    for g in range(2, q):
+        x, order = g, 1
+        while x != 1:
+            x, order = mul(x, g), order + 1
+        if order == q - 1:
+            return g
+    if q > 2:  # pragma: no cover - every finite field has one
+        raise InternalInvariantViolation(f"F_{q} has no primitive element")
+    return 1
+
+
 class FiniteField:
     """Arithmetic context for F_{p^m}; elements are ints in [0, q).
 
     Extension-field moduli are the lexicographically smallest monic
     irreducible of the requested degree, so encodings are reproducible
-    across runs.  Instances are immutable and safe to share.
+    across runs.  ``generator`` is the smallest-encoded primitive element.
+    Instances are immutable and safe to share.
+
+    The vector kernels of the hot loops are built once per field:
+    ``vec_sub(v, c, u)`` returns v - c*u, ``vec_sub_at(v, c, u, idx)``
+    makes that update in place at the positions ``idx`` only,
+    ``vec_scale(v, c)`` returns c*v (v itself when c is 1) and ``dot(a, b)``
+    is sum(a_i * b_i) over any two iterables.
     """
 
     def __init__(self, p: int, m: int = 1, modulus: Sequence[int] | None = None):
@@ -121,6 +148,7 @@ class FiniteField:
             self._inv = [0] * p
             for a in range(1, p):
                 self._inv[a] = pow(a, p - 2, p)
+            self.generator = _smallest_generator(p, lambda a, b: a * b % p)
         else:
             if modulus is None:
                 mod = _smallest_irreducible(p, m)
@@ -132,6 +160,7 @@ class FiniteField:
                     raise InvalidParameter("modulus is reducible")
             self.modulus = tuple(mod)
             self._build_tables()
+        self._build_vector_ops()
 
     # -- encoding helpers -------------------------------------------------
 
@@ -164,19 +193,7 @@ class FiniteField:
             return self.from_coords(prod[:m])
 
         # discrete-log tables over a primitive element (smallest encoding)
-        gen = None
-        for g in range(2, q):
-            seen = set()
-            x = 1
-            for _ in range(q - 1):
-                x = raw_mul(x, g)
-                seen.add(x)
-            if len(seen) == q - 1:
-                gen = g
-                break
-        if gen is None:  # pragma: no cover - q=2 handled by m==1 branch
-            raise InternalInvariantViolation(f"F_{q} has no primitive element")
-        self.generator = gen
+        gen = self.generator = _smallest_generator(q, raw_mul)
         self._exp = [1] * (2 * (q - 1))
         self._log = [0] * q
         x = 1
@@ -186,20 +203,68 @@ class FiniteField:
             x = raw_mul(x, gen)
         for i in range(q - 1, 2 * (q - 1)):
             self._exp[i] = self._exp[i - (q - 1)]
-        # additions are digit-wise mod p; cache a full table for small q
+        # addition is XOR in characteristic 2, else digit-wise (cached for small q)
         self._add = None
-        if q <= 512:
+        if p > 2 and q <= 512:
             self._add = [
                 [self.from_coords([(x + y) % p for x, y in zip(self.coords(a), self.coords(b))])
                  for b in range(q)]
                 for a in range(q)
             ]
 
+    def _build_vector_ops(self) -> None:
+        """The vector kernels of the class docstring, specialised to the field."""
+        if self.m == 1:
+            p, mul = self.p, operator.mul
+
+            def vec_sub(v, c, u):
+                return [(a - c * b) % p for a, b in zip(v, u)]
+
+            def vec_sub_at(v, c, u, idx):
+                for j in idx:
+                    v[j] = (v[j] - c * u[j]) % p
+
+            def vec_scale(v, c):
+                return v if c == 1 else [c * a % p for a in v]
+
+            def dot(a, b):
+                return sum(map(mul, a, b)) % p
+
+        else:
+            exp, log = self._exp, self._log
+            add = operator.xor if self.p == 2 else self.add
+            neg = self.neg
+
+            def vec_sub(v, c, u):
+                k = log[neg(c)]
+                return [add(a, exp[k + log[b]]) if b and c else a for a, b in zip(v, u)]
+
+            def vec_sub_at(v, c, u, idx):
+                k = log[neg(c)]
+                for j in idx:
+                    if u[j] and c:
+                        v[j] = add(v[j], exp[k + log[u[j]]])
+
+            def vec_scale(v, c):
+                k = log[c]
+                return v if c == 1 else [exp[k + log[a]] if a and c else 0 for a in v]
+
+            def dot(a, b):
+                acc = 0
+                for x, y in zip(a, b):
+                    if x and y:
+                        acc = add(acc, exp[log[x] + log[y]])
+                return acc
+
+        self.vec_sub, self.vec_sub_at, self.vec_scale, self.dot = vec_sub, vec_sub_at, vec_scale, dot
+
     # -- arithmetic --------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a + b) % self.p
+        if self.p == 2:
+            return a ^ b
         if self._add is not None:
             return self._add[a][b]
         p = self.p
@@ -208,6 +273,8 @@ class FiniteField:
     def neg(self, a: int) -> int:
         if self.m == 1:
             return (-a) % self.p
+        if self.p == 2:
+            return a
         p = self.p
         return self.from_coords([(-x) % p for x in self.coords(a)])
 
@@ -373,21 +440,18 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         f = self.field
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
+        a, b = sorted((self.coeffs, other.coeffs), key=len)  # a is the shorter
+        if not a:
             return Poly.zero(f)
         out = [0] * (len(a) + len(b) - 1)
-        mul, add = f.mul, f.add
         for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] = add(out[i + j], mul(x, y))
+                out[i:i + len(b)] = f.vec_sub(out[i:i + len(b)], f.neg(x), b)
         return Poly(f, out)
 
     def scale(self, c: int) -> "Poly":
         f = self.field
-        return Poly(f, [f.mul(c, x) for x in self.coeffs])
+        return Poly(f, f.vec_scale(self.coeffs, c))
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         f = self.field
@@ -402,8 +466,7 @@ class Poly:
             if c:
                 factor = f.mul(c, inv_lead)
                 quot[i - dd] = factor
-                for j, oc in enumerate(other.coeffs):
-                    rem[i - dd + j] = f.sub(rem[i - dd + j], f.mul(factor, oc))
+                rem[i - dd:i + 1] = f.vec_sub(rem[i - dd:i + 1], factor, other.coeffs)
         return Poly(f, quot), Poly(f, rem)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
@@ -521,31 +584,25 @@ class Matrix:
         )
 
     def mul_vec(self, v: Sequence[int]) -> list[int]:
-        f = self.field
-        out = []
-        for row in self.rows:
-            acc = 0
-            for a, b in zip(row, v):
-                if a and b:
-                    acc = f.add(acc, f.mul(a, b))
-            out.append(acc)
-        return out
+        dot = self.field.dot
+        return [dot(row, v) for row in self.rows]
 
     def matmul(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise InvalidParameter("dimension mismatch in matmul")
-        f = self.field
+        dot = self.field.dot
         ot = other.transpose()
         return Matrix(
             self.field,
-            [[_dot(f, r, c) for c in ot.rows] for r in self.rows],
+            [[dot(r, c) for c in ot.rows] for r in self.rows],
             other.ncols,
         )
 
     # -- elimination -------------------------------------------------------
 
     def rref(self) -> tuple[list[list[int]], list[int]]:
-        """Reduced row echelon form; returns (rows, pivot column list)."""
+        """Reduced row echelon form; returns (rows, pivot column list).
+        Eliminations touch only the nonzero positions of the pivot row."""
         f = self.field
         rows = self.copy_rows()
         pivots: list[int] = []
@@ -559,16 +616,11 @@ class Matrix:
             if pr is None:
                 continue
             rows[r], rows[pr] = rows[pr], rows[r]
-            inv = f.inv(rows[r][c])
-            if inv != 1:
-                rows[r] = [f.mul(inv, x) for x in rows[r]]
+            rr = rows[r] = f.vec_scale(rows[r], f.inv(rows[r][c]))
+            support = [j for j in range(c, self.ncols) if rr[j]]
             for i in range(len(rows)):
                 if i != r and rows[i][c]:
-                    factor = rows[i][c]
-                    ri, rr = rows[i], rows[r]
-                    for j in range(c, self.ncols):
-                        if rr[j]:
-                            ri[j] = f.sub(ri[j], f.mul(factor, rr[j]))
+                    f.vec_sub_at(rows[i], rows[i][c], rr, support)
             pivots.append(c)
             r += 1
             if r == len(rows):
@@ -582,7 +634,7 @@ class Matrix:
         """Basis of the right nullspace, one vector per row."""
         f = self.field
         rows, pivots = self.rref()
-        free = [c for c in range(self.ncols) if c not in set(pivots)]
+        free = sorted(set(range(self.ncols)) - set(pivots))
         basis = []
         for fc in free:
             v = [0] * self.ncols
@@ -625,14 +677,6 @@ class Matrix:
 
     def __repr__(self) -> str:
         return f"Matrix({self.field!r}, {self.nrows}x{self.ncols})"
-
-
-def _dot(f: FiniteField, a: Sequence[int], b: Sequence[int]) -> int:
-    acc = 0
-    for x, y in zip(a, b):
-        if x and y:
-            acc = f.add(acc, f.mul(x, y))
-    return acc
 
 
 def same_row_space(a: Matrix, b: Matrix) -> bool:

@@ -208,7 +208,7 @@ def cyclotomic_packing(prime_powers: list[int], e: int) -> Design:
             raise InvalidParameter("component orders must be pairwise coprime")
     u = len(flds)
     n2 = math.prod(f.q for f in flds)
-    gens = [f.generator if f.m > 1 else _smallest_primitive_root(f) for f in flds]
+    gens = [f.generator for f in flds]
     beta = [f.pow(g, (f.q - 1) // e) for f, g in zip(flds, gens)]
 
     def t_index(elem: tuple[int, ...]) -> int:
@@ -258,19 +258,6 @@ def cyclotomic_packing(prime_powers: list[int], e: int) -> Design:
         steiner=False,
         point_names=names,
     )
-
-
-def _smallest_primitive_root(f: FiniteField) -> int:
-    p = f.p
-    for g in range(2, p):
-        seen = set()
-        x = 1
-        for _ in range(p - 1):
-            x = x * g % p
-            seen.add(x)
-        if len(seen) == p - 1:
-            return g
-    return 1  # p == 2
 
 
 def verify_design(

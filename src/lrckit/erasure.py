@@ -21,7 +21,7 @@ from functools import partial
 
 from .algebra import FiniteField, Matrix, interpolate, value_from_roots
 from .errors import Inconsistent, Infeasible, InvalidParameter, NotAdmissible
-from .lrc import EvaluationLayout, LinearCode, _row_value, encode
+from .lrc import EvaluationLayout, LinearCode, encode
 
 
 @dataclass(frozen=True)
@@ -157,8 +157,8 @@ def decode_structured(layout: EvaluationLayout, received, pat: ErasurePattern) -
                 if x in pat.sets[b]:
                     word[c] = f(x)
         # the block's survivors lie on one polynomial iff its local rows hold
-        for pivot, terms in rows[b * (p.delta - 1): (b + 1) * (p.delta - 1)]:
-            if word[pivot] != _row_value(fld, terms, word):
+        for pivot, cs, coeffs in rows[b * (p.delta - 1): (b + 1) * (p.delta - 1)]:
+            if word[pivot] != fld.dot(coeffs, map(word.__getitem__, cs)):
                 raise Inconsistent(f"survivors of set {b} are off-polynomial")
 
     if heavy:
@@ -190,10 +190,10 @@ def decode_structured(layout: EvaluationLayout, received, pat: ErasurePattern) -
         for i, s in enumerate(layout.s_points):
             if s in pat.globals_:
                 continue
-            c = received[layout.global_coord(i)]
-            known = _row_value(fld, global_rows[i][1], word)
+            pivot, cs, coeffs = global_rows[i]  # the pivot is s's coordinate
+            known = fld.dot(coeffs, map(word.__getitem__, cs))
             phi = fld.div(layout.delta_at_s[i], value_from_roots(fld, union_sorted, s))
-            values.append((s, fld.div(fld.sub(c, known), phi)))
+            values.append((s, fld.div(fld.sub(received[pivot], known), phi)))
 
         need = len(union_pts) - p.delta + 1
         if len(values) < need:
@@ -253,24 +253,26 @@ def decode_linear(code: LinearCode, erased, received) -> list[int] | None:
     (pattern not recoverable); raises Inconsistent when the survivors do
     not extend to a codeword."""
     h = code.check
-    cols = sorted(set(erased))
+    erased = set(erased)
+    cols = sorted(erased)
     fld = code.field
-    masked = [0 if j in set(cols) else received[j] for j in range(code.n)]
+    masked = [0 if j in erased else received[j] for j in range(code.n)]
     syndrome = h.mul_vec(masked)
     if not cols:
         if any(syndrome):
             raise Inconsistent("received word is not a codeword")
         return list(received)
-    sub = h.columns(cols)
-    if sub.rank() < len(cols):
+    e = len(cols)
+    aug = Matrix(fld, [[row[c] for c in cols] + [fld.neg(s)]
+                       for row, s in zip(h.rows, syndrome)], e + 1)
+    rows, pivots = aug.rref()
+    if pivots[:e] != list(range(e)):  # some erased column is not a pivot
         return None
-    sol = sub.solve([fld.neg(s) for s in syndrome])
-    if sol is None:
+    if len(pivots) > e:  # a pivot in the syndrome column
         raise Inconsistent("survivors are inconsistent with the code")
-    out = list(masked)
-    for c, v in zip(cols, sol):
-        out[c] = v
-    return out
+    for c, row in zip(cols, rows):
+        masked[c] = row[e]
+    return masked
 
 
 # ----------------------------------------------------------------------
@@ -297,38 +299,12 @@ def chunk_map(workers: int):
         yield ex.map
 
 
-def _row_ops(fld: FiniteField):
-    """(eliminate, normalise) for the distance DFS: eliminate(v, c, u) is
-    v - c*u, and normalise(v, i) scales v so that v[i] == 1."""
-    if fld.m == 1:
-        p, inv = fld.p, fld._inv
-
-        def eliminate(v, c, u):
-            return [(a - c * b) % p for a, b in zip(v, u)]
-
-        def normalise(v, i):
-            s = inv[v[i]]
-            return v if s == 1 else [a * s % p for a in v]
-
-    else:
-        sub, mul, inv = fld.sub, fld.mul, fld.inv
-
-        def eliminate(v, c, u):
-            return [sub(a, mul(c, b)) for a, b in zip(v, u)]
-
-        def normalise(v, i):
-            s = inv(v[i])
-            return v if s == 1 else [mul(a, s) for a in v]
-
-    return eliminate, normalise
-
-
 def _dependent_subset(cols, nrows, fld: FiniteField, size, firsts) -> bool:
     """True iff some ``size`` columns whose lowest index is in ``firsts``
     are dependent, given that no smaller subset is.  DFS over independent
     prefixes in lexicographic order, reducing each new column against the
     normalised pivots of its prefix."""
-    eliminate, normalise = _row_ops(fld)
+    vec_sub, vec_scale, inv = fld.vec_sub, fld.vec_scale, fld.inv
     ncols = len(cols)
 
     def extend(pivots, js, depth):
@@ -337,14 +313,14 @@ def _dependent_subset(cols, nrows, fld: FiniteField, size, firsts) -> bool:
             for pi, u in pivots:
                 c = v[pi]
                 if c:
-                    v = eliminate(v, c, u)
+                    v = vec_sub(v, c, u)
             for pi in range(nrows):
                 if v[pi]:
                     break
             else:
                 return True
             if depth + 1 < size and extend(
-                pivots + [(pi, normalise(v, pi))],
+                pivots + [(pi, vec_scale(v, inv(v[pi])))],
                 range(j + 1, ncols - size + depth + 2),
                 depth + 1,
             ):

@@ -9,9 +9,10 @@ g_j = prod_{x in A_j} (x - y).  That polynomial encoder defines the
 structural parity check H, whose rows each have one pivot at a
 local-parity or global coordinate and are otherwise supported on
 information coordinates.  Each layout synthesises H once, from scalar
-values of those polynomials, as sparse rows (``check_rows``); the encoder,
-the structured decoder and ``parity_check_matrix`` all run from them, so no
-polynomial is built per codeword.
+values of those polynomials, as sparse rows ``(pivot, coords, coeffs)``
+(``check_rows``); the encoder, the structured decoder and
+``parity_check_matrix`` all run from them, so no polynomial is built per
+codeword.
 
 A layout consists of an ordered h-subset S of the field (global-parity
 evaluation points) and ordered sets A_1..A_{L+1} of field elements disjoint
@@ -154,11 +155,12 @@ class EvaluationLayout:
         return tuple(value_from_roots(self.field, roots, s) for s in self.s_points)
 
     @cached_property
-    def check_rows(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-        """The structural parity check as sparse rows ``(pivot, terms)``:
-        every codeword has ``word[pivot] = sum(c * word[j] for j, c in
-        terms)``, with the terms on information coordinates only, so H
-        holds -c at j and 1 at the pivot.
+    def check_rows(self) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
+        """The structural parity check as sparse rows ``(pivot, coords,
+        coeffs)``: every codeword has ``word[pivot] = sum(c * word[j] for
+        j, c in zip(coords, coeffs))``, with ``coords`` information
+        coordinates only, so H holds -c at j and 1 at the pivot.  The two
+        tuples are kept apart so that one ``field.dot`` evaluates a row.
 
         delta-1 local rows per block come first, block by block: the
         Lagrange basis of the block's information points evaluated at each
@@ -176,15 +178,14 @@ class EvaluationLayout:
             info = self.block_coords(b)[:cnt]
             bases.append((info, nodes, weights))
             for t in range(cnt, len(a)):
-                rows.append((self.coord(b, t),
-                             tuple(zip(info, _lagrange_at(fld, nodes, weights, a[t])))))
+                rows.append((self.coord(b, t), info,
+                             tuple(_lagrange_at(fld, nodes, weights, a[t]))))
         for j, s in enumerate(self.s_points):
-            terms = []
+            coeffs = []
             for (info, nodes, weights), a in zip(bases, self.sets):
                 scale = fld.div(self.delta_at_s[j], value_from_roots(fld, a, s))
-                terms.extend(zip(info, (fld.mul(scale, c)
-                                        for c in _lagrange_at(fld, nodes, weights, s))))
-            rows.append((self.global_coord(j), tuple(terms)))
+                coeffs += fld.vec_scale(_lagrange_at(fld, nodes, weights, s), scale)
+            rows.append((self.global_coord(j), self.info_coords, tuple(coeffs)))
         return tuple(rows)
 
 
@@ -262,17 +263,6 @@ def build_layout(
 # encoding
 
 
-def _row_value(fld: FiniteField, terms, word) -> int:
-    """sum(c * word[j] for j, c in terms) over the field."""
-    if fld.m == 1:
-        return sum(c * word[j] for j, c in terms) % fld.p
-    mul, add = fld.mul, fld.add
-    acc = 0
-    for j, c in terms:
-        acc = add(acc, mul(c, word[j]))
-    return acc
-
-
 def encode(layout: EvaluationLayout, info) -> list[int]:
     """Map k information symbols to an n-symbol codeword.
 
@@ -285,12 +275,12 @@ def encode(layout: EvaluationLayout, info) -> list[int]:
     p = layout.params
     if len(info) != p.k:
         raise InvalidParameter(f"information vector must have length {p.k}")
-    fld = layout.field
+    dot = layout.field.dot
     word = [0] * layout.n
     for c, x in zip(layout.info_coords, info):
         word[c] = x
-    for pivot, terms in layout.check_rows:
-        word[pivot] = _row_value(fld, terms, word)
+    for pivot, coords, coeffs in layout.check_rows:
+        word[pivot] = dot(coeffs, map(word.__getitem__, coords))
     return word
 
 
@@ -318,9 +308,9 @@ def parity_check_matrix(layout: EvaluationLayout) -> Matrix:
     fld = layout.field
     n = layout.n
     rows = []
-    for pivot, terms in layout.check_rows:
+    for pivot, coords, coeffs in layout.check_rows:
         row = [0] * n
-        for j, c in terms:
+        for j, c in zip(coords, coeffs):
             row[j] = fld.neg(c)
         row[pivot] = 1
         rows.append(row)

@@ -80,6 +80,54 @@ def test_field_axioms(fld, data):
         assert fld.mul(a, fld.inv(a)) == 1
 
 
+@pytest.mark.parametrize("p, m", [(2, 2), (2, 3), (2, 4), (2, 9), (3, 2)])
+def test_addition_is_coordinatewise(p, m):
+    fld = FiniteField(p, m)
+    if p == 2:
+        assert fld._add is None  # XOR, no q x q table
+    rng = random.Random(fld.q)
+
+    def via_coords(op, a, b):
+        return fld.from_coords(op(x, y) % p for x, y in zip(fld.coords(a), fld.coords(b)))
+
+    for _ in range(300):
+        a, b = rng.randrange(fld.q), rng.randrange(fld.q)
+        assert fld.add(a, b) == via_coords(lambda x, y: x + y, a, b)
+        assert fld.sub(a, b) == via_coords(lambda x, y: x - y, a, b)
+        assert fld.neg(a) == via_coords(lambda x, y: -x, a, 0)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 79])
+def test_prime_generator_is_the_smallest_primitive_root(p):
+    roots = [g for g in range(2, p) if len({pow(g, e, p) for e in range(1, p)}) == p - 1]
+    assert FiniteField(p).generator == (roots[0] if roots else 1)
+
+
+KERNEL_FIELDS = [FiniteField(2), FiniteField(3), FiniteField(5), FiniteField(7),
+                 F4, FiniteField(2, 3), F9, F16]
+
+
+@given(st.sampled_from(KERNEL_FIELDS), st.data())
+@settings(max_examples=200, deadline=None)
+def test_vector_kernels_match_scalar_loops(fld, data):
+    elem = st.one_of(st.just(0), st.integers(0, fld.q - 1))
+    n = data.draw(st.integers(0, 8))
+    v = data.draw(st.lists(elem, min_size=n, max_size=n))
+    u = data.draw(st.lists(elem, min_size=n, max_size=n))
+    c = data.draw(elem)
+    assert fld.vec_sub(v, c, u) == [fld.sub(a, fld.mul(c, b)) for a, b in zip(v, u)]
+    assert fld.vec_scale(v, c) == [fld.mul(c, a) for a in v]
+    acc = 0
+    for a, b in zip(v, u):
+        acc = fld.add(acc, fld.mul(a, b))
+    assert fld.dot(v, u) == fld.dot(iter(v), tuple(u)) == acc
+    idx = data.draw(st.lists(st.integers(0, n - 1), unique=True)) if n else []
+    w = list(v)
+    assert fld.vec_sub_at(w, c, u, idx) is None
+    assert w == [fld.sub(a, fld.mul(c, b)) if j in idx else a
+                 for j, (a, b) in enumerate(zip(v, u))]
+
+
 def test_interpolate_line():
     f = interpolate(F11, [(0, 1), (1, 2)])
     assert f.coeffs == [1, 1]

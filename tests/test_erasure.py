@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 
@@ -21,7 +22,7 @@ from lrckit.erasure import (
 )
 from lrckit.errors import Inconsistent, Infeasible, InvalidParameter, NotAdmissible
 from lrckit.fixtures import beyond_distance_patterns
-from lrckit.lrc import EvaluationLayout, LrcParams, build_code, encode
+from lrckit.lrc import EvaluationLayout, LinearCode, LrcParams, build_code, encode
 
 F2 = FiniteField(2)
 F11 = FiniteField(11)
@@ -178,6 +179,66 @@ def test_recoverable_edges(example1_code):
     assert recoverable(h, range(4))  # within distance
 
 
+def test_decode_linear_reports_dependence_before_inconsistency():
+    # erased columns 0 and 1 are equal, and the survivors break row 2
+    h = Matrix(F11, [[1, 1, 0, 0], [0, 0, 1, 1]])
+    code = LinearCode(field=F11, n=4, k=2, check=h)
+    assert decode_linear(code, [0, 1], [None, None, 1, 0]) is None
+    with pytest.raises(Inconsistent):
+        decode_linear(code, [0], [None, 5, 1, 0])
+
+
+ORACLE_FIELDS = [FiniteField(2, 2), FiniteField(5), FiniteField(7), FiniteField(3, 2)]
+
+
+def kernel_by_enumeration(m: Matrix) -> list[tuple[int, ...]]:
+    """Every nonzero x with m x = 0, from scalar arithmetic alone (no
+    elimination, no vector kernels)."""
+    f = m.field
+
+    def row_times(row, x):
+        acc = 0
+        for a, b in zip(row, x):
+            acc = f.add(acc, f.mul(a, b))
+        return acc
+
+    return [x for x in itertools.product(range(f.q), repeat=m.ncols)
+            if any(x) and all(row_times(row, x) == 0 for row in m.rows)]
+
+
+@given(st.sampled_from(ORACLE_FIELDS), st.data())
+@settings(max_examples=60, deadline=None)
+def test_linear_oracle_matches_enumeration(fld, data):
+    nrows, ncols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+    entry = st.one_of(st.just(0), st.integers(0, fld.q - 1))
+    h = Matrix(fld, data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                                       min_size=nrows, max_size=nrows)), ncols)
+    kernel = kernel_by_enumeration(h)
+    assert fld.q ** (ncols - h.rank()) == len(kernel) + 1
+
+    erased = data.draw(st.lists(st.integers(0, ncols - 1), unique=True))
+    dependent = any(all(j in erased for j, x in enumerate(v) if x) for v in kernel)
+    assert recoverable(h, erased) == (not dependent)
+
+    # a codeword, possibly corrupted at one survivor
+    word = list(data.draw(st.sampled_from(kernel + [(0,) * ncols])))
+    survivors = [j for j in range(ncols) if j not in erased]
+    if survivors and data.draw(st.booleans()):
+        j = data.draw(st.sampled_from(survivors))
+        word[j] = fld.add(word[j], data.draw(st.integers(1, fld.q - 1)))
+    received = [None if j in erased else x for j, x in enumerate(word)]
+    code = LinearCode(field=fld, n=ncols, k=ncols - h.rank(), check=h)
+    completions = [list(v) for v in kernel + [(0,) * ncols]
+                   if all(v[j] == word[j] for j in survivors)]
+    if dependent:
+        assert decode_linear(code, erased, received) is None
+    elif not completions:
+        with pytest.raises(Inconsistent):
+            decode_linear(code, erased, received)
+    else:
+        assert [decode_linear(code, erased, received)] == completions
+
+
 # ----------------------------------------------------------------------
 # minimum distance
 
@@ -187,7 +248,7 @@ def test_min_distance_parity_code():
     assert min_distance(h) == 2
 
 
-# prime fields take the inline ``% p`` row operations, extension fields the
+# prime fields take the inline ``% p`` vector kernels, extension fields the
 # table-driven ones
 DISTANCE_FIELDS = [FiniteField(5), FiniteField(7), FiniteField(2, 2), FiniteField(2, 3),
                    FiniteField(3, 2), FiniteField(2, 4)]

@@ -36,3 +36,44 @@ def test_unused_import_detector():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# FiniteField's tables; only algebra.py, which owns the prime/extension
+# split, may read them
+FIELD_INTERNALS = {"_inv", "_exp", "_log", "_add"}
+
+
+def private_reaches(source: str) -> list[str]:
+    """Reads of FiniteField's private tables, and underscore names imported
+    from an lrckit module."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in FIELD_INTERNALS:
+            out.append(f"line {node.lineno}: .{node.attr}")
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "lrckit"
+        ):
+            out.extend(f"line {node.lineno}: import {alias.name}"
+                       for alias in node.names if alias.name.startswith("_"))
+    return out
+
+
+def test_private_reach_detector():
+    source = "\n".join([
+        "from .lrc import encode, _helper",
+        "from lrckit.algebra import _shared_field",
+        "from os import _exit",
+        "x = fld._inv[3] + fld.inv(3) + t._log",
+    ])
+    assert sorted(private_reaches(source)) == [
+        "line 1: import _helper",
+        "line 2: import _shared_field",
+        "line 4: ._inv",
+        "line 4: ._log",
+    ]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "algebra.py"],
+                         ids=lambda p: p.name)
+def test_field_internals_stay_in_algebra(path):
+    assert private_reaches(path.read_text()) == []
