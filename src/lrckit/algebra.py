@@ -275,8 +275,8 @@ class FiniteField:
             return (-a) % self.p
         if self.p == 2:
             return a
-        p = self.p
-        return self.from_coords([(-x) % p for x in self.coords(a)])
+        # -1 is the element of order 2, g^((q-1)/2)
+        return self._exp[self._log[a] + (self.q - 1) // 2] if a else 0
 
     def sub(self, a: int, b: int) -> int:
         if self.m == 1:

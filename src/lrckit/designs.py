@@ -78,7 +78,7 @@ def ag_steiner(q1: int, beta: int) -> Design:
             if all(c == 0 for c in b):
                 continue
             line = frozenset(
-                index[tuple(fld.add(ai, fld.mul(t, bi)) for ai, bi in zip(a, b))]
+                index[tuple(fld.vec_sub(a, fld.neg(t), b))]
                 for t in range(q1)
             )
             lines.add(line)
@@ -112,8 +112,7 @@ def pg_steiner(q1: int, beta: int) -> Design:
     def normalize(v):
         for c in v:
             if c:
-                inv = fld.inv(c)
-                return tuple(fld.mul(inv, x) for x in v)
+                return tuple(fld.vec_scale(v, fld.inv(c)))
         return None
 
     reps = sorted({normalize(v) for v in vectors})
@@ -123,7 +122,7 @@ def pg_steiner(q1: int, beta: int) -> Design:
         for w in reps[i + 1:]:
             pts = {index[u], index[w]}
             for t in range(1, q1):
-                s = normalize(tuple(fld.add(x, fld.mul(t, y)) for x, y in zip(u, w)))
+                s = normalize(fld.vec_sub(u, fld.neg(t), w))
                 pts.add(index[s])
             lines.add(tuple(sorted(pts)))
     blocks = sorted(lines)

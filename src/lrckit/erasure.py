@@ -232,7 +232,16 @@ def decode_structured(layout: EvaluationLayout, received, pat: ErasurePattern) -
 
 def recoverable(h: Matrix, coords) -> bool:
     """True iff the columns of H indexed by ``coords`` are independent,
-    i.e. the erasure pattern has a unique completion."""
+    i.e. the erasure pattern has a unique completion.
+
+    Column-by-column elimination over the nonzero entries only: each
+    erased column is read from ``h.column_supports()`` and reduced against
+    the pivots found so far, every update touching just that pivot's
+    nonzero rows; a column left nonzero becomes a pivot at its lowest
+    nonzero row.  On the structural parity check, whose local rows come
+    first, a block with at most delta-1 erasures is absorbed by its own
+    local rows and only the global rows fill in.  Exact for every H; the
+    answer is False as soon as a column reduces to zero."""
     cols = sorted(set(coords))
     if not cols:
         return True
@@ -242,9 +251,25 @@ def recoverable(h: Matrix, coords) -> bool:
         row_set.update(sup[c])
     if len(row_set) < len(cols):
         return False
-    rows = sorted(row_set)
-    sub = Matrix(h.field, [[h.rows[i][c] for c in cols] for i in rows], len(cols))
-    return sub.rank() == len(cols)
+    fld = h.field
+    vec_sub_at, mul, inv = fld.vec_sub_at, fld.mul, fld.inv
+    rows, nrows = h.rows, h.nrows
+    pivots = []  # (pivot row, 1 / pivot value, column, its nonzero rows)
+    for c in cols:
+        v = [0] * nrows
+        live = set(sup[c])
+        for i in live:
+            v[i] = rows[i][c]
+        for pr, pinv, u, su in pivots:
+            if v[pr]:
+                vec_sub_at(v, mul(v[pr], pinv), u, su)
+                live.update(su)
+        nz = [i for i in live if v[i]]
+        if not nz:
+            return False
+        pr = min(nz)
+        pivots.append((pr, inv(v[pr]), v, nz))
+    return True
 
 
 def decode_linear(code: LinearCode, erased, received) -> list[int] | None:
@@ -257,7 +282,15 @@ def decode_linear(code: LinearCode, erased, received) -> list[int] | None:
     cols = sorted(erased)
     fld = code.field
     masked = [0 if j in erased else received[j] for j in range(code.n)]
-    syndrome = h.mul_vec(masked)
+    # the syndrome from the nonzero entries of H: per row, the survivors it
+    # touches
+    touched: list[list[int]] = [[] for _ in range(h.nrows)]
+    for j, support in enumerate(h.column_supports()):
+        if j not in erased:
+            for i in support:
+                touched[i].append(j)
+    syndrome = [fld.dot(map(row.__getitem__, js), map(masked.__getitem__, js))
+                for row, js in zip(h.rows, touched)]
     if not cols:
         if any(syndrome):
             raise Inconsistent("received word is not a codeword")

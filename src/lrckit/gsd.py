@@ -220,13 +220,19 @@ def check_array(
     eligible = list(range(arr.data_cols if columns == "data" else arr.cols))
     if y > len(eligible):
         raise InvalidParameter("more columns requested than available")
-    all_cells = arr.real_cells()
+    col_coords = [arr.column_coords(j) for j in range(arr.cols)]
 
-    def pattern_coords(col_choice, extra_cells):
-        coords = set()
+    def rest_coords(chosen):
+        # the coordinates of the real cells outside the chosen columns, in
+        # real_cells() order: rng.sample picks by position, so this order
+        # fixes the cells a seed draws
+        return list(itertools.chain.from_iterable(
+            cs for j, cs in enumerate(col_coords) if j not in chosen))
+
+    def pattern_coords(col_choice, extra):
+        coords = set(extra)
         for j in col_choice:
-            coords.update(arr.column_coords(j))
-        coords.update(arr.coord_of(c) for c in extra_cells)
+            coords.update(col_coords[j])
         return tuple(sorted(coords))
 
     patterns: list[tuple[int, ...]]
@@ -234,7 +240,7 @@ def check_array(
     if mode == "exhaustive":
         est = math.comb(len(eligible), y)
         if gamma:
-            free = len(all_cells) - y * arr.rows
+            free = sum(map(len, col_coords)) - y * arr.rows
             est *= math.comb(max(free, 0), gamma)
         if est > exhaustive_limit:
             raise Infeasible(
@@ -242,19 +248,15 @@ def check_array(
             )
         patterns = []
         for col_choice in itertools.combinations(eligible, y):
-            chosen = set(col_choice)
-            rest = [c for c in all_cells if c[1] not in chosen]
-            for extra in itertools.combinations(rest, gamma):
+            for extra in itertools.combinations(rest_coords(set(col_choice)), gamma):
                 patterns.append(pattern_coords(col_choice, extra))
     elif mode == "sampled":
         used_seed = seed
         rng = random.Random(seed)
         patterns = []
         for _ in range(count):
-            col_choice = tuple(sorted(rng.sample(eligible, y)))
-            chosen = set(col_choice)
-            rest = [c for c in all_cells if c[1] not in chosen]
-            extra = rng.sample(rest, gamma) if gamma else []
+            col_choice = sorted(rng.sample(eligible, y))
+            extra = rng.sample(rest_coords(set(col_choice)), gamma) if gamma else ()
             patterns.append(pattern_coords(col_choice, extra))
     else:
         raise InvalidParameter("mode must be 'exhaustive' or 'sampled'")

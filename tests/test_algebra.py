@@ -80,7 +80,7 @@ def test_field_axioms(fld, data):
         assert fld.mul(a, fld.inv(a)) == 1
 
 
-@pytest.mark.parametrize("p, m", [(2, 2), (2, 3), (2, 4), (2, 9), (3, 2)])
+@pytest.mark.parametrize("p, m", [(2, 2), (2, 3), (2, 4), (2, 9), (3, 2), (3, 3), (5, 2)])
 def test_addition_is_coordinatewise(p, m):
     fld = FiniteField(p, m)
     if p == 2:

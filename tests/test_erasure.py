@@ -3,7 +3,7 @@ import os
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lrckit import erasure
 from lrckit.algebra import FiniteField, Matrix
@@ -22,7 +22,15 @@ from lrckit.erasure import (
 )
 from lrckit.errors import Inconsistent, Infeasible, InvalidParameter, NotAdmissible
 from lrckit.fixtures import beyond_distance_patterns
-from lrckit.lrc import EvaluationLayout, LinearCode, LrcParams, build_code, encode
+from lrckit.lrc import (
+    EvaluationLayout,
+    LinearCode,
+    LrcParams,
+    build_code,
+    encode,
+    parity_check_matrix,
+)
+from test_codec import layouts
 
 F2 = FiniteField(2)
 F11 = FiniteField(11)
@@ -179,6 +187,25 @@ def test_recoverable_edges(example1_code):
     assert recoverable(h, range(4))  # within distance
 
 
+def independent(h, coords):
+    """The dense reference: the erased columns of H have full rank."""
+    cols = sorted(set(coords))
+    return h.columns(cols).rank() == len(cols)
+
+
+@given(layouts(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_recoverable_matches_rank_on_structural_checks(lay, data):
+    # whole blocks exceed their local rows, so the global rows fill in
+    h = parity_check_matrix(lay)
+    blocks = data.draw(st.lists(st.integers(0, len(lay.sets) - 1), unique=True, max_size=3))
+    coords = [c for b in blocks for c in lay.block_coords(b)]
+    coords += data.draw(st.lists(st.integers(0, lay.n - 1), max_size=6))
+    coords += [lay.global_coord(i) for i in data.draw(
+        st.lists(st.integers(0, lay.params.h - 1), unique=True) if lay.params.h else st.just([]))]
+    assert recoverable(h, coords) == independent(h, coords)
+
+
 def test_decode_linear_reports_dependence_before_inconsistency():
     # erased columns 0 and 1 are equal, and the survivors break row 2
     h = Matrix(F11, [[1, 1, 0, 0], [0, 0, 1, 1]])
@@ -276,6 +303,41 @@ def test_min_distance_matches_naive(m):
     assert d == distance(naive_min_distance)
     # only a matrix of full column rank has no dependent columns at all
     assert (d is None) == (m.rank() == m.ncols)
+
+
+@st.composite
+def sparse_erasures(draw):
+    """A mostly-zero matrix up to 6x11 with a zero column and a last column
+    that combines two others, so that dependent erasures are not all caught
+    by counting the rows they touch; and erased coordinates, repeats
+    allowed."""
+    fld = draw(st.sampled_from(DISTANCE_FIELDS))
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(2, 10))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(1, fld.q - 1))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    zeroed = draw(st.integers(0, ncols - 1))
+    a, b = draw(st.integers(0, ncols - 1)), draw(st.integers(0, ncols - 1))
+    s, t = draw(st.integers(1, fld.q - 1)), draw(st.integers(1, fld.q - 1))
+    for row in rows:
+        row[zeroed] = 0
+        row.append(fld.sub(fld.mul(s, row[a]), fld.mul(t, row[b])))
+    coords = draw(st.lists(st.integers(0, ncols), max_size=ncols + 3))
+    return Matrix(fld, rows, ncols + 1), coords
+
+
+# column 2 is column 0 minus column 1; reducing it against the pivot of
+# column 0 fills in row 1, the pivot row of column 1, which column 2 does
+# not touch
+FILL_IN = Matrix(FiniteField(5), [[1, 0, 1], [1, 1, 0], [0, 1, 4]])
+
+
+@given(sparse_erasures())
+@example((FILL_IN, [0, 1, 2]))
+@settings(max_examples=200, deadline=None)
+def test_recoverable_matches_rank_on_sparse_matrices(case):
+    h, coords = case
+    assert recoverable(h, coords) == independent(h, coords)
 
 
 def test_min_distance_workers_agree(example1_check):

@@ -1,6 +1,8 @@
+import hashlib
+
 import pytest
 
-from lrckit import erasure, serial
+from lrckit import erasure, fixtures, serial
 from lrckit.algebra import FiniteField
 from lrckit.designs import pg_steiner
 from lrckit.errors import Infeasible, InvalidParameter, NotRegular
@@ -155,6 +157,37 @@ def test_check_array_sampled_deterministic(ex1_array):
         assert a["checked"] - a["recoverable"] == failing
         c = check_array(ex1_array, mode="sampled", seed=3, workers=2, **shape)
         assert c == a
+
+
+@pytest.fixture(scope="module")
+def ex3_array():
+    layout = fixtures.example3_layout()
+    return truncated_array(layout, build_code(layout))
+
+
+# sha256 of serial.dumps(report): the sampled sweeps must keep their seeds,
+# counts and witnesses byte for byte.  The y=8 shape has 14 failures and the
+# ex1 shape 159, more than max_witness, so the witness merge is pinned too.
+SWEEP_PINS = [
+    ("ex3", dict(y=0, gamma=8, count=60, seed=101, d=9),
+     "9dbd4cd42b1d27bdbc8c74f391312b4978a2aa93d96e3085a3b24eb7304e1584"),
+    ("ex3", dict(y=2, gamma=1, count=60, seed=102, d=9),
+     "58a6987cc72c310b1de3a3beddc745282680fe7fc469e27b7a0381857201a661"),
+    ("ex3", dict(y=1, gamma=3, count=60, seed=103, d=9),
+     "211d5e1347041bfc9218537a5afbbaf09815f958bf60fdff77b92fc89ab8a8ae"),
+    ("ex3", dict(y=8, gamma=0, count=120, seed=104, d=9),
+     "7ea4313771ffdf860dfa9945824882e9bfbd4b5b27067df60e4eaabff0993782"),
+    ("ex1", dict(y=2, gamma=3, count=400, seed=3),
+     "b7348012e1dab116ac2a24881fdcbb6732a2639343612b1d0e524cb5a456d740"),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_reports_are_pinned(ex1_array, ex3_array, workers):
+    arrays = {"ex1": ex1_array, "ex3": ex3_array}
+    for name, shape, digest in SWEEP_PINS:
+        report = check_array(arrays[name], mode="sampled", workers=workers, **shape)
+        assert hashlib.sha256(serial.dumps(report).encode()).hexdigest() == digest, (name, shape)
 
 
 def test_check_array_single_worker_starts_no_pool(ex1_array, monkeypatch):
