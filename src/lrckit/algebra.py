@@ -8,9 +8,9 @@ encoding is the residue itself.  All arithmetic is exact — no floating
 point anywhere.
 
 The split between prime fields (residues mod p) and extension fields (log
-tables, XOR addition in characteristic 2) lives in ``FiniteField`` alone:
-every other loop reaches field arithmetic through its scalar methods and
-vector kernels.
+tables; addition by XOR in characteristic 2, else by Zech logarithms) lives
+in ``FiniteField`` alone: every other loop reaches field arithmetic through
+its scalar methods and vector kernels.
 """
 
 from __future__ import annotations
@@ -128,11 +128,11 @@ class FiniteField:
     across runs.  ``generator`` is the smallest-encoded primitive element.
     Instances are immutable and safe to share.
 
-    The vector kernels of the hot loops are built once per field:
-    ``vec_sub(v, c, u)`` returns v - c*u, ``vec_sub_at(v, c, u, idx)``
-    makes that update in place at the positions ``idx`` only,
-    ``vec_scale(v, c)`` returns c*v (v itself when c is 1) and ``dot(a, b)``
-    is sum(a_i * b_i) over any two iterables.
+    Addition and the vector kernels of the hot loops are built once per
+    field: ``add(a, b)`` returns a + b, ``vec_sub(v, c, u)`` returns
+    v - c*u, ``vec_sub_at(v, c, u, idx)`` makes that update in place at
+    the positions ``idx`` only, ``vec_scale(v, c)`` returns c*v (v itself
+    when c is 1) and ``dot(a, b)`` is sum(a_i * b_i) over any two iterables.
     """
 
     def __init__(self, p: int, m: int = 1, modulus: Sequence[int] | None = None):
@@ -201,21 +201,20 @@ class FiniteField:
             self._exp[i] = x
             self._log[x] = i
             x = raw_mul(x, gen)
-        for i in range(q - 1, 2 * (q - 1)):
-            self._exp[i] = self._exp[i - (q - 1)]
-        # addition is XOR in characteristic 2, else digit-wise (cached for small q)
-        self._add = None
-        if p > 2 and q <= 512:
-            self._add = [
-                [self.from_coords([(x + y) % p for x, y in zip(self.coords(a), self.coords(b))])
-                 for b in range(q)]
-                for a in range(q)
-            ]
+        self._exp[q - 1:] = self._exp[:q - 1]
+        # addition is XOR in characteristic 2, else by Zech logarithms:
+        # 1 + g^k = g^_zech[k] (None where g^k = -1); 1 + x raises x's c_0
+        if p > 2:
+            ones = (x + 1 if x % p < p - 1 else x + 1 - p for x in self._exp[:q - 1])
+            self._zech = [self._log[y] if y else None for y in ones]
 
     def _build_vector_ops(self) -> None:
-        """The vector kernels of the class docstring, specialised to the field."""
+        """Addition and the vector kernels of the class docstring, per field."""
         if self.m == 1:
             p, mul = self.p, operator.mul
+
+            def add(a, b):
+                return (a + b) % p
 
             def vec_sub(v, c, u):
                 return [(a - c * b) % p for a, b in zip(v, u)]
@@ -232,8 +231,20 @@ class FiniteField:
 
         else:
             exp, log = self._exp, self._log
-            add = operator.xor if self.p == 2 else self.add
             neg = self.neg
+            if self.p == 2:
+                add = operator.xor
+            else:
+                zech = self._zech
+
+                def add(a, b):
+                    # a + b = a * (1 + g^k), k = log b - log a; a negative
+                    # k indexes zech (length q - 1) modulo q - 1
+                    if not (a and b):
+                        return a or b
+                    la = log[a]
+                    z = zech[log[b] - la]
+                    return 0 if z is None else exp[la + z]
 
             def vec_sub(v, c, u):
                 k = log[neg(c)]
@@ -256,19 +267,10 @@ class FiniteField:
                         acc = add(acc, exp[log[x] + log[y]])
                 return acc
 
+        self.add = add
         self.vec_sub, self.vec_sub_at, self.vec_scale, self.dot = vec_sub, vec_sub_at, vec_scale, dot
 
     # -- arithmetic --------------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a + b) % self.p
-        if self.p == 2:
-            return a ^ b
-        if self._add is not None:
-            return self._add[a][b]
-        p = self.p
-        return self.from_coords([(x + y) % p for x, y in zip(self.coords(a), self.coords(b))])
 
     def neg(self, a: int) -> int:
         if self.m == 1:
@@ -537,7 +539,7 @@ def interpolate(fld: FiniteField, points: Sequence[tuple[int, int]]) -> Poly:
 class Matrix:
     """Row-major matrix of field elements with exact linear algebra."""
 
-    __slots__ = ("field", "rows", "nrows", "ncols", "_col_support")
+    __slots__ = ("field", "rows", "nrows", "ncols", "_supports")
 
     def __init__(self, fld: FiniteField, rows: Sequence[Sequence[int]], ncols: int | None = None):
         self.field = fld
@@ -551,7 +553,7 @@ class Matrix:
         elif ncols is None:
             ncols = 0
         self.ncols = ncols
-        self._col_support = None
+        self._supports = None
 
     @staticmethod
     def identity(fld: FiniteField, n: int) -> "Matrix":
@@ -658,14 +660,22 @@ class Matrix:
 
     def column_supports(self) -> list[tuple[int, ...]]:
         """Per-column tuple of nonzero row indices (cached)."""
-        if self._col_support is None:
-            sup: list[list[int]] = [[] for _ in range(self.ncols)]
-            for i, row in enumerate(self.rows):
-                for j, v in enumerate(row):
-                    if v:
-                        sup[j].append(i)
-            self._col_support = [tuple(s) for s in sup]
-        return self._col_support
+        return self._nonzeros()[0]
+
+    def row_supports(self) -> list[tuple[int, ...]]:
+        """Per-row tuple of nonzero column indices (cached)."""
+        return self._nonzeros()[1]
+
+    def _nonzeros(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+        """Column and row supports, built together on first use."""
+        if self._supports is None:
+            by_row = [tuple(j for j, v in enumerate(row) if v) for row in self.rows]
+            by_col: list[list[int]] = [[] for _ in range(self.ncols)]
+            for i, js in enumerate(by_row):
+                for j in js:
+                    by_col[j].append(i)
+            self._supports = ([tuple(s) for s in by_col], by_row)
+        return self._supports
 
     def __eq__(self, other) -> bool:
         return (

@@ -2,18 +2,17 @@
 codes with information locality, the length bound on optimal codes, and an
 optimality classifier.
 
-The length bound involves q raised to the rational exponent 2(h-a)/T(a)
-(or 2(h-a-1)/(T(a)-1) for odd T); integral exponents are evaluated in exact
-rational arithmetic and fractional ones with 128-bit interval arithmetic,
-reporting a certified floor and the interval width.
+The length bound is A * q^(u/v) + B with A > 0, B rational and exponent
+u/v = 2(h-a)/T(a) (2(h-a-1)/(T(a)-1) for odd T).  Its floor is exact for
+every exponent: value >= m iff m - B <= 0 or (m - B)^v <= A^v * q^u, an
+integer comparison that corrects the estimate an integer v-th root gives.
 """
 
 from __future__ import annotations
 
 import math
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context
 from fractions import Fraction
-
-import mpmath
 
 from .algebra import factor_prime_power
 from .errors import InvalidParameter
@@ -27,64 +26,66 @@ def singleton_bound(n: int, k: int, r: int, delta: int) -> int:
     return n - k + 1 - (math.ceil(k / r) - 1) * (delta - 1)
 
 
+def _iroot(x: int, v: int) -> int:
+    """floor(x ** (1/v)) for x >= 1: Newton's method on ints, from above."""
+    y = 1 << -(-x.bit_length() // v)
+    while True:
+        z = ((v - 1) * y + x // y ** (v - 1)) // v
+        if z >= y:
+            return y
+        y = z
+
+
+def _digits(x: Fraction, prec: int, rounding: str) -> str:
+    return str(Context(prec=prec, rounding=rounding).divide(x.numerator, x.denominator))
+
+
 def length_bound(q: int, r: int, delta: int, h: int, a: int) -> dict:
     """Length bound for optimal codes with d = h + delta at offset a.
 
     Returns a dict with ``applicable`` False when T(a) < 2; otherwise the
-    branch used, the certified floor, and either the exact rational value
-    or a certified enclosing interval.  Raises InvalidParameter unless q is
-    a prime power.
+    branch used, the exponent, and the floor of the bound, which is always
+    exact (``floor_certified`` is always true).  An integral exponent
+    (``exact``) also gives the rational value; a fractional one gives an
+    enclosing interval of 30 significant digits.  Raises InvalidParameter
+    unless q is a prime power.
     """
     factor_prime_power(q)
     if not (0 <= a <= h):
         raise InvalidParameter("need 0 <= a <= h")
-    d = h + delta
-    t_a = (d - a - 1) // delta
+    t_a = (h + delta - a - 1) // delta
     out: dict = {"a": a, "T": t_a, "q": q}
     if t_a < 2:
         out["applicable"] = False
         return out
-    out["applicable"] = True
-    if t_a % 2 == 1:
-        exponent = Fraction(2 * (h - a - 1), t_a - 1)
-        lead = Fraction(t_a - 1, 2 * (q - 1))
-        addend = a + 1
-        out["branch"] = "odd"
-    else:
-        exponent = Fraction(2 * (h - a), t_a)
-        lead = Fraction(t_a, 2 * (q - 1))
-        addend = a
-        out["branch"] = "even"
+    odd = t_a % 2
+    exponent = Fraction(2 * (h - a - odd), t_a - odd)
+    out.update(applicable=True, branch="odd" if odd else "even", exponent=str(exponent))
+    u, v = exponent.numerator, exponent.denominator
     ratio = Fraction(r + delta - 1, r)
-    shift = Fraction(h * (delta - 1), r)
-    out["exponent"] = str(exponent)
-    if exponent.denominator == 1:
-        value = ratio * (lead * Fraction(q) ** int(exponent) + addend) - shift
-        out["exact"] = True
-        out["value"] = str(value)
-        out["floor"] = value.numerator // value.denominator
-        out["width_rel"] = "0"
+    lead = ratio * Fraction(t_a - odd, 2 * (q - 1))
+    base = ratio * (a + odd) - Fraction(h * (delta - 1), r)
+
+    def scaled_power(s: int) -> int:  # floor(s * lead * q^(u/v))
+        return _iroot(q**u * (s * lead.numerator) ** v, v) // lead.denominator
+
+    def at_least(m: int) -> bool:  # value >= m
+        gap = m - base
+        return gap <= 0 or gap**v <= lead**v * q**u
+
+    # value lies in [scaled_power(1) + base, scaled_power(1) + base + 1)
+    floor = math.floor(scaled_power(1) + base)
+    while at_least(floor + 1):
+        floor += 1
+    out.update(floor=floor, floor_certified=True, exact=v == 1)
+    if v == 1:
+        out.update(value=str(lead * q**u + base), width_rel="0")
         return out
-    with mpmath.workprec(128):
-        iv = mpmath.iv
-        iv.prec = 128
-        qi = iv.mpf(q)
-        expo = iv.mpf(exponent.numerator) / iv.mpf(exponent.denominator)
-        power = iv.exp(expo * iv.log(qi))
-        val = (
-            iv.mpf(ratio.numerator) / iv.mpf(ratio.denominator)
-            * (iv.mpf(lead.numerator) / iv.mpf(lead.denominator) * power + addend)
-            - iv.mpf(shift.numerator) / iv.mpf(shift.denominator)
-        )
-        lo = mpmath.mpf(val.a)
-        hi = mpmath.mpf(val.b)
-        floor_lo = int(mpmath.floor(lo))
-        floor_hi = int(mpmath.floor(hi))
-        out["exact"] = False
-        out["interval"] = [mpmath.nstr(lo, 30), mpmath.nstr(hi, 30)]
-        out["width_rel"] = mpmath.nstr((hi - lo) / lo, 5)
-        out["floor"] = floor_lo if floor_lo == floor_hi else None
-        out["floor_certified"] = floor_lo == floor_hi
+    scale = 10**30
+    lo = Fraction(scaled_power(scale), scale) + base
+    hi = lo + Fraction(1, scale)
+    out["interval"] = [_digits(lo, 30, ROUND_FLOOR), _digits(hi, 30, ROUND_CEILING)]
+    out["width_rel"] = _digits((hi - lo) / lo, 5, ROUND_CEILING)
     return out
 
 
@@ -127,7 +128,7 @@ def classify(
         out["length_bound"] = {"applicable": False, "reason": "d < delta"}
         return out
     per_a = [length_bound(q, r, delta, h_eff, a) for a in range(h_eff + 1)]
-    floors = [b["floor"] for b in per_a if b["applicable"] and b["floor"] is not None]
+    floors = [b["floor"] for b in per_a if b["applicable"]]
     best = min(floors) if floors else None
     entry = {
         "h": h_eff,
@@ -137,14 +138,7 @@ def classify(
         "advisory": k % r != 0,
     }
     if best is not None:
-        for b in per_a:
-            if b["applicable"] and b["floor"] == best:
-                t_a = b["T"]
-                if b["branch"] == "odd":
-                    expo = Fraction(2 * (h_eff - b["a"] - 1), t_a - 1) - 1
-                else:
-                    expo = Fraction(2 * (h_eff - b["a"]), t_a) - 1
-                entry["order_optimal_exponent"] = str(expo)
-                break
+        b = next(b for b in per_a if b["applicable"] and b["floor"] == best)
+        entry["order_optimal_exponent"] = str(Fraction(b["exponent"]) - 1)
     out["length_bound"] = entry
     return out

@@ -282,15 +282,10 @@ def decode_linear(code: LinearCode, erased, received) -> list[int] | None:
     cols = sorted(erased)
     fld = code.field
     masked = [0 if j in erased else received[j] for j in range(code.n)]
-    # the syndrome from the nonzero entries of H: per row, the survivors it
-    # touches
-    touched: list[list[int]] = [[] for _ in range(h.nrows)]
-    for j, support in enumerate(h.column_supports()):
-        if j not in erased:
-            for i in support:
-                touched[i].append(j)
+    # the syndrome from the nonzero entries of H (erased entries of masked
+    # are zero)
     syndrome = [fld.dot(map(row.__getitem__, js), map(masked.__getitem__, js))
-                for row, js in zip(h.rows, touched)]
+                for row, js in zip(h.rows, h.row_supports())]
     if not cols:
         if any(syndrome):
             raise Inconsistent("received word is not a codeword")

@@ -80,11 +80,11 @@ def test_field_axioms(fld, data):
         assert fld.mul(a, fld.inv(a)) == 1
 
 
-@pytest.mark.parametrize("p, m", [(2, 2), (2, 3), (2, 4), (2, 9), (3, 2), (3, 3), (5, 2)])
+@pytest.mark.parametrize("p, m", [(2, 2), (2, 3), (2, 4), (2, 9), (3, 2), (3, 3), (5, 2),
+                                  (3, 5), (7, 3), (3, 7)])
 def test_addition_is_coordinatewise(p, m):
     fld = FiniteField(p, m)
-    if p == 2:
-        assert fld._add is None  # XOR, no q x q table
+    assert not hasattr(fld, "_add")  # XOR or Zech logarithms, no q x q table
     rng = random.Random(fld.q)
 
     def via_coords(op, a, b):
@@ -215,6 +215,15 @@ def test_rank_nullity_and_shuffle():
     assert Matrix(F13, rows).rank() == m.rank()
     for v in m.nullspace().rows:
         assert all(x == 0 for x in m.mul_vec(v))
+
+
+def test_row_and_column_supports_are_the_nonzero_positions():
+    rng = random.Random(7)
+    m = Matrix(F13, [[rng.choice([0, 0, rng.randrange(13)]) for _ in range(9)] for _ in range(5)])
+    assert m.row_supports() == [tuple(j for j, v in enumerate(r) if v) for r in m.rows]
+    assert m.column_supports() == m.transpose().row_supports()
+    assert m.row_supports() is m.row_supports()  # cached
+    assert Matrix.zero(F13, 0, 3).column_supports() == [(), (), ()]
 
 
 def test_matrix_solve():

@@ -1,6 +1,7 @@
 """Source hygiene checks that need nothing beyond the standard library."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,7 +41,7 @@ def test_no_unused_imports(path):
 
 # FiniteField's tables; only algebra.py, which owns the prime/extension
 # split, may read them
-FIELD_INTERNALS = {"_inv", "_exp", "_log", "_add"}
+FIELD_INTERNALS = {"_inv", "_exp", "_log", "_zech"}
 
 
 def private_reaches(source: str) -> list[str]:
@@ -77,3 +78,40 @@ def test_private_reach_detector():
                          ids=lambda p: p.name)
 def test_field_internals_stay_in_algebra(path):
     assert private_reaches(path.read_text()) == []
+
+
+def third_party_imports(source: str) -> list[str]:
+    """Absolute imports, top-level or nested, of a package outside the
+    standard library."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        out.extend(f"line {node.lineno}: {name}" for name in names
+                   if name.split(".")[0] not in sys.stdlib_module_names)
+    return out
+
+
+def test_third_party_import_detector():
+    source = "\n".join([
+        "from __future__ import annotations",
+        "import os.path, mpmath",
+        "from .algebra import field",
+        "from numpy.linalg import det",
+        "def f():",
+        "    import json, scipy as sp",
+    ])
+    assert third_party_imports(source) == [
+        "line 2: mpmath",
+        "line 4: numpy.linalg",
+        "line 6: scipy",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_library_is_stdlib_only(path):
+    assert third_party_imports(path.read_text()) == []
