@@ -38,12 +38,10 @@ from .designs import (
 )
 from .erasure import (
     ErasurePattern,
-    PatternSpec,
     decode_linear,
     decode_structured,
     min_distance,
     pattern_admissible,
-    pattern_iter,
     recoverable,
 )
 from .gsd import (

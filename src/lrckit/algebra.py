@@ -556,10 +556,6 @@ class Matrix:
         self._supports = None
 
     @staticmethod
-    def identity(fld: FiniteField, n: int) -> "Matrix":
-        return Matrix(fld, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @staticmethod
     def zero(fld: FiniteField, nrows: int, ncols: int) -> "Matrix":
         return Matrix(fld, [[0] * ncols for _ in range(nrows)], ncols)
 
@@ -646,18 +642,6 @@ class Matrix:
             basis.append(v)
         return Matrix(self.field, basis, self.ncols)
 
-    def solve(self, rhs: Sequence[int]) -> list[int] | None:
-        """One solution of M x = rhs, or None when inconsistent."""
-        f = self.field
-        aug = Matrix(f, [row + [b] for row, b in zip(self.rows, rhs)], self.ncols + 1)
-        rows, pivots = aug.rref()
-        if self.ncols in pivots:
-            return None
-        x = [0] * self.ncols
-        for r, pc in enumerate(pivots):
-            x[pc] = rows[r][self.ncols]
-        return x
-
     def column_supports(self) -> list[tuple[int, ...]]:
         """Per-column tuple of nonzero row indices (cached)."""
         return self._nonzeros()[0]
@@ -687,11 +671,6 @@ class Matrix:
 
     def __repr__(self) -> str:
         return f"Matrix({self.field!r}, {self.nrows}x{self.ncols})"
-
-
-def same_row_space(a: Matrix, b: Matrix) -> bool:
-    ra = a.rank()
-    return ra == b.rank() == a.stack(b).rank()
 
 
 # ----------------------------------------------------------------------

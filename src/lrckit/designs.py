@@ -72,17 +72,19 @@ def ag_steiner(q1: int, beta: int) -> Design:
     n = q1**beta
     vectors = list(itertools.product(range(q1), repeat=beta))
     index = {v: _pack_vector(v, q1) for v in vectors}
-    lines = set()
-    for a in vectors:
-        for b in vectors:
-            if all(c == 0 for c in b):
-                continue
-            line = frozenset(
-                index[tuple(fld.vec_sub(a, fld.neg(t), b))]
-                for t in range(q1)
-            )
-            lines.add(line)
-    blocks = sorted(tuple(sorted(l)) for l in lines)
+    blocks = []
+    for b in vectors:
+        # one direction per parallel class: its first nonzero coordinate is 1
+        i = next((j for j, c in enumerate(b) if c), None)
+        if i is None or b[i] != 1:
+            continue
+        # one base point per line: the point that is 0 at coordinate i
+        for a in vectors:
+            if a[i] == 0:
+                blocks.append(tuple(sorted(
+                    index[tuple(fld.vec_sub(a, fld.neg(t), b))] for t in range(q1)
+                )))
+    blocks.sort()
     expect = q1 ** (beta - 1) * (n - 1) // (q1 - 1)
     if len(blocks) != expect:
         raise InvalidParameter("affine line count mismatch")
@@ -117,15 +119,21 @@ def pg_steiner(q1: int, beta: int) -> Design:
 
     reps = sorted({normalize(v) for v in vectors})
     index = {v: i for i, v in enumerate(reps)}
-    lines = set()
+    blocks = []
+    covered = set()  # point pairs on a line already built
     for i, u in enumerate(reps):
-        for w in reps[i + 1:]:
-            pts = {index[u], index[w]}
+        for j in range(i + 1, len(reps)):
+            if (i, j) in covered:
+                continue
+            w = reps[j]
+            pts = {i, j}
             for t in range(1, q1):
                 s = normalize(fld.vec_sub(u, fld.neg(t), w))
                 pts.add(index[s])
-            lines.add(tuple(sorted(pts)))
-    blocks = sorted(lines)
+            line = tuple(sorted(pts))
+            blocks.append(line)
+            covered.update(itertools.combinations(line, 2))
+    blocks.sort()
     n = (q1**dim - 1) // (q1 - 1)
     names = ["<" + ",".join(str(c) for c in v) + ">" for v in reps]
     return Design(

@@ -1,6 +1,7 @@
 """Erasure-pattern machinery: the admissibility test for the structured
-polynomial decoder, the decoder itself, a generic linear-algebra decoding
-oracle, exact minimum-distance search, and pattern enumeration.
+polynomial decoder, the decoder itself, a generic linear-algebra rank test
+and decoding oracle that share one sparse column elimination, and exact
+minimum-distance search.
 
 Erasure patterns are stated in terms of evaluation points, grouped by the
 repair set they hit, plus the erased global points; the coordinate-level
@@ -10,10 +11,8 @@ decoder receives erased coordinates as ``None`` and never reads them.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
-import random
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -230,76 +229,87 @@ def decode_structured(layout: EvaluationLayout, received, pat: ErasurePattern) -
 # generic linear-algebra oracle
 
 
-def recoverable(h: Matrix, coords) -> bool:
-    """True iff the columns of H indexed by ``coords`` are independent,
-    i.e. the erasure pattern has a unique completion.
+def _eliminate(h: Matrix, cols, tagged: bool = False):
+    """Column-by-column elimination over the nonzero entries only: each
+    column ``cols[t]`` of H is read from ``h.column_supports()`` and reduced
+    against the pivots found so far, every update touching just that
+    pivot's nonzero rows; a column left nonzero becomes a pivot at its
+    lowest nonzero row.  Returns the pivots (row, 1 / value, vector, its
+    nonzero rows), or None at the first column that reduces to zero on the
+    rows of H, and at once when the columns touch fewer rows than there
+    are columns.
 
-    Column-by-column elimination over the nonzero entries only: each
-    erased column is read from ``h.column_supports()`` and reduced against
-    the pivots found so far, every update touching just that pivot's
-    nonzero rows; a column left nonzero becomes a pivot at its lowest
-    nonzero row.  On the structural parity check, whose local rows come
-    first, a block with at most delta-1 erasures is absorbed by its own
-    local rows and only the global rows fill in.  Exact for every H; the
-    answer is False as soon as a column reduces to zero."""
-    cols = sorted(set(coords))
-    if not cols:
-        return True
+    With ``tagged``, column t also carries a 1 at row nrows + t, so each
+    pivot records which combination of the columns it is; tag rows are
+    updated like any other row but never chosen as pivots."""
     sup = h.column_supports()
-    row_set: set[int] = set()
-    for c in cols:
-        row_set.update(sup[c])
-    if len(row_set) < len(cols):
-        return False
+    if len(set().union(*map(sup.__getitem__, cols))) < len(cols):
+        return None
     fld = h.field
     vec_sub_at, mul, inv = fld.vec_sub_at, fld.mul, fld.inv
     rows, nrows = h.rows, h.nrows
-    pivots = []  # (pivot row, 1 / pivot value, column, its nonzero rows)
-    for c in cols:
-        v = [0] * nrows
+    size = nrows + len(cols) if tagged else nrows
+    pivots = []
+    for t, c in enumerate(cols):
+        v = [0] * size
         live = set(sup[c])
         for i in live:
             v[i] = rows[i][c]
+        if tagged:
+            v[nrows + t] = 1
+            live.add(nrows + t)
         for pr, pinv, u, su in pivots:
             if v[pr]:
                 vec_sub_at(v, mul(v[pr], pinv), u, su)
                 live.update(su)
         nz = [i for i in live if v[i]]
-        if not nz:
-            return False
-        pr = min(nz)
+        if not nz or (pr := min(nz)) >= nrows:
+            return None
         pivots.append((pr, inv(v[pr]), v, nz))
-    return True
+    return pivots
+
+
+def recoverable(h: Matrix, coords) -> bool:
+    """True iff the columns of H indexed by ``coords`` are independent,
+    i.e. the erasure pattern has a unique completion.
+
+    Runs ``_eliminate``, the elimination ``decode_linear`` shares.  On the
+    structural parity check, whose local rows come first, a block with at
+    most delta-1 erasures is absorbed by its own local rows and only the
+    global rows fill in."""
+    return _eliminate(h, sorted(set(coords))) is not None
 
 
 def decode_linear(code: LinearCode, erased, received) -> list[int] | None:
     """Unique-completion decoder: solve the parity checks for the erased
     coordinates.  Returns None when the erased columns are dependent
     (pattern not recoverable); raises Inconsistent when the survivors do
-    not extend to a codeword."""
+    not extend to a codeword.
+
+    Shares ``recoverable``'s elimination, with tagged columns: the
+    survivors' syndrome, padded with zeros, is reduced against the pivots,
+    must vanish on the rows of H, and leaves the erased values in the tag
+    rows."""
     h = code.check
     erased = set(erased)
     cols = sorted(erased)
+    pivots = _eliminate(h, cols, tagged=True)
+    if pivots is None:
+        return None
     fld = code.field
+    nrows = h.nrows
     masked = [0 if j in erased else received[j] for j in range(code.n)]
     # the syndrome from the nonzero entries of H (erased entries of masked
     # are zero)
-    syndrome = [fld.dot(map(row.__getitem__, js), map(masked.__getitem__, js))
-                for row, js in zip(h.rows, h.row_supports())]
-    if not cols:
-        if any(syndrome):
-            raise Inconsistent("received word is not a codeword")
-        return list(received)
-    e = len(cols)
-    aug = Matrix(fld, [[row[c] for c in cols] + [fld.neg(s)]
-                       for row, s in zip(h.rows, syndrome)], e + 1)
-    rows, pivots = aug.rref()
-    if pivots[:e] != list(range(e)):  # some erased column is not a pivot
-        return None
-    if len(pivots) > e:  # a pivot in the syndrome column
+    v = [fld.dot(map(row.__getitem__, js), map(masked.__getitem__, js))
+         for row, js in zip(h.rows, h.row_supports())] + [0] * len(cols)
+    for pr, pinv, u, su in pivots:
+        if v[pr]:
+            fld.vec_sub_at(v, fld.mul(v[pr], pinv), u, su)
+    if any(v[:nrows]):
         raise Inconsistent("survivors are inconsistent with the code")
-    for c, row in zip(cols, rows):
-        masked[c] = row[e]
+    for t, c in enumerate(cols):
+        masked[c] = v[nrows + t]
     return masked
 
 
@@ -397,112 +407,3 @@ def min_distance(
             if any(run(search, [firsts[i::w] for i in range(w)])):
                 return s
     raise Infeasible(f"no dependent subset of size <= {d_max} found")
-
-
-def naive_min_distance(h: Matrix, d_max: int | None = None) -> int:
-    """Reference implementation: rank of every column subset, smallest
-    dependent size wins.  Only for cross-checking the search."""
-    n = h.ncols
-    if d_max is None:
-        d_max = h.rank() + 1
-    for s in range(1, d_max + 1):
-        for sub in itertools.combinations(range(n), s):
-            if h.columns(sub).rank() < s:
-                return s
-    raise Infeasible("no dependence found")
-
-
-# ----------------------------------------------------------------------
-# pattern enumeration
-
-
-@dataclass(frozen=True)
-class PatternSpec:
-    """Pattern stream description.
-
-    mode "exhaustive": either every coordinate subset of weight <=
-    ``max_weight`` (including the empty pattern), or — when a shape is given
-    — every choice of ``full_blocks`` fully erased sets, ``global_cells``
-    erased global points, and ``extra_cells`` additional coordinates.
-
-    mode "sampled": ``count`` draws of the shape from a PRNG seeded with
-    ``seed`` (mandatory)."""
-
-    mode: str = "exhaustive"
-    max_weight: int | None = None
-    full_blocks: int = 0
-    global_cells: int = 0
-    extra_cells: int = 0
-    count: int | None = None
-    seed: int | None = None
-
-
-def pattern_iter(layout: EvaluationLayout, spec: PatternSpec):
-    if spec.mode == "exhaustive":
-        if spec.max_weight is not None:
-            for w in range(spec.max_weight + 1):
-                for coords in itertools.combinations(range(layout.n), w):
-                    yield ErasurePattern.from_coords(layout, coords)
-            return
-        yield from _shaped_exhaustive(layout, spec)
-        return
-    if spec.mode != "sampled":
-        raise InvalidParameter(f"unknown pattern mode {spec.mode!r}")
-    if spec.seed is None or spec.count is None:
-        raise InvalidParameter("sampled mode requires count and seed")
-    rng = random.Random(spec.seed)
-    nblocks = len(layout.sets)
-    for _ in range(spec.count):
-        if spec.max_weight is not None:
-            w = rng.randint(0, spec.max_weight)
-            coords = rng.sample(range(layout.n), w)
-            yield ErasurePattern.from_coords(layout, coords)
-            continue
-        blocks = rng.sample(range(nblocks), spec.full_blocks)
-        globs = rng.sample(layout.s_points, spec.global_cells)
-        taken = set()
-        for b in blocks:
-            taken.update(layout.block_coords(b))
-        taken.update(layout.global_coord(layout.s_points.index(s)) for s in globs)
-        rest = [c for c in range(layout.n) if c not in taken]
-        extras = rng.sample(rest, spec.extra_cells)
-        coords = sorted(taken | set(extras))
-        yield ErasurePattern.from_coords(layout, coords)
-
-
-def _shaped_exhaustive(layout: EvaluationLayout, spec: PatternSpec):
-    nblocks = len(layout.sets)
-    for blocks in itertools.combinations(range(nblocks), spec.full_blocks):
-        base = set()
-        for b in blocks:
-            base.update(layout.block_coords(b))
-        for globs in itertools.combinations(range(layout.params.h), spec.global_cells):
-            cur = base | {layout.global_coord(i) for i in globs}
-            rest = [c for c in range(layout.n) if c not in cur]
-            for extras in itertools.combinations(rest, spec.extra_cells):
-                yield ErasurePattern.from_coords(layout, cur | set(extras))
-
-
-def heavy_global_patterns(layout: EvaluationLayout, max_heavy: int):
-    """Every pattern consisting of up to ``max_heavy`` heavy sets (each an
-    erased subset of size >= delta within one evaluation set) plus any
-    subset of the global points.  Exhaustive and deterministic."""
-    p = layout.params
-    nblocks = len(layout.sets)
-    per_block: list[list[tuple[int, ...]]] = []
-    for a in layout.sets:
-        subs = []
-        for sz in range(p.delta, len(a) + 1):
-            subs.extend(itertools.combinations(a, sz))
-        per_block.append(subs)
-    glob_subsets = []
-    for sz in range(p.h + 1):
-        glob_subsets.extend(itertools.combinations(layout.s_points, sz))
-    for w in range(max_heavy + 1):
-        for blocks in itertools.combinations(range(nblocks), w):
-            for choice in itertools.product(*[per_block[b] for b in blocks]):
-                per_set = [()] * nblocks
-                for b, pts in zip(blocks, choice):
-                    per_set[b] = pts
-                for globs in glob_subsets:
-                    yield ErasurePattern.make(layout, per_set, globs)

@@ -17,7 +17,7 @@ from importlib import resources
 from .algebra import FiniteField, Matrix, load_matrix
 from .bounds import classify, singleton_bound
 from .designs import ag_steiner, pg_steiner
-from .erasure import ErasurePattern, min_distance, recoverable
+from .erasure import min_distance, recoverable
 from .errors import InternalInvariantViolation
 from .gsd import check_array, truncated_array
 from .lrc import (
@@ -257,29 +257,6 @@ def run_example3(sample_count: int = 10**4, seed: int = 20240, workers: int = 1)
         and report["length_bound_ok"]
     )
     return report
-
-
-def beyond_distance_patterns(limit: int | None = None):
-    """Patterns on the first fixture's array with at least h+delta erased
-    coordinates but at most h+delta-1 distinct erased evaluation points:
-    pairs of whole data columns (6 cells, 2 points).  Yields
-    (pattern, coordinate count, distinct point count)."""
-    layout = example1_layout()
-    pairs = []
-    pts = sorted({x for a in layout.sets for x in a})
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            per_set = []
-            for a in layout.sets:
-                per_set.append([x for x in a if x in (pts[i], pts[j])])
-            pat = ErasurePattern.make(layout, per_set)
-            pairs.append(pat)
-    if limit is not None:
-        pairs = pairs[:limit]
-    for pat in pairs:
-        coords = pat.coords(layout)
-        distinct = set().union(*pat.sets) if pat.sets else set()
-        yield pat, len(coords), len(distinct)
 
 
 def run_all(workers: int = 1, sample_count: int = 10**4, seed: int = 20240) -> dict:

@@ -175,16 +175,19 @@ def truncated_array(layout: EvaluationLayout, code: LinearCode) -> ArrayLayout:
 # disk + sector sweeps
 
 
-def _sweep_task(h, max_witness, chunk):
+MAX_WITNESS = 10  # unrecoverable patterns kept as witnesses per sweep
+
+
+def _sweep_task(h, chunk):
     """Test each (index, coords) pattern of a chunk; returns the counts and
-    the chunk's first ``max_witness`` failures as (index, coords) pairs."""
+    the chunk's first ``MAX_WITNESS`` failures as (index, coords) pairs."""
     checked = passed = 0
     failures = []
     for index, coords in chunk:
         checked += 1
         if recoverable(h, coords):
             passed += 1
-        elif len(failures) < max_witness:
+        elif len(failures) < MAX_WITNESS:
             failures.append((index, list(coords)))
     return checked, passed, failures
 
@@ -200,7 +203,6 @@ def check_array(
     workers: int = 1,
     exhaustive_limit: int = 10**6,
     d: int | None = None,
-    max_witness: int = 10,
 ) -> dict:
     """Sweep erasure patterns of y whole columns plus gamma extra cells and
     test each against the recoverability oracle.
@@ -212,7 +214,7 @@ def check_array(
     the sector-disk qualification bit y*rows + gamma > d - 1 when the
     minimum distance ``d`` is supplied.
 
-    ``failures`` holds the first ``max_witness`` unrecoverable patterns in
+    ``failures`` holds the first ``MAX_WITNESS`` unrecoverable patterns in
     pattern order, sorted; it is the same for every worker count.
     """
     if columns not in ("all", "data"):
@@ -266,12 +268,12 @@ def check_array(
     checked = passed = 0
     witnesses: list[tuple[int, list[int]]] = []
     with chunk_map(w) as run:
-        sweep = partial(_sweep_task, arr.code.check, max_witness)
+        sweep = partial(_sweep_task, arr.code.check)
         for c, p_, f in run(sweep, [indexed[i::w] for i in range(w)]):
             checked += c
             passed += p_
             witnesses.extend(f)
-    failures = [coords for _, coords in sorted(witnesses)[:max_witness]]
+    failures = [coords for _, coords in sorted(witnesses)[:MAX_WITNESS]]
 
     report = {
         "construction": arr.construction,

@@ -23,7 +23,6 @@ Codeword coordinates are block-major: block 1's points, block 2's points,
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
@@ -331,14 +330,13 @@ class LinearCode:
     n: int
     k: int
     check: Matrix
-    generator: Matrix | None = None
     repair_sets: list[tuple[int, ...]] = dc_field(default_factory=list)
     delta: int = 2
     local_rows: dict[int, tuple[int, ...]] | None = None
     no_locality_coords: tuple[int, ...] = ()
 
 
-def build_code(layout: EvaluationLayout, with_generator: bool = False) -> LinearCode:
+def build_code(layout: EvaluationLayout) -> LinearCode:
     p = layout.params
     h = parity_check_matrix(layout)
     d1 = p.delta - 1
@@ -348,7 +346,6 @@ def build_code(layout: EvaluationLayout, with_generator: bool = False) -> Linear
         n=layout.n,
         k=p.k,
         check=h,
-        generator=generator_matrix(layout) if with_generator else None,
         repair_sets=[layout.block_coords(b) for b in range(len(layout.sets))],
         delta=p.delta,
         local_rows=local,
@@ -419,7 +416,7 @@ def verify_locality(code: LinearCode) -> LocalityReport:
             dists.append(1)  # punctured code is the full space
             ok = False
             continue
-        d = min_distance(pc, d_max=pc.rank() + 1)
+        d = min_distance(pc)
         dists.append(d)
         if d < code.delta:
             ok = False
@@ -431,14 +428,3 @@ def verify_locality(code: LinearCode) -> LocalityReport:
         info_rank=rank_u,
         k=code.k,
     )
-
-
-def random_code(fld: FiniteField, n: int, k: int, seed: int) -> LinearCode:
-    """Seeded random [n, k] code (negative-control material for tests)."""
-    rng = random.Random(seed)
-    while True:
-        g = Matrix(fld, [[rng.randrange(fld.q) for _ in range(n)] for _ in range(k)], n)
-        if g.rank() == k:
-            break
-    h = g.nullspace()
-    return LinearCode(field=fld, n=n, k=k, check=h, generator=g)

@@ -26,7 +26,6 @@ from lrckit.designs import (
 from lrckit.erasure import (
     decode_linear,
     decode_structured,
-    heavy_global_patterns,
     min_distance,
     pattern_admissible,
     recoverable,
@@ -34,6 +33,7 @@ from lrckit.erasure import (
 from lrckit.goppa import distance_report
 from lrckit.gsd import basic_array, check_array
 from lrckit.lrc import LinearCode, build_code, encode, verify_locality
+from patternref import beyond_distance_patterns, heavy_global_patterns
 
 _shared: dict = {}
 
@@ -141,7 +141,7 @@ def test_criterion_06_beyond_distance(example1_layout):
     rng = random.Random(66)
     word = encode(layout, [rng.randrange(11) for _ in range(14)])
     count = 0
-    for pat, ncoords, npoints in fixtures.beyond_distance_patterns():
+    for pat, ncoords, npoints in beyond_distance_patterns():
         admissible = pattern_admissible(layout, pat).admissible
         decoded = decode_structured(layout, mask(word, pat.coords(layout)), pat)
         if not (ncoords >= 5 and npoints <= 4 and admissible and decoded == word):

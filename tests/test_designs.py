@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -56,6 +57,34 @@ def test_projective_plane_order8():
     d = pg_steiner(8, 2)
     assert_advertised(d, 73, 73, 9)
     assert d.regularity == 9
+
+
+# sha256 of dump_design: pins the header and every block, in order
+DESIGN_DIGESTS = [
+    (ag_steiner, 2, 2, "9125300ea484b6516214dbea2cc459c8633846266dfc301951f47c3efe4321b1"),
+    (ag_steiner, 3, 2, "b54052feeb30696c15e08b693b6a60ae45dec5b56850dbb811b2fc4d2191cafa"),
+    (ag_steiner, 4, 2, "96be455d521d0b57152f88810f058b81bbe0368b65689c471895c95c56f32bc2"),
+    (ag_steiner, 9, 2, "cf9fdc97701948c8cc13848bec448a2e1561e99348d0f07c1f2828cc4e5906e2"),
+    (ag_steiner, 2, 3, "6248c4db097da6fdfdef2735511ba3538890f364b64034537a2af9525835454f"),
+    (ag_steiner, 3, 3, "04b7a5d81ba3b1decf4d7f0c33f76969483aea1058fcc8d854d4e0ffe41dbdfb"),
+    (ag_steiner, 5, 3, "715000cc0db121f1485be31d82089de1e1e7ec337535480705eb01c73718fddf"),
+    (ag_steiner, 25, 2, "d1dc664325e3cc612156fddbc4466ba06eb4cf6abe6c49525e9e51d0a17fd264"),
+    (pg_steiner, 2, 2, "59f854f1aa86da3b4889c858c74a16503538f25de180227cd72b37d44d3feb43"),
+    (pg_steiner, 3, 2, "a99ea1348424a085ae4412eb6dadd97798f5381502ce6a9e32561df98c5d0d97"),
+    (pg_steiner, 4, 2, "f2f43cee38025beb944bf070cc466a1f6821d9a9cf78da4262d4ca1adf936c97"),
+    (pg_steiner, 8, 2, "655510344ae242c9456afd67274f508b1e9ff79d2523a3df0327e8c63a5aab44"),
+    (pg_steiner, 9, 2, "90cce336a3d90f5748f5954e4a6bfbd4088b650a6a0ae2356d23cea6bfe2ffb0"),
+    (pg_steiner, 2, 3, "f6a1c2b1095eab6080a9b5fb49928026562ab29e19af9be39c187702309e7782"),
+    (pg_steiner, 3, 3, "9b7440da780a4b7907b5317ca064a360fbf1ca25e34422365e057ba35b7c99ea"),
+    (pg_steiner, 5, 2, "2dae3346cfef180149cbb949738373255d5ecb8d9383b2d4680e6a14d6f6b93b"),
+]
+
+
+@pytest.mark.parametrize("build, q1, beta, digest", DESIGN_DIGESTS,
+                         ids=[f"{b.__name__}-{q}-{e}" for b, q, e, _ in DESIGN_DIGESTS])
+def test_line_designs_are_pinned(build, q1, beta, digest):
+    text = dump_design(build(q1, beta))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_spherical_order2():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from lrckit.algebra import FiniteField, Matrix, Poly, poly_from_roots, same_row_space, subfield_embedding
+from lrckit.algebra import FiniteField, Matrix, Poly, poly_from_roots, subfield_embedding
 from lrckit.erasure import min_distance
 from lrckit.errors import InvalidParameter, NotSeparable
 from lrckit.fixtures import goppa_optimal_params, goppa_small_params
@@ -11,14 +11,14 @@ from lrckit.goppa import (
     GoppaParams,
     build_code,
     check_hypotheses,
-    congruences_hold,
     distance_report,
-    embed_matrix,
     parity_check,
     splitting_field_data,
     splitting_parity_check,
 )
 from lrckit.lrc import verify_locality
+from gopparef import congruences_hold, embed_matrix
+from linref import same_row_space
 
 F16 = FiniteField(2, 4)
 

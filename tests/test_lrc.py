@@ -4,7 +4,7 @@ import random
 import pytest
 
 from lrckit import serial
-from lrckit.algebra import FiniteField, Matrix, interpolate, same_row_space
+from lrckit.algebra import FiniteField, Matrix, interpolate
 from lrckit.designs import ag_steiner, pg_steiner
 from lrckit.errors import FieldTooSmall, InvalidParameter
 from lrckit.fixtures import example1_check, example1_permutation
@@ -16,9 +16,9 @@ from lrckit.lrc import (
     encode,
     generator_matrix,
     parity_check_matrix,
-    random_code,
     verify_locality,
 )
+from linref import random_code, same_row_space
 from polyref import block_polys, g_poly
 
 F11 = FiniteField(11)
