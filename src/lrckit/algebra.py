@@ -108,12 +108,31 @@ def _smallest_irreducible(p: int, m: int) -> list[int]:
 
 def _smallest_generator(q: int, mul) -> int:
     """Smallest-encoded element of multiplicative order q - 1 under
-    ``mul``: a primitive element of F_q, or 1 for F_2."""
+    ``mul``: a primitive element of F_q, or 1 for F_2.
+
+    g is primitive iff g^((q-1)/l) != 1 for every prime l dividing q - 1,
+    each power taken by square-and-multiply."""
+    primes, rest = [], q - 1
+    for f in range(2, math.isqrt(rest) + 1):
+        if rest % f == 0:
+            primes.append(f)
+            while rest % f == 0:
+                rest //= f
+    if rest > 1:
+        primes.append(rest)
+
+    def power(x, e):
+        acc = 1
+        while e:
+            if e & 1:
+                acc = mul(acc, x)
+            e >>= 1
+            if e:
+                x = mul(x, x)
+        return acc
+
     for g in range(2, q):
-        x, order = g, 1
-        while x != 1:
-            x, order = mul(x, g), order + 1
-        if order == q - 1:
+        if all(power(g, (q - 1) // ell) != 1 for ell in primes):
             return g
     if q > 2:  # pragma: no cover - every finite field has one
         raise InternalInvariantViolation(f"F_{q} has no primitive element")

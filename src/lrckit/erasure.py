@@ -339,33 +339,60 @@ def chunk_map(workers: int):
 
 def _dependent_subset(cols, nrows, fld: FiniteField, size, firsts) -> bool:
     """True iff some ``size`` columns whose lowest index is in ``firsts``
-    are dependent, given that no smaller subset is.  DFS over independent
-    prefixes in lexicographic order, reducing each new column against the
-    normalised pivots of its prefix."""
-    vec_sub, vec_scale, inv = fld.vec_sub, fld.vec_scale, fld.inv
-    ncols = len(cols)
+    are dependent, given that no smaller subset is.
 
-    def extend(pivots, js, depth):
-        for j in js:
-            v = cols[j]
-            for pi, u in pivots:
-                c = v[pi]
-                if c:
-                    v = vec_sub(v, c, u)
-            for pi in range(nrows):
-                if v[pi]:
-                    break
-            else:
+    The lowest ``size - 2`` columns of a subset form its prefix, found by
+    a DFS over independent prefixes in lexicographic order.  The later
+    columns (candidates) are kept reduced against the prefix: pushing a
+    pivot subtracts it from each candidate nonzero at its row, so every
+    candidate is zero on the pivot rows and is the one such representative
+    of its class modulo the prefix's span.  As no smaller subset is
+    dependent, the prefix plus candidates a and b is dependent iff their
+    reductions are parallel (or one is zero), so the last two columns are
+    found by one set lookup per candidate, scaled to a leading 1.  Sizes 1
+    and 2 have an empty prefix: a zero column, or a column whose scaled
+    form repeats at a later column."""
+    if size == 1:
+        return any(not any(cols[j]) for j in firsts)
+    vec_sub, vec_scale = fld.vec_sub, fld.vec_scale
+    invs = [0] + [fld.inv(a) for a in range(1, fld.q)]
+    zero = (0,) * nrows
+
+    def key(v):
+        # v scaled to a leading 1; the zero vector is its own key
+        return tuple(vec_scale(v, invs[next(filter(None, v), 0)]))
+
+    if size == 2:
+        chosen, seen = set(firsts), set()
+        for j in range(len(cols) - 1, -1, -1):
+            k = key(cols[j])
+            if j in chosen and k in seen:
                 return True
-            if depth + 1 < size and extend(
-                pivots + [(pi, vec_scale(v, inv(v[pi])))],
-                range(j + 1, ncols - size + depth + 2),
-                depth + 1,
-            ):
+            seen.add(k)
+        return False
+
+    def extend(cands, starts, depth):
+        # cands: the columns after the prefix, reduced against it; a pivot
+        # at position t needs size - depth - 1 more columns after it, the
+        # rest of the prefix and at least two candidates
+        last = len(cands) - (size - depth - 1)
+        for t in starts:
+            if t >= last:
+                break
+            v = cands[t]
+            x = next(filter(None, v))
+            pi = v.index(x)  # the first nonzero row
+            u = vec_scale(v, invs[x])
+            rest = [vec_sub(w, w[pi], u) if w[pi] else w for w in cands[t + 1:]]
+            if depth + 3 == size:
+                keys = set(map(key, rest))
+                if len(keys) < len(rest) or zero in keys:
+                    return True
+            elif extend(rest, range(len(rest)), depth + 1):
                 return True
         return False
 
-    return extend([], firsts, 0)
+    return extend(cols, firsts, 0)
 
 
 def min_distance(
@@ -379,9 +406,15 @@ def min_distance(
 
     The search is incremental by size: pass s proves that no dependent
     subset of size < s exists before subsets of size s are examined, so the
-    first hit is exact.  ``d_max`` bounds the search (default n - rank + 1,
-    which always terminates).  Raises Infeasible when the projected number
-    of rank tests exceeds ``node_guard``.
+    first hit is exact.  Within pass s a DFS enumerates the independent
+    prefixes of s - 2 columns, and the last two columns come from a
+    collision step: the later columns, reduced against the prefix and
+    scaled to a leading 1, are dependent with it iff two of them coincide
+    (see ``_dependent_subset``).  ``d_max`` bounds the search (default
+    rank(H) + 1, since any rank + 1 columns are dependent; for a full-rank
+    H of an [n, k] code that is the Singleton bound n - k + 1) and must be
+    at least 1.  Raises Infeasible when the projected number of rank tests
+    exceeds ``node_guard``.
 
     With ``workers`` > 1 each pass splits its subsets by lowest column,
     interleaved across one process pool that serves every pass of the call;
@@ -392,6 +425,8 @@ def min_distance(
         raise InvalidParameter("empty matrix")
     if d_max is None:
         d_max = h.rank() + 1  # any rank+1 columns are dependent
+    elif d_max < 1:
+        raise InvalidParameter(f"d_max must be at least 1, got {d_max}")
     cols = [tuple(h.column(j)) for j in range(n)]
     w = pool_size(workers, n)
     est = 0

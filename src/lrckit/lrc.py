@@ -284,15 +284,19 @@ def encode(layout: EvaluationLayout, info) -> list[int]:
 
 
 def generator_matrix(layout: EvaluationLayout) -> Matrix:
-    """Rows are the encodings of the standard basis vectors."""
+    """Rows are the encodings of the standard basis vectors, read off
+    ``layout.check_rows``: row u holds 1 at ``info_coords[u]`` and, at the
+    pivot of each check row, that row's coefficient of ``info_coords[u]``."""
     p = layout.params
-    rows = []
-    for u in range(p.k):
-        e = [0] * p.k
-        e[u] = 1
-        rows.append(encode(layout, e))
-    g = Matrix(layout.field, rows, p.n)
-    return g
+    rows = [[0] * p.n for _ in range(p.k)]
+    row_of = {}
+    for u, c in enumerate(layout.info_coords):
+        rows[u][c] = 1
+        row_of[c] = rows[u]
+    for pivot, coords, coeffs in layout.check_rows:
+        for c, x in zip(coords, coeffs):
+            row_of[c][pivot] = x
+    return Matrix(layout.field, rows, p.n)
 
 
 def parity_check_matrix(layout: EvaluationLayout) -> Matrix:

@@ -103,6 +103,45 @@ def test_prime_generator_is_the_smallest_primitive_root(p):
     assert FiniteField(p).generator == (roots[0] if roots else 1)
 
 
+def walk_generator(fld):
+    """The smallest element whose powers, walked one multiplication at a
+    time, first return to 1 after q - 1 steps (1 for F_2).  Products are
+    taken on coordinates modulo the field's modulus, apart from its
+    tables."""
+    p, m, mod = fld.p, fld.m, fld.modulus
+
+    def mul(a, b):
+        if m == 1:
+            return a * b % p
+        prod = [0] * (2 * m - 1)
+        for i, x in enumerate(fld.coords(a)):
+            for j, y in enumerate(fld.coords(b)):
+                prod[i + j] = (prod[i + j] + x * y) % p
+        for d in range(2 * m - 2, m - 1, -1):
+            for i in range(m):
+                prod[d - m + i] = (prod[d - m + i] - prod[d] * mod[i]) % p
+        return fld.from_coords(prod[:m])
+
+    for g in range(2, fld.q):
+        x, order = g, 1
+        while x != 1:
+            x, order = mul(x, g), order + 1
+        if order == fld.q - 1:
+            return g
+    return 1
+
+
+def test_generator_is_the_smallest_primitive_element():
+    # every field up to 3^7, prime and extension alike
+    for q in range(2, 2188):
+        try:
+            p, m = algebra.factor_prime_power(q)
+        except InvalidParameter:
+            continue
+        fld = FiniteField(p, m)
+        assert fld.generator == walk_generator(fld), fld
+
+
 KERNEL_FIELDS = [FiniteField(2), FiniteField(3), FiniteField(5), FiniteField(7),
                  F4, FiniteField(2, 3), F9, F16]
 

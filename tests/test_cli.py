@@ -86,6 +86,8 @@ CLASSIFY = ("bounds", "classify", "--n", "24", "--k", "14", "--d", "5", "--r", "
         (*LENGTH, "--q", "1"),
         (*LENGTH, "--q", "6"),
         (*CLASSIFY, "--q", "6"),
+        ("erasure", "distance", "--check", "{parity_matrix}", "--d-max", "0"),
+        ("erasure", "distance", "--check", "{parity_matrix}", "--d-max", "-3"),
     ],
 )
 def test_bad_invocations_are_usage_errors(tmp_path, capsys, example1_layout, args):
@@ -93,7 +95,8 @@ def test_bad_invocations_are_usage_errors(tmp_path, capsys, example1_layout, arg
 
     files = {"{not_json}": "{not json", "{no_keys}": "{}", "{a_list}": "[]",
              "{ex1_layout}": serial.dumps(serial.layout_to_dict(example1_layout)),
-             "{bad_matrix}": "11 2 2\n1 x\n3 4\n", "{bad_design}": "3 2 a\n"}
+             "{bad_matrix}": "11 2 2\n1 x\n3 4\n", "{parity_matrix}": "2 1 3\n1 1 1\n",
+             "{bad_design}": "3 2 a\n"}
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     argv = [str(tmp_path / a) if a in files else a for a in args]

@@ -274,14 +274,46 @@ DISTANCE_FIELDS = [FiniteField(5), FiniteField(7), FiniteField(2, 2), FiniteFiel
 
 @st.composite
 def small_matrices(draw):
+    """A matrix up to 5x9 in which up to three columns are then overwritten
+    by planted dependencies: a zero column, a copy of another column scaled
+    by a factor other than 1, or a combination of two or three others."""
     fld = draw(st.sampled_from(DISTANCE_FIELDS))
     nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 9))
     entry = st.one_of(st.just(0), st.integers(0, fld.q - 1))  # zeros make sparse columns
     row = st.lists(entry, min_size=ncols, max_size=ncols)
-    return Matrix(fld, draw(st.lists(row, min_size=nrows, max_size=nrows)), ncols)
+    rows = draw(st.lists(row, min_size=nrows, max_size=nrows))
+    for _ in range(draw(st.integers(0, 3))):
+        target = draw(st.integers(0, ncols - 1))
+        kind = draw(st.sampled_from(["zero", "scaled", "sum"]))
+        nsrc = {"zero": 0, "scaled": 1, "sum": draw(st.integers(2, 3))}[kind]
+        srcs = draw(st.lists(st.integers(0, ncols - 1), min_size=nsrc, max_size=nsrc))
+        factor = st.integers(2, fld.q - 1) if kind == "scaled" else st.integers(1, fld.q - 1)
+        factors = draw(st.lists(factor, min_size=nsrc, max_size=nsrc))
+        for r in rows:
+            acc = 0
+            for j, c in zip(srcs, factors):
+                acc = fld.add(acc, fld.mul(c, r[j]))
+            r[target] = acc
+    return Matrix(fld, rows, ncols)
+
+
+def vandermonde(fld, nrows):
+    """Check matrix of the doubly extended Reed-Solomon code of length
+    q + 1 and distance nrows + 1: the columns (1, x, ..., x^(nrows-1)) and
+    the column at infinity.  For nrows >= 4 the last passes build prefixes
+    of three or more pivots, and every candidate must stay reduced against
+    all of them."""
+    cols = [[fld.pow(x, i) for i in range(nrows)] for x in fld.elements()]
+    cols.append([0] * (nrows - 1) + [1])
+    return Matrix(fld, cols).transpose()
+
+
+MDS_CHECKS = [vandermonde(FiniteField(7), 4), vandermonde(FiniteField(2, 3), 5)]
 
 
 @given(small_matrices())
+@example(MDS_CHECKS[0])
+@example(MDS_CHECKS[1])
 @settings(max_examples=80, deadline=None)
 def test_min_distance_matches_naive(m):
     def distance(search):
@@ -294,6 +326,28 @@ def test_min_distance_matches_naive(m):
     assert d == distance(naive_min_distance)
     # only a matrix of full column rank has no dependent columns at all
     assert (d is None) == (m.rank() == m.ncols)
+
+
+@given(small_matrices())
+@example(MDS_CHECKS[0])
+@settings(max_examples=60, deadline=None)
+def test_dependent_subset_chunks_match_brute_force(m):
+    """Every worker's share of every pass up to the distance, run directly
+    with no pool: the search kernel against "some s-subset whose lowest
+    column is in the share has rank < s"."""
+    n = m.ncols
+    cols = [tuple(m.column(j)) for j in range(n)]
+    for s in range(1, n + 1):
+        dependent = [sub for sub in itertools.combinations(range(n), s)
+                     if m.columns(sub).rank() < s]
+        firsts = range(n - s + 1)
+        for w in (2, 3):
+            for i in range(w):
+                share = firsts[i::w]
+                want = any(sub[0] in share for sub in dependent)
+                assert erasure._dependent_subset(cols, m.nrows, m.field, s, share) == want
+        if dependent:  # later passes would break the kernel's premise
+            break
 
 
 @st.composite
@@ -383,6 +437,13 @@ def test_min_distance_guard():
     m = Matrix(F11, [[rng.randrange(11) for _ in range(30)] for _ in range(10)])
     with pytest.raises(Infeasible):
         min_distance(m, node_guard=10)
+
+
+def test_min_distance_rejects_bound_below_one():
+    h = Matrix(F2, [[1, 1, 1]])
+    for d_max in (0, -3):
+        with pytest.raises(InvalidParameter):
+            min_distance(h, d_max=d_max)
 
 
 def test_min_distance_dmax_sentinel():
