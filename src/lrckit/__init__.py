@@ -21,6 +21,7 @@ from .algebra import (
     dump_matrix,
     field,
     interpolate,
+    lagrange_basis,
     load_matrix,
     poly_from_roots,
 )

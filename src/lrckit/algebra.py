@@ -425,10 +425,6 @@ class Poly:
     def one(fld: FiniteField) -> "Poly":
         return Poly(fld, [1])
 
-    @staticmethod
-    def x(fld: FiniteField) -> "Poly":
-        return Poly(fld, [0, 1])
-
     @property
     def degree(self):
         return len(self.coeffs) - 1 if self.coeffs else NEG_INF
@@ -522,6 +518,35 @@ def value_from_roots(fld: FiniteField, roots: Iterable[int], x: int) -> int:
     for r in roots:
         acc = fld.mul(acc, fld.sub(x, r))
     return acc
+
+
+def lagrange_basis(fld: FiniteField, nodes: Sequence[int]):
+    """The Lagrange basis on distinct ``nodes`` in barycentric form.
+
+    The weights w_u = 1 / prod_{i != u} (x_u - x_i) are computed once; the
+    returned function maps x to the basis values [L_u(x)], which are
+    w_u * prod_i (x - x_i) / (x - x_u) off the nodes and a unit vector at a
+    node.  The polynomial of degree < len(nodes) through values ``ys`` at
+    the nodes takes the value ``fld.dot(basis(x), ys)`` at x, so no
+    polynomial is built.  Raises DuplicateNode on a repeated node.
+    """
+    nodes = tuple(nodes)
+    position = {x: u for u, x in enumerate(nodes)}
+    if len(position) != len(nodes):
+        raise DuplicateNode("interpolation nodes must be distinct")
+    weights = [fld.inv(value_from_roots(fld, nodes[:u] + nodes[u + 1:], x))
+               for u, x in enumerate(nodes)]
+
+    def basis(x: int) -> list[int]:
+        u = position.get(x)
+        if u is not None:
+            out = [0] * len(nodes)
+            out[u] = 1
+            return out
+        return fld.vec_scale([fld.div(w, fld.sub(x, xu)) for xu, w in zip(nodes, weights)],
+                             value_from_roots(fld, nodes, x))
+
+    return basis
 
 
 def interpolate(fld: FiniteField, points: Sequence[tuple[int, int]]) -> Poly:

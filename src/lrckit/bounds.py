@@ -48,9 +48,11 @@ def length_bound(q: int, r: int, delta: int, h: int, a: int) -> dict:
     exact (``floor_certified`` is always true).  An integral exponent
     (``exact``) also gives the rational value; a fractional one gives an
     enclosing interval of 30 significant digits.  Raises InvalidParameter
-    unless q is a prime power.
+    unless q is a prime power, r >= 1 and delta >= 1.
     """
     factor_prime_power(q)
+    if r < 1 or delta < 1:
+        raise InvalidParameter("need r >= 1 and delta >= 1")
     if not (0 <= a <= h):
         raise InvalidParameter("need 0 <= a <= h")
     t_a = (h + delta - a - 1) // delta

@@ -195,6 +195,9 @@ def cmd_erasure_decode(args) -> int:
     word = _ints(args.word)
     if len(word) != layout.n:
         raise InvalidParameter(f"word must have length {layout.n}")
+    q = layout.field.q
+    if not all(0 <= x < q for x in word):
+        raise InvalidParameter(f"word symbols must lie in [0, {q})")
     coords = set(pat.coords(layout))
     masked = [None if c in coords else word[c] for c in range(layout.n)]
     structured = decode_structured(layout, masked, pat)
@@ -438,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--gamma", type=int, required=True)
     c.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
     c.add_argument("--columns", choices=["all", "data"], default="all")
-    c.add_argument("--count", type=int, default=10**4)
+    c.add_argument("--count", type=_positive_int, default=10**4)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--exhaustive-limit", dest="exhaustive_limit", type=int, default=10**6)
     c.add_argument("--d", type=int)
@@ -491,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     fix = sub.add_parser("fixtures").add_subparsers(dest="sub", required=True)
     r = fix.add_parser("run")
     r.add_argument("fixture", choices=["example1", "example2", "example3", "all"])
-    r.add_argument("--count", type=int, default=10**4)
+    r.add_argument("--count", type=_positive_int, default=10**4)
     r.add_argument("--seed", type=int, default=20240)
     r.add_argument("--out", default="-")
     r.set_defaults(func=cmd_fixtures_run)

@@ -267,17 +267,16 @@ def cyclotomic_packing(prime_powers: list[int], e: int) -> Design:
     )
 
 
-def verify_design(
-    d: Design,
-    subset_guard: int = 10**6,
-    sample_count: int = 10**5,
-    seed: int = 0,
-) -> DesignReport:
+SUBSET_GUARD = 10**6  # most tau-subsets checked exhaustively
+SAMPLE_COUNT = 10**5  # tau-subsets sampled above the guard
+
+
+def verify_design(d: Design, seed: int = 0) -> DesignReport:
     """Check the packing / Steiner / regularity axioms.
 
     Exhaustive over all tau-subsets when their number is within
-    ``subset_guard``; otherwise a seeded sample of tau-subsets is used and
-    the report is flagged as non-exhaustive.
+    ``SUBSET_GUARD``; otherwise ``SAMPLE_COUNT`` tau-subsets are drawn from
+    ``seed`` and the report is flagged as non-exhaustive.
     """
     cover: dict[tuple[int, ...], int] = {}
     is_packing = True
@@ -290,7 +289,7 @@ def verify_design(
         is_packing = False
 
     total = math.comb(d.num_points, d.tau)
-    exhaustive = total <= subset_guard
+    exhaustive = total <= SUBSET_GUARD
     used_seed = None
     if exhaustive:
         is_steiner = is_packing and len(cover) == total
@@ -298,10 +297,10 @@ def verify_design(
     else:
         rng = random.Random(seed)
         used_seed = seed
-        checked = sample_count
+        checked = SAMPLE_COUNT
         is_steiner = is_packing
         pts = range(d.num_points)
-        for _ in range(sample_count):
+        for _ in range(SAMPLE_COUNT):
             sub = tuple(sorted(rng.sample(pts, d.tau)))
             if cover.get(sub, 0) != 1:
                 is_steiner = False

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 
-from .algebra import FiniteField, Matrix, interpolate, value_from_roots
+from .algebra import FiniteField, Matrix, lagrange_basis, value_from_roots
 from .errors import Inconsistent, Infeasible, InvalidParameter, NotAdmissible
 from .lrc import EvaluationLayout, LinearCode, encode
 
@@ -72,9 +73,6 @@ class ErasurePattern:
                 out.append(layout.global_coord(i))
         return tuple(sorted(out))
 
-    def weight(self) -> int:
-        return sum(len(e) for e in self.sets) + len(self.globals_)
-
 
 @dataclass
 class AdmissibilityReport:
@@ -84,52 +82,57 @@ class AdmissibilityReport:
     budget: int   # h + delta - 1
 
 
+def _exclusive_points(layout: EvaluationLayout, heavy) -> dict[int, list[int]]:
+    """Per heavy set, in set order, its points that lie in no other heavy
+    set."""
+    count = Counter(x for t in heavy for x in layout.sets[t])
+    return {t: [x for x in layout.sets[t] if count[x] == 1] for t in heavy}
+
+
 def pattern_admissible(layout: EvaluationLayout, pat: ErasurePattern) -> AdmissibilityReport:
     """Sufficient condition for structured recovery: the union of erased
     points over heavy sets plus the global erasures fits within h+delta-1,
     and each heavy set meets the union of the other heavy sets in at most
-    delta-1 evaluation points."""
+    delta-1 evaluation points, i.e. keeps at least |A_t|-delta+1 exclusive
+    points."""
     p = layout.params
     heavy = [i for i, e in enumerate(pat.sets) if len(e) >= p.delta]
-    union = set()
-    for i in heavy:
-        union |= pat.sets[i]
+    union = set().union(*(pat.sets[i] for i in heavy))
     budget = p.h + p.delta - 1
-    ok = len(union) + len(pat.globals_) <= budget
-    if ok:
-        for j in heavy:
-            others = set()
-            for t in heavy:
-                if t != j:
-                    others |= set(layout.sets[t])
-            if len(set(layout.sets[j]) & others) > p.delta - 1:
-                ok = False
-                break
+    ok = len(union) + len(pat.globals_) <= budget and all(
+        len(xs) >= layout.interp_count(t)
+        for t, xs in _exclusive_points(layout, heavy).items())
     return AdmissibilityReport(ok, heavy, len(union), budget)
 
 
 def decode_structured(layout: EvaluationLayout, received, pat: ErasurePattern) -> list[int]:
     """Recover a codeword from an admissible pattern by the polynomial
-    procedure: light sets are re-interpolated; for heavy sets the combined
-    polynomial is split into a known part and an unknown part supported on
-    the union of the heavy sets, the unknown part is interpolated from
-    scaled survivors and surviving global parities, and the per-set
-    polynomials are then read back off the exclusive points.
+    procedure, evaluating every polynomial only at the points it is needed
+    at, through ``lagrange_basis``: no polynomial is built.
 
-    The polynomial construction defines the code, but the decoder builds
-    only the polynomials it must interpolate: those of light sets with
-    erasures, the unknown part and the heavy sets.  Every other polynomial
-    is needed only at points and comes from the layout's cached parity
-    check (``layout.check_rows``) as scalars: a light set's survivors are
-    checked against its local rows, the known part at s is a partial dot
-    product of global row s over the light blocks, phi(s) =
-    Delta(s)/U(s), and the recovered information is re-encoded through
-    the same rows.
+    A light set's erased information symbols are the values of the
+    polynomial through its first |A_i|-delta+1 survivors.  For the heavy
+    sets, the combined polynomial is split into a known part and an
+    unknown part supported on the union U of the heavy sets; the unknown
+    part has degree < |U|-delta+1 and is pinned by that many values: the
+    survivors in U, each scaled by e_t(x) = prod_{y in U - A_t} (x - y),
+    then the surviving global parities, less the known part (a partial dot
+    product of the global row over the light blocks) and divided by
+    phi(s) = Delta(s)/U(s).  Each heavy set's information symbols are then
+    read off its first |A_t|-delta+1 exclusive points.  Admissibility
+    guarantees that there are enough of each.
+
+    The recovered information is re-encoded through ``layout.check_rows``,
+    and the one consistency check compares the result with every survivor.
+    The result is always a codeword, so it matches the survivors iff they
+    extend to a codeword, which admissibility makes unique; survivors the
+    steps above did not read are checked there too.
 
     ``received`` holds None at erased coordinates; those entries are never
     read.  Raises NotAdmissible or Inconsistent.
     """
     fld = layout.field
+    dot = fld.dot
     p = layout.params
     rep = pattern_admissible(layout, pat)
     if not rep.admissible:
@@ -140,8 +143,8 @@ def decode_structured(layout: EvaluationLayout, received, pat: ErasurePattern) -
             raise InvalidParameter("survivor coordinate is missing")
 
     heavy = rep.heavy_sets
-    rows = layout.check_rows
-    # survivors in place, light erasures filled below, heavy blocks zero
+    # survivors in place, light erasures filled below, heavy blocks zero;
+    # only the information coordinates are read
     word = [0 if c in erased else received[c] for c in range(layout.n)]
     for b, a in enumerate(layout.sets):
         coords = layout.block_coords(b)
@@ -149,33 +152,26 @@ def decode_structured(layout: EvaluationLayout, received, pat: ErasurePattern) -
             for c in coords:
                 word[c] = 0
             continue
-        if pat.sets[b]:
-            pts = [(x, word[c]) for x, c in zip(a, coords) if x not in pat.sets[b]]
-            f = interpolate(fld, pts[: layout.interp_count(b)])
-            for x, c in zip(a, coords):
-                if x in pat.sets[b]:
-                    word[c] = f(x)
-        # the block's survivors lie on one polynomial iff its local rows hold
-        for pivot, cs, coeffs in rows[b * (p.delta - 1): (b + 1) * (p.delta - 1)]:
-            if word[pivot] != fld.dot(coeffs, map(word.__getitem__, cs)):
-                raise Inconsistent(f"survivors of set {b} are off-polynomial")
+        cnt = layout.interp_count(b)
+        lost = [(c, x) for c, x in zip(coords, a[:cnt]) if x in pat.sets[b]]
+        if lost:
+            kept = [(x, word[c]) for x, c in zip(a, coords) if x not in pat.sets[b]][:cnt]
+            basis = lagrange_basis(fld, [x for x, _ in kept])
+            ys = [y for _, y in kept]
+            for c, x in lost:
+                word[c] = dot(basis(x), ys)
 
     if heavy:
-        union_pts = set()
-        for t in heavy:
-            union_pts |= set(layout.sets[t])
-        union_sorted = sorted(union_pts)
+        union = sorted({x for t in heavy for x in layout.sets[t]})
         # e_t(x) = prod_{y in U \ A_t} (x - y), which vanishes on U \ A_t
-        outside = {t: [y for y in union_sorted if y not in layout.sets[t]] for t in heavy}
+        outside = {t: [y for y in union if y not in layout.sets[t]] for t in heavy}
 
         def e(t, x):
             return value_from_roots(fld, outside[t], x)
 
-        erased_pts = set()
-        for t in heavy:
-            erased_pts |= pat.sets[t]
-        values: list[tuple[int, int]] = []
-        for x in union_sorted:
+        erased_pts = set().union(*(pat.sets[t] for t in heavy))
+        xs, ys = [], []
+        for x in union:
             if x in erased_pts:
                 continue
             acc = 0
@@ -184,39 +180,30 @@ def decode_structured(layout: EvaluationLayout, received, pat: ErasurePattern) -
                 if x in a:
                     c = received[layout.coord(t, a.index(x))]
                     acc = fld.add(acc, fld.mul(e(t, x), c))
-            values.append((x, acc))
-        global_rows = rows[len(rows) - p.h:]
+            xs.append(x)
+            ys.append(acc)
+        # heavy sets hold >= delta erasures, so the survivors in U fall
+        # short of the need and the global parities complete it
+        need = len(union) - p.delta + 1
+        global_rows = layout.check_rows[len(layout.check_rows) - p.h:]
         for i, s in enumerate(layout.s_points):
+            if len(xs) == need:
+                break
             if s in pat.globals_:
                 continue
             pivot, cs, coeffs = global_rows[i]  # the pivot is s's coordinate
-            known = fld.dot(coeffs, map(word.__getitem__, cs))
-            phi = fld.div(layout.delta_at_s[i], value_from_roots(fld, union_sorted, s))
-            values.append((s, fld.div(fld.sub(received[pivot], known), phi)))
+            known = dot(coeffs, map(word.__getitem__, cs))
+            phi = fld.div(layout.delta_at_s[i], value_from_roots(fld, union, s))
+            xs.append(s)
+            ys.append(fld.div(fld.sub(received[pivot], known), phi))
+        combined = lagrange_basis(fld, xs)
 
-        need = len(union_pts) - p.delta + 1
-        if len(values) < need:
-            raise NotAdmissible("not enough survivors to pin the combined polynomial")
-        f_comb = interpolate(fld, values[:need])
-        for x, y in values[need:]:
-            if f_comb(x) != y:
-                raise Inconsistent("survivors disagree with the combined polynomial")
-
-        for t in heavy:
-            a = layout.sets[t]
-            others = set()
-            for j in heavy:
-                if j != t:
-                    others |= set(layout.sets[j])
-            exclusive = [x for x in a if x not in others]
-            need_t = layout.interp_count(t)
-            pts = [(x, fld.div(f_comb(x), e(t, x))) for x in exclusive[:need_t]]
-            f = interpolate(fld, pts)
-            for x in exclusive[need_t:]:
-                if fld.mul(f(x), e(t, x)) != f_comb(x):
-                    raise Inconsistent(f"heavy set {t} recovery is inconsistent")
-            for c, x in zip(layout.block_coords(t), a[:need_t]):
-                word[c] = f(x)
+        for t, exclusive in _exclusive_points(layout, heavy).items():
+            nodes = exclusive[: layout.interp_count(t)]
+            vals = [fld.div(dot(combined(x), ys), e(t, x)) for x in nodes]
+            basis = lagrange_basis(fld, nodes)
+            for c, x in zip(layout.block_coords(t), layout.sets[t][: len(nodes)]):
+                word[c] = dot(basis(x), vals)
 
     word = encode(layout, [word[c] for c in layout.info_coords])
     for c in range(layout.n):

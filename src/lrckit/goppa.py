@@ -149,17 +149,22 @@ def _roots_with_multiplicity(poly: Poly, fld: FiniteField) -> list[tuple[int, in
     return out
 
 
-def splitting_field_data(params: GoppaParams, order_guard: int = 2**16):
+MAX_SPLITTING_ORDER = 2**16  # largest extension field the root search builds
+
+
+def splitting_field_data(params: GoppaParams):
     """Smallest extension of the base field where both moduli split, plus
-    the embedded root lists.  Raises NotSeparable on repeated roots."""
+    the embedded root lists.  Raises NotSeparable on repeated roots, and
+    InvalidParameter when that field has more than ``MAX_SPLITTING_ORDER``
+    elements."""
     base = params.field
     total = params.delta - 1 + params.h
     d = 1
     while True:
         q_ext = base.p ** (base.m * d)
-        if q_ext > order_guard:
+        if q_ext > MAX_SPLITTING_ORDER:
             raise InvalidParameter(
-                f"splitting field would exceed the order guard {order_guard}"
+                f"splitting field would exceed the order guard {MAX_SPLITTING_ORDER}"
             )
         big = base if d == 1 else FiniteField(base.p, base.m * d)
         emb = subfield_embedding(base, big)

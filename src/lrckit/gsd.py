@@ -19,6 +19,7 @@ import random
 from dataclasses import dataclass
 from functools import partial
 
+from .algebra import factor_prime_power
 from .errors import Infeasible, InvalidParameter, NotRegular
 from .lrc import EvaluationLayout, LinearCode
 from .erasure import chunk_map, pool_size, recoverable
@@ -210,9 +211,11 @@ def check_array(
     ``columns`` selects which columns may be erased whole: "data" restricts
     to the leading data columns, "all" includes parity columns.  Exhaustive
     mode enumerates every pattern (guarded by ``exhaustive_limit``); sampled
-    mode draws ``count`` patterns from the given seed.  The report carries
-    the sector-disk qualification bit y*rows + gamma > d - 1 when the
-    minimum distance ``d`` is supplied.
+    mode draws ``count`` (at least 1) patterns from the given seed.  Raises
+    InvalidParameter unless 0 <= y <= the eligible columns and 0 <= gamma
+    <= the real cells left outside any y of them.  The report carries the
+    sector-disk qualification bit y*rows + gamma > d - 1 when the minimum
+    distance ``d`` is supplied.
 
     ``failures`` holds the first ``MAX_WITNESS`` unrecoverable patterns in
     pattern order, sorted; it is the same for every worker count.
@@ -220,9 +223,16 @@ def check_array(
     if columns not in ("all", "data"):
         raise InvalidParameter("columns must be 'all' or 'data'")
     eligible = list(range(arr.data_cols if columns == "data" else arr.cols))
-    if y > len(eligible):
-        raise InvalidParameter("more columns requested than available")
+    if not 0 <= y <= len(eligible):
+        raise InvalidParameter(f"y must lie in [0, {len(eligible)}], got {y}")
     col_coords = [arr.column_coords(j) for j in range(arr.cols)]
+    # room: the fewest real cells that any y eligible columns leave outside
+    tallest = sorted((len(col_coords[j]) for j in eligible), reverse=True)[:y]
+    room = sum(map(len, col_coords)) - sum(tallest)
+    if not 0 <= gamma <= room:
+        raise InvalidParameter(f"gamma must lie in [0, {room}], got {gamma}")
+    if mode == "sampled" and count < 1:
+        raise InvalidParameter(f"count must be at least 1, got {count}")
 
     def rest_coords(chosen):
         # the coordinates of the real cells outside the chosen columns, in
@@ -240,10 +250,7 @@ def check_array(
     patterns: list[tuple[int, ...]]
     used_seed = None
     if mode == "exhaustive":
-        est = math.comb(len(eligible), y)
-        if gamma:
-            free = sum(map(len, col_coords)) - y * arr.rows
-            est *= math.comb(max(free, 0), gamma)
+        est = math.comb(len(eligible), y) * math.comb(room, gamma)
         if est > exhaustive_limit:
             raise Infeasible(
                 f"~{est} patterns exceed the exhaustive limit; use sampled mode"
@@ -345,8 +352,6 @@ def _claims(rows: int, delta: int, h: int) -> list[dict]:
 
 
 def _next_prime_power(n: int) -> int:
-    from .algebra import factor_prime_power
-
     while True:
         try:
             factor_prime_power(n)
@@ -357,7 +362,10 @@ def _next_prime_power(n: int) -> int:
 
 def family_params(family: str, **kw) -> dict:
     """Closed-form array-code parameters for the four design families, with
-    every corollary item's claims and side conditions evaluated.
+    every corollary item's claims and side conditions evaluated.  The design
+    parameters are checked as the design constructors check them: q1 and
+    every entry of ``prime_powers`` must be prime powers, beta >= 2 and
+    e > 1.
 
     ``d_per_corollary`` is the distance exactly as printed in the source
     statements (h + delta - 1); ``d_singleton`` is the value the distance
@@ -370,6 +378,9 @@ def family_params(family: str, **kw) -> dict:
     notes = []
     if family in ("AG", "PG", "SG"):
         q1, beta = kw["q1"], kw["beta"]
+        factor_prime_power(q1)
+        if beta < 2:
+            raise InvalidParameter("beta must be >= 2")
         if family == "AG":
             r = q1 - delta + 1
             rows = (q1**beta - 1) // (q1 - 1)
@@ -390,6 +401,10 @@ def family_params(family: str, **kw) -> dict:
             q_min = q1**beta + 1 + (r - v)
     elif family == "REGULARPACKING":
         pps, e = kw["prime_powers"], kw["e"]
+        if e <= 1:
+            raise InvalidParameter("e must be > 1")
+        for q in pps:
+            factor_prime_power(q)
         u = len(pps)
         r = e - delta + 1
         n2 = math.prod(pps)

@@ -8,11 +8,14 @@ global parities are the values at S of sum_i f_i * prod_{j != i} g_j with
 g_j = prod_{x in A_j} (x - y).  That polynomial encoder defines the
 structural parity check H, whose rows each have one pivot at a
 local-parity or global coordinate and are otherwise supported on
-information coordinates.  Each layout synthesises H once, from scalar
-values of those polynomials, as sparse rows ``(pivot, coords, coeffs)``
-(``check_rows``); the encoder, the structured decoder and
-``parity_check_matrix`` all run from them, so no polynomial is built per
-codeword.
+information coordinates.  Every entry of H is a value of a Lagrange basis
+polynomial, so each layout synthesises H once, as sparse rows ``(pivot,
+coords, coeffs)`` (``check_rows``), from ``algebra.lagrange_basis`` on
+each block's information points.  The encoder, generator and parity-check
+synthesis run from those rows, and the structured decoder
+(``erasure.decode_structured``) evaluates its interpolants through the
+same basis helper, so no coefficient-form polynomial is built on the codec
+path.
 
 A layout consists of an ordered h-subset S of the field (global-parity
 evaluation points) and ordered sets A_1..A_{L+1} of field elements disjoint
@@ -26,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
-from .algebra import FiniteField, Matrix, value_from_roots
+from .algebra import FiniteField, Matrix, lagrange_basis, value_from_roots
 from .designs import Design
 from .errors import (
     FieldTooSmall,
@@ -168,32 +171,21 @@ class EvaluationLayout:
         """
         fld = self.field
         rows = []
-        bases = []  # per block: (information coordinates, nodes, weights)
+        bases = []  # per block: the Lagrange basis on its information points
         for b, a in enumerate(self.sets):
             cnt = self.interp_count(b)
-            nodes = a[:cnt]
-            weights = [fld.inv(value_from_roots(fld, nodes[:u] + nodes[u + 1:], x))
-                       for u, x in enumerate(nodes)]
+            basis = lagrange_basis(fld, a[:cnt])
+            bases.append(basis)
             info = self.block_coords(b)[:cnt]
-            bases.append((info, nodes, weights))
             for t in range(cnt, len(a)):
-                rows.append((self.coord(b, t), info,
-                             tuple(_lagrange_at(fld, nodes, weights, a[t]))))
+                rows.append((self.coord(b, t), info, tuple(basis(a[t]))))
         for j, s in enumerate(self.s_points):
             coeffs = []
-            for (info, nodes, weights), a in zip(bases, self.sets):
+            for basis, a in zip(bases, self.sets):
                 scale = fld.div(self.delta_at_s[j], value_from_roots(fld, a, s))
-                coeffs += fld.vec_scale(_lagrange_at(fld, nodes, weights, s), scale)
+                coeffs += fld.vec_scale(basis(s), scale)
             rows.append((self.global_coord(j), self.info_coords, tuple(coeffs)))
         return tuple(rows)
-
-
-def _lagrange_at(fld: FiniteField, nodes, weights, x: int) -> list[int]:
-    """Values at x, which is not a node, of the Lagrange basis on ``nodes``
-    with barycentric ``weights``: w_u * prod_{i != u} (x - x_i)."""
-    full = value_from_roots(fld, nodes, x)
-    return [fld.mul(fld.mul(w, full), fld.inv(fld.sub(x, xu)))
-            for xu, w in zip(nodes, weights)]
 
 
 def default_global_points(fld: FiniteField, h: int, forbidden=()) -> tuple[int, ...]:
@@ -215,15 +207,13 @@ def build_layout(
     fld: FiniteField,
     design_or_blocks,
     s_points=None,
-    block_indices=None,
 ) -> EvaluationLayout:
     """Build an evaluation layout from a Design (abstract points are embedded
     into the field) or from explicit ordered sets of field elements.
 
     Design point label i maps to the (i+1)-th element of F_q minus S in
-    canonical order.  The last set is truncated to its first v+delta-1
-    points.  ``block_indices`` selects which blocks to use (default: the
-    first ell+1 in canonical order).
+    canonical order.  The first ell+1 blocks are used, and the last of them
+    is truncated to its first v+delta-1 points.
     """
     p = params
     if isinstance(design_or_blocks, Design):
@@ -246,9 +236,7 @@ def build_layout(
         if s_points is None:
             used = {x for b in raw for x in b}
             s_points = default_global_points(fld, p.h, forbidden=used)
-    if block_indices is None:
-        block_indices = range(p.ell + 1)
-    chosen = [raw[i] for i in block_indices]
+    chosen = raw[: p.ell + 1]
     if len(chosen) != p.ell + 1:
         raise InvalidParameter(f"need ell+1 = {p.ell + 1} blocks, got {len(chosen)}")
     last = chosen[p.ell]

@@ -50,13 +50,6 @@ def layout_from_dict(d: dict) -> EvaluationLayout:
     return EvaluationLayout(fld, params, sets, s_points, truncated_tail=tail)
 
 
-def pattern_to_dict(pat: ErasurePattern) -> dict:
-    return {
-        "sets": [sorted(e) for e in pat.sets],
-        "globals": sorted(pat.globals_),
-    }
-
-
 def pattern_from_dict(layout: EvaluationLayout, d: dict) -> ErasurePattern:
     try:
         sets, globs = d.get("sets", []), d.get("globals", [])

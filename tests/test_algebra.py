@@ -11,6 +11,7 @@ from lrckit.algebra import (
     Poly,
     dump_matrix,
     interpolate,
+    lagrange_basis,
     load_matrix,
     poly_from_roots,
     subfield_embedding,
@@ -199,6 +200,23 @@ def test_interpolate_round_trip(fld, data):
     xs = list(range(deg + 1))
     g = interpolate(fld, [(x, f(x)) for x in xs])
     assert (f - g).is_zero()
+
+
+@given(st.sampled_from([F11, FiniteField(7), F4, F16, F9]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_lagrange_basis_matches_interpolate(fld, data):
+    """At every field element, nodes and non-nodes alike, basis value u is
+    the value of the interpolant of the u-th unit vector."""
+    order = data.draw(st.permutations(range(fld.q)))
+    nodes = order[: data.draw(st.integers(1, min(6, fld.q)))]
+    basis = lagrange_basis(fld, nodes)
+    units = [interpolate(fld, [(x, int(i == u)) for i, x in enumerate(nodes)])
+             for u in range(len(nodes))]
+    for x in fld.elements():
+        assert basis(x) == [f(x) for f in units]
+    repeat = data.draw(st.sampled_from(nodes))
+    with pytest.raises(DuplicateNode):
+        lagrange_basis(fld, nodes + [repeat])
 
 
 def test_from_roots_empty_and_single():

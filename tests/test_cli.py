@@ -65,6 +65,16 @@ def test_bad_worker_count_is_a_usage_error(args, env):
 LENGTH = ("bounds", "length", "--r", "2", "--delta", "2", "--h", "3", "--a", "0")
 CLASSIFY = ("bounds", "classify", "--n", "24", "--k", "14", "--d", "5", "--r", "2",
             "--delta", "2")
+PARAMS = ("gsd", "params", "--delta", "3", "--v", "1")
+EX1_CHECK = ("gsd", "check", "--layout", "{ex1_layout}", "--construction", "basic")
+
+
+def decode_args(layout, n, first):
+    """``erasure decode`` of the word (first, 0, ..., 0) of length n, with
+    no erasures."""
+    word = ",".join([first] + ["0"] * (n - 1))
+    return ("erasure", "decode", "--layout", layout, "--pattern", "{no_erasures}",
+            f"--word={word}")
 
 
 @pytest.mark.parametrize(
@@ -88,13 +98,36 @@ CLASSIFY = ("bounds", "classify", "--n", "24", "--k", "14", "--d", "5", "--r", "
         (*CLASSIFY, "--q", "6"),
         ("erasure", "distance", "--check", "{parity_matrix}", "--d-max", "0"),
         ("erasure", "distance", "--check", "{parity_matrix}", "--d-max", "-3"),
+        decode_args("{ex1_layout}", 24, "11"),
+        decode_args("{ex1_layout}", 24, "-1"),
+        decode_args("{f16_layout}", 40, "16"),
+        decode_args("{f16_layout}", 40, "-1"),
+        (*EX1_CHECK, "--y", "-1", "--gamma", "0"),
+        (*EX1_CHECK, "--y", "1", "--gamma", "-1"),
+        (*EX1_CHECK, "--y", "1", "--gamma", "22"),
+        (*EX1_CHECK, "--y", "1", "--gamma", "22", "--mode", "sampled"),
+        (*LENGTH, "--q", "11", "--r", "0"),
+        (*LENGTH, "--q", "11", "--delta", "0"),
+        (*CLASSIFY, "--q", "11", "--delta", "0"),
+        (*PARAMS, "--family", "ag", "--q1", "1", "--beta", "2"),
+        (*PARAMS, "--family", "pg", "--q1", "1", "--beta", "2"),
+        (*PARAMS, "--family", "sg", "--q1", "1", "--beta", "2"),
+        (*PARAMS, "--family", "ag", "--q1", "6", "--beta", "2"),
+        (*PARAMS, "--family", "ag", "--q1", "0", "--beta", "2"),
+        (*PARAMS, "--family", "ag", "--q1", "3", "--beta", "0"),
+        (*PARAMS, "--family", "regularpacking", "--prime-powers", "7", "--e", "1"),
+        (*PARAMS, "--family", "regularpacking", "--prime-powers", "7", "--e", "-3"),
+        (*PARAMS, "--family", "regularpacking", "--prime-powers", "6", "--e", "5"),
     ],
 )
 def test_bad_invocations_are_usage_errors(tmp_path, capsys, example1_layout, args):
     from lrckit import serial
+    from test_codec import _f16_layout
 
     files = {"{not_json}": "{not json", "{no_keys}": "{}", "{a_list}": "[]",
              "{ex1_layout}": serial.dumps(serial.layout_to_dict(example1_layout)),
+             "{f16_layout}": serial.dumps(serial.layout_to_dict(_f16_layout())),
+             "{no_erasures}": "{}",
              "{bad_matrix}": "11 2 2\n1 x\n3 4\n", "{parity_matrix}": "2 1 3\n1 1 1\n",
              "{bad_design}": "3 2 a\n"}
     for name, text in files.items():
@@ -103,6 +136,28 @@ def test_bad_invocations_are_usage_errors(tmp_path, capsys, example1_layout, arg
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("gsd", "check", "--layout", "{layout}", "--construction", "basic", "--y", "1",
+         "--gamma", "1", "--mode", "sampled", "--count", "0"),
+        ("gsd", "check", "--layout", "{layout}", "--construction", "basic", "--y", "1",
+         "--gamma", "1", "--mode", "sampled", "--count", "-5"),
+        ("fixtures", "run", "example3", "--count", "0"),
+    ],
+)
+def test_bad_count_is_a_usage_error(tmp_path, example1_layout, args):
+    from lrckit import serial
+
+    layout_file = tmp_path / "layout.json"
+    layout_file.write_text(serial.dumps(serial.layout_to_dict(example1_layout)))
+    proc = run_cli(*(str(layout_file) if a == "{layout}" else a for a in args))
+    assert proc.returncode == 2
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--count" in errors[0]
+    assert "Traceback" not in proc.stderr
 
 
 def test_reports_are_byte_identical():
@@ -164,7 +219,7 @@ def test_erasure_check_and_decode(tmp_path, example1_layout):
     assert chk.returncode == 0
     assert json.loads(chk.stdout)["admissible"]
 
-    word = encode(example1_layout, list(range(14)))
+    word = encode(example1_layout, [i % 11 for i in range(14)])  # symbols of F_11
     dec = run_cli(
         "erasure", "decode", "--layout", str(layout_file), "--pattern", str(pattern_file),
         "--word", ",".join(str(x) for x in word),

@@ -9,7 +9,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lrckit import fixtures
+from lrckit import algebra, fixtures
 from lrckit.algebra import FiniteField
 from lrckit.designs import ag_steiner
 from lrckit.erasure import ErasurePattern, decode_linear, decode_structured, pattern_admissible
@@ -160,3 +160,29 @@ def test_codewords_match_reference_on_fixed_codes(make, words):
     for _ in range(words):
         info = [rng.randrange(lay.field.q) for _ in range(lay.params.k)]
         assert encode(lay, info) == poly_encode(lay, info)
+
+
+@pytest.mark.parametrize("make", [fixtures.example1_layout, fixtures.ag13_layout, _f16_layout])
+def test_codec_builds_no_polynomial(make, monkeypatch):
+    """Encoding, the parity check synthesis and structured decoding with one
+    or two heavy sets run on scalars only."""
+    lay = make()
+    assert "check_rows" not in vars(lay)  # synthesised below, under the patch
+
+    def no_poly(self, *args, **kwargs):
+        raise AssertionError("a Poly was built")
+
+    monkeypatch.setattr(algebra.Poly, "__init__", no_poly)
+    p = lay.params
+    rng = random.Random(lay.n)
+    decoded = 0
+    while decoded < 20:
+        word = encode(lay, [rng.randrange(lay.field.q) for _ in range(p.k)])
+        heavy = rng.sample(range(p.ell + 1), rng.randint(1, 2))
+        per_set = [rng.sample(a, rng.randint(p.delta, len(a)) if b in heavy
+                              else rng.randint(0, p.delta - 1))
+                   for b, a in enumerate(lay.sets)]
+        pat = ErasurePattern.make(lay, per_set, rng.sample(lay.s_points, rng.randint(0, p.h)))
+        if pattern_admissible(lay, pat).admissible:
+            assert decode_structured(lay, mask(word, pat.coords(lay)), pat) == word
+            decoded += 1

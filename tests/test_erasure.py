@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lrckit import erasure
+from lrckit import erasure, fixtures
 from lrckit.algebra import FiniteField, Matrix
 from lrckit.erasure import (
     ErasurePattern,
@@ -114,6 +114,30 @@ def test_decoder_detects_corrupt_survivor(example1_layout):
     received = mask(word, pat.coords(lay))
     received[lay.coord(1, 2)] = (received[lay.coord(1, 2)] + 1) % 11
     with pytest.raises(Inconsistent):
+        decode_structured(lay, received, pat)
+
+
+@pytest.mark.parametrize("make, per_set, globs, corrupt", [
+    # a survivor of a light set without erasures
+    (fixtures.example1_layout, {0: [4]}, [], (1, 0)),
+    # a global parity beyond the values that pin the combined polynomial
+    (fixtures.example1_layout, {0: [4, 2]}, [], (7, 2)),
+    # a spare exclusive point of one of two disjoint heavy sets
+    (fixtures.ag13_layout, {0: [0, 1], 10: [3, 4]}, [12], (0, 2)),
+])
+def test_every_survivor_is_checked(make, per_set, globs, corrupt):
+    """A corrupted survivor that the recovery steps do not read is caught
+    by the closing comparison with the re-encoded word."""
+    lay = make()
+    rng = random.Random(7)
+    word = encode(lay, [rng.randrange(lay.field.q) for _ in range(lay.params.k)])
+    pat = ErasurePattern.make(lay, per_set, globs)
+    assert pattern_admissible(lay, pat).admissible
+    received = mask(word, pat.coords(lay))
+    block, t = corrupt
+    c = lay.global_coord(t) if block == len(lay.sets) else lay.coord(block, t)
+    received[c] = lay.field.add(received[c], 1)
+    with pytest.raises(Inconsistent, match="disagrees with a survivor"):
         decode_structured(lay, received, pat)
 
 

@@ -204,6 +204,31 @@ def test_check_array_exhaustive_guard(ex1_array):
         check_array(ex1_array, y=2, gamma=3, exhaustive_limit=10)
 
 
+@pytest.mark.parametrize("kw", [
+    dict(y=-1, gamma=0),
+    dict(y=9, gamma=0),
+    dict(y=1, gamma=-1),
+    dict(y=1, gamma=22),
+    dict(y=1, gamma=22, mode="sampled"),
+    dict(y=1, gamma=1, mode="sampled", count=0),
+    dict(y=1, gamma=1, mode="sampled", count=-5),
+])
+def test_check_array_rejects_bad_arguments(ex1_array, kw):
+    with pytest.raises(InvalidParameter):
+        check_array(ex1_array, **kw)
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+def test_check_array_gamma_fits_every_column_choice(mode):
+    # 7 data columns of 3 cells and a parity column of 2: one erased
+    # column leaves at least 20 of the 23 cells
+    layout = fano_layout(h=2)
+    arr = basic_array(layout, build_code(layout))
+    assert check_array(arr, y=1, gamma=20, mode=mode, count=5)["checked"] > 0
+    with pytest.raises(InvalidParameter):
+        check_array(arr, y=1, gamma=21, mode=mode, count=5)
+
+
 def test_family_params_pg_example():
     rep = family_params("pg", q1=8, beta=2, delta=3, v=1)
     assert rep["n"] == 657 and rep["k"] == 505
