@@ -211,16 +211,35 @@ class FiniteField:
                         prod[d - m + i] = (prod[d - m + i] - c * mod[i]) % p
             return self.from_coords(prod[:m])
 
-        # discrete-log tables over a primitive element (smallest encoding)
+        # discrete-log tables over a primitive element (smallest encoding),
+        # walked by multiplication by gen, which is F_p-linear: x times gen
+        # is the sum over x's coordinates c_i of c_i times the image of X^i
         gen = self.generator = _smallest_generator(q, raw_mul)
-        self._exp = [1] * (2 * (q - 1))
-        self._log = [0] * q
-        x = 1
-        for i in range(q - 1):
-            self._exp[i] = x
-            self._log[x] = i
-            x = raw_mul(x, gen)
-        self._exp[q - 1:] = self._exp[:q - 1]
+        images = [raw_mul(p**i, gen) for i in range(m)]
+        exp = self._exp = [1] * (2 * (q - 1))
+        log = self._log = [0] * q
+        if p == 2:
+            x = 1
+            for i in range(q - 1):
+                exp[i] = x
+                log[x] = i
+                y = 0
+                for image in images:
+                    if x & 1:
+                        y ^= image
+                    x >>= 1
+                x = y
+        else:
+            # columns[k][i]: coordinate k of the image of X^i
+            columns = list(zip(*map(self.coords, images)))
+            weights = [p**k for k in range(m)]
+            cs = [1] + [0] * (m - 1)
+            for i in range(q - 1):
+                x = sum(map(operator.mul, cs, weights))
+                exp[i] = x
+                log[x] = i
+                cs = [sum(map(operator.mul, cs, col)) % p for col in columns]
+        exp[q - 1:] = exp[:q - 1]
         # addition is XOR in characteristic 2, else by Zech logarithms:
         # 1 + g^k = g^_zech[k] (None where g^k = -1); 1 + x raises x's c_0
         if p > 2:

@@ -21,8 +21,8 @@ from .errors import InvalidParameter
 def singleton_bound(n: int, k: int, r: int, delta: int) -> int:
     """Upper bound on the minimum distance of an [n, k] code whose
     information symbols have (r, delta)-locality."""
-    if k < 1 or r < 1:
-        raise InvalidParameter("need k >= 1 and r >= 1")
+    if k < 1 or r < 1 or delta < 1:
+        raise InvalidParameter("need k >= 1, r >= 1 and delta >= 1")
     return n - k + 1 - (math.ceil(k / r) - 1) * (delta - 1)
 
 
@@ -106,7 +106,7 @@ def classify(
     assumes d = h + delta and r | k; when k is not divisible by r the bound
     is still evaluated but flagged advisory, and when d != h + delta the
     bound is marked inapplicable.  Raises InvalidParameter unless q is a
-    prime power.
+    prime power, k >= 1, r >= 1 and delta >= 1.
     """
     factor_prime_power(q)
     singleton = singleton_bound(n, k, r, delta)

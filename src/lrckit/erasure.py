@@ -328,17 +328,17 @@ def _dependent_subset(cols, nrows, fld: FiniteField, size, firsts) -> bool:
     """True iff some ``size`` columns whose lowest index is in ``firsts``
     are dependent, given that no smaller subset is.
 
-    The lowest ``size - 2`` columns of a subset form its prefix, found by
-    a DFS over independent prefixes in lexicographic order.  The later
-    columns (candidates) are kept reduced against the prefix: pushing a
-    pivot subtracts it from each candidate nonzero at its row, so every
-    candidate is zero on the pivot rows and is the one such representative
-    of its class modulo the prefix's span.  As no smaller subset is
-    dependent, the prefix plus candidates a and b is dependent iff their
-    reductions are parallel (or one is zero), so the last two columns are
-    found by one set lookup per candidate, scaled to a leading 1.  Sizes 1
-    and 2 have an empty prefix: a zero column, or a column whose scaled
-    form repeats at a later column."""
+    Every column after the prefix (a candidate) is held normalized: a
+    tuple scaled to a leading 1, its own collision key.  The lowest
+    ``size - 2`` columns of a subset form its prefix, found by a DFS over
+    independent prefixes in lexicographic order.  Pushing a candidate u as
+    a pivot at its leading row reduces and re-normalizes only the later
+    candidates nonzero at that row; the others pass through unchanged.  So
+    each candidate is zero on the pivot rows, the one such normalized
+    vector in its class modulo the prefix's span, up to scale.  As no
+    smaller subset is dependent, the prefix plus candidates a and b is
+    dependent iff a == b or one is zero: one set lookup per candidate.
+    Sizes 1 and 2 have an empty prefix: a zero column, or a repeat."""
     if size == 1:
         return any(not any(cols[j]) for j in firsts)
     vec_sub, vec_scale = fld.vec_sub, fld.vec_scale
@@ -349,31 +349,28 @@ def _dependent_subset(cols, nrows, fld: FiniteField, size, firsts) -> bool:
         # v scaled to a leading 1; the zero vector is its own key
         return tuple(vec_scale(v, invs[next(filter(None, v), 0)]))
 
+    cols = list(map(key, cols))
     if size == 2:
         chosen, seen = set(firsts), set()
         for j in range(len(cols) - 1, -1, -1):
-            k = key(cols[j])
-            if j in chosen and k in seen:
+            if j in chosen and cols[j] in seen:
                 return True
-            seen.add(k)
+            seen.add(cols[j])
         return False
 
     def extend(cands, starts, depth):
-        # cands: the columns after the prefix, reduced against it; a pivot
-        # at position t needs size - depth - 1 more columns after it, the
-        # rest of the prefix and at least two candidates
+        # cands: the normalized columns after the prefix, reduced against
+        # it; a pivot at position t needs size - depth - 1 more columns
+        # after it, the rest of the prefix and at least two candidates
         last = len(cands) - (size - depth - 1)
         for t in starts:
             if t >= last:
                 break
-            v = cands[t]
-            x = next(filter(None, v))
-            pi = v.index(x)  # the first nonzero row
-            u = vec_scale(v, invs[x])
-            rest = [vec_sub(w, w[pi], u) if w[pi] else w for w in cands[t + 1:]]
+            u = cands[t]
+            pi = u.index(1)  # the leading row
+            rest = [key(vec_sub(w, w[pi], u)) if w[pi] else w for w in cands[t + 1:]]
             if depth + 3 == size:
-                keys = set(map(key, rest))
-                if len(keys) < len(rest) or zero in keys:
+                if len(set(rest)) < len(rest) or zero in rest:
                     return True
             elif extend(rest, range(len(rest)), depth + 1):
                 return True
@@ -394,14 +391,16 @@ def min_distance(
     The search is incremental by size: pass s proves that no dependent
     subset of size < s exists before subsets of size s are examined, so the
     first hit is exact.  Within pass s a DFS enumerates the independent
-    prefixes of s - 2 columns, and the last two columns come from a
-    collision step: the later columns, reduced against the prefix and
-    scaled to a leading 1, are dependent with it iff two of them coincide
-    (see ``_dependent_subset``).  ``d_max`` bounds the search (default
-    rank(H) + 1, since any rank + 1 columns are dependent; for a full-rank
-    H of an [n, k] code that is the Singleton bound n - k + 1) and must be
-    at least 1.  Raises Infeasible when the projected number of rank tests
-    exceeds ``node_guard``.
+    prefixes of s - 2 columns.  The later columns are held reduced against
+    the prefix and normalized (scaled to a leading 1), so a pivot touches
+    only the columns nonzero at its row, and the last two columns come from
+    a collision step: two later columns are dependent with the prefix iff
+    their normalized forms coincide or one is zero (see
+    ``_dependent_subset``).  ``d_max`` bounds the search (default rank(H) +
+    1, since any rank + 1 columns are dependent; for a full-rank H of an
+    [n, k] code that is the Singleton bound n - k + 1) and must be at least
+    1.  Raises Infeasible when the projected number of rank tests exceeds
+    ``node_guard``.
 
     With ``workers`` > 1 each pass splits its subsets by lowest column,
     interleaved across one process pool that serves every pass of the call;

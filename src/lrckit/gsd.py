@@ -365,7 +365,7 @@ def family_params(family: str, **kw) -> dict:
     every corollary item's claims and side conditions evaluated.  The design
     parameters are checked as the design constructors check them: q1 and
     every entry of ``prime_powers`` must be prime powers, beta >= 2 and
-    e > 1.
+    e > 1; delta must be at least 2, as ``LrcParams`` requires.
 
     ``d_per_corollary`` is the distance exactly as printed in the source
     statements (h + delta - 1); ``d_singleton`` is the value the distance
@@ -374,6 +374,8 @@ def family_params(family: str, **kw) -> dict:
     """
     family = family.upper()
     delta = kw["delta"]
+    if delta < 2:
+        raise InvalidParameter("delta must be >= 2")
     v = kw["v"]
     notes = []
     if family in ("AG", "PG", "SG"):

@@ -257,17 +257,23 @@ def encode(layout: EvaluationLayout, info) -> list[int]:
     |A_i|-delta+1 coordinates of each block, and every local-parity and
     global coordinate is a dot product of the information with one cached
     row of the structural parity check.  The result is the codeword of the
-    two-step polynomial encoder, which defines those rows.
+    two-step polynomial encoder, which defines those rows.  Raises
+    InvalidParameter unless every symbol is a field element in [0, q).
     """
     p = layout.params
     if len(info) != p.k:
         raise InvalidParameter(f"information vector must have length {p.k}")
+    q = layout.field.q
+    if info and not 0 <= min(info) <= max(info) < q:
+        raise InvalidParameter(f"information symbols must lie in [0, {q})")
     dot = layout.field.dot
+    ic = layout.info_coords
     word = [0] * layout.n
-    for c, x in zip(layout.info_coords, info):
+    for c, x in zip(ic, info):
         word[c] = x
     for pivot, coords, coeffs in layout.check_rows:
-        word[pivot] = dot(coeffs, map(word.__getitem__, coords))
+        # a global row spans all of ``info_coords``: its values are info
+        word[pivot] = dot(coeffs, info if coords is ic else map(word.__getitem__, coords))
     return word
 
 

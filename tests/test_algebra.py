@@ -104,32 +104,48 @@ def test_prime_generator_is_the_smallest_primitive_root(p):
     assert FiniteField(p).generator == (roots[0] if roots else 1)
 
 
+def coord_mul(fld, a, b):
+    """a * b taken on coordinates modulo the field's modulus, apart from
+    its tables."""
+    p, m, mod = fld.p, fld.m, fld.modulus
+    if m == 1:
+        return a * b % p
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(fld.coords(a)):
+        for j, y in enumerate(fld.coords(b)):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for d in range(2 * m - 2, m - 1, -1):
+        for i in range(m):
+            prod[d - m + i] = (prod[d - m + i] - prod[d] * mod[i]) % p
+    return fld.from_coords(prod[:m])
+
+
 def walk_generator(fld):
     """The smallest element whose powers, walked one multiplication at a
-    time, first return to 1 after q - 1 steps (1 for F_2).  Products are
-    taken on coordinates modulo the field's modulus, apart from its
-    tables."""
-    p, m, mod = fld.p, fld.m, fld.modulus
-
-    def mul(a, b):
-        if m == 1:
-            return a * b % p
-        prod = [0] * (2 * m - 1)
-        for i, x in enumerate(fld.coords(a)):
-            for j, y in enumerate(fld.coords(b)):
-                prod[i + j] = (prod[i + j] + x * y) % p
-        for d in range(2 * m - 2, m - 1, -1):
-            for i in range(m):
-                prod[d - m + i] = (prod[d - m + i] - prod[d] * mod[i]) % p
-        return fld.from_coords(prod[:m])
-
+    time, first return to 1 after q - 1 steps (1 for F_2)."""
     for g in range(2, fld.q):
         x, order = g, 1
         while x != 1:
-            x, order = mul(x, g), order + 1
+            x, order = coord_mul(fld, x, g), order + 1
         if order == fld.q - 1:
             return g
     return 1
+
+
+def power_walk_tables(fld):
+    """The exp, log and Zech tables of an extension field, from its
+    generator's powers walked one ``coord_mul`` at a time."""
+    p, q = fld.p, fld.q
+    powers = [1]
+    for _ in range(q - 2):
+        powers.append(coord_mul(fld, powers[-1], fld.generator))
+    log = [0] * q
+    for i, x in enumerate(powers):
+        log[x] = i
+    # 1 + x raises x's coordinate c_0 by one
+    ones = [fld.from_coords([fld.coords(x)[0] + 1] + fld.coords(x)[1:]) for x in powers]
+    zech = [log[y] if y else None for y in ones] if p > 2 else None
+    return powers + powers, log, zech
 
 
 def test_generator_is_the_smallest_primitive_element():
@@ -141,6 +157,21 @@ def test_generator_is_the_smallest_primitive_element():
             continue
         fld = FiniteField(p, m)
         assert fld.generator == walk_generator(fld), fld
+
+
+def test_log_tables_match_a_power_walk():
+    # every extension field up to 3^7
+    for q in range(4, 2188):
+        try:
+            p, m = algebra.factor_prime_power(q)
+        except InvalidParameter:
+            continue
+        if m == 1:
+            continue
+        fld = FiniteField(p, m)
+        exp, log, zech = power_walk_tables(fld)
+        assert fld._exp == exp and fld._log == log, fld
+        assert getattr(fld, "_zech", None) == zech, fld
 
 
 KERNEL_FIELDS = [FiniteField(2), FiniteField(3), FiniteField(5), FiniteField(7),

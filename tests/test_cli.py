@@ -2,19 +2,25 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import lrckit
 from lrckit.cli import main
+
+# the CLI child imports the same lrckit sources as the tests, installed or not
+SRC = str(Path(lrckit.__file__).resolve().parent.parent)
 
 
 def run_cli(*args, input_text=None, env=None):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "lrckit.cli", *args],
         capture_output=True,
         text=True,
         input=input_text,
-        env=None if env is None else {**os.environ, **env},
+        env={**os.environ, "PYTHONPATH": path, **(env or {})},
     )
     return proc
 
@@ -118,6 +124,11 @@ def decode_args(layout, n, first):
         (*PARAMS, "--family", "regularpacking", "--prime-powers", "7", "--e", "1"),
         (*PARAMS, "--family", "regularpacking", "--prime-powers", "7", "--e", "-3"),
         (*PARAMS, "--family", "regularpacking", "--prime-powers", "6", "--e", "5"),
+        ("bounds", "singleton", "--n", "24", "--k", "14", "--r", "2", "--delta", "0"),
+        ("bounds", "classify", "--n", "24", "--k", "14", "--d", "5", "--r", "2", "--delta", "0",
+         "--q", "11", "--h", "1"),
+        ("gsd", "params", "--family", "ag", "--q1", "3", "--beta", "2", "--delta", "0",
+         "--v", "1"),
     ],
 )
 def test_bad_invocations_are_usage_errors(tmp_path, capsys, example1_layout, args):

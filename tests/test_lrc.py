@@ -84,6 +84,14 @@ def test_encode_zero_and_linearity(example1_layout):
     assert encode(lay, combo) == expect
 
 
+@pytest.mark.parametrize("bad", [11, 13, -1])
+def test_encode_rejects_symbols_outside_the_field(example1_layout, bad):
+    info = [0] * example1_layout.params.k
+    info[5] = bad
+    with pytest.raises(InvalidParameter):
+        encode(example1_layout, info)
+
+
 def test_encode_constant_block():
     lay = two_block_layout(h=0)
     word = encode(lay, [5, 5, 0, 0])
