@@ -19,7 +19,6 @@ from .algebra import (
     Matrix,
     Poly,
     dump_matrix,
-    field,
     interpolate,
     lagrange_basis,
     load_matrix,

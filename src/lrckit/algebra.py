@@ -56,37 +56,16 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     return p, m
 
 
-# ----------------------------------------------------------------------
-# base-p polynomial helpers used for modulus search (coefficients are
-# plain lists over F_p, independent of the FiniteField class)
-
-def _pp_mod(num: list[int], den: list[int], p: int) -> list[int]:
-    num = num[:]
-    dd = len(den) - 1
-    inv_lead = pow(den[-1], p - 2, p)
-    while len(num) - 1 >= dd and any(num):
-        while num and num[-1] == 0:
-            num.pop()
-        if len(num) - 1 < dd:
-            break
-        shift = len(num) - 1 - dd
-        factor = num[-1] * inv_lead % p
-        for i, c in enumerate(den):
-            num[shift + i] = (num[shift + i] - factor * c) % p
-        while num and num[-1] == 0:
-            num.pop()
-    return num
-
-
-def _is_irreducible(coeffs: list[int], p: int) -> bool:
+def _is_irreducible(coeffs: Sequence[int], p: int) -> bool:
     """Trial division by every monic polynomial of degree <= deg/2."""
     deg = len(coeffs) - 1
     if coeffs[0] == 0:  # divisible by x
         return deg == 1
+    fp = _shared_field(p, 1, (1 % p, 1))
+    num = Poly(fp, coeffs)
     for d in range(1, deg // 2 + 1):
         for tail in itertools.product(range(p), repeat=d):
-            den = list(tail) + [1]
-            if not _pp_mod(coeffs, den, p):
+            if (num % Poly(fp, tail + (1,))).is_zero():
                 return False
     return True
 
@@ -194,22 +173,12 @@ class FiniteField:
 
     def _build_tables(self) -> None:
         p, m, q = self.p, self.m, self.q
-        mod = self.modulus
+        fp = _shared_field(p, 1, (1 % p, 1))
+        mod = Poly(fp, self.modulus)
 
         def raw_mul(a: int, b: int) -> int:
-            ca, cb = self.coords(a), self.coords(b)
-            prod = [0] * (2 * m - 1)
-            for i, x in enumerate(ca):
-                if x:
-                    for j, y in enumerate(cb):
-                        prod[i + j] = (prod[i + j] + x * y) % p
-            for d in range(2 * m - 2, m - 1, -1):
-                c = prod[d]
-                if c:
-                    prod[d] = 0
-                    for i in range(m):
-                        prod[d - m + i] = (prod[d - m + i] - c * mod[i]) % p
-            return self.from_coords(prod[:m])
+            prod = Poly(fp, self.coords(a)) * Poly(fp, self.coords(b)) % mod
+            return self.from_coords(prod.coeffs)
 
         # discrete-log tables over a primitive element (smallest encoding),
         # walked by multiplication by gen, which is F_p-linear: x times gen
@@ -378,13 +347,6 @@ def _shared_field(p: int, m: int, modulus: tuple[int, ...]) -> FiniteField:
     return FiniteField(p, m, modulus)
 
 
-@lru_cache(maxsize=None)
-def field(q: int) -> FiniteField:
-    """Shared FiniteField instance for order q (canonical modulus)."""
-    p, m = factor_prime_power(q)
-    return FiniteField(p, m)
-
-
 def subfield_embedding(small: FiniteField, big: FiniteField) -> list[int]:
     """Embedding table F_{p^a} -> F_{p^b} (a | b), fixing the prime field.
 
@@ -395,25 +357,11 @@ def subfield_embedding(small: FiniteField, big: FiniteField) -> list[int]:
         raise InvalidParameter("no subfield embedding exists")
     if small.q == big.q:
         return list(range(small.q))
-    mod = small.modulus
-    root = None
-    for x in big.elements():
-        acc = 0
-        for c in reversed(mod):
-            acc = big.add(big.mul(acc, x), c % big.p)
-        if acc == 0:
-            root = x
-            break
+    mod = Poly(big, [c % big.p for c in small.modulus])
+    root = next((x for x in big.elements() if mod(x) == 0), None)
     if root is None:  # pragma: no cover
         raise InternalInvariantViolation("the subfield modulus has no root")
-    table = []
-    for a in range(small.q):
-        cs = small.coords(a)
-        acc = 0
-        for c in reversed(cs):
-            acc = big.add(big.mul(acc, root), c)
-        table.append(acc)
-    return table
+    return [Poly(big, small.coords(a))(root) for a in range(small.q)]
 
 
 # ----------------------------------------------------------------------
@@ -617,10 +565,6 @@ class Matrix:
             ncols = 0
         self.ncols = ncols
         self._supports = None
-
-    @staticmethod
-    def zero(fld: FiniteField, nrows: int, ncols: int) -> "Matrix":
-        return Matrix(fld, [[0] * ncols for _ in range(nrows)], ncols)
 
     def copy_rows(self) -> list[list[int]]:
         return [r[:] for r in self.rows]

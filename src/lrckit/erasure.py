@@ -51,18 +51,6 @@ class ErasurePattern:
             raise InvalidParameter("global erasures outside the global point set")
         return ErasurePattern(tuple(sets), g)
 
-    @staticmethod
-    def from_coords(layout: EvaluationLayout, coords) -> "ErasurePattern":
-        per_set = [set() for _ in layout.sets]
-        globs = set()
-        for c in coords:
-            b, t = layout.locate(c)
-            if b == len(layout.sets):
-                globs.add(layout.s_points[t])
-            else:
-                per_set[b].add(layout.sets[b][t])
-        return ErasurePattern.make(layout, per_set, globs)
-
     def coords(self, layout: EvaluationLayout) -> tuple[int, ...]:
         out = []
         for b, pts in enumerate(self.sets):
@@ -129,7 +117,9 @@ def decode_structured(layout: EvaluationLayout, received, pat: ErasurePattern) -
     steps above did not read are checked there too.
 
     ``received`` holds None at erased coordinates; those entries are never
-    read.  Raises NotAdmissible or Inconsistent.
+    read.  Raises NotAdmissible or Inconsistent, and InvalidParameter when
+    ``received`` does not have n symbols or a survivor is missing or
+    outside [0, q).
     """
     fld = layout.field
     dot = fld.dot
@@ -138,14 +128,10 @@ def decode_structured(layout: EvaluationLayout, received, pat: ErasurePattern) -
     if not rep.admissible:
         raise NotAdmissible("pattern fails the admissibility conditions")
     erased = set(pat.coords(layout))
-    for c in range(layout.n):
-        if c not in erased and received[c] is None:
-            raise InvalidParameter("survivor coordinate is missing")
-
     heavy = rep.heavy_sets
     # survivors in place, light erasures filled below, heavy blocks zero;
     # only the information coordinates are read
-    word = [0 if c in erased else received[c] for c in range(layout.n)]
+    word = _survivors(received, erased, layout.n, fld.q)
     for b, a in enumerate(layout.sets):
         coords = layout.block_coords(b)
         if b in heavy:
@@ -212,6 +198,22 @@ def decode_structured(layout: EvaluationLayout, received, pat: ErasurePattern) -
     return word
 
 
+def _survivors(received, erased, n: int, q: int) -> list[int]:
+    """The received word with its erased coordinates set to 0, after
+    checking that it has n symbols and that every survivor is present and
+    a field element."""
+    word = list(received)
+    if len(word) != n:
+        raise InvalidParameter(f"received word must have length {n}")
+    for c in erased:
+        word[c] = 0
+    if None in word:
+        raise InvalidParameter("survivor coordinate is missing")
+    if word and not 0 <= min(word) <= max(word) < q:
+        raise InvalidParameter(f"received word symbols must lie in [0, {q})")
+    return word
+
+
 # ----------------------------------------------------------------------
 # generic linear-algebra oracle
 
@@ -271,21 +273,23 @@ def decode_linear(code: LinearCode, erased, received) -> list[int] | None:
     """Unique-completion decoder: solve the parity checks for the erased
     coordinates.  Returns None when the erased columns are dependent
     (pattern not recoverable); raises Inconsistent when the survivors do
-    not extend to a codeword.
+    not extend to a codeword, and InvalidParameter when ``received`` does
+    not have n symbols or a survivor is missing or outside [0, q).  Erased
+    entries of ``received`` are not read.
 
     Shares ``recoverable``'s elimination, with tagged columns: the
     survivors' syndrome, padded with zeros, is reduced against the pivots,
     must vanish on the rows of H, and leaves the erased values in the tag
     rows."""
     h = code.check
+    fld = code.field
     erased = set(erased)
+    masked = _survivors(received, erased, code.n, fld.q)
     cols = sorted(erased)
     pivots = _eliminate(h, cols, tagged=True)
     if pivots is None:
         return None
-    fld = code.field
     nrows = h.nrows
-    masked = [0 if j in erased else received[j] for j in range(code.n)]
     # the syndrome from the nonzero entries of H (erased entries of masked
     # are zero)
     v = [fld.dot(map(row.__getitem__, js), map(masked.__getitem__, js))
@@ -379,12 +383,10 @@ def _dependent_subset(cols, nrows, fld: FiniteField, size, firsts) -> bool:
     return extend(cols, firsts, 0)
 
 
-def min_distance(
-    h: Matrix,
-    d_max: int | None = None,
-    workers: int = 1,
-    node_guard: int = 10**8,
-) -> int:
+NODE_GUARD = 10**8  # most rank tests a distance search may project
+
+
+def min_distance(h: Matrix, d_max: int | None = None, workers: int = 1) -> int:
     """Exact minimum distance of the code with parity-check matrix H: the
     smallest s such that some s columns of H are dependent.
 
@@ -399,8 +401,8 @@ def min_distance(
     ``_dependent_subset``).  ``d_max`` bounds the search (default rank(H) +
     1, since any rank + 1 columns are dependent; for a full-rank H of an
     [n, k] code that is the Singleton bound n - k + 1) and must be at least
-    1.  Raises Infeasible when the projected number of rank tests exceeds
-    ``node_guard``.
+    1.  Raises Infeasible when the projected number of rank tests, the sum
+    of C(n, s) over the passes so far, exceeds ``NODE_GUARD``.
 
     With ``workers`` > 1 each pass splits its subsets by lowest column,
     interleaved across one process pool that serves every pass of the call;
@@ -419,9 +421,9 @@ def min_distance(
     with chunk_map(w) as run:
         for s in range(1, d_max + 1):
             est += math.comb(n, s)
-            if est > node_guard:
+            if est > NODE_GUARD:
                 raise Infeasible(
-                    f"distance search would need ~{est} rank tests (> {node_guard})"
+                    f"distance search would need ~{est} rank tests (> {NODE_GUARD})"
                 )
             firsts = range(n - s + 1)
             search = partial(_dependent_subset, cols, h.nrows, h.field, s)

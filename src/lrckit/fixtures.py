@@ -81,10 +81,6 @@ def example1_permutation(layout: EvaluationLayout) -> list[int]:
     return perm
 
 
-def example1_code() -> LinearCode:
-    return build_code(example1_layout())
-
-
 def ag13_layout() -> EvaluationLayout:
     """Layout over F_13 on the twelve lines of the order-3 affine plane:
     r=2, delta=2, v=2, h=4, giving a [40, 24] code."""

@@ -87,10 +87,6 @@ class GoppaParams:
         w = len(self.local_sets[0])
         return tuple(range(i * w, (i + 1) * w))
 
-    def tail_coords(self) -> tuple[int, ...]:
-        start = self.ell * len(self.local_sets[0])
-        return tuple(range(start, self.n))
-
 
 def parity_check(params: GoppaParams) -> Matrix:
     """Structured parity check: per local set, delta-1 rows of
@@ -128,7 +124,6 @@ def build_code(params: GoppaParams) -> LinearCode:
         repair_sets=[params.local_coords(i) for i in range(params.ell)],
         delta=params.delta,
         local_rows=local,
-        no_locality_coords=params.tail_coords(),
     )
 
 

@@ -67,6 +67,11 @@ class LrcParams:
 class EvaluationLayout:
     """Field, global points S, and ordered evaluation sets A_1..A_{L+1}.
 
+    Construct it directly on explicit sets of field elements, or through
+    ``build_layout`` on a design.  The constructor validates the sets and
+    lays out the coordinates; the structural parity check and the values
+    derived from it are computed on first use and cached.
+
     ``truncated_tail`` records the evaluation points dropped when the last
     set was cut down from a full design block to v+delta-1 points; the
     truncated array arrangement keys its parity columns off them.
@@ -106,14 +111,6 @@ class EvaluationLayout:
         self.n = off + p.h
         if self.n != p.n:
             raise InternalInvariantViolation("coordinate bookkeeping mismatch")
-        # max pairwise intersection of evaluation sets, used by bound checks
-        self.intersection_bound = 0
-        for i in range(len(self.sets)):
-            si = set(self.sets[i])
-            for j in range(i + 1, len(self.sets)):
-                c = len(si & set(self.sets[j]))
-                if c > self.intersection_bound:
-                    self.intersection_bound = c
 
     # -- coordinate map ----------------------------------------------------
 
@@ -123,15 +120,6 @@ class EvaluationLayout:
 
     def global_coord(self, i: int) -> int:
         return self.global_offset + i
-
-    def locate(self, coord: int) -> tuple[int, int]:
-        """(block, position) of a flat coordinate; global block is L+1."""
-        if coord >= self.global_offset:
-            return len(self.sets), coord - self.global_offset
-        for b in range(len(self.sets) - 1, -1, -1):
-            if coord >= self.block_offsets[b]:
-                return b, coord - self.block_offsets[b]
-        raise InvalidParameter("coordinate out of range")
 
     def interp_count(self, block: int) -> int:
         """Number of information positions of a block: |A_i| - delta + 1."""
@@ -188,55 +176,42 @@ class EvaluationLayout:
         return tuple(rows)
 
 
-def default_global_points(fld: FiniteField, h: int, forbidden=()) -> tuple[int, ...]:
-    """The last h field elements in canonical order, skipping forbidden ones."""
-    out = []
-    x = fld.q - 1
-    forbidden = set(forbidden)
-    while len(out) < h and x >= 0:
-        if x not in forbidden:
-            out.append(x)
-        x -= 1
-    if len(out) < h:
+def default_global_points(fld: FiniteField, h: int) -> tuple[int, ...]:
+    """The last h field elements in canonical order."""
+    if h > fld.q:
         raise FieldTooSmall("not enough elements for the global point set")
-    return tuple(out)
+    return tuple(range(fld.q - 1, fld.q - 1 - h, -1))
 
 
 def build_layout(
     params: LrcParams,
     fld: FiniteField,
-    design_or_blocks,
+    design: Design,
     s_points=None,
 ) -> EvaluationLayout:
-    """Build an evaluation layout from a Design (abstract points are embedded
-    into the field) or from explicit ordered sets of field elements.
+    """Build an evaluation layout from a Design, whose abstract points are
+    embedded into the field.  Layouts on explicit sets of field elements
+    are built with ``EvaluationLayout`` directly.
 
-    Design point label i maps to the (i+1)-th element of F_q minus S in
-    canonical order.  The first ell+1 blocks are used, and the last of them
-    is truncated to its first v+delta-1 points.
+    S defaults to the last h elements of F_q in canonical order, and design
+    point label i maps to the (i+1)-th element of F_q minus S in canonical
+    order.  The first ell+1 blocks are used, and the last of them is
+    truncated to its first v+delta-1 points.
     """
     p = params
-    if isinstance(design_or_blocks, Design):
-        d = design_or_blocks
-        if d.block_size != p.r + p.delta - 1:
-            raise InvalidParameter(
-                f"design block size {d.block_size} != r+delta-1 = {p.r + p.delta - 1}"
-            )
-        if s_points is None:
-            s_points = default_global_points(fld, p.h)
-        if d.num_points + p.h > fld.q:
-            raise FieldTooSmall(
-                f"need q >= {d.num_points + p.h} to embed {d.num_points} points"
-            )
-        avail = [x for x in fld.elements() if x not in set(s_points)]
-        embed = avail[: d.num_points]
-        raw = [tuple(embed[pt] for pt in b) for b in d.blocks]
-    else:
-        raw = [tuple(b) for b in design_or_blocks]
-        if s_points is None:
-            used = {x for b in raw for x in b}
-            s_points = default_global_points(fld, p.h, forbidden=used)
-    chosen = raw[: p.ell + 1]
+    if design.block_size != p.r + p.delta - 1:
+        raise InvalidParameter(
+            f"design block size {design.block_size} != r+delta-1 = {p.r + p.delta - 1}"
+        )
+    if s_points is None:
+        s_points = default_global_points(fld, p.h)
+    if design.num_points + p.h > fld.q:
+        raise FieldTooSmall(
+            f"need q >= {design.num_points + p.h} to embed {design.num_points} points"
+        )
+    avail = [x for x in fld.elements() if x not in set(s_points)]
+    embed = avail[: design.num_points]
+    chosen = [tuple(embed[pt] for pt in b) for b in design.blocks[: p.ell + 1]]
     if len(chosen) != p.ell + 1:
         raise InvalidParameter(f"need ell+1 = {p.ell + 1} blocks, got {len(chosen)}")
     last = chosen[p.ell]
@@ -331,7 +306,6 @@ class LinearCode:
     repair_sets: list[tuple[int, ...]] = dc_field(default_factory=list)
     delta: int = 2
     local_rows: dict[int, tuple[int, ...]] | None = None
-    no_locality_coords: tuple[int, ...] = ()
 
 
 def build_code(layout: EvaluationLayout) -> LinearCode:
@@ -361,9 +335,9 @@ def punctured_check(code: LinearCode, coords: tuple[int, ...], set_index: int | 
     h = code.check
     cset = set(coords)
     if set_index is not None and code.local_rows and set_index in code.local_rows:
-        rows = [h.rows[i] for i in code.local_rows[set_index]]
-        if all(all(j in cset or v == 0 for j, v in enumerate(r)) for r in rows):
-            return Matrix(code.field, [[r[j] for j in coords] for r in rows], len(coords))
+        local = code.local_rows[set_index]
+        if all(cset.issuperset(h.row_supports()[i]) for i in local):
+            return Matrix(code.field, [[h.rows[i][j] for j in coords] for i in local], len(coords))
     outside = [j for j in range(code.n) if j not in cset]
     reordered = Matrix(code.field, [[r[j] for j in outside + list(coords)] for r in h.rows])
     rows, pivots = reordered.rref()
@@ -394,10 +368,6 @@ class LocalityReport:
     punctured_distances: list[int]
     info_rank: int
     k: int
-
-    @property
-    def info_rank_ok(self) -> bool:
-        return self.info_rank == self.k
 
 
 def verify_locality(code: LinearCode) -> LocalityReport:

@@ -1,3 +1,4 @@
+import itertools
 import pickle
 import random
 
@@ -43,6 +44,29 @@ def test_canonical_moduli():
     assert FiniteField(2, 3).modulus == (1, 1, 0, 1)  # x^3 + x + 1
     assert F16.modulus == (1, 1, 0, 0, 1)             # x^4 + x + 1
     assert F9.modulus == (1, 0, 1)                    # x^2 + 1
+
+
+def monic(p, d):
+    """Every monic polynomial of degree d over F_p, low degree first."""
+    return [tail + (1,) for tail in itertools.product(range(p), repeat=d)]
+
+
+def schoolbook(a, b, p):
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    return tuple(prod)
+
+
+@pytest.mark.parametrize("p, m", [(p, m) for p in (2, 3, 5, 7, 11, 13) for m in range(2, 9)
+                                  if p**m <= 256])
+def test_modulus_is_the_first_irreducible_in_scan_order(p, m):
+    # _smallest_irreducible scans x^m + g(x) by the integer encoding of g
+    reducible = {schoolbook(a, b, p) for d in range(1, m // 2 + 1)
+                 for a in monic(p, d) for b in monic(p, m - d)}
+    scan = (tuple(j // p**i % p for i in range(m)) + (1,) for j in range(p**m))
+    assert FiniteField(p, m).modulus == next(c for c in scan if c not in reducible)
 
 
 def test_bad_field_parameters():
@@ -289,7 +313,7 @@ def test_matrix_rank_basics():
     eye = identity(F11, 3)
     assert eye.rank() == 3
     assert eye.nullspace().nrows == 0
-    z = Matrix.zero(F11, 2, 4)
+    z = Matrix(F11, [[0] * 4] * 2)
     assert z.rank() == 0
     assert z.nullspace().nrows == 4
 
@@ -311,7 +335,7 @@ def test_row_and_column_supports_are_the_nonzero_positions():
     assert m.row_supports() == [tuple(j for j, v in enumerate(r) if v) for r in m.rows]
     assert m.column_supports() == m.transpose().row_supports()
     assert m.row_supports() is m.row_supports()  # cached
-    assert Matrix.zero(F13, 0, 3).column_supports() == [(), (), ()]
+    assert Matrix(F13, [], 3).column_supports() == [(), (), ()]
 
 
 def test_matrix_solve():
@@ -349,12 +373,14 @@ def test_same_row_space():
 
 
 def test_subfield_embedding_is_homomorphism():
-    emb = subfield_embedding(F4, F16)
-    assert emb[0] == 0 and emb[1] == 1
-    for a in range(4):
-        for b in range(4):
-            assert emb[F4.add(a, b)] == F16.add(emb[a], emb[b])
-            assert emb[F4.mul(a, b)] == F16.mul(emb[a], emb[b])
+    for small, big in [(F4, F16), (FiniteField(2), FiniteField(2, 3)), (FiniteField(3), F9),
+                       (FiniteField(2), F16)]:
+        emb = subfield_embedding(small, big)
+        assert emb[0] == 0 and emb[1] == 1 and len(set(emb)) == small.q
+        for a in range(small.q):
+            for b in range(small.q):
+                assert emb[small.add(a, b)] == big.add(emb[a], emb[b])
+                assert emb[small.mul(a, b)] == big.mul(emb[a], emb[b])
     with pytest.raises(InvalidParameter):
         subfield_embedding(F9, F16)
 

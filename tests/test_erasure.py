@@ -186,6 +186,35 @@ def test_decode_linear_no_erasures(example1_layout, example1_code):
         decode_linear(example1_code, (), bad)
 
 
+@pytest.mark.parametrize("coord", [0, 2, 23])  # information, local parity, global
+@pytest.mark.parametrize("bad", [11, -1, None])
+def test_decoders_reject_bad_survivors(example1_layout, example1_code, coord, bad):
+    """A survivor outside [0, q), or missing, is refused by both decoders
+    with a message about the received word, wherever it sits."""
+    lay = example1_layout
+    received = [0] * lay.n  # the zero codeword
+    received[coord] = bad
+    match = "survivor coordinate is missing" if bad is None else r"received word .*\[0, 11\)"
+    with pytest.raises(InvalidParameter, match=match):
+        decode_linear(example1_code, (), received)
+    with pytest.raises(InvalidParameter, match=match):
+        decode_structured(lay, received, ErasurePattern.make(lay, []))
+    # an erased coordinate is not read, so any value may sit there
+    pat = ErasurePattern.make(lay, {0: lay.sets[0]}) if coord < 3 else ErasurePattern.make(
+        lay, [], [lay.s_points[-1]])
+    assert decode_linear(example1_code, pat.coords(lay), received) == [0] * lay.n
+    assert decode_structured(lay, received, pat) == [0] * lay.n
+
+
+def test_decoders_reject_a_word_of_the_wrong_length(example1_layout, example1_code):
+    lay = example1_layout
+    for received in ([0] * (lay.n - 1), [0] * (lay.n + 1)):
+        with pytest.raises(InvalidParameter, match="length 24"):
+            decode_linear(example1_code, (), received)
+        with pytest.raises(InvalidParameter, match="length 24"):
+            decode_structured(lay, received, ErasurePattern.make(lay, []))
+
+
 def test_decode_linear_fails_on_codeword_support(example1_layout, example1_code):
     # erasing the support of a minimum-weight codeword cannot be unique
     lay, code = example1_layout, example1_code
@@ -467,11 +496,12 @@ def test_single_worker_starts_no_pool(monkeypatch, example1_check):
     assert min_distance(example1_check, workers=0) == 5
 
 
-def test_min_distance_guard():
+def test_min_distance_guard(monkeypatch):
     rng = random.Random(2)
     m = Matrix(F11, [[rng.randrange(11) for _ in range(30)] for _ in range(10)])
+    monkeypatch.setattr(erasure, "NODE_GUARD", 10)
     with pytest.raises(Infeasible):
-        min_distance(m, node_guard=10)
+        min_distance(m)
 
 
 def test_min_distance_rejects_bound_below_one():
@@ -495,6 +525,6 @@ def test_min_distance_dmax_sentinel():
 
 def test_pattern_coord_round_trip(example1_layout):
     lay = example1_layout
-    coords = (0, 1, 2, 5, 21)
-    pat = ErasurePattern.from_coords(lay, coords)
-    assert pat.coords(lay) == coords
+    # all of block 0, position 2 of block 1 and the first global point
+    pat = ErasurePattern.make(lay, {0: lay.sets[0], 1: [lay.sets[1][2]]}, [lay.s_points[0]])
+    assert pat.coords(lay) == (0, 1, 2, 5, 21)

@@ -77,7 +77,8 @@ def test_h_zero_direct_sum():
 def test_locality_and_tail_exclusion():
     gp = goppa_optimal_params()
     code = build_code(gp)
-    assert code.no_locality_coords == (6, 7)
+    # the tail set's coordinates lie in no repair set
+    assert set(range(code.n)) - set().union(*code.repair_sets) == {6, 7}
     rep = verify_locality(code)
     assert rep.ok
     assert rep.punctured_distances == [2, 2]

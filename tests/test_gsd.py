@@ -47,11 +47,12 @@ def test_basic_array_shape(ex1_array):
     assert (arr.rows, arr.cols, arr.data_cols) == (3, 8, 7)
     assert_faithful(arr)
     # data columns group coordinates by evaluation point
+    lay = arr.layout
+    point_of = {c: x for b, a in enumerate(lay.sets) for c, x in zip(lay.block_coords(b), a)}
     for j in range(arr.data_cols):
         pt = arr.column_points[j]
         for c in arr.column_coords(j):
-            b, t = arr.layout.locate(c)
-            assert arr.layout.sets[b][t] == pt
+            assert point_of[c] == pt
 
 
 def test_basic_array_no_globals():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -25,6 +26,11 @@ F11 = FiniteField(11)
 F13 = FiniteField(13)
 
 
+def max_intersection(layout):
+    """The most points two evaluation sets of the layout share."""
+    return max(len(set(a) & set(b)) for a, b in itertools.combinations(layout.sets, 2))
+
+
 def two_block_layout(h=0):
     # two disjoint full blocks over F_11, r=2 delta=2
     params = LrcParams(r=2, delta=2, ell=1, v=2, h=h)
@@ -43,7 +49,7 @@ def test_params_bookkeeping():
 def test_example1_layout_shape(example1_layout):
     assert len(example1_layout.sets) == 7
     assert all(len(a) == 3 for a in example1_layout.sets)
-    assert example1_layout.intersection_bound == 1
+    assert max_intersection(example1_layout) == 1
     assert example1_layout.n == 24
 
 
@@ -61,7 +67,7 @@ def test_build_layout_embedding_and_default_s(ag13_layout):
     assert ag13_layout.s_points == (12, 11, 10, 9)
     used = {x for a in ag13_layout.sets for x in a}
     assert used == set(range(9))
-    assert ag13_layout.intersection_bound == 1
+    assert max_intersection(ag13_layout) == 1
 
 
 def test_build_layout_field_too_small():
