@@ -70,7 +70,7 @@ def _is_irreducible(coeffs: Sequence[int], p: int) -> bool:
     return True
 
 
-def _smallest_irreducible(p: int, m: int) -> list[int]:
+def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree m over F_p.
 
     Candidates x^m + g(x) are scanned in increasing order of the integer
@@ -78,11 +78,17 @@ def _smallest_irreducible(p: int, m: int) -> list[int]:
     the highest degree down.
     """
     for j in range(p**m):
-        tail = [(j // p**i) % p for i in range(m)]
-        cand = tail + [1]
+        cand = tuple((j // p**i) % p for i in range(m)) + (1,)
         if _is_irreducible(cand, p):
             return cand
     raise InternalInvariantViolation(f"no irreducible of degree {m} over F_{p}")  # pragma: no cover
+
+
+@lru_cache(maxsize=None)
+def _default_modulus(p: int, m: int) -> tuple[int, ...]:
+    """``_smallest_irreducible`` kept per (p, m): every ``FiniteField(p, m)``
+    without an explicit modulus after the first skips the scan."""
+    return _smallest_irreducible(p, m)
 
 
 def _smallest_generator(q: int, mul) -> int:
@@ -149,7 +155,7 @@ class FiniteField:
             self.generator = _smallest_generator(p, lambda a, b: a * b % p)
         else:
             if modulus is None:
-                mod = _smallest_irreducible(p, m)
+                mod = _default_modulus(p, m)
             else:
                 mod = [c % p for c in modulus]
                 if len(mod) != m + 1 or mod[-1] != 1:
@@ -548,7 +554,13 @@ def interpolate(fld: FiniteField, points: Sequence[tuple[int, int]]) -> Poly:
 
 
 class Matrix:
-    """Row-major matrix of field elements with exact linear algebra."""
+    """Row-major matrix of field elements with exact linear algebra.
+
+    The nonzero structure is derived once, on first use, and cached with
+    the matrix (``column_supports``, ``row_supports``, ``row_terms``); it
+    pickles with it, so worker processes do not rebuild it.  ``rows`` must
+    not be changed after that first use.
+    """
 
     __slots__ = ("field", "rows", "nrows", "ncols", "_supports")
 
@@ -657,15 +669,27 @@ class Matrix:
         """Per-row tuple of nonzero column indices (cached)."""
         return self._nonzeros()[1]
 
-    def _nonzeros(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-        """Column and row supports, built together on first use."""
+    def row_terms(self) -> list[tuple[operator.itemgetter, tuple[int, ...]]]:
+        """Per row, a getter that picks the row's support out of a vector
+        and the row's nonzero values (cached): ``field.dot(vals, get(v))``
+        is the row times v."""
+        return self._nonzeros()[2]
+
+    def _nonzeros(self) -> tuple[list, list, list]:
+        """Column supports, row supports and row terms, built together on
+        first use.  A getter holds a slice for a row with fewer than two
+        nonzeros, so that it too returns a sequence."""
         if self._supports is None:
             by_row = [tuple(j for j, v in enumerate(row) if v) for row in self.rows]
             by_col: list[list[int]] = [[] for _ in range(self.ncols)]
             for i, js in enumerate(by_row):
                 for j in js:
                     by_col[j].append(i)
-            self._supports = ([tuple(s) for s in by_col], by_row)
+            terms = [(operator.itemgetter(*js) if len(js) > 1 else
+                      operator.itemgetter(slice(js[0], js[0] + 1) if js else slice(0)),
+                      tuple(map(row.__getitem__, js)))
+                     for row, js in zip(self.rows, by_row)]
+            self._supports = ([tuple(s) for s in by_col], by_row, terms)
         return self._supports
 
     def __eq__(self, other) -> bool:

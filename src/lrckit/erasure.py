@@ -52,13 +52,15 @@ class ErasurePattern:
         return ErasurePattern(tuple(sets), g)
 
     def coords(self, layout: EvaluationLayout) -> tuple[int, ...]:
+        """The erased coordinates, sorted; only the sets with erased points
+        and the erased global points are visited."""
         out = []
         for b, pts in enumerate(self.sets):
-            a = layout.sets[b]
-            out.extend(layout.coord(b, t) for t, x in enumerate(a) if x in pts)
-        for i, s in enumerate(layout.s_points):
-            if s in self.globals_:
-                out.append(layout.global_coord(i))
+            if pts:
+                out.extend(layout.coord(b, t) for t, x in enumerate(layout.sets[b]) if x in pts)
+        if self.globals_:
+            out.extend(layout.global_coord(i) for i, s in enumerate(layout.s_points)
+                       if s in self.globals_)
         return tuple(sorted(out))
 
 
@@ -110,11 +112,16 @@ def decode_structured(layout: EvaluationLayout, received, pat: ErasurePattern) -
     read off its first |A_t|-delta+1 exclusive points.  Admissibility
     guarantees that there are enough of each.
 
+    Only the blocks with erasures are visited: an untouched light block
+    keeps its survivors as they are.  Each e_t(x) is computed once per call.
+
     The recovered information is re-encoded through ``layout.check_rows``,
-    and the one consistency check compares the result with every survivor.
+    and the one consistency check compares the result, zeroed at the
+    erased coordinates, with the survivors in a single list comparison.
     The result is always a codeword, so it matches the survivors iff they
     extend to a codeword, which admissibility makes unique; survivors the
-    steps above did not read are checked there too.
+    steps above did not read, those of untouched blocks included, are
+    checked there too.
 
     ``received`` holds None at erased coordinates; those entries are never
     read.  Raises NotAdmissible or Inconsistent, and InvalidParameter when
@@ -127,21 +134,24 @@ def decode_structured(layout: EvaluationLayout, received, pat: ErasurePattern) -
     rep = pattern_admissible(layout, pat)
     if not rep.admissible:
         raise NotAdmissible("pattern fails the admissibility conditions")
-    erased = set(pat.coords(layout))
+    erased = pat.coords(layout)
     heavy = rep.heavy_sets
+    survivors = _survivors(received, erased, layout.n, fld.q)
     # survivors in place, light erasures filled below, heavy blocks zero;
     # only the information coordinates are read
-    word = _survivors(received, erased, layout.n, fld.q)
-    for b, a in enumerate(layout.sets):
-        coords = layout.block_coords(b)
+    word = survivors[:]
+    for b, lost_pts in enumerate(pat.sets):
+        if not lost_pts:
+            continue
+        a, coords = layout.sets[b], layout.block_coords(b)
         if b in heavy:
             for c in coords:
                 word[c] = 0
             continue
         cnt = layout.interp_count(b)
-        lost = [(c, x) for c, x in zip(coords, a[:cnt]) if x in pat.sets[b]]
+        lost = [(c, x) for c, x in zip(coords, a[:cnt]) if x in lost_pts]
         if lost:
-            kept = [(x, word[c]) for x, c in zip(a, coords) if x not in pat.sets[b]][:cnt]
+            kept = [(x, word[c]) for x, c in zip(a, coords) if x not in lost_pts][:cnt]
             basis = lagrange_basis(fld, [x for x, _ in kept])
             ys = [y for _, y in kept]
             for c, x in lost:
@@ -151,9 +161,12 @@ def decode_structured(layout: EvaluationLayout, received, pat: ErasurePattern) -
         union = sorted({x for t in heavy for x in layout.sets[t]})
         # e_t(x) = prod_{y in U \ A_t} (x - y), which vanishes on U \ A_t
         outside = {t: [y for y in union if y not in layout.sets[t]] for t in heavy}
+        e_values = {}
 
         def e(t, x):
-            return value_from_roots(fld, outside[t], x)
+            if (t, x) not in e_values:
+                e_values[t, x] = value_from_roots(fld, outside[t], x)
+            return e_values[t, x]
 
         erased_pts = set().union(*(pat.sets[t] for t in heavy))
         xs, ys = [], []
@@ -192,9 +205,11 @@ def decode_structured(layout: EvaluationLayout, received, pat: ErasurePattern) -
                 word[c] = dot(basis(x), vals)
 
     word = encode(layout, [word[c] for c in layout.info_coords])
-    for c in range(layout.n):
-        if c not in erased and word[c] != received[c]:
-            raise Inconsistent("decoded word disagrees with a survivor")
+    check = word[:]
+    for c in erased:
+        check[c] = 0
+    if check != survivors:
+        raise Inconsistent("decoded word disagrees with a survivor")
     return word
 
 
@@ -258,42 +273,53 @@ def _eliminate(h: Matrix, cols, tagged: bool = False):
     return pivots
 
 
+def _columns(coords, n: int) -> list[int]:
+    """The distinct coordinates, sorted; raises InvalidParameter unless
+    they all lie in [0, n)."""
+    cols = sorted(set(coords))
+    if cols and not (0 <= cols[0] and cols[-1] < n):
+        raise InvalidParameter(f"erased coordinates must lie in [0, {n})")
+    return cols
+
+
 def recoverable(h: Matrix, coords) -> bool:
     """True iff the columns of H indexed by ``coords`` are independent,
-    i.e. the erasure pattern has a unique completion.
+    i.e. the erasure pattern has a unique completion.  Raises
+    InvalidParameter unless every coordinate lies in [0, n), n the number
+    of columns of H.
 
     Runs ``_eliminate``, the elimination ``decode_linear`` shares.  On the
     structural parity check, whose local rows come first, a block with at
     most delta-1 erasures is absorbed by its own local rows and only the
     global rows fill in."""
-    return _eliminate(h, sorted(set(coords))) is not None
+    return _eliminate(h, _columns(coords, h.ncols)) is not None
 
 
 def decode_linear(code: LinearCode, erased, received) -> list[int] | None:
     """Unique-completion decoder: solve the parity checks for the erased
     coordinates.  Returns None when the erased columns are dependent
     (pattern not recoverable); raises Inconsistent when the survivors do
-    not extend to a codeword, and InvalidParameter when ``received`` does
-    not have n symbols or a survivor is missing or outside [0, q).  Erased
-    entries of ``received`` are not read.
+    not extend to a codeword, and InvalidParameter when an erased
+    coordinate lies outside [0, n), ``received`` does not have n symbols or
+    a survivor is missing or outside [0, q).  Erased entries of
+    ``received`` are not read.
 
     Shares ``recoverable``'s elimination, with tagged columns: the
     survivors' syndrome, padded with zeros, is reduced against the pivots,
     must vanish on the rows of H, and leaves the erased values in the tag
-    rows."""
+    rows.  Each syndrome entry is one ``field.dot`` of a row's cached
+    nonzero values with the survivors its getter picks (``Matrix.row_terms``)."""
     h = code.check
     fld = code.field
-    erased = set(erased)
-    masked = _survivors(received, erased, code.n, fld.q)
-    cols = sorted(erased)
+    cols = _columns(erased, code.n)
+    masked = _survivors(received, cols, code.n, fld.q)
     pivots = _eliminate(h, cols, tagged=True)
     if pivots is None:
         return None
     nrows = h.nrows
-    # the syndrome from the nonzero entries of H (erased entries of masked
-    # are zero)
-    v = [fld.dot(map(row.__getitem__, js), map(masked.__getitem__, js))
-         for row, js in zip(h.rows, h.row_supports())] + [0] * len(cols)
+    # the syndrome (erased entries of masked are zero)
+    dot = fld.dot
+    v = [dot(vals, get(masked)) for get, vals in h.row_terms()] + [0] * len(cols)
     for pr, pinv, u, su in pivots:
         if v[pr]:
             fld.vec_sub_at(v, fld.mul(v[pr], pinv), u, su)

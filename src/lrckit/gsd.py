@@ -236,8 +236,8 @@ def check_array(
 
     def rest_coords(chosen):
         # the coordinates of the real cells outside the chosen columns, in
-        # real_cells() order: rng.sample picks by position, so this order
-        # fixes the cells a seed draws
+        # real_cells() order: sampled mode draws positions in this list,
+        # so this order fixes the cells a seed draws
         return list(itertools.chain.from_iterable(
             cs for j, cs in enumerate(col_coords) if j not in chosen))
 
@@ -262,10 +262,25 @@ def check_array(
     elif mode == "sampled":
         used_seed = seed
         rng = random.Random(seed)
+        # rng.sample reads only the length of its population and the items
+        # at the positions it draws, so drawing positions of the
+        # rest_coords() list and mapping each to its cell draws the same
+        # cells without building that list
+        flat = list(itertools.chain.from_iterable(col_coords))
+        starts = list(itertools.accumulate(map(len, col_coords), initial=0))
         patterns = []
         for _ in range(count):
             col_choice = sorted(rng.sample(eligible, y))
-            extra = rng.sample(rest_coords(set(col_choice)), gamma) if gamma else ()
+            extra = []
+            if gamma:
+                rest_len = len(flat) - sum(len(col_coords[j]) for j in col_choice)
+                for pos in rng.sample(range(rest_len), gamma):
+                    # step over the chosen columns at or before the cell
+                    for j in col_choice:
+                        if starts[j] > pos:
+                            break
+                        pos += len(col_coords[j])
+                    extra.append(flat[pos])
             patterns.append(pattern_coords(col_choice, extra))
     else:
         raise InvalidParameter("mode must be 'exhaustive' or 'sampled'")

@@ -1,7 +1,8 @@
 """Erasure-pattern streams for the decoder tests: exhaustive heavy-plus-
 global patterns on a layout, and the first fixture's beyond-distance
-column pairs.  Not used by the library, whose sweeps enumerate their own
-patterns (``gsd.check_array``).
+column pairs; and a full-scan reference for ``ErasurePattern.coords``.
+Not used by the library, whose sweeps enumerate their own patterns
+(``gsd.check_array``).
 """
 
 import itertools
@@ -54,3 +55,18 @@ def beyond_distance_patterns():
         coords = pat.coords(layout)
         distinct = set().union(*pat.sets) if pat.sets else set()
         yield pat, len(coords), len(distinct)
+
+
+def full_scan_coords(pat, layout) -> tuple[int, ...]:
+    """The erased coordinates of a pattern, found by testing every
+    coordinate of the layout: block-major evaluation points, then the
+    global points."""
+    out = []
+    for b, a in enumerate(layout.sets):
+        for t, x in enumerate(a):
+            if x in pat.sets[b]:
+                out.append(layout.coord(b, t))
+    for i, s in enumerate(layout.s_points):
+        if s in pat.globals_:
+            out.append(layout.global_coord(i))
+    return tuple(sorted(out))

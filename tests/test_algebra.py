@@ -92,6 +92,17 @@ def test_missing_irreducible_is_an_invariant_violation(monkeypatch):
         algebra._smallest_irreducible(2, 3)
 
 
+def test_default_modulus_is_found_once_per_field(monkeypatch):
+    first = FiniteField(3, 3)
+    # a second scan would now find nothing and raise
+    monkeypatch.setattr(algebra, "_is_irreducible", lambda coeffs, p: False)
+    again = FiniteField(3, 3)
+    assert again.modulus == first.modulus
+    assert [again.mul(a, b) for a in range(27) for b in range(27)] == [
+        first.mul(a, b) for a in range(27) for b in range(27)]
+    assert isinstance(algebra._default_modulus(3, 3), tuple)  # callers cannot change it
+
+
 @given(st.sampled_from(FIELDS), st.data())
 @settings(max_examples=60, deadline=None)
 def test_field_axioms(fld, data):
@@ -336,6 +347,23 @@ def test_row_and_column_supports_are_the_nonzero_positions():
     assert m.column_supports() == m.transpose().row_supports()
     assert m.row_supports() is m.row_supports()  # cached
     assert Matrix(F13, [], 3).column_supports() == [(), (), ()]
+
+
+@pytest.mark.parametrize("fld", [F13, F16])
+def test_row_terms_give_the_row_times_a_vector(fld):
+    # rows with no, one and several nonzeros; the getter of each returns a
+    # sequence that lines up with the row's nonzero values
+    rng = random.Random(11)
+    rows = [[0] * 6, [0, 0, 5, 0, 0, 0], [0] * 5 + [1],
+            [rng.choice([0, rng.randrange(1, fld.q)]) for _ in range(6)], [3, 1, 4, 1, 5, 9]]
+    m = Matrix(fld, rows)
+    v = [rng.randrange(fld.q) for _ in range(6)]
+    for mat in (m, pickle.loads(pickle.dumps(m))):  # the cached getters pickle too
+        terms = mat.row_terms()
+        assert [vals for _, vals in terms] == [
+            tuple(r[j] for j in js) for r, js in zip(rows, mat.row_supports())]
+        assert [fld.dot(vals, get(v)) for get, vals in terms] == m.mul_vec(v)
+    assert m.row_terms() is m.row_terms()  # cached
 
 
 def test_matrix_solve():

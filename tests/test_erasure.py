@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from lrckit import erasure, fixtures
+from lrckit import erasure, fixtures, gsd
 from lrckit.algebra import FiniteField, Matrix
 from lrckit.erasure import (
     ErasurePattern,
@@ -26,7 +26,7 @@ from lrckit.lrc import (
     parity_check_matrix,
 )
 from linref import dense_decode, naive_min_distance
-from patternref import beyond_distance_patterns, heavy_global_patterns
+from patternref import beyond_distance_patterns, full_scan_coords, heavy_global_patterns
 from test_codec import layouts
 
 F2 = FiniteField(2)
@@ -141,6 +141,33 @@ def test_every_survivor_is_checked(make, per_set, globs, corrupt):
         decode_structured(lay, received, pat)
 
 
+@pytest.mark.parametrize("make, per_set, globs", [
+    (fixtures.example1_layout, {0: [4, 2]}, [9]),
+    (fixtures.example1_layout, {1: [1]}, []),
+    (fixtures.ag13_layout, {0: [0, 1], 10: [3, 4]}, [12]),
+    (fixtures.ag13_layout, {3: [0, 5]}, []),
+])
+def test_corrupted_survivor_in_an_untouched_block(make, per_set, globs):
+    """The decoder visits only the blocks with erasures; a corrupted
+    survivor in any block without erasures is still caught, at every
+    position of every such block."""
+    lay = make()
+    rng = random.Random(5)
+    word = encode(lay, [rng.randrange(lay.field.q) for _ in range(lay.params.k)])
+    pat = ErasurePattern.make(lay, per_set, globs)
+    assert pattern_admissible(lay, pat).admissible
+    received = mask(word, pat.coords(lay))
+    assert decode_structured(lay, received, pat) == word
+    untouched = [b for b in range(len(lay.sets)) if not pat.sets[b]]
+    assert untouched
+    for b in untouched:
+        for c in lay.block_coords(b):
+            bad = list(received)
+            bad[c] = lay.field.add(bad[c], 1 + c % (lay.field.q - 1))
+            with pytest.raises(Inconsistent, match="disagrees with a survivor"):
+                decode_structured(lay, bad, pat)
+
+
 def test_oracle_equivalence_exhaustive(example1_layout, example1_code):
     lay, code = example1_layout, example1_code
     rng = random.Random(99)
@@ -229,6 +256,16 @@ def test_recoverable_edges(example1_code):
     assert recoverable(h, ())
     assert not recoverable(h, range(24))
     assert recoverable(h, range(4))  # within distance
+
+
+@pytest.mark.parametrize("coords", [[-1], [-1, 23], [0, -24], [24], [3, 24], [-1, 24]])
+def test_coordinates_outside_the_code_are_rejected(example1_layout, example1_code, coords):
+    # a negative coordinate must not wrap round to the end of the word
+    word = encode(example1_layout, [i % 11 for i in range(14)])
+    with pytest.raises(InvalidParameter, match="erased coordinates"):
+        recoverable(example1_code.check, coords)
+    with pytest.raises(InvalidParameter, match="erased coordinates"):
+        decode_linear(example1_code, coords, word)
 
 
 def independent(h, coords):
@@ -476,6 +513,22 @@ def test_min_distance_workers_agree(example1_check):
     assert min_distance(example1_check) == min_distance(example1_check, workers=2) == 5
 
 
+def test_worker_runs_pickle_a_matrix_with_its_caches_filled():
+    """decode_linear fills the parity check's cached supports and row
+    getters; the same H must still go to worker processes and give the
+    results of a serial run."""
+    lay = fixtures.example1_layout()
+    code = build_code(lay)
+    word = encode(lay, [i % 11 for i in range(lay.params.k)])
+    assert decode_linear(code, [0, 5], zero_fill(word, [0, 5])) == word
+    h = code.check
+    assert h._supports is not None
+    arr = gsd.basic_array(lay, code)
+    shape = dict(y=1, gamma=3, mode="sampled", count=80, seed=9)
+    assert gsd.check_array(arr, workers=2, **shape) == gsd.check_array(arr, workers=1, **shape)
+    assert min_distance(h, workers=2) == min_distance(h, workers=1)
+
+
 def test_pool_size_is_clamped():
     cpus = os.cpu_count() or 1
     assert pool_size(10**6, 1) == 1
@@ -521,6 +574,18 @@ def test_min_distance_dmax_sentinel():
 
 # ----------------------------------------------------------------------
 # patterns
+
+
+@given(layouts(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_pattern_coords_match_a_full_scan(lay, data):
+    # any subset of any set, so empty, partial and full sets all occur
+    per_set = [data.draw(st.lists(st.sampled_from(a), unique=True, max_size=len(a)))
+               for a in lay.sets]
+    globs = data.draw(st.lists(st.sampled_from(lay.s_points), unique=True)
+                      if lay.s_points else st.just([]))
+    pat = ErasurePattern.make(lay, per_set, globs)
+    assert pat.coords(lay) == full_scan_coords(pat, lay)
 
 
 def test_pattern_coord_round_trip(example1_layout):
