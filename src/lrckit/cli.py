@@ -165,7 +165,7 @@ def cmd_lrc_verify(args) -> int:
         "singleton": d_singleton,
     }
     if args.distance:
-        d = min_distance(code.check, workers=args.workers)
+        d = min_distance(code.check)
         out["distance"] = d
         out["optimal"] = d == d_singleton
     _emit(args, out)
@@ -216,7 +216,7 @@ def cmd_erasure_decode(args) -> int:
 
 def cmd_erasure_distance(args) -> int:
     mat = load_matrix(_read(args.check))
-    d = min_distance(mat, d_max=args.d_max, workers=args.workers)
+    d = min_distance(mat, d_max=args.d_max)
     _emit(args, {"rows": mat.nrows, "cols": mat.ncols, "distance": d})
     return 0
 
@@ -296,7 +296,7 @@ def cmd_goppa_build(args) -> int:
 
 def cmd_goppa_check(args) -> int:
     params = _goppa_from_args(args)
-    rep = distance_report(params, t=args.t, workers=args.workers)
+    rep = distance_report(params, t=args.t)
     _emit(args, rep)
     ok = rep["hypotheses"]["hold"] and rep["bound_holds"]
     if "optimality" in rep:
@@ -323,8 +323,8 @@ def cmd_bounds_classify(args) -> int:
 
 def cmd_fixtures_run(args) -> int:
     runners = {
-        "example1": lambda: fixtures.run_example1(workers=args.workers),
-        "example2": lambda: fixtures.run_example2(workers=args.workers),
+        "example1": fixtures.run_example1,
+        "example2": fixtures.run_example2,
         "example3": lambda: fixtures.run_example3(
             sample_count=args.count, seed=args.seed, workers=args.workers
         ),
@@ -382,8 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
         # a string default goes through the type check too, so a bad
         # LRCKIT_WORKERS is a usage error like a bad --workers
         default=os.environ.get("LRCKIT_WORKERS", "1"),
-        help="worker processes for sweeps and distance search (default "
-        "LRCKIT_WORKERS or 1); must be >= 1 and is clamped to the CPU count",
+        help="worker processes for the sweeps of gsd check and fixtures run "
+        "(default LRCKIT_WORKERS or 1); must be >= 1 and is clamped to the CPU count",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -443,7 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--columns", choices=["all", "data"], default="all")
     c.add_argument("--count", type=_positive_int, default=10**4)
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--exhaustive-limit", dest="exhaustive_limit", type=int, default=10**6)
+    c.add_argument("--exhaustive-limit", dest="exhaustive_limit", type=_positive_int,
+                   default=10**6)
     c.add_argument("--d", type=int)
     c.add_argument("--out", default="-")
     c.set_defaults(func=cmd_gsd_check)

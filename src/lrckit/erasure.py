@@ -12,12 +12,8 @@ decoder receives erased coordinates as ``None`` and never reads them.
 from __future__ import annotations
 
 import math
-import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
 
 from .algebra import FiniteField, Matrix, lagrange_basis, value_from_roots
 from .errors import Inconsistent, Infeasible, InvalidParameter, NotAdmissible
@@ -334,79 +330,55 @@ def decode_linear(code: LinearCode, erased, received) -> list[int] | None:
 # exact minimum distance
 
 
-def pool_size(workers: int, tasks: int) -> int:
-    """Worker processes worth starting: the request clamped to the CPU
-    count and to the number of tasks, and at least one."""
-    if workers <= 1:
-        return 1
-    return max(1, min(workers, os.cpu_count() or 1, tasks))
-
-
-@contextmanager
-def chunk_map(workers: int):
-    """Yield a ``map`` for running chunks of work: the builtin one for a
-    single worker, else the map of one process pool that lives for the
-    whole block.  Functions and arguments must pickle when workers > 1."""
-    if workers <= 1:
-        yield map
-        return
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        yield ex.map
-
-
-def _dependent_subset(cols, nrows, fld: FiniteField, size, firsts) -> bool:
-    """True iff some ``size`` columns whose lowest index is in ``firsts``
-    are dependent, given that no smaller subset is.
-
-    Every column after the prefix (a candidate) is held normalized: a
-    tuple scaled to a leading 1, its own collision key.  The lowest
-    ``size - 2`` columns of a subset form its prefix, found by a DFS over
-    independent prefixes in lexicographic order.  Pushing a candidate u as
-    a pivot at its leading row reduces and re-normalizes only the later
-    candidates nonzero at that row; the others pass through unchanged.  So
-    each candidate is zero on the pivot rows, the one such normalized
-    vector in its class modulo the prefix's span, up to scale.  As no
-    smaller subset is dependent, the prefix plus candidates a and b is
-    dependent iff a == b or one is zero: one set lookup per candidate.
-    Sizes 1 and 2 have an empty prefix: a zero column, or a repeat."""
-    if size == 1:
-        return any(not any(cols[j]) for j in firsts)
-    vec_sub, vec_scale = fld.vec_sub, fld.vec_scale
+def _normalizer(fld: FiniteField):
+    """The map taking a vector to its tuple scaled to a leading 1, the zero
+    vector to itself: two nonzero vectors are parallel iff their images
+    coincide."""
+    vec_scale = fld.vec_scale
     invs = [0] + [fld.inv(a) for a in range(1, fld.q)]
+    return lambda v: tuple(vec_scale(v, invs[next(filter(None, v), 0)]))
+
+
+def _dependent_subset(cols, nrows, fld: FiniteField, size) -> bool:
+    """True iff some ``size`` of the columns are dependent, given that no
+    smaller subset is.  ``cols`` holds the columns as ``_normalizer`` maps
+    them, each of ``nrows`` entries.
+
+    Sizes 1 and 2 need no search: a zero column, or, with no zero column, a
+    repeat.  For larger sizes every column after the prefix (a candidate)
+    is held normalized, its own collision key.  The lowest ``size - 2``
+    columns of a subset form its prefix, found by a DFS over independent
+    prefixes in lexicographic order.  Pushing a candidate u as a pivot at
+    its leading row reduces and re-normalizes only the later candidates
+    nonzero at that row; the others pass through unchanged.  So each
+    candidate is zero on the pivot rows, the one such normalized vector in
+    its class modulo the prefix's span, up to scale.  As no smaller subset
+    is dependent, the prefix plus candidates a and b is dependent iff
+    a == b or one is zero: one set lookup per candidate."""
     zero = (0,) * nrows
-
-    def key(v):
-        # v scaled to a leading 1; the zero vector is its own key
-        return tuple(vec_scale(v, invs[next(filter(None, v), 0)]))
-
-    cols = list(map(key, cols))
+    if size == 1:
+        return zero in cols
     if size == 2:
-        chosen, seen = set(firsts), set()
-        for j in range(len(cols) - 1, -1, -1):
-            if j in chosen and cols[j] in seen:
-                return True
-            seen.add(cols[j])
-        return False
+        return len(set(cols)) < len(cols)
+    vec_sub = fld.vec_sub
+    key = _normalizer(fld)
 
-    def extend(cands, starts, depth):
+    def extend(cands, depth):
         # cands: the normalized columns after the prefix, reduced against
         # it; a pivot at position t needs size - depth - 1 more columns
         # after it, the rest of the prefix and at least two candidates
-        last = len(cands) - (size - depth - 1)
-        for t in starts:
-            if t >= last:
-                break
+        for t in range(len(cands) - (size - depth - 1)):
             u = cands[t]
             pi = u.index(1)  # the leading row
             rest = [key(vec_sub(w, w[pi], u)) if w[pi] else w for w in cands[t + 1:]]
             if depth + 3 == size:
                 if len(set(rest)) < len(rest) or zero in rest:
                     return True
-            elif extend(rest, range(len(rest)), depth + 1):
+            elif extend(rest, depth + 1):
                 return True
         return False
 
-    return extend(cols, firsts, 0)
+    return extend(cols, 0)
 
 
 NODE_GUARD = 10**8  # most rank tests a distance search may project
@@ -430,9 +402,9 @@ def min_distance(h: Matrix, d_max: int | None = None, workers: int = 1) -> int:
     1.  Raises Infeasible when the projected number of rank tests, the sum
     of C(n, s) over the passes so far, exceeds ``NODE_GUARD``.
 
-    With ``workers`` > 1 each pass splits its subsets by lowest column,
-    interleaved across one process pool that serves every pass of the call;
-    the pool size is clamped by ``pool_size``.
+    The columns are normalized once per call, and every pass runs in this
+    process.  ``workers`` is accepted, for callers that still pass it, and
+    ignored.
     """
     n = h.ncols
     if n == 0:
@@ -441,18 +413,15 @@ def min_distance(h: Matrix, d_max: int | None = None, workers: int = 1) -> int:
         d_max = h.rank() + 1  # any rank+1 columns are dependent
     elif d_max < 1:
         raise InvalidParameter(f"d_max must be at least 1, got {d_max}")
-    cols = [tuple(h.column(j)) for j in range(n)]
-    w = pool_size(workers, n)
+    key = _normalizer(h.field)
+    cols = [key(h.column(j)) for j in range(n)]
     est = 0
-    with chunk_map(w) as run:
-        for s in range(1, d_max + 1):
-            est += math.comb(n, s)
-            if est > NODE_GUARD:
-                raise Infeasible(
-                    f"distance search would need ~{est} rank tests (> {NODE_GUARD})"
-                )
-            firsts = range(n - s + 1)
-            search = partial(_dependent_subset, cols, h.nrows, h.field, s)
-            if any(run(search, [firsts[i::w] for i in range(w)])):
-                return s
+    for s in range(1, d_max + 1):
+        est += math.comb(n, s)
+        if est > NODE_GUARD:
+            raise Infeasible(
+                f"distance search would need ~{est} rank tests (> {NODE_GUARD})"
+            )
+        if _dependent_subset(cols, h.nrows, h.field, s):
+            return s
     raise Infeasible(f"no dependent subset of size <= {d_max} found")

@@ -127,12 +127,12 @@ def goppa_optimal_params():
 # regression runs
 
 
-def run_example1(workers: int = 1) -> dict:
+def run_example1() -> dict:
     """Published-matrix regression: distance 5, locality, optimality, and
     exact agreement between the constructed code and the printed one."""
     h_pub = example1_check()
     rank = h_pub.rank()
-    d_pub = min_distance(h_pub, workers=workers)
+    d_pub = min_distance(h_pub)
     code_pub = LinearCode(
         field=h_pub.field,
         n=24,
@@ -146,7 +146,7 @@ def run_example1(workers: int = 1) -> dict:
 
     layout = example1_layout()
     code = build_code(layout)
-    d_ours = min_distance(code.check, workers=workers)
+    d_ours = min_distance(code.check)
     loc_ours = verify_locality(code)
     perm = example1_permutation(layout)
     g = generator_matrix(layout)
@@ -182,7 +182,7 @@ def run_example1(workers: int = 1) -> dict:
     return report
 
 
-def run_example2(workers: int = 1) -> dict:
+def run_example2() -> dict:
     """Array regression: every two-column erasure among the first seven
     columns is recoverable although the flat distance is only 5."""
     h_arr = example2_check()
@@ -191,7 +191,7 @@ def run_example2(workers: int = 1) -> dict:
     for a in range(7):
         for b in range(a + 1, 7):
             pair_results.append(recoverable(h_arr, cols[a] + cols[b]))
-    d_flat = min_distance(h_arr, workers=workers)
+    d_flat = min_distance(h_arr)
     s_b_gamma = 2 * 3 + 0
     report = {
         "fixture": "example2",
@@ -257,8 +257,8 @@ def run_example3(sample_count: int = 10**4, seed: int = 20240, workers: int = 1)
 
 def run_all(workers: int = 1, sample_count: int = 10**4, seed: int = 20240) -> dict:
     reports = {
-        "example1": run_example1(workers=workers),
-        "example2": run_example2(workers=workers),
+        "example1": run_example1(),
+        "example2": run_example2(),
         "example3": run_example3(sample_count=sample_count, seed=seed, workers=workers),
     }
     return {"reports": reports, "pass": all(r["pass"] for r in reports.values())}

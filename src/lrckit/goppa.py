@@ -206,7 +206,10 @@ def splitting_parity_check(params: GoppaParams):
 def check_hypotheses(params: GoppaParams, t: int) -> dict:
     """Exhaustively check the overlap hypotheses: every (t+1)-subset D of
     local sets must satisfy the delta-1 intersection condition, and the
-    tail set must avoid every local set."""
+    tail set must avoid every local set.  Raises InvalidParameter for
+    t < 0."""
+    if t < 0:
+        raise InvalidParameter(f"t must be non-negative, got {t}")
     sets = [set(s) for s in params.local_sets]
     overlap_ok = True
     witness = None
@@ -232,7 +235,7 @@ def check_hypotheses(params: GoppaParams, t: int) -> dict:
     }
 
 
-def distance_report(params: GoppaParams, t: int, workers: int = 1) -> dict:
+def distance_report(params: GoppaParams, t: int) -> dict:
     """Verify the distance guarantee d >= min{(t+1)delta, h+delta} by exact
     search, and — when the tail set is nonempty and h+delta <= (t+1)delta —
     the optimality claim d = h+delta with k = n - ell(delta-1) - h."""
@@ -242,7 +245,7 @@ def distance_report(params: GoppaParams, t: int, workers: int = 1) -> dict:
     hyp = check_hypotheses(params, t)
     code = build_code(params)
     bound = min((t + 1) * params.delta, params.h + params.delta)
-    measured = min_distance(code.check, workers=workers)
+    measured = min_distance(code.check)
     k_formula = params.n - params.ell * (params.delta - 1) - params.h
     report = {
         "n": params.n,

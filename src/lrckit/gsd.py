@@ -15,14 +15,17 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 
 from .algebra import factor_prime_power
 from .errors import Infeasible, InvalidParameter, NotRegular
 from .lrc import EvaluationLayout, LinearCode
-from .erasure import chunk_map, pool_size, recoverable
+from .erasure import recoverable
 
 
 @dataclass
@@ -60,24 +63,27 @@ class ArrayLayout:
         return c
 
 
-def _point_occurrences(layout: EvaluationLayout) -> dict[int, list[int]]:
-    """Evaluation point -> flat coordinates carrying it, in block order."""
+def _regular_columns(layout: EvaluationLayout, dropped=()):
+    """The prologue of the array builders: evaluation point -> flat
+    coordinates carrying it, in block order; the points not in
+    ``dropped``, sorted; and the number of coordinates each of those
+    carries, which must be the same for all of them (NotRegular
+    otherwise)."""
     occ: dict[int, list[int]] = {}
     for b, a in enumerate(layout.sets):
         for t, x in enumerate(a):
             occ.setdefault(x, []).append(layout.coord(b, t))
-    return occ
+    points = sorted(set(occ).difference(dropped))
+    counts = {len(occ[x]) for x in points}
+    if len(counts) != 1:
+        raise NotRegular(f"column weights {sorted(counts)} are not uniform")
+    return occ, points, counts.pop()
 
 
 def basic_array(layout: EvaluationLayout, code: LinearCode) -> ArrayLayout:
     """One data column per evaluation point (symbols in block-index order);
     the h global parities fill ceil(h/t) trailing columns, zero-padded."""
-    occ = _point_occurrences(layout)
-    counts = {len(v) for v in occ.values()}
-    if len(counts) != 1:
-        raise NotRegular(f"column weights {sorted(counts)} are not uniform")
-    t = counts.pop()
-    points = sorted(occ)
+    occ, points, t = _regular_columns(layout)
     h = layout.params.h
     extra = (h + t - 1) // t if h else 0
     cols = len(points) + extra
@@ -102,12 +108,7 @@ def basic_array(layout: EvaluationLayout, code: LinearCode) -> ArrayLayout:
 def rearranged_array(layout: EvaluationLayout, code: LinearCode) -> ArrayLayout:
     """Global parities spread evenly below the data cells: requires the
     point count to divide h; yields a (t + h/rho) x rho array."""
-    occ = _point_occurrences(layout)
-    counts = {len(v) for v in occ.values()}
-    if len(counts) != 1:
-        raise NotRegular(f"column weights {sorted(counts)} are not uniform")
-    t = counts.pop()
-    points = sorted(occ)
+    occ, points, t = _regular_columns(layout)
     rho = len(points)
     h = layout.params.h
     if h % rho != 0:
@@ -144,12 +145,7 @@ def truncated_array(layout: EvaluationLayout, code: LinearCode) -> ArrayLayout:
         raise InvalidParameter(
             f"layout records {len(dropped)} dropped points, expected {p.h}"
         )
-    occ = _point_occurrences(layout)
-    rest = sorted(x for x in occ if x not in set(dropped))
-    t_counts = {len(occ[x]) for x in rest}
-    if len(t_counts) != 1:
-        raise NotRegular(f"column weights {sorted(t_counts)} are not uniform")
-    t = t_counts.pop()
+    occ, rest, t = _regular_columns(layout, dropped)
     if any(len(occ[x]) != t - 1 for x in dropped):
         raise NotRegular("dropped points must appear in exactly t-1 blocks")
     points = dropped + rest
@@ -177,6 +173,26 @@ def truncated_array(layout: EvaluationLayout, code: LinearCode) -> ArrayLayout:
 
 
 MAX_WITNESS = 10  # unrecoverable patterns kept as witnesses per sweep
+
+
+def pool_size(workers: int, tasks: int) -> int:
+    """Worker processes worth starting: the request clamped to the CPU
+    count and to the number of tasks, and at least one."""
+    if workers <= 1:
+        return 1
+    return max(1, min(workers, os.cpu_count() or 1, tasks))
+
+
+@contextmanager
+def chunk_map(workers: int):
+    """Yield a ``map`` for running chunks of work: the builtin one for a
+    single worker, else the map of one process pool that lives for the
+    whole block.  Functions and arguments must pickle when workers > 1."""
+    if workers <= 1:
+        yield map
+        return
+    with ProcessPoolExecutor(max_workers=workers) as ex:
+        yield ex.map
 
 
 def _sweep_task(h, chunk):
@@ -210,12 +226,12 @@ def check_array(
 
     ``columns`` selects which columns may be erased whole: "data" restricts
     to the leading data columns, "all" includes parity columns.  Exhaustive
-    mode enumerates every pattern (guarded by ``exhaustive_limit``); sampled
-    mode draws ``count`` (at least 1) patterns from the given seed.  Raises
-    InvalidParameter unless 0 <= y <= the eligible columns and 0 <= gamma
-    <= the real cells left outside any y of them.  The report carries the
-    sector-disk qualification bit y*rows + gamma > d - 1 when the minimum
-    distance ``d`` is supplied.
+    mode enumerates every pattern (guarded by ``exhaustive_limit``, at least
+    1); sampled mode draws ``count`` (at least 1) patterns from the given
+    seed.  Raises InvalidParameter unless 0 <= y <= the eligible columns
+    and 0 <= gamma <= the real cells left outside any y of them.  The
+    report carries the sector-disk qualification bit y*rows + gamma > d - 1
+    when the minimum distance ``d`` is supplied.
 
     ``failures`` holds the first ``MAX_WITNESS`` unrecoverable patterns in
     pattern order, sorted; it is the same for every worker count.
@@ -233,6 +249,8 @@ def check_array(
         raise InvalidParameter(f"gamma must lie in [0, {room}], got {gamma}")
     if mode == "sampled" and count < 1:
         raise InvalidParameter(f"count must be at least 1, got {count}")
+    if mode == "exhaustive" and exhaustive_limit < 1:
+        raise InvalidParameter(f"exhaustive limit must be at least 1, got {exhaustive_limit}")
 
     def rest_coords(chosen):
         # the coordinates of the real cells outside the chosen columns, in

@@ -100,13 +100,12 @@ def test_criterion_04_ag_design_code(ag13_code):
     t0 = time.monotonic()
     d = min_distance(ag13_code.check)
     serial_time = time.monotonic() - t0
-    d_par = min_distance(ag13_code.check, workers=2)
     loc = verify_locality(ag13_code)
     singleton = singleton_bound(40, 24, 2, 2)
-    ok = d == 6 == singleton and d_par == d and loc.ok and serial_time < 600
+    ok = d == 6 == singleton and loc.ok and serial_time < 600
     _shared["d40"] = d
     report(4, ok, f"[40,24] code over F_13: d={d} (=h+delta, singleton={singleton}), "
-                  f"parallel identical={d_par == d}, {serial_time:.1f}s single-core")
+                  f"{serial_time:.1f}s single-core")
 
 
 def _decoder_equivalence(layout, code, rng):

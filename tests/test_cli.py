@@ -171,6 +171,29 @@ def test_bad_count_is_a_usage_error(tmp_path, example1_layout, args):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("limit", ["-1", "0"])
+def test_bad_exhaustive_limit_is_a_usage_error(tmp_path, example1_layout, limit):
+    from lrckit import serial
+
+    layout_file = tmp_path / "layout.json"
+    layout_file.write_text(serial.dumps(serial.layout_to_dict(example1_layout)))
+    proc = run_cli("gsd", "check", "--layout", str(layout_file), "--construction", "basic",
+                   "--y", "1", "--gamma", "1", "--exhaustive-limit", limit)
+    assert proc.returncode == 2
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--exhaustive-limit" in errors[0]
+    assert "Traceback" not in proc.stderr
+
+
+def test_goppa_check_negative_t_is_a_usage_error():
+    proc = run_cli("goppa", "check", "--p", "2", "--m", "4", "--g1", "7,1", "--g2", "0,0,1",
+                   "--sets", "1,2,3;4,5,6", "--t", "-2")
+    assert proc.returncode == 2
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_reports_are_byte_identical():
     args = (
         "gsd", "params", "--family", "pg", "--q1", "8", "--beta", "2",

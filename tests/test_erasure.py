@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import os
 import random
@@ -13,10 +14,10 @@ from lrckit.erasure import (
     decode_structured,
     min_distance,
     pattern_admissible,
-    pool_size,
     recoverable,
 )
 from lrckit.errors import Inconsistent, Infeasible, InvalidParameter, NotAdmissible
+from lrckit.gsd import pool_size
 from lrckit.lrc import (
     EvaluationLayout,
     LinearCode,
@@ -432,21 +433,16 @@ def test_min_distance_matches_naive_on_structural_checks(lay):
 @given(small_matrices())
 @example(MDS_CHECKS[0])
 @settings(max_examples=60, deadline=None)
-def test_dependent_subset_chunks_match_brute_force(m):
-    """Every worker's share of every pass up to the distance, run directly
-    with no pool: the search kernel against "some s-subset whose lowest
-    column is in the share has rank < s"."""
+def test_dependent_subset_matches_brute_force(m):
+    """Every pass up to the distance, run on its own: the search kernel
+    against "some s-subset has rank < s"."""
     n = m.ncols
-    cols = [tuple(m.column(j)) for j in range(n)]
+    key = erasure._normalizer(m.field)
+    cols = [key(m.column(j)) for j in range(n)]
     for s in range(1, n + 1):
-        dependent = [sub for sub in itertools.combinations(range(n), s)
-                     if m.columns(sub).rank() < s]
-        firsts = range(n - s + 1)
-        for w in (2, 3):
-            for i in range(w):
-                share = firsts[i::w]
-                want = any(sub[0] in share for sub in dependent)
-                assert erasure._dependent_subset(cols, m.nrows, m.field, s, share) == want
+        dependent = any(m.columns(sub).rank() < s
+                        for sub in itertools.combinations(range(n), s))
+        assert erasure._dependent_subset(cols, m.nrows, m.field, s) == dependent
         if dependent:  # later passes would break the kernel's premise
             break
 
@@ -509,14 +505,10 @@ def test_recoverable_matches_rank_on_sparse_matrices(case, rng):
             == outcome(dense_decode, h, coords, received))
 
 
-def test_min_distance_workers_agree(example1_check):
-    assert min_distance(example1_check) == min_distance(example1_check, workers=2) == 5
-
-
 def test_worker_runs_pickle_a_matrix_with_its_caches_filled():
     """decode_linear fills the parity check's cached supports and row
     getters; the same H must still go to worker processes and give the
-    results of a serial run."""
+    results of a serial sweep."""
     lay = fixtures.example1_layout()
     code = build_code(lay)
     word = encode(lay, [i % 11 for i in range(lay.params.k)])
@@ -526,7 +518,6 @@ def test_worker_runs_pickle_a_matrix_with_its_caches_filled():
     arr = gsd.basic_array(lay, code)
     shape = dict(y=1, gamma=3, mode="sampled", count=80, seed=9)
     assert gsd.check_array(arr, workers=2, **shape) == gsd.check_array(arr, workers=1, **shape)
-    assert min_distance(h, workers=2) == min_distance(h, workers=1)
 
 
 def test_pool_size_is_clamped():
@@ -539,14 +530,14 @@ def test_pool_size_is_clamped():
         assert pool_size(workers, 100) == 1
 
 
-def test_single_worker_starts_no_pool(monkeypatch, example1_check):
+def test_min_distance_starts_no_pool(monkeypatch, example1_check):
+    """The search runs in one process whatever ``workers`` says."""
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(erasure, "ProcessPoolExecutor", no_pool)
-    monkeypatch.setattr(erasure.os, "cpu_count", no_pool)
-    assert min_distance(example1_check, workers=1) == 5
-    assert min_distance(example1_check, workers=0) == 5
+    monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "__init__", no_pool)
+    for workers in (2, 1, 0):
+        assert min_distance(example1_check, workers=workers) == 5
 
 
 def test_min_distance_guard(monkeypatch):

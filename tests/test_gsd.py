@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from lrckit import erasure, fixtures, serial
+from lrckit import fixtures, gsd, serial
 from lrckit.algebra import FiniteField
 from lrckit.designs import pg_steiner
 from lrckit.errors import Infeasible, InvalidParameter, NotRegular
@@ -195,7 +195,7 @@ def test_check_array_single_worker_starts_no_pool(ex1_array, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(erasure, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(gsd, "ProcessPoolExecutor", no_pool)
     rep = check_array(ex1_array, y=1, gamma=1, mode="sampled", count=20, seed=1, workers=1)
     assert rep["checked"] == 20
 
@@ -217,6 +217,12 @@ def test_check_array_exhaustive_guard(ex1_array):
 def test_check_array_rejects_bad_arguments(ex1_array, kw):
     with pytest.raises(InvalidParameter):
         check_array(ex1_array, **kw)
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+def test_check_array_rejects_exhaustive_limit_below_one(ex1_array, limit):
+    with pytest.raises(InvalidParameter):
+        check_array(ex1_array, y=1, gamma=1, exhaustive_limit=limit)
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
