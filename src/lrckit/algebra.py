@@ -9,8 +9,9 @@ point anywhere.
 
 The split between prime fields (residues mod p) and extension fields (log
 tables; addition by XOR in characteristic 2, else by Zech logarithms) lives
-in ``FiniteField`` alone: every other loop reaches field arithmetic through
-its scalar methods and vector kernels.
+in ``FiniteField`` alone, and is decided once per field: its constructor
+binds the scalar ops and vector kernels for the field's kind, and every
+other loop reaches field arithmetic through them.
 """
 
 from __future__ import annotations
@@ -132,11 +133,18 @@ class FiniteField:
     across runs.  ``generator`` is the smallest-encoded primitive element.
     Instances are immutable and safe to share.
 
-    Addition and the vector kernels of the hot loops are built once per
-    field: ``add(a, b)`` returns a + b, ``vec_sub(v, c, u)`` returns
-    v - c*u, ``vec_sub_at(v, c, u, idx)`` makes that update in place at
-    the positions ``idx`` only, ``vec_scale(v, c)`` returns c*v (v itself
-    when c is 1) and ``dot(a, b)`` is sum(a_i * b_i) over any two iterables.
+    The arithmetic is bound once per field, for its kind (prime,
+    characteristic 2 or odd extension), so no op branches on the kind per
+    call.  The scalar ops are ``add``, ``neg``, ``sub``, ``mul``, ``inv``,
+    ``div`` and ``pow`` (any integer exponent); ``inv``, ``div`` and
+    ``pow`` raise ZeroDivisionError on inverting 0.  The vector kernels:
+    ``vec_sub(v, c, u)`` returns v - c*u, ``vec_sub_at(v, c, u, idx)``
+    makes that update in place at the positions ``idx`` only,
+    ``vec_scale(v, c)`` returns c*v (v itself when c is 1), ``dot(a, b)``
+    is sum(a_i * b_i) over any two iterables, and ``normalize(v)`` is the
+    tuple of v scaled to a leading 1 (the zero vector unchanged), so two
+    nonzero vectors are parallel iff their normal forms coincide.  One
+    inverse table per field serves ``inv`` and ``normalize``.
     """
 
     def __init__(self, p: int, m: int = 1, modulus: Sequence[int] | None = None):
@@ -149,9 +157,6 @@ class FiniteField:
         self.q = p**m
         if m == 1:
             self.modulus = (1 % p, 1) if modulus is None else tuple(modulus)
-            self._inv = [0] * p
-            for a in range(1, p):
-                self._inv[a] = pow(a, p - 2, p)
             self.generator = _smallest_generator(p, lambda a, b: a * b % p)
         else:
             if modulus is None:
@@ -164,7 +169,7 @@ class FiniteField:
                     raise InvalidParameter("modulus is reducible")
             self.modulus = tuple(mod)
             self._build_tables()
-        self._build_vector_ops()
+        self._build_ops()
 
     # -- encoding helpers -------------------------------------------------
 
@@ -221,13 +226,28 @@ class FiniteField:
             ones = (x + 1 if x % p < p - 1 else x + 1 - p for x in self._exp[:q - 1])
             self._zech = [self._log[y] if y else None for y in ones]
 
-    def _build_vector_ops(self) -> None:
-        """Addition and the vector kernels of the class docstring, per field."""
+    def _build_ops(self) -> None:
+        """The scalar ops, vector kernels and ``normalize`` of the class
+        docstring, bound once for the field's kind, with one inverse table."""
+        p, q = self.p, self.q
         if self.m == 1:
-            p, mul = self.p, operator.mul
+            prod = operator.mul
+            invs = [0] + [pow(a, p - 2, p) for a in range(1, p)]
 
             def add(a, b):
                 return (a + b) % p
+
+            def neg(a):
+                return -a % p
+
+            def sub(a, b):
+                return (a - b) % p
+
+            def mul(a, b):
+                return a * b % p
+
+            def power(a, e):
+                return pow(a, e, p) if e >= 0 else pow(inv(a), -e, p)
 
             def vec_sub(v, c, u):
                 return [(a - c * b) % p for a, b in zip(v, u)]
@@ -240,15 +260,19 @@ class FiniteField:
                 return v if c == 1 else [c * a % p for a in v]
 
             def dot(a, b):
-                return sum(map(mul, a, b)) % p
+                return sum(map(prod, a, b)) % p
 
         else:
             exp, log = self._exp, self._log
-            neg = self.neg
-            if self.p == 2:
-                add = operator.xor
+            invs = [0] + [exp[q - 1 - log[a]] for a in range(1, q)]
+            if p == 2:
+                add = sub = operator.xor
+
+                def neg(a):
+                    return a
+
             else:
-                zech = self._zech
+                zech, half = self._zech, (q - 1) // 2
 
                 def add(a, b):
                     # a + b = a * (1 + g^k), k = log b - log a; a negative
@@ -258,6 +282,23 @@ class FiniteField:
                     la = log[a]
                     z = zech[log[b] - la]
                     return 0 if z is None else exp[la + z]
+
+                def neg(a):
+                    # -1 is the element of order 2, g^((q-1)/2)
+                    return exp[log[a] + half] if a else 0
+
+                def sub(a, b):
+                    return add(a, neg(b))
+
+            def mul(a, b):
+                return exp[log[a] + log[b]] if a and b else 0
+
+            def power(a, e):
+                if a:
+                    return exp[log[a] * e % (q - 1)]
+                if e < 0:
+                    raise ZeroDivisionError("inversion of zero field element")
+                return 0 if e else 1
 
             def vec_sub(v, c, u):
                 k = log[neg(c)]
@@ -280,49 +321,21 @@ class FiniteField:
                         acc = add(acc, exp[log[x] + log[y]])
                 return acc
 
-        self.add = add
+        def inv(a):
+            if not a:
+                raise ZeroDivisionError("inversion of zero field element")
+            return invs[a]
+
+        def div(a, b):
+            return mul(a, inv(b))
+
+        def normalize(v):
+            return tuple(vec_scale(v, invs[next(filter(None, v), 0)]))
+
+        self.add, self.neg, self.sub, self.mul, self.inv, self.div, self.pow = (
+            add, neg, sub, mul, inv, div, power)
         self.vec_sub, self.vec_sub_at, self.vec_scale, self.dot = vec_sub, vec_sub_at, vec_scale, dot
-
-    # -- arithmetic --------------------------------------------------------
-
-    def neg(self, a: int) -> int:
-        if self.m == 1:
-            return (-a) % self.p
-        if self.p == 2:
-            return a
-        # -1 is the element of order 2, g^((q-1)/2)
-        return self._exp[self._log[a] + (self.q - 1) // 2] if a else 0
-
-    def sub(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a - b) % self.p
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return a * b % self.p
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[self._log[a] + self._log[b]]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inversion of zero field element")
-        if self.m == 1:
-            return self._inv[a]
-        return self._exp[(self.q - 1) - self._log[a]]
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, e: int) -> int:
-        if a == 0 and e < 0:
-            raise ZeroDivisionError("inversion of zero field element")
-        if self.m == 1:
-            return pow(a, e, self.p) if e >= 0 else pow(self._inv[a], -e, self.p)
-        if a == 0:
-            return 1 if e == 0 else 0
-        return self._exp[(self._log[a] * e) % (self.q - 1)]
+        self.normalize = normalize
 
     def elements(self) -> range:
         return range(self.q)
@@ -487,9 +500,10 @@ def poly_from_roots(fld: FiniteField, roots: Iterable[int]) -> Poly:
 def value_from_roots(fld: FiniteField, roots: Iterable[int], x: int) -> int:
     """prod (x - r) over the roots: the value at x of
     ``poly_from_roots(fld, roots)``, without building the polynomial."""
+    mul, sub = fld.mul, fld.sub
     acc = 1
     for r in roots:
-        acc = fld.mul(acc, fld.sub(x, r))
+        acc = mul(acc, sub(x, r))
     return acc
 
 
@@ -507,7 +521,8 @@ def lagrange_basis(fld: FiniteField, nodes: Sequence[int]):
     position = {x: u for u, x in enumerate(nodes)}
     if len(position) != len(nodes):
         raise DuplicateNode("interpolation nodes must be distinct")
-    weights = [fld.inv(value_from_roots(fld, nodes[:u] + nodes[u + 1:], x))
+    inv, div, sub, vec_scale = fld.inv, fld.div, fld.sub, fld.vec_scale
+    weights = [inv(value_from_roots(fld, nodes[:u] + nodes[u + 1:], x))
                for u, x in enumerate(nodes)]
 
     def basis(x: int) -> list[int]:
@@ -516,8 +531,8 @@ def lagrange_basis(fld: FiniteField, nodes: Sequence[int]):
             out = [0] * len(nodes)
             out[u] = 1
             return out
-        return fld.vec_scale([fld.div(w, fld.sub(x, xu)) for xu, w in zip(nodes, weights)],
-                             value_from_roots(fld, nodes, x))
+        return vec_scale([div(w, sub(x, xu)) for xu, w in zip(nodes, weights)],
+                         value_from_roots(fld, nodes, x))
 
     return basis
 

@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import fixtures, serial
-from .algebra import FiniteField, dump_matrix, load_matrix
+from .algebra import FiniteField, Poly, dump_matrix, load_matrix
 from .bounds import classify, length_bound, singleton_bound
 from .designs import (
     ag_steiner,
@@ -263,8 +263,6 @@ def cmd_gsd_params(args) -> int:
 
 
 def _goppa_from_args(args) -> GoppaParams:
-    from .algebra import Poly
-
     _require(args, ("p",), "goppa")
     fld = FiniteField(args.p, args.m)
     g1 = Poly(fld, _ints(args.g1))

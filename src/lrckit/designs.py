@@ -110,14 +110,7 @@ def pg_steiner(q1: int, beta: int) -> Design:
     fld = FiniteField(p, m)
     dim = beta + 1
     vectors = [v for v in itertools.product(range(q1), repeat=dim) if any(v)]
-
-    def normalize(v):
-        for c in v:
-            if c:
-                return tuple(fld.vec_scale(v, fld.inv(c)))
-        return None
-
-    reps = sorted({normalize(v) for v in vectors})
+    reps = sorted({fld.normalize(v) for v in vectors})
     index = {v: i for i, v in enumerate(reps)}
     blocks = []
     covered = set()  # point pairs on a line already built
@@ -128,7 +121,7 @@ def pg_steiner(q1: int, beta: int) -> Design:
             w = reps[j]
             pts = {i, j}
             for t in range(1, q1):
-                s = normalize(fld.vec_sub(u, fld.neg(t), w))
+                s = fld.normalize(fld.vec_sub(u, fld.neg(t), w))
                 pts.add(index[s])
             line = tuple(sorted(pts))
             blocks.append(line)

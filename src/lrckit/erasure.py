@@ -330,19 +330,10 @@ def decode_linear(code: LinearCode, erased, received) -> list[int] | None:
 # exact minimum distance
 
 
-def _normalizer(fld: FiniteField):
-    """The map taking a vector to its tuple scaled to a leading 1, the zero
-    vector to itself: two nonzero vectors are parallel iff their images
-    coincide."""
-    vec_scale = fld.vec_scale
-    invs = [0] + [fld.inv(a) for a in range(1, fld.q)]
-    return lambda v: tuple(vec_scale(v, invs[next(filter(None, v), 0)]))
-
-
 def _dependent_subset(cols, nrows, fld: FiniteField, size) -> bool:
     """True iff some ``size`` of the columns are dependent, given that no
-    smaller subset is.  ``cols`` holds the columns as ``_normalizer`` maps
-    them, each of ``nrows`` entries.
+    smaller subset is.  ``cols`` holds the columns as ``fld.normalize``
+    maps them (scaled to a leading 1), each of ``nrows`` entries.
 
     Sizes 1 and 2 need no search: a zero column, or, with no zero column, a
     repeat.  For larger sizes every column after the prefix (a candidate)
@@ -360,8 +351,7 @@ def _dependent_subset(cols, nrows, fld: FiniteField, size) -> bool:
         return zero in cols
     if size == 2:
         return len(set(cols)) < len(cols)
-    vec_sub = fld.vec_sub
-    key = _normalizer(fld)
+    vec_sub, key = fld.vec_sub, fld.normalize
 
     def extend(cands, depth):
         # cands: the normalized columns after the prefix, reduced against
@@ -396,11 +386,13 @@ def min_distance(h: Matrix, d_max: int | None = None, workers: int = 1) -> int:
     only the columns nonzero at its row, and the last two columns come from
     a collision step: two later columns are dependent with the prefix iff
     their normalized forms coincide or one is zero (see
-    ``_dependent_subset``).  ``d_max`` bounds the search (default rank(H) +
-    1, since any rank + 1 columns are dependent; for a full-rank H of an
-    [n, k] code that is the Singleton bound n - k + 1) and must be at least
-    1.  Raises Infeasible when the projected number of rank tests, the sum
-    of C(n, s) over the passes so far, exceeds ``NODE_GUARD``.
+    ``_dependent_subset``).  ``d_max`` bounds the search and must be at
+    least 1.  Its default, min(n, nrows) + 1, needs no rank: any rank(H) +
+    1 columns are dependent and rank(H) <= min(n, nrows), so a dependent
+    subset, if any, is found within it; if there is none, rank(H) = n <=
+    nrows and the bound is n + 1.  Raises Infeasible when the projected
+    number of rank tests, the sum of C(n, s) over the passes so far,
+    exceeds ``NODE_GUARD``.
 
     The columns are normalized once per call, and every pass runs in this
     process.  ``workers`` is accepted, for callers that still pass it, and
@@ -410,11 +402,10 @@ def min_distance(h: Matrix, d_max: int | None = None, workers: int = 1) -> int:
     if n == 0:
         raise InvalidParameter("empty matrix")
     if d_max is None:
-        d_max = h.rank() + 1  # any rank+1 columns are dependent
+        d_max = min(n, h.nrows) + 1
     elif d_max < 1:
         raise InvalidParameter(f"d_max must be at least 1, got {d_max}")
-    key = _normalizer(h.field)
-    cols = [key(h.column(j)) for j in range(n)]
+    cols = [h.field.normalize(h.column(j)) for j in range(n)]
     est = 0
     for s in range(1, d_max + 1):
         est += math.comb(n, s)

@@ -14,11 +14,12 @@ from __future__ import annotations
 import hashlib
 from importlib import resources
 
-from .algebra import FiniteField, Matrix, load_matrix
+from .algebra import FiniteField, Matrix, Poly, load_matrix, poly_from_roots
 from .bounds import classify, singleton_bound
 from .designs import ag_steiner, pg_steiner
 from .erasure import min_distance, recoverable
 from .errors import InternalInvariantViolation
+from .goppa import GoppaParams
 from .gsd import check_array, truncated_array
 from .lrc import (
     EvaluationLayout,
@@ -100,9 +101,6 @@ def example3_layout() -> EvaluationLayout:
 def goppa_small_params():
     """Small Goppa-style instance over F_16 with an empty tail set:
     measured k = n - ell(delta-1) - h and distance >= h + delta."""
-    from .algebra import Poly, poly_from_roots
-    from .goppa import GoppaParams
-
     fld = FiniteField(2, 4)
     g1 = Poly(fld, [7, 1])  # x - 7 (char 2)
     g2 = poly_from_roots(fld, [8, 9])
@@ -114,9 +112,6 @@ def goppa_optimal_params():
     d = h + delta holds exactly (verified by exhaustive search; the
     conclusion is instance-dependent, see the small counterexample in the
     tests)."""
-    from .algebra import Poly, poly_from_roots
-    from .goppa import GoppaParams
-
     fld = FiniteField(2, 4)
     g1 = Poly(fld, [0, 1])  # x
     g2 = poly_from_roots(fld, [1, 10])

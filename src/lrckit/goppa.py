@@ -19,6 +19,8 @@ from .algebra import (
     Poly,
     subfield_embedding,
 )
+from .bounds import singleton_bound
+from .erasure import min_distance
 from .errors import InvalidParameter, NotSeparable
 from .lrc import LinearCode
 
@@ -30,7 +32,8 @@ class GoppaParams:
     ``local_sets`` are S_1..S_L (each of size r+delta-1, giving its
     coordinates locality); ``tail_set`` holds the up-to-h extra evaluation
     points whose coordinates have no locality.  The evaluation sequence is
-    the concatenation of the local sets followed by the tail set.
+    the concatenation of the local sets followed by the tail set.  Moduli
+    coefficients and evaluation points are field elements, in [0, q).
     """
 
     field: FiniteField
@@ -40,6 +43,11 @@ class GoppaParams:
     tail_set: tuple[int, ...] = ()
 
     def __post_init__(self):
+        q = self.field.q
+        if not all(0 <= c < q for c in self.g1.coeffs + self.g2.coeffs):
+            raise InvalidParameter(f"modulus coefficients must lie in [0, {q})")
+        if not all(0 <= x < q for x in self.gamma_seq()):
+            raise InvalidParameter(f"evaluation points must lie in [0, {q})")
         if self.g1.degree < 1:
             raise InvalidParameter("local modulus must have degree delta-1 >= 1")
         sizes = {len(s) for s in self.local_sets}
@@ -239,9 +247,6 @@ def distance_report(params: GoppaParams, t: int) -> dict:
     """Verify the distance guarantee d >= min{(t+1)delta, h+delta} by exact
     search, and — when the tail set is nonempty and h+delta <= (t+1)delta —
     the optimality claim d = h+delta with k = n - ell(delta-1) - h."""
-    from .bounds import singleton_bound
-    from .erasure import min_distance
-
     hyp = check_hypotheses(params, t)
     code = build_code(params)
     bound = min((t + 1) * params.delta, params.h + params.delta)

@@ -78,10 +78,12 @@ def test_bad_field_parameters():
         F11.inv(0)
 
 
-@pytest.mark.parametrize("fld", [FiniteField(7), F16])
+@pytest.mark.parametrize("fld", [FiniteField(7), F16, F9])  # one field of each kind
 def test_zero_to_a_negative_power_raises(fld):
-    with pytest.raises(ZeroDivisionError):
-        fld.pow(0, -1)
+    for invert_zero in (fld.inv, lambda b: fld.div(1, b), lambda b: fld.div(0, b),
+                        lambda b: fld.pow(b, -1)):
+        with pytest.raises(ZeroDivisionError):
+            invert_zero(0)
     assert fld.pow(0, 0) == 1 and fld.pow(0, 3) == 0
     assert fld.pow(3, -1) == fld.inv(3)
 
@@ -209,6 +211,33 @@ def test_log_tables_match_a_power_walk():
         assert getattr(fld, "_zech", None) == zech, fld
 
 
+@pytest.mark.parametrize("fld", [FiniteField(2), FiniteField(7), FiniteField(2, 3), F9,
+                                 FiniteField(5, 2)], ids=repr)
+def test_scalar_ops_match_coordinates(fld):
+    """Every pair, against ``coord_mul`` and coordinate-wise subtraction;
+    inverses by search, powers by repeated products in both directions."""
+    p, q = fld.p, fld.q
+    inverse = {b: next(x for x in range(q) if coord_mul(fld, b, x) == 1) for b in range(1, q)}
+
+    def minus(a, b):
+        return fld.from_coords((x - y) % p for x, y in zip(fld.coords(a), fld.coords(b)))
+
+    for a in range(q):
+        assert fld.neg(a) == minus(0, a)
+        for b in range(q):
+            assert fld.mul(a, b) == coord_mul(fld, a, b)
+            assert fld.sub(a, b) == minus(a, b)
+            if b:
+                assert fld.div(a, b) == coord_mul(fld, a, inverse[b])
+        if a:
+            assert fld.inv(a) == inverse[a]
+        for base, sign in ((a, 1), (inverse.get(a), -1)):
+            acc = 1
+            for e in range(q + 1) if base is not None else ():
+                assert fld.pow(a, sign * e) == acc
+                acc = coord_mul(fld, acc, base)
+
+
 KERNEL_FIELDS = [FiniteField(2), FiniteField(3), FiniteField(5), FiniteField(7),
                  F4, FiniteField(2, 3), F9, F16]
 
@@ -232,6 +261,23 @@ def test_vector_kernels_match_scalar_loops(fld, data):
     assert fld.vec_sub_at(w, c, u, idx) is None
     assert w == [fld.sub(a, fld.mul(c, b)) if j in idx else a
                  for j, (a, b) in enumerate(zip(v, u))]
+
+
+@given(st.sampled_from(KERNEL_FIELDS), st.data())
+@settings(max_examples=100, deadline=None)
+def test_normalize_keys_parallel_classes(fld, data):
+    elem = st.one_of(st.just(0), st.integers(0, fld.q - 1))
+    n = data.draw(st.integers(0, 6))
+    u = data.draw(st.lists(elem, min_size=n, max_size=n))
+    c = data.draw(st.integers(1, fld.q - 1))
+    key = fld.normalize(u)
+    assert key == fld.normalize(fld.vec_scale(u, c)) == fld.normalize(tuple(u))
+    if any(u):
+        lead = next(j for j, a in enumerate(u) if a)
+        assert key[:lead + 1] == (0,) * lead + (1,)
+        assert key == tuple(fld.vec_scale(u, fld.inv(u[lead])))
+    else:
+        assert key == tuple(u)  # the zero vector is unchanged
 
 
 def test_interpolate_line():

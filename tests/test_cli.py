@@ -73,6 +73,7 @@ CLASSIFY = ("bounds", "classify", "--n", "24", "--k", "14", "--d", "5", "--r", "
             "--delta", "2")
 PARAMS = ("gsd", "params", "--delta", "3", "--v", "1")
 EX1_CHECK = ("gsd", "check", "--layout", "{ex1_layout}", "--construction", "basic")
+GOPPA_F16 = ("--p", "2", "--m", "4", "--g2", "8,1", "--sets", "1,2,3;4,5,6")
 
 
 def decode_args(layout, n, first):
@@ -99,6 +100,10 @@ def decode_args(layout, n, first):
         ("lrc", "construct", "--p", "13", "--family", "ag", "--q1", "3", "--beta", "2"),
         ("goppa", "build", "--g1", "0,1", "--sets", "2,3"),
         ("goppa", "build", "--p", "2", "--m", "4", "--g1", "0,x", "--sets", "2,3"),
+        ("goppa", "build", *GOPPA_F16, "--g1", "20,1"),
+        ("goppa", "check", *GOPPA_F16, "--g1", "7,1", "--tail", "99", "--t", "1"),
+        ("goppa", "build", "--p", "11", "--g1", "7,1", "--g2", "8,1", "--sets", "1,2,30;4,5,6"),
+        ("goppa", "build", "--p", "11", "--g1", "20,1", "--g2", "8,1", "--sets", "1,2,3;4,5,6"),
         (*LENGTH, "--q", "1"),
         (*LENGTH, "--q", "6"),
         (*CLASSIFY, "--q", "6"),

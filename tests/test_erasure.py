@@ -437,8 +437,7 @@ def test_dependent_subset_matches_brute_force(m):
     """Every pass up to the distance, run on its own: the search kernel
     against "some s-subset has rank < s"."""
     n = m.ncols
-    key = erasure._normalizer(m.field)
-    cols = [key(m.column(j)) for j in range(n)]
+    cols = [m.field.normalize(m.column(j)) for j in range(n)]
     for s in range(1, n + 1):
         dependent = any(m.columns(sub).rank() < s
                         for sub in itertools.combinations(range(n), s))
@@ -538,6 +537,37 @@ def test_min_distance_starts_no_pool(monkeypatch, example1_check):
     monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "__init__", no_pool)
     for workers in (2, 1, 0):
         assert min_distance(example1_check, workers=workers) == 5
+
+
+def test_default_bound_matches_the_rank_bound():
+    """The default d_max, min(n, nrows) + 1, against the rank(H) + 1 it
+    replaces: the same distance, or the same Infeasible message."""
+    rng = random.Random(14)
+    fields = [F2, FiniteField(3), FiniteField(7), FiniteField(2, 2), FiniteField(3, 2)]
+
+    def outcome(m, **kw):
+        try:
+            return min_distance(m, **kw)
+        except Infeasible as exc:
+            return str(exc)
+
+    for _ in range(3000):
+        fld = rng.choice(fields)
+        nrows, ncols = rng.randint(0, 5), rng.randint(1, 8)
+        rows = [[rng.choice((0, rng.randrange(fld.q))) for _ in range(ncols)]
+                for _ in range(nrows)]
+        m = Matrix(fld, rows, ncols)
+        assert outcome(m) == outcome(m, d_max=m.rank() + 1), m.rows
+
+
+def test_default_bound_takes_no_rank(monkeypatch, example1_check):
+    def no_rref(self):
+        raise AssertionError("Matrix.rref was called")
+
+    monkeypatch.setattr(Matrix, "rref", no_rref)
+    assert min_distance(example1_check) == 5
+    with pytest.raises(Infeasible, match="size <= 3"):
+        min_distance(Matrix(F2, [[1, 0], [0, 1], [1, 1]]))  # independent columns
 
 
 def test_min_distance_guard(monkeypatch):

@@ -42,6 +42,9 @@ def test_params_validation():
         GoppaParams(F16, g1, g2, [(1, 2, 3), (4, 5, 6)])  # g1 vanishes at 1
     with pytest.raises(InvalidParameter):
         GoppaParams(F16, Poly(F16, [7, 1]), g2, [(1, 1, 3)])  # repeated point
+    for g1, sets in ((Poly(F16, [20, 1]), [(1, 2, 3)]), (Poly(F16, [7, 1]), [(1, 2, 16)])):
+        with pytest.raises(InvalidParameter, match=r"must lie in \[0, 16\)"):
+            GoppaParams(F16, g1, g2, sets)  # outside the field
 
 
 def test_parity_check_shape_and_rank():
