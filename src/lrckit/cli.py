@@ -202,7 +202,7 @@ def cmd_erasure_decode(args) -> int:
     masked = [None if c in coords else word[c] for c in range(layout.n)]
     structured = decode_structured(layout, masked, pat)
     code = build_code(layout)
-    linear = decode_linear(code, coords, [0 if c in coords else word[c] for c in range(layout.n)])
+    linear = decode_linear(code, coords, masked)
     out = {
         "erased": sorted(coords),
         "structured": structured,

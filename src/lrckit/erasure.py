@@ -31,16 +31,23 @@ class ErasurePattern:
     def make(layout: EvaluationLayout, per_set, global_points=()) -> "ErasurePattern":
         """Build a pattern from erased points per set (a list aligned with
         the layout's sets, or a dict keyed by set index) plus erased global
-        points."""
+        points.  Raises InvalidParameter for a set index the layout does
+        not have, and for a list longer than the layout's sets."""
+        nsets = len(layout.sets)
         if isinstance(per_set, dict):
-            per_set = [per_set.get(b, ()) for b in range(len(layout.sets))]
+            unknown = set(per_set) - set(range(nsets))
+            if unknown:
+                raise InvalidParameter(f"the layout has no evaluation set {min(unknown, key=repr)!r}")
+            per_set = [per_set.get(b, ()) for b in range(nsets)]
+        elif len(per_set) > nsets:
+            raise InvalidParameter(f"pattern has {len(per_set)} sets, the layout {nsets}")
         sets = []
         for b, pts in enumerate(per_set):
             pts = frozenset(pts)
             if not pts <= set(layout.sets[b]):
                 raise InvalidParameter(f"erasures outside evaluation set {b}")
             sets.append(pts)
-        while len(sets) < len(layout.sets):
+        while len(sets) < nsets:
             sets.append(frozenset())
         g = frozenset(global_points)
         if not g <= set(layout.s_points):

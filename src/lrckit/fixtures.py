@@ -128,14 +128,7 @@ def run_example1() -> dict:
     h_pub = example1_check()
     rank = h_pub.rank()
     d_pub = min_distance(h_pub)
-    code_pub = LinearCode(
-        field=h_pub.field,
-        n=24,
-        k=24 - rank,
-        check=h_pub,
-        repair_sets=example1_repair_sets(),
-        delta=2,
-    )
+    code_pub = LinearCode(k=24 - rank, check=h_pub, repair_sets=example1_repair_sets(), delta=2)
     loc = verify_locality(code_pub)
     singleton = singleton_bound(24, 14, 2, 2)
 

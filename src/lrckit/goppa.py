@@ -119,19 +119,11 @@ def parity_check(params: GoppaParams) -> Matrix:
 
 def build_code(params: GoppaParams) -> LinearCode:
     h = parity_check(params)
-    k = params.n - h.rank()
-    local = {
-        i: tuple(range(i * (params.delta - 1), (i + 1) * (params.delta - 1)))
-        for i in range(params.ell)
-    }
     return LinearCode(
-        field=params.field,
-        n=params.n,
-        k=k,
+        k=params.n - h.rank(),
         check=h,
         repair_sets=[params.local_coords(i) for i in range(params.ell)],
         delta=params.delta,
-        local_rows=local,
     )
 
 

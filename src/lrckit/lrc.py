@@ -22,6 +22,11 @@ evaluation points) and ordered sets A_1..A_{L+1} of field elements disjoint
 from S, with |A_i| = r+delta-1 for i <= L and |A_{L+1}| = v+delta-1.
 Codeword coordinates are block-major: block 1's points, block 2's points,
 ..., then the h global coordinates.
+
+A ``LinearCode`` is a code given by its parity check H alone, with declared
+repair sets.  ``verify_locality`` checks the paper's information locality
+on it, shortening the dual to each repair set from H's own supports
+(``punctured_checks``), whatever the order or the form of H's rows.
 """
 
 from __future__ import annotations
@@ -290,67 +295,81 @@ def parity_check_matrix(layout: EvaluationLayout) -> Matrix:
 
 
 # ----------------------------------------------------------------------
-# linear codes with declared repair sets
+# linear codes with declared repair sets and their locality
 
 
 @dataclass
 class LinearCode:
-    """A linear code given by a parity-check matrix, with declared repair
-    sets.  ``local_rows`` optionally maps a repair-set index to the rows of
-    H supported inside that repair set (used to puncture cheaply)."""
+    """A linear code given by its parity-check matrix ``check``, with
+    dimension ``k`` and declared repair sets of locality ``delta``.  The
+    field and the length are read off ``check``, so a code cannot disagree
+    with its own H; everything locality needs is computed from H
+    (``punctured_checks``)."""
 
-    field: FiniteField
-    n: int
     k: int
     check: Matrix
     repair_sets: list[tuple[int, ...]] = dc_field(default_factory=list)
     delta: int = 2
-    local_rows: dict[int, tuple[int, ...]] | None = None
+
+    @property
+    def field(self) -> FiniteField:
+        return self.check.field
+
+    @property
+    def n(self) -> int:
+        return self.check.ncols
 
 
 def build_code(layout: EvaluationLayout) -> LinearCode:
-    p = layout.params
-    h = parity_check_matrix(layout)
-    d1 = p.delta - 1
-    local = {b: tuple(range(b * d1, (b + 1) * d1)) for b in range(len(layout.sets))}
-    code = LinearCode(
-        field=layout.field,
-        n=layout.n,
-        k=p.k,
-        check=h,
+    return LinearCode(
+        k=layout.params.k,
+        check=parity_check_matrix(layout),
         repair_sets=[layout.block_coords(b) for b in range(len(layout.sets))],
-        delta=p.delta,
-        local_rows=local,
+        delta=layout.params.delta,
     )
-    return code
 
 
-def punctured_check(code: LinearCode, coords: tuple[int, ...], set_index: int | None = None) -> Matrix:
-    """Parity-check matrix of the code punctured to ``coords``: the dual
-    vectors supported inside ``coords``, restricted to those positions.
+def punctured_checks(code: LinearCode) -> list[Matrix]:
+    """Per repair set, a parity check of the code punctured to the set: the
+    dual vectors supported inside the set, restricted to its positions.
 
-    When structural local rows are declared for the repair set they are used
-    directly; otherwise the shortened dual is computed by elimination.
+    Exact for any H, and computed from its cached supports.  A row of H
+    that is the only nonzero of some column outside the set takes no part
+    in such a vector, so it is dropped.  The remaining rows are reduced on
+    the outside columns they touch, and the nonzero rows left, which vanish
+    there, are restricted to the set.  On the structural H the rows left
+    are the set's own local rows, which touch no outside column, so no
+    elimination runs.
     """
     h = code.check
-    cset = set(coords)
-    if set_index is not None and code.local_rows and set_index in code.local_rows:
-        local = code.local_rows[set_index]
-        if all(cset.issuperset(h.row_supports()[i]) for i in local):
-            return Matrix(code.field, [[h.rows[i][j] for j in coords] for i in local], len(coords))
-    outside = [j for j in range(code.n) if j not in cset]
-    reordered = Matrix(code.field, [[r[j] for j in outside + list(coords)] for r in h.rows])
-    rows, pivots = reordered.rref()
-    cut = len(outside)
-    kept = []
-    for r, row in enumerate(rows):
-        if r < len(pivots) and pivots[r] < cut:
+    fld = h.field
+    supports = h.row_supports()
+    private: dict[int, list[int]] = {}  # row -> the columns where it alone is nonzero
+    for j, col in enumerate(h.column_supports()):
+        if len(col) == 1:
+            private.setdefault(col[0], []).append(j)
+    owner = {cols[0]: i for i, cols in private.items()}  # first private column -> row
+    free = [i for i, sup in enumerate(supports) if sup and i not in private]
+    out = []
+    for coords in code.repair_sets:
+        cset = set(coords)
+        rows = free + [owner[j] for j in coords
+                       if j in owner and cset.issuperset(private[owner[j]])]
+        if all(map(cset.issuperset, map(supports.__getitem__, rows))):
+            out.append(Matrix(fld, [[h.rows[i][j] for j in coords] for i in rows], len(coords)))
             continue
-        if any(row[:cut]):
-            continue
-        if any(row[cut:]):
-            kept.append(row[cut:])
-    return Matrix(code.field, kept, len(coords))
+        cols = sorted({j for i in rows for j in supports[i]} - cset)
+        cut = len(cols)  # the outside columns come first
+        cols += coords
+        vecs = [[h.rows[i][j] for j in cols] for i in rows]
+        for c in range(cut):
+            pr = next((r for r, v in enumerate(vecs) if v[c]), None)
+            if pr is not None:
+                u = vecs.pop(pr)
+                inv = fld.inv(u[c])
+                vecs = [fld.vec_sub(v, fld.mul(v[c], inv), u) if v[c] else v for v in vecs]
+        out.append(Matrix(fld, [v[cut:] for v in vecs if any(v)], len(coords)))
+    return out
 
 
 def projection_dimension(code: LinearCode, coords) -> int:
@@ -378,8 +397,7 @@ def verify_locality(code: LinearCode) -> LocalityReport:
 
     dists = []
     ok = True
-    for i, rs in enumerate(code.repair_sets):
-        pc = punctured_check(code, tuple(rs), set_index=i)
+    for pc in punctured_checks(code):
         if pc.nrows == 0:
             dists.append(1)  # punctured code is the full space
             ok = False

@@ -52,10 +52,7 @@ def layout_from_dict(d: dict) -> EvaluationLayout:
 
 def pattern_from_dict(layout: EvaluationLayout, d: dict) -> ErasurePattern:
     try:
-        sets, globs = d.get("sets", []), d.get("globals", [])
-        if len(sets) > len(layout.sets):
-            raise InvalidParameter("pattern has more sets than the layout")
-        return ErasurePattern.make(layout, sets, globs)
+        return ErasurePattern.make(layout, d.get("sets", []), d.get("globals", []))
     except (TypeError, AttributeError) as exc:
         raise InvalidParameter(f"malformed pattern: {exc!r}") from None
 

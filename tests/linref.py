@@ -1,8 +1,8 @@
 """Dense linear-algebra references for the differential tests.  The
 library decides recoverability and decodes erasures by one sparse column
-elimination, and finds minimum distances by a pruned search; these
-functions are the plain dense versions they are compared against, and are
-not used by the library.
+elimination, finds minimum distances by a pruned search, and shortens the
+dual code to a repair set from H's supports; these functions are the plain
+dense versions they are compared against, and are not used by the library.
 """
 
 import itertools
@@ -52,6 +52,19 @@ def dense_decode(h: Matrix, erased, received) -> list[int] | None:
     return word
 
 
+def dense_punctured_check(code: LinearCode, coords) -> Matrix:
+    """A parity check of the code punctured to ``coords``, by one dense
+    ``rref`` of all of H with the columns outside ``coords`` first: the
+    rows left zero there span the dual vectors supported inside
+    ``coords``."""
+    cset = set(coords)
+    order = [j for j in range(code.n) if j not in cset] + list(coords)
+    rows, _ = Matrix(code.field, [[r[j] for j in order] for r in code.check.rows]).rref()
+    cut = code.n - len(coords)
+    return Matrix(code.field, [r[cut:] for r in rows if not any(r[:cut]) and any(r[cut:])],
+                  len(coords))
+
+
 def naive_min_distance(h: Matrix, d_max: int | None = None) -> int:
     """Rank of every column subset, smallest dependent size wins."""
     n = h.ncols
@@ -71,4 +84,4 @@ def random_code(fld, n: int, k: int, seed: int) -> LinearCode:
         g = Matrix(fld, [[rng.randrange(fld.q) for _ in range(n)] for _ in range(k)], n)
         if g.rank() == k:
             break
-    return LinearCode(field=fld, n=n, k=k, check=g.nullspace())
+    return LinearCode(k=k, check=g.nullspace())

@@ -57,10 +57,7 @@ def test_criterion_01_example1_regression(example1_check):
     t0 = time.monotonic()
     h = example1_check
     d = min_distance(h)
-    code = LinearCode(
-        field=h.field, n=24, k=14, check=h,
-        repair_sets=fixtures.example1_repair_sets(), delta=2,
-    )
+    code = LinearCode(k=14, check=h, repair_sets=fixtures.example1_repair_sets(), delta=2)
     loc = verify_locality(code)
     singleton = singleton_bound(24, 14, 2, 2)
     elapsed = time.monotonic() - t0

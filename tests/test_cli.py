@@ -94,6 +94,9 @@ def decode_args(layout, n, first):
         ("erasure", "check", "--layout", "{not_json}", "--pattern", "{not_json}"),
         ("gsd", "build", "--layout", "{no_keys}", "--construction", "basic"),
         ("erasure", "check", "--layout", "{ex1_layout}", "--pattern", "{a_list}"),
+        ("erasure", "check", "--layout", "{ex1_layout}", "--pattern", "{string_key}"),
+        ("erasure", "check", "--layout", "{ex1_layout}", "--pattern", "{far_key}"),
+        ("erasure", "check", "--layout", "{ex1_layout}", "--pattern", "{long_list}"),
         ("designs", "gen", "--family", "ag", "--q1", "3"),
         ("designs", "gen", "--family", "cyclotomic", "--e", "4"),
         ("gsd", "params", "--family", "pg", "--q1", "8", "--delta", "3", "--v", "1"),
@@ -144,6 +147,8 @@ def test_bad_invocations_are_usage_errors(tmp_path, capsys, example1_layout, arg
              "{ex1_layout}": serial.dumps(serial.layout_to_dict(example1_layout)),
              "{f16_layout}": serial.dumps(serial.layout_to_dict(_f16_layout())),
              "{no_erasures}": "{}",
+             "{string_key}": '{"sets": {"0": [5]}}', "{far_key}": '{"sets": {"9": [5]}}',
+             "{long_list}": '{"sets": [[], [], [], [], [], [], [], []]}',
              "{bad_matrix}": "11 2 2\n1 x\n3 4\n", "{parity_matrix}": "2 1 3\n1 1 1\n",
              "{bad_design}": "3 2 a\n"}
     for name, text in files.items():

@@ -99,6 +99,15 @@ def test_decoder_never_reads_erased(example1_layout):
     assert out == word
 
 
+@pytest.mark.parametrize("per_set", [{7: [0]}, {-1: [0]}, {"0": [0]}, [()] * 8])
+def test_pattern_names_only_the_layouts_sets(example1_layout, per_set):
+    """A set index the layout does not have, or a list longer than its 7
+    sets, is refused rather than dropped."""
+    with pytest.raises(InvalidParameter, match="set"):
+        ErasurePattern.make(example1_layout, per_set)
+    assert ErasurePattern.make(example1_layout, {6: [example1_layout.sets[6][0]]}).sets[6]
+
+
 def test_decoder_missing_survivor_rejected(example1_layout):
     lay = example1_layout
     pat = ErasurePattern.make(lay, [lay.sets[0]])
@@ -291,7 +300,7 @@ def test_recoverable_matches_rank_on_structural_checks(lay, data):
 def test_decode_linear_reports_dependence_before_inconsistency():
     # erased columns 0 and 1 are equal, and the survivors break row 2
     h = Matrix(F11, [[1, 1, 0, 0], [0, 0, 1, 1]])
-    code = LinearCode(field=F11, n=4, k=2, check=h)
+    code = LinearCode(k=2, check=h)
     assert decode_linear(code, [0, 1], [None, None, 1, 0]) is None
     with pytest.raises(Inconsistent):
         decode_linear(code, [0], [None, 5, 1, 0])
@@ -336,7 +345,7 @@ def test_linear_oracle_matches_enumeration(fld, data):
         j = data.draw(st.sampled_from(survivors))
         word[j] = fld.add(word[j], data.draw(st.integers(1, fld.q - 1)))
     received = [None if j in erased else x for j, x in enumerate(word)]
-    code = LinearCode(field=fld, n=ncols, k=ncols - h.rank(), check=h)
+    code = LinearCode(k=ncols - h.rank(), check=h)
     completions = [list(v) for v in kernel + [(0,) * ncols]
                    if all(v[j] == word[j] for j in survivors)]
     if dependent:
@@ -499,7 +508,7 @@ def test_recoverable_matches_rank_on_sparse_matrices(case, rng):
         j = rng.choice(survivors)
         word[j] = fld.add(word[j], rng.randrange(1, fld.q))
     received = [None if j in coords else x for j, x in enumerate(word)]
-    code = LinearCode(field=fld, n=h.ncols, k=h.ncols - h.rank(), check=h)
+    code = LinearCode(k=h.ncols - h.rank(), check=h)
     assert (outcome(decode_linear, code, coords, received)
             == outcome(dense_decode, h, coords, received))
 

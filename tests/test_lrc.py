@@ -1,26 +1,32 @@
+import dataclasses
 import itertools
 import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lrckit import serial
+from lrckit import fixtures, goppa, serial
 from lrckit.algebra import FiniteField, Matrix, interpolate
 from lrckit.designs import ag_steiner, pg_steiner
-from lrckit.errors import FieldTooSmall, InvalidParameter
+from lrckit.erasure import min_distance
+from lrckit.errors import FieldTooSmall, Infeasible, InvalidParameter
 from lrckit.fixtures import example1_check, example1_permutation
 from lrckit.lrc import (
     EvaluationLayout,
+    LinearCode,
     LrcParams,
     build_code,
     build_layout,
     encode,
     generator_matrix,
     parity_check_matrix,
+    punctured_checks,
     verify_locality,
 )
-from linref import random_code, same_row_space
+from linref import dense_punctured_check, random_code, same_row_space
 from polyref import block_polys, g_poly
+from test_codec import layouts
 
 F11 = FiniteField(11)
 F13 = FiniteField(13)
@@ -192,6 +198,81 @@ def test_random_code_fails_locality():
     code.repair_sets = [tuple(range(3 * b, 3 * b + 3)) for b in range(7)]
     code.delta = 2
     assert not verify_locality(code).ok
+
+
+def distance_or_infeasible(m):
+    try:
+        return min_distance(m)
+    except Infeasible:
+        return "infeasible"
+
+
+def assert_punctured_checks_match_dense(code):
+    """Per repair set: the same row space as the dense shortening, so the
+    same punctured distance."""
+    checks = punctured_checks(code)
+    assert len(checks) == len(code.repair_sets)
+    for coords, pc in zip(code.repair_sets, checks):
+        ref = dense_punctured_check(code, coords)
+        assert pc.ncols == len(coords) and all(map(any, pc.rows))
+        assert same_row_space(pc, ref)
+        if ref.nrows:
+            assert distance_or_infeasible(pc) == distance_or_infeasible(ref)
+
+
+def mixed_rows(code, rng):
+    """The code with H left-multiplied by a random invertible matrix: the
+    same code, whose check rows no longer have columns to themselves."""
+    fld, m = code.field, code.check.nrows
+    while True:
+        a = Matrix(fld, [[rng.randrange(fld.q) for _ in range(m)] for _ in range(m)], m)
+        if a.rank() == m:
+            return dataclasses.replace(code, check=a.matmul(code.check))
+
+
+def reversed_rows(code):
+    h = code.check
+    return dataclasses.replace(code, check=Matrix(h.field, h.rows[::-1], h.ncols))
+
+
+@settings(max_examples=60, deadline=None)
+@given(layouts(), st.integers(0, 2**32 - 1))
+def test_punctured_checks_match_dense_on_mixed_rows(lay, seed):
+    code = build_code(lay)
+    assert_punctured_checks_match_dense(code)
+    mixed = mixed_rows(code, random.Random(seed))
+    assert_punctured_checks_match_dense(mixed)
+    assert verify_locality(mixed) == verify_locality(code)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: LinearCode(k=14, check=example1_check(),
+                       repair_sets=fixtures.example1_repair_sets(), delta=2),
+    lambda: goppa.build_code(fixtures.goppa_small_params()),
+    lambda: goppa.build_code(fixtures.goppa_optimal_params()),
+    lambda: dataclasses.replace(random_code(F11, 24, 14, seed=123),
+                                repair_sets=[tuple(range(3 * b, 3 * b + 3)) for b in range(7)]),
+    lambda: dataclasses.replace(random_code(F13, 12, 4, seed=5),
+                                repair_sets=[(0, 1, 2, 3, 4, 5, 6, 7, 8), (8, 9, 10, 11)]),
+], ids=["example1_published", "goppa_small", "goppa_optimal", "random", "random_wide"])
+def test_punctured_checks_match_dense(make):
+    assert_punctured_checks_match_dense(make())
+
+
+def test_example3_locality_does_not_depend_on_row_order():
+    code = build_code(fixtures.example3_layout())
+    rep = verify_locality(code)
+    assert rep.ok and rep.punctured_distances == [3] * 73
+    assert verify_locality(reversed_rows(code)) == rep
+
+
+def test_linear_code_reads_field_and_length_off_its_check(example1_code):
+    assert [f.name for f in dataclasses.fields(LinearCode)] == [
+        "k", "check", "repair_sets", "delta"]
+    assert example1_code.field is example1_code.check.field
+    assert example1_code.n == example1_code.check.ncols == 24
+    with pytest.raises(AttributeError):
+        example1_code.n = 25
 
 
 def test_layout_json_round_trip(ag13_layout):
