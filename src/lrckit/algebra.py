@@ -1,5 +1,6 @@
 """Exact arithmetic over prime-power finite fields, dense polynomials,
-and matrices.
+and matrices, with ``Matrix.eliminate``, the one sparse elimination that
+the library's ranks, rank tests and decoders run.
 
 Field elements are plain Python ints in ``[0, q)``.  For an extension
 field F_{p^m} the integer ``sum(c_i * p**i)`` encodes the element with
@@ -192,33 +193,30 @@ class FiniteField:
             return self.from_coords(prod.coeffs)
 
         # discrete-log tables over a primitive element (smallest encoding),
-        # walked by multiplication by gen, which is F_p-linear: x times gen
-        # is the sum over x's coordinates c_i of c_i times the image of X^i
+        # walked by multiplication by gen.  That map is F_p-linear, so it is
+        # tabulated for every x = sum c_i p^i from the images of X^i: in
+        # characteristic 2 by XOR over x's bits, else one coordinate k at a
+        # time, sum_i c_i a_i mod p with a_i coordinate k of X^i's image
         gen = self.generator = _smallest_generator(q, raw_mul)
         images = [raw_mul(p**i, gen) for i in range(m)]
         exp = self._exp = [1] * (2 * (q - 1))
         log = self._log = [0] * q
         if p == 2:
-            x = 1
-            for i in range(q - 1):
-                exp[i] = x
-                log[x] = i
-                y = 0
-                for image in images:
-                    if x & 1:
-                        y ^= image
-                    x >>= 1
-                x = y
+            times_gen = [0]
+            for image in images:
+                times_gen += [t ^ image for t in times_gen]
         else:
-            # columns[k][i]: coordinate k of the image of X^i
-            columns = list(zip(*map(self.coords, images)))
-            weights = [p**k for k in range(m)]
-            cs = [1] + [0] * (m - 1)
-            for i in range(q - 1):
-                x = sum(map(operator.mul, cs, weights))
-                exp[i] = x
-                log[x] = i
-                cs = [sum(map(operator.mul, cs, col)) % p for col in columns]
+            times_gen = [0] * q
+            for k, row in enumerate(zip(*map(self.coords, images))):
+                col = [0]
+                for a in row:
+                    col = [(v + c * a) % p for c in range(p) for v in col]
+                times_gen = [t + v * p**k for t, v in zip(times_gen, col)]
+        x = 1
+        for i in range(q - 1):
+            exp[i] = x
+            log[x] = i
+            x = times_gen[x]
         exp[q - 1:] = exp[:q - 1]
         # addition is XOR in characteristic 2, else by Zech logarithms:
         # 1 + g^k = g^_zech[k] (None where g^k = -1); 1 + x raises x's c_0
@@ -572,9 +570,13 @@ class Matrix:
     """Row-major matrix of field elements with exact linear algebra.
 
     The nonzero structure is derived once, on first use, and cached with
-    the matrix (``column_supports``, ``row_supports``, ``row_terms``); it
-    pickles with it, so worker processes do not rebuild it.  ``rows`` must
-    not be changed after that first use.
+    the matrix (``column_supports``, ``row_supports``, ``row_terms``,
+    ``private_columns``); it pickles with it, so worker processes do not
+    rebuild it.  ``rows`` must not be changed after that first use.
+
+    ``eliminate`` is the library's one elimination.  The dense ``rref``,
+    ``rank`` and ``nullspace`` are the reference the tests and the
+    benchmark check it against.
     """
 
     __slots__ = ("field", "rows", "nrows", "ncols", "_supports")
@@ -631,6 +633,48 @@ class Matrix:
         )
 
     # -- elimination -------------------------------------------------------
+
+    def eliminate(self, cols, tagged: bool = False, stop: bool = True, bound: int | None = None):
+        """Column-by-column elimination over the nonzero entries only: each
+        column ``cols[t]`` is reduced against the pivots so far, an update
+        touching just the pivot's nonzero rows, and becomes a pivot at its
+        lowest nonzero row if that is below ``bound`` (default nrows), else
+        it is dependent.  Returns (pivots, dependents): the pivots as (row,
+        1 / value, vector, its nonzero rows), each zero on the earlier pivot
+        rows, so their count is the rank on the rows below ``bound``, and
+        the dependents' reduced vectors.  ``stop`` ends at the first
+        dependent, or at once with dependents ``[None]`` when the columns
+        touch fewer rows than there are columns.  ``tagged`` adds a 1 at
+        row nrows + t of column t (never a pivot row), so each vector
+        records which combination of the columns it is."""
+        sup = self.column_supports()
+        if stop and len(set().union(*map(sup.__getitem__, cols))) < len(cols):
+            return [], [None]
+        vec_sub_at, mul, inv = self.field.vec_sub_at, self.field.mul, self.field.inv
+        rows, nrows = self.rows, self.nrows
+        size = nrows + len(cols) if tagged else nrows
+        bound = nrows if bound is None else bound
+        pivots, dependents = [], []
+        for t, c in enumerate(cols):
+            v = [0] * size
+            live = set(sup[c])
+            for i in live:
+                v[i] = rows[i][c]
+            if tagged:
+                v[nrows + t] = 1
+                live.add(nrows + t)
+            for pr, pinv, u, su in pivots:
+                if v[pr]:
+                    vec_sub_at(v, mul(v[pr], pinv), u, su)
+                    live.update(su)
+            nz = [i for i in live if v[i]]
+            if nz and (pr := min(nz)) < bound:
+                pivots.append((pr, inv(v[pr]), v, nz))
+            else:
+                dependents.append(v)
+                if stop:
+                    break
+        return pivots, dependents
 
     def rref(self) -> tuple[list[list[int]], list[int]]:
         """Reduced row echelon form; returns (rows, pivot column list).
@@ -690,10 +734,14 @@ class Matrix:
         is the row times v."""
         return self._nonzeros()[2]
 
-    def _nonzeros(self) -> tuple[list, list, list]:
-        """Column supports, row supports and row terms, built together on
-        first use.  A getter holds a slice for a row with fewer than two
-        nonzeros, so that it too returns a sequence."""
+    def private_columns(self) -> dict[int, list[int]]:
+        """Row -> the columns where it alone is nonzero, if any (cached)."""
+        return self._nonzeros()[3]
+
+    def _nonzeros(self) -> tuple[list, list, list, dict]:
+        """Column supports, row supports, row terms and private columns,
+        built together on first use.  A getter holds a slice for a row with
+        fewer than two nonzeros, so that it too returns a sequence."""
         if self._supports is None:
             by_row = [tuple(j for j, v in enumerate(row) if v) for row in self.rows]
             by_col: list[list[int]] = [[] for _ in range(self.ncols)]
@@ -704,7 +752,11 @@ class Matrix:
                       operator.itemgetter(slice(js[0], js[0] + 1) if js else slice(0)),
                       tuple(map(row.__getitem__, js)))
                      for row, js in zip(self.rows, by_row)]
-            self._supports = ([tuple(s) for s in by_col], by_row, terms)
+            private: dict[int, list[int]] = {}
+            for j, col in enumerate(by_col):
+                if len(col) == 1:
+                    private.setdefault(col[0], []).append(j)
+            self._supports = ([tuple(s) for s in by_col], by_row, terms, private)
         return self._supports
 
     def __eq__(self, other) -> bool:

@@ -1,7 +1,7 @@
 """Erasure-pattern machinery: the admissibility test for the structured
 polynomial decoder, the decoder itself, a generic linear-algebra rank test
-and decoding oracle that share one sparse column elimination, and exact
-minimum-distance search.
+and decoding oracle that both run ``Matrix.eliminate`` (the library's one
+sparse column elimination), and exact minimum-distance search.
 
 Erasure patterns are stated in terms of evaluation points, grouped by the
 repair set they hit, plus the erased global points; the coordinate-level
@@ -236,46 +236,6 @@ def _survivors(received, erased, n: int, q: int) -> list[int]:
 # generic linear-algebra oracle
 
 
-def _eliminate(h: Matrix, cols, tagged: bool = False):
-    """Column-by-column elimination over the nonzero entries only: each
-    column ``cols[t]`` of H is read from ``h.column_supports()`` and reduced
-    against the pivots found so far, every update touching just that
-    pivot's nonzero rows; a column left nonzero becomes a pivot at its
-    lowest nonzero row.  Returns the pivots (row, 1 / value, vector, its
-    nonzero rows), or None at the first column that reduces to zero on the
-    rows of H, and at once when the columns touch fewer rows than there
-    are columns.
-
-    With ``tagged``, column t also carries a 1 at row nrows + t, so each
-    pivot records which combination of the columns it is; tag rows are
-    updated like any other row but never chosen as pivots."""
-    sup = h.column_supports()
-    if len(set().union(*map(sup.__getitem__, cols))) < len(cols):
-        return None
-    fld = h.field
-    vec_sub_at, mul, inv = fld.vec_sub_at, fld.mul, fld.inv
-    rows, nrows = h.rows, h.nrows
-    size = nrows + len(cols) if tagged else nrows
-    pivots = []
-    for t, c in enumerate(cols):
-        v = [0] * size
-        live = set(sup[c])
-        for i in live:
-            v[i] = rows[i][c]
-        if tagged:
-            v[nrows + t] = 1
-            live.add(nrows + t)
-        for pr, pinv, u, su in pivots:
-            if v[pr]:
-                vec_sub_at(v, mul(v[pr], pinv), u, su)
-                live.update(su)
-        nz = [i for i in live if v[i]]
-        if not nz or (pr := min(nz)) >= nrows:
-            return None
-        pivots.append((pr, inv(v[pr]), v, nz))
-    return pivots
-
-
 def _columns(coords, n: int) -> list[int]:
     """The distinct coordinates, sorted; raises InvalidParameter unless
     they all lie in [0, n)."""
@@ -287,15 +247,13 @@ def _columns(coords, n: int) -> list[int]:
 
 def recoverable(h: Matrix, coords) -> bool:
     """True iff the columns of H indexed by ``coords`` are independent,
-    i.e. the erasure pattern has a unique completion.  Raises
-    InvalidParameter unless every coordinate lies in [0, n), n the number
-    of columns of H.
-
-    Runs ``_eliminate``, the elimination ``decode_linear`` shares.  On the
-    structural parity check, whose local rows come first, a block with at
-    most delta-1 erasures is absorbed by its own local rows and only the
-    global rows fill in."""
-    return _eliminate(h, _columns(coords, h.ncols)) is not None
+    i.e. the erasure pattern has a unique completion, by
+    ``Matrix.eliminate``.  Raises InvalidParameter unless every coordinate
+    lies in [0, n), n the number of columns of H.  On the structural parity
+    check, whose local rows come first, a block with at most delta-1
+    erasures is absorbed by its own local rows and only the global rows
+    fill in."""
+    return not h.eliminate(_columns(coords, h.ncols))[1]
 
 
 def decode_linear(code: LinearCode, erased, received) -> list[int] | None:
@@ -316,12 +274,11 @@ def decode_linear(code: LinearCode, erased, received) -> list[int] | None:
     fld = code.field
     cols = _columns(erased, code.n)
     masked = _survivors(received, cols, code.n, fld.q)
-    pivots = _eliminate(h, cols, tagged=True)
-    if pivots is None:
+    pivots, dependent = h.eliminate(cols, tagged=True)
+    if dependent:
         return None
-    nrows = h.nrows
+    dot, nrows = fld.dot, h.nrows
     # the syndrome (erased entries of masked are zero)
-    dot = fld.dot
     v = [dot(vals, get(masked)) for get, vals in h.row_terms()] + [0] * len(cols)
     for pr, pinv, u, su in pivots:
         if v[pr]:

@@ -120,7 +120,7 @@ def parity_check(params: GoppaParams) -> Matrix:
 def build_code(params: GoppaParams) -> LinearCode:
     h = parity_check(params)
     return LinearCode(
-        k=params.n - h.rank(),
+        k=params.n - len(h.eliminate(range(h.ncols), stop=False)[0]),
         check=h,
         repair_sets=[params.local_coords(i) for i in range(params.ell)],
         delta=params.delta,

@@ -333,21 +333,18 @@ def punctured_checks(code: LinearCode) -> list[Matrix]:
     """Per repair set, a parity check of the code punctured to the set: the
     dual vectors supported inside the set, restricted to its positions.
 
-    Exact for any H, and computed from its cached supports.  A row of H
-    that is the only nonzero of some column outside the set takes no part
-    in such a vector, so it is dropped.  The remaining rows are reduced on
-    the outside columns they touch, and the nonzero rows left, which vanish
-    there, are restricted to the set.  On the structural H the rows left
-    are the set's own local rows, which touch no outside column, so no
-    elimination runs.
+    Exact for any H, and computed from its cached supports.  A row that is
+    the only nonzero of some column outside the set (``private_columns``)
+    takes no part in such a vector, so it is dropped.  ``Matrix.eliminate``
+    takes the other rows as columns of their transpose, on the outside
+    columns they touch, then the set's, with ``bound`` at the set; the rows
+    left dependent vanish outside the set and span the vectors sought.  On
+    the structural H the kept rows lie inside the set: no elimination runs.
     """
     h = code.check
     fld = h.field
     supports = h.row_supports()
-    private: dict[int, list[int]] = {}  # row -> the columns where it alone is nonzero
-    for j, col in enumerate(h.column_supports()):
-        if len(col) == 1:
-            private.setdefault(col[0], []).append(j)
+    private = h.private_columns()
     owner = {cols[0]: i for i, cols in private.items()}  # first private column -> row
     free = [i for i, sup in enumerate(supports) if sup and i not in private]
     out = []
@@ -358,27 +355,20 @@ def punctured_checks(code: LinearCode) -> list[Matrix]:
         if all(map(cset.issuperset, map(supports.__getitem__, rows))):
             out.append(Matrix(fld, [[h.rows[i][j] for j in coords] for i in rows], len(coords)))
             continue
-        cols = sorted({j for i in rows for j in supports[i]} - cset)
-        cut = len(cols)  # the outside columns come first
-        cols += coords
-        vecs = [[h.rows[i][j] for j in cols] for i in rows]
-        for c in range(cut):
-            pr = next((r for r, v in enumerate(vecs) if v[c]), None)
-            if pr is not None:
-                u = vecs.pop(pr)
-                inv = fld.inv(u[c])
-                vecs = [fld.vec_sub(v, fld.mul(v[c], inv), u) if v[c] else v for v in vecs]
-        out.append(Matrix(fld, [v[cut:] for v in vecs if any(v)], len(coords)))
+        outside = sorted({j for i in rows for j in supports[i]} - cset)
+        t = Matrix(fld, [[h.rows[i][j] for i in rows] for j in outside + list(coords)], len(rows))
+        dependents = t.eliminate(range(len(rows)), stop=False, bound=len(outside))[1]
+        out.append(Matrix(fld, [v[len(outside):] for v in dependents if any(v)], len(coords)))
     return out
 
 
 def projection_dimension(code: LinearCode, coords) -> int:
-    """Dimension of the code projected onto ``coords``:
-    |U| - ((n-k) - rank(H restricted to the complement of U))."""
+    """Dimension of the code projected onto ``coords``: |U| - ((n-k) -
+    rank(H restricted to the complement of U)), by ``Matrix.eliminate``."""
     cset = set(coords)
     outside = [j for j in range(code.n) if j not in cset]
-    full_rank = code.n - code.k
-    return len(cset) - (full_rank - code.check.columns(outside).rank())
+    rank = len(code.check.eliminate(outside, stop=False)[0])
+    return len(cset) - (code.n - code.k - rank)
 
 
 @dataclass

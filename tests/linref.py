@@ -2,7 +2,8 @@
 library decides recoverability and decodes erasures by one sparse column
 elimination, finds minimum distances by a pruned search, and shortens the
 dual code to a repair set from H's supports; these functions are the plain
-dense versions they are compared against, and are not used by the library.
+dense versions they are compared against, and are not used by the library,
+whose ranks all come from ``Matrix.eliminate``.
 """
 
 import itertools
@@ -63,6 +64,14 @@ def dense_punctured_check(code: LinearCode, coords) -> Matrix:
     cut = code.n - len(coords)
     return Matrix(code.field, [r[cut:] for r in rows if not any(r[:cut]) and any(r[cut:])],
                   len(coords))
+
+
+def dense_projection_dimension(code: LinearCode, coords) -> int:
+    """The dimension of the code projected onto ``coords``, |U| - ((n-k) -
+    rank of H's other columns), that rank by ``rref``."""
+    cset = set(coords)
+    outside = [j for j in range(code.n) if j not in cset]
+    return len(cset) - (code.n - code.k - code.check.columns(outside).rank())
 
 
 def naive_min_distance(h: Matrix, d_max: int | None = None) -> int:

@@ -412,6 +412,84 @@ def test_row_terms_give_the_row_times_a_vector(fld):
     assert m.row_terms() is m.row_terms()  # cached
 
 
+ELIMINATION_FIELDS = [FiniteField(2), FiniteField(7), F4, F9]
+
+
+@st.composite
+def matrices_with_columns(draw):
+    """A small matrix over one of ELIMINATION_FIELDS, mostly zeros, whose
+    columns include zero columns and repeats (up to scale), and a list of
+    its columns, possibly empty, in any order and with repeats."""
+    fld = draw(st.sampled_from(ELIMINATION_FIELDS))
+    nrows, ncols = draw(st.integers(0, 4)), draw(st.integers(1, 7))
+    elem = st.one_of(st.just(0), st.integers(0, fld.q - 1))
+    cols = []
+    for j in range(ncols):
+        kind = draw(st.sampled_from(["random", "zero", "repeat"] if j else ["random", "zero"]))
+        if kind == "random":
+            cols.append(draw(st.lists(elem, min_size=nrows, max_size=nrows)))
+        elif kind == "zero":
+            cols.append([0] * nrows)
+        else:
+            scale = draw(st.integers(1, fld.q - 1))
+            cols.append(fld.vec_scale(draw(st.sampled_from(cols)), scale))
+    m = Matrix(fld, [[c[i] for c in cols] for i in range(nrows)], ncols)
+    return m, draw(st.lists(st.integers(0, ncols - 1), max_size=ncols + 1))
+
+
+@given(matrices_with_columns(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_eliminate_counts_the_dense_rank(mc, data):
+    m, cols = mc
+    fld = m.field
+    bound = data.draw(st.one_of(st.none(), st.integers(0, m.nrows)))
+    tagged = data.draw(st.booleans())
+    pivots, dependents = m.eliminate(cols, tagged=tagged, stop=False, bound=bound)
+    top = m.nrows if bound is None else bound
+    assert len(pivots) == Matrix(fld, m.rows[:top], m.ncols).columns(cols).rank()
+    assert len(pivots) + len(dependents) == len(cols)
+    rows = [pr for pr, _, _, _ in pivots]
+    for k, (pr, pinv, u, nz) in enumerate(pivots):
+        assert pr < top and fld.mul(pinv, u[pr]) == 1
+        assert nz == [i for i in nz if u[i]] and set(nz) == {i for i, x in enumerate(u) if x}
+        assert not any(u[r] for r in rows[:k])  # zero on the earlier pivot rows
+    for v in dependents:
+        assert not any(v[:top])
+    if tagged:  # each vector is the combination of the columns its tags name
+        for v in [u for _, _, u, _ in pivots] + dependents:
+            combo = [0] * m.nrows
+            for t, c in enumerate(cols):
+                combo = fld.vec_sub(combo, fld.neg(v[m.nrows + t]), m.column(c))
+            assert combo == v[:m.nrows]
+
+
+@given(matrices_with_columns(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_eliminate_stops_at_a_dependent_column(mc, tagged):
+    m, cols = mc
+    pivots, dependents = m.eliminate(cols, tagged=tagged)
+    assert bool(dependents) == (m.columns(cols).rank() < len(cols))
+    assert len(dependents) <= 1
+    if not dependents:
+        assert len(pivots) == len(cols)
+
+
+def test_eliminate_on_no_columns_and_no_rows():
+    m = Matrix(F9, [[1, 0, 2], [0, 0, 4]])
+    assert m.eliminate([]) == ([], [])
+    assert m.eliminate([], stop=False, tagged=True) == ([], [])
+    assert m.eliminate([1]) == ([], [None])  # a zero column touches no row
+    empty = Matrix(F9, [], 3)
+    assert empty.eliminate([0, 2], stop=False) == ([], [[], []])
+
+
+def test_private_columns_are_the_columns_with_one_nonzero():
+    m = Matrix(F11, [[1, 0, 3, 0, 2], [0, 0, 5, 7, 0], [0, 0, 0, 0, 4]])
+    assert m.private_columns() == {0: [0], 1: [3]}
+    assert m.private_columns() is m.private_columns()  # cached
+    assert Matrix(F11, [], 2).private_columns() == {}
+
+
 def test_matrix_solve():
     rng = random.Random(9)
     m = Matrix(F11, [[rng.randrange(11) for _ in range(5)] for _ in range(3)])

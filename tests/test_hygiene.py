@@ -115,3 +115,37 @@ def test_third_party_import_detector():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_library_is_stdlib_only(path):
     assert third_party_imports(path.read_text()) == []
+
+
+# the dense reference eliminations; the library itself runs
+# ``Matrix.eliminate``, so only algebra.py, which defines them, names them
+DENSE_REFERENCE = {"rref", "rank", "nullspace"}
+
+
+def dense_reference_calls(source: str) -> list[str]:
+    """Calls of a method named after one of the dense references."""
+    calls = [node for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in DENSE_REFERENCE]
+    return [f"line {node.lineno}: .{node.func.attr}("
+            for node in sorted(calls, key=lambda node: (node.lineno, node.col_offset))]
+
+
+def test_dense_reference_call_detector():
+    source = "\n".join([
+        "r = h.rank()",
+        "k = n - h.columns(c).rank() + len(h.eliminate(c, stop=False)[0])",
+        "ns = m.nullspace().rows",
+        "rows, piv = m.rref()",
+        "f = m.rank",
+        "rank = 3",
+    ])
+    assert dense_reference_calls(source) == [
+        "line 1: .rank(", "line 2: .rank(", "line 3: .nullspace(", "line 4: .rref(",
+    ]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "algebra.py"],
+                         ids=lambda p: p.name)
+def test_library_eliminates_only_through_the_kernel(path):
+    assert dense_reference_calls(path.read_text()) == []

@@ -21,11 +21,13 @@ from lrckit.lrc import (
     encode,
     generator_matrix,
     parity_check_matrix,
+    projection_dimension,
     punctured_checks,
     verify_locality,
 )
-from linref import dense_punctured_check, random_code, same_row_space
+from linref import dense_projection_dimension, dense_punctured_check, random_code, same_row_space
 from polyref import block_polys, g_poly
+from test_algebra import matrices_with_columns
 from test_codec import layouts
 
 F11 = FiniteField(11)
@@ -257,6 +259,45 @@ def test_punctured_checks_match_dense_on_mixed_rows(lay, seed):
 ], ids=["example1_published", "goppa_small", "goppa_optimal", "random", "random_wide"])
 def test_punctured_checks_match_dense(make):
     assert_punctured_checks_match_dense(make())
+
+
+@given(matrices_with_columns(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_projection_dimension_matches_dense(mc, data):
+    h, _ = mc
+    code = LinearCode(k=h.ncols - h.rank(), check=h)
+    coords = data.draw(st.lists(st.integers(0, h.ncols - 1), unique=True))
+    assert projection_dimension(code, coords) == dense_projection_dimension(code, coords)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: LinearCode(k=14, check=example1_check(),
+                       repair_sets=fixtures.example1_repair_sets(), delta=2),
+    lambda: build_code(fixtures.ag13_layout()),
+    lambda: goppa.build_code(fixtures.goppa_optimal_params()),
+], ids=["example1_published", "ag13", "goppa_optimal"])
+def test_projection_dimension_matches_dense_on_fixtures(make):
+    code = make()
+    rng = random.Random(3)
+    subsets = [sorted({c for rs in code.repair_sets for c in rs}), list(code.repair_sets[0])]
+    subsets += [rng.sample(range(code.n), rng.randrange(code.n + 1)) for _ in range(20)]
+    for coords in subsets:
+        assert projection_dimension(code, coords) == dense_projection_dimension(code, coords)
+
+
+def test_run_example1_checks_that_g_spans_the_published_code(monkeypatch):
+    assert fixtures.run_example1()["construction_matches_published"]
+    real = fixtures.generator_matrix
+
+    def short_of_rank(layout):
+        # G with its last row replaced by its first: rank 13, and it still
+        # annihilates the published H
+        g = real(layout)
+        return Matrix(g.field, g.rows[:-1] + [g.rows[0]], g.ncols)
+
+    monkeypatch.setattr(fixtures, "generator_matrix", short_of_rank)
+    rep = fixtures.run_example1()
+    assert rep["construction_matches_published"] is False and rep["pass"] is False
 
 
 def test_example3_locality_does_not_depend_on_row_order():
