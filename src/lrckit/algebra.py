@@ -28,34 +28,73 @@ from .errors import DuplicateNode, InternalInvariantViolation, InvalidParameter
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
 
+# Miller-Rabin with the primes 2..41 as bases decides primality exactly
+# below this bound (Sorenson and Webster, 2015)
+PRIME_LIMIT = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_FIELD = 2**16  # the largest field order FiniteField tabulates
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality for n < ``PRIME_LIMIT`` by deterministic
+    Miller-Rabin; raises InvalidParameter for larger n."""
+    if n >= PRIME_LIMIT:
+        raise InvalidParameter(f"primality is exact only below {PRIME_LIMIT:.3g}; "
+                               f"got a number of {n.bit_length()} bits")
     if n < 2:
         return False
-    if n < 4:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    if n < 43 * 43:  # a composite has a prime factor at most its square root
         return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
+def iroot(x: int, v: int) -> int:
+    """floor(x ** (1/v)) for x >= 1: Newton's method on ints, from above."""
+    y = 1 << -(-x.bit_length() // v)
+    while True:
+        z = ((v - 1) * y + x // y ** (v - 1)) // v
+        if z >= y:
+            return y
+        y = z
+
+
 def factor_prime_power(q: int) -> tuple[int, int]:
-    """Split q = p^m into (p, m); raises if q is not a prime power."""
+    """Split q = p^m into (p, m); raises InvalidParameter if q is not a
+    prime power, or if deciding it needs ``is_prime`` beyond its range.
+    A factor among the bases of ``is_prime`` fixes p; otherwise p > 41 >
+    2^5, so m < bits/5, and each such m is tried by an integer m-th root."""
+    bad = InvalidParameter(f"{q} is not a prime power")
     if q < 2:
-        raise InvalidParameter(f"{q} is not a prime power")
-    # the smallest divisor above 1 is prime
-    p = next((f for f in range(2, math.isqrt(q) + 1) if q % f == 0), q)
+        raise bad
+    small = next((p for p in _MR_BASES if q % p == 0), None)
+    if small is None:
+        for m in range(q.bit_length() // 5, 0, -1):
+            p = iroot(q, m)
+            if p**m == q and is_prime(p):
+                return p, m
+        raise bad
     m, rest = 0, q
-    while rest % p == 0:
-        rest //= p
+    while rest % small == 0:
+        rest //= small
         m += 1
     if rest != 1:
-        raise InvalidParameter(f"{q} is not a prime power")
-    return p, m
+        raise bad
+    return small, m
 
 
 def _is_irreducible(coeffs: Sequence[int], p: int) -> bool:
@@ -93,13 +132,10 @@ def _default_modulus(p: int, m: int) -> tuple[int, ...]:
     return _smallest_irreducible(p, m)
 
 
-def _smallest_generator(q: int, mul) -> int:
-    """Smallest-encoded element of multiplicative order q - 1 under
-    ``mul``: a primitive element of F_q, or 1 for F_2.
-
-    g is primitive iff g^((q-1)/l) != 1 for every prime l dividing q - 1,
-    each power taken by square-and-multiply."""
-    primes, rest = [], q - 1
+def _primitive_root(p: int) -> int:
+    """Smallest primitive root modulo the prime p, or 1 for p = 2: the
+    smallest g with g^((p-1)/l) != 1 for every prime l dividing p - 1."""
+    primes, rest = [], p - 1
     for f in range(2, math.isqrt(rest) + 1):
         if rest % f == 0:
             primes.append(f)
@@ -107,23 +143,8 @@ def _smallest_generator(q: int, mul) -> int:
                 rest //= f
     if rest > 1:
         primes.append(rest)
-
-    def power(x, e):
-        acc = 1
-        while e:
-            if e & 1:
-                acc = mul(acc, x)
-            e >>= 1
-            if e:
-                x = mul(x, x)
-        return acc
-
-    for g in range(2, q):
-        if all(power(g, (q - 1) // ell) != 1 for ell in primes):
-            return g
-    if q > 2:  # pragma: no cover - every finite field has one
-        raise InternalInvariantViolation(f"F_{q} has no primitive element")
-    return 1
+    return next((g for g in range(2, p) if all(pow(g, (p - 1) // ell, p) != 1 for ell in primes)),
+                1)
 
 
 class FiniteField:
@@ -149,16 +170,19 @@ class FiniteField:
     """
 
     def __init__(self, p: int, m: int = 1, modulus: Sequence[int] | None = None):
-        if not is_prime(p):
+        if p <= MAX_FIELD and not is_prime(p):
             raise InvalidParameter(f"characteristic {p} is not prime")
         if m < 1:
             raise InvalidParameter("extension degree must be >= 1")
+        # checked before any table is built, and before p^m for a huge m
+        if p > MAX_FIELD or m > MAX_FIELD.bit_length() or p**m > MAX_FIELD:
+            raise InvalidParameter(f"F_{p}^{m} has more than MAX_FIELD = {MAX_FIELD} elements")
         self.p = p
         self.m = m
         self.q = p**m
         if m == 1:
             self.modulus = (1 % p, 1) if modulus is None else tuple(modulus)
-            self.generator = _smallest_generator(p, lambda a, b: a * b % p)
+            self.generator = _primitive_root(p)
         else:
             if modulus is None:
                 mod = _default_modulus(p, m)
@@ -185,39 +209,57 @@ class FiniteField:
 
     def _build_tables(self) -> None:
         p, m, q = self.p, self.m, self.q
-        fp = _shared_field(p, 1, (1 % p, 1))
-        mod = Poly(fp, self.modulus)
+        low = [-c % p for c in self.modulus[:m]]  # X^m = sum low_i X^i
 
-        def raw_mul(a: int, b: int) -> int:
-            prod = Poly(fp, self.coords(a)) * Poly(fp, self.coords(b)) % mod
-            return self.from_coords(prod.coeffs)
+        def times_x(cs):
+            top = cs[-1]
+            return [(a + top * b) % p for a, b in zip([0] + cs[:-1], low)]
 
-        # discrete-log tables over a primitive element (smallest encoding),
-        # walked by multiplication by gen.  That map is F_p-linear, so it is
-        # tabulated for every x = sum c_i p^i from the images of X^i: in
-        # characteristic 2 by XOR over x's bits, else one coordinate k at a
-        # time, sum_i c_i a_i mod p with a_i coordinate k of X^i's image
-        gen = self.generator = _smallest_generator(q, raw_mul)
-        images = [raw_mul(p**i, gen) for i in range(m)]
-        exp = self._exp = [1] * (2 * (q - 1))
-        log = self._log = [0] * q
-        if p == 2:
-            times_gen = [0]
-            for image in images:
-                times_gen += [t ^ image for t in times_gen]
-        else:
-            times_gen = [0] * q
-            for k, row in enumerate(zip(*map(self.coords, images))):
+        def times(g):
+            # multiplication by g is F_p-linear, so it is tabulated for
+            # every x = sum c_i p^i from the images g X^i: in characteristic
+            # 2 by XOR over x's bits, else one coordinate k at a time, sum_i
+            # c_i a_i mod p with a_i coordinate k of g X^i
+            images = [self.coords(g)]
+            for _ in range(m - 1):
+                images.append(times_x(images[-1]))
+            if p == 2:
+                table = [0]
+                for image in images:
+                    image = self.from_coords(image)
+                    table += [t ^ image for t in table]
+                return table
+            table = [0] * q
+            for k, row in enumerate(zip(*images)):
                 col = [0]
                 for a in row:
-                    col = [(v + c * a) % p for c in range(p) for v in col]
-                times_gen = [t + v * p**k for t, v in zip(times_gen, col)]
-        x = 1
-        for i in range(q - 1):
-            exp[i] = x
+                    col = [v + c * a for c in range(p) for v in col]
+                table = [t + v % p * p**k for t, v in zip(table, col)]
+            return table
+
+        # the generator is the smallest element whose powers, walked through
+        # its times table, first return to 1 after q - 1 steps; that walk
+        # is the exp table, and the log table inverts it.  The elements
+        # below p form F_p, of order p - 1 < q - 1, and a power of a
+        # candidate that failed has an order dividing its order: neither
+        # is walked
+        failed = bytearray(q)
+        for gen in range(p, q):  # every finite field has a primitive element
+            if failed[gen]:
+                continue
+            times_gen, exp, x = times(gen), [1], gen
+            while x != 1:
+                exp.append(x)
+                x = times_gen[x]
+            if len(exp) == q - 1:
+                break
+            for x in exp:
+                failed[x] = 1
+        self.generator = gen
+        log = self._log = [0] * q
+        for i, x in enumerate(exp):
             log[x] = i
-            x = times_gen[x]
-        exp[q - 1:] = exp[:q - 1]
+        self._exp = exp + exp
         # addition is XOR in characteristic 2, else by Zech logarithms:
         # 1 + g^k = g^_zech[k] (None where g^k = -1); 1 + x raises x's c_0
         if p > 2:

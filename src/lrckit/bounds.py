@@ -14,7 +14,7 @@ import math
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context
 from fractions import Fraction
 
-from .algebra import factor_prime_power
+from .algebra import factor_prime_power, iroot
 from .errors import InvalidParameter
 
 
@@ -24,16 +24,6 @@ def singleton_bound(n: int, k: int, r: int, delta: int) -> int:
     if k < 1 or r < 1 or delta < 1:
         raise InvalidParameter("need k >= 1, r >= 1 and delta >= 1")
     return n - k + 1 - (math.ceil(k / r) - 1) * (delta - 1)
-
-
-def _iroot(x: int, v: int) -> int:
-    """floor(x ** (1/v)) for x >= 1: Newton's method on ints, from above."""
-    y = 1 << -(-x.bit_length() // v)
-    while True:
-        z = ((v - 1) * y + x // y ** (v - 1)) // v
-        if z >= y:
-            return y
-        y = z
 
 
 def _digits(x: Fraction, prec: int, rounding: str) -> str:
@@ -69,7 +59,7 @@ def length_bound(q: int, r: int, delta: int, h: int, a: int) -> dict:
     base = ratio * (a + odd) - Fraction(h * (delta - 1), r)
 
     def scaled_power(s: int) -> int:  # floor(s * lead * q^(u/v))
-        return _iroot(q**u * (s * lead.numerator) ** v, v) // lead.denominator
+        return iroot(q**u * (s * lead.numerator) ** v, v) // lead.denominator
 
     def at_least(m: int) -> bool:  # value >= m
         gap = m - base

@@ -294,7 +294,25 @@ def decode_linear(code: LinearCode, erased, received) -> list[int] | None:
 # exact minimum distance
 
 
-def _dependent_subset(cols, nrows, fld: FiniteField, size) -> bool:
+def _support_masks(cols) -> tuple[list[int], list[int]]:
+    """The supports of ``cols`` as bitmasks, with the rows renumbered
+    sparsest first (ties in row order), so the lowest bit of a row mask is
+    its sparsest row: per column the rows it is nonzero at, and per row the
+    columns nonzero there."""
+    rows = list(zip(*cols))
+    col_rows = [0] * len(cols)
+    row_cols = []
+    for i, row in enumerate(sorted(rows, key=lambda row: len(row) - row.count(0))):
+        bit, mask = 1 << i, 0
+        for j, x in enumerate(row):
+            if x:
+                mask |= 1 << j
+                col_rows[j] |= bit
+        row_cols.append(mask)
+    return col_rows, row_cols
+
+
+def _dependent_subset(cols, nrows, fld: FiniteField, size, masks=None) -> bool:
     """True iff some ``size`` of the columns are dependent, given that no
     smaller subset is.  ``cols`` holds the columns as ``fld.normalize``
     maps them (scaled to a leading 1), each of ``nrows`` entries.
@@ -309,30 +327,79 @@ def _dependent_subset(cols, nrows, fld: FiniteField, size) -> bool:
     candidate is zero on the pivot rows, the one such normalized vector in
     its class modulo the prefix's span, up to scale.  As no smaller subset
     is dependent, the prefix plus candidates a and b is dependent iff
-    a == b or one is zero: one set lookup per candidate."""
+    a == b or one is zero: one set lookup per candidate.
+
+    ``masks``, ``_support_masks(cols)`` or None, turns on the
+    circuit rule.  As no smaller subset is dependent, a dependent
+    ``size``-set is a circuit: its one dependency has every coefficient
+    nonzero, so each row of the matrix meets it in no column or in at
+    least two.  The DFS carries the rows its prefix meets once and those
+    it meets more often, and skips a pivot u unless the k columns still to
+    pick, all after u, can meet every row met once: for k = 1 some column
+    meets them all, for k = 2 or 3 some column of the sparsest such row
+    leaves rows that k - 1 columns can meet, and for k >= 4 the later
+    columns together meet them all.
+    These conditions are necessary only: a skip never hides a circuit, and
+    the collision step is still the only way to answer True."""
     zero = (0,) * nrows
     if size == 1:
         return zero in cols
     if size == 2:
         return len(set(cols)) < len(cols)
     vec_sub, key = fld.vec_sub, fld.normalize
+    if masks is not None:
+        col_rows, row_cols = masks
+        after = [0] * (len(cols) + 1)  # after[j]: the rows columns j.. meet
+        for j in range(len(cols) - 1, -1, -1):
+            after[j] = after[j + 1] | col_rows[j]
 
-    def extend(cands, depth):
-        # cands: the normalized columns after the prefix, reduced against
-        # it; a pivot at position t needs size - depth - 1 more columns
-        # after it, the rest of the prefix and at least two candidates
-        for t in range(len(cands) - (size - depth - 1)):
+    def coverable(need, k, lo):
+        # can k of the columns lo.. meet every row of the mask need?
+        if need & ~after[lo]:
+            return False
+        if not need or k >= 4:
+            return True
+        low = need & -need  # the sparsest row
+        here = row_cols[low.bit_length() - 1] >> lo
+        if k == 1:
+            need ^= low
+            while need and here:
+                low = need & -need
+                here &= row_cols[low.bit_length() - 1] >> lo
+                need ^= low
+            return here != 0
+        while here:
+            bit = here & -here
+            if coverable(need & ~col_rows[lo + bit.bit_length() - 1], k - 1, lo):
+                return True
+            here ^= bit
+        return False
+
+    def extend(cands, lo, once, many, depth):
+        # cands: the normalized columns lo.. reduced against the prefix,
+        # which meets the rows of once in one column and those of many in
+        # more; a pivot needs k = size - depth - 1 more columns after it,
+        # the rest of the prefix and at least two candidates
+        k = size - depth - 1
+        once2 = many2 = 0
+        for t in range(len(cands) - k):
+            if masks is not None:
+                m = col_rows[lo + t]
+                many2 = many | (once & m)
+                once2 = (once | m) & ~many2
+                if not coverable(once2, k, lo + t + 1):
+                    continue
             u = cands[t]
             pi = u.index(1)  # the leading row
             rest = [key(vec_sub(w, w[pi], u)) if w[pi] else w for w in cands[t + 1:]]
             if depth + 3 == size:
                 if len(set(rest)) < len(rest) or zero in rest:
                     return True
-            elif extend(rest, depth + 1):
+            elif extend(rest, lo + t + 1, once2, many2, depth + 1):
                 return True
         return False
 
-    return extend(cols, 0)
+    return extend(cols, 0, 0, 0, 0)
 
 
 NODE_GUARD = 10**8  # most rank tests a distance search may project
@@ -356,7 +423,17 @@ def min_distance(h: Matrix, d_max: int | None = None, workers: int = 1) -> int:
     subset, if any, is found within it; if there is none, rank(H) = n <=
     nrows and the bound is n + 1.  Raises Infeasible when the projected
     number of rank tests, the sum of C(n, s) over the passes so far,
-    exceeds ``NODE_GUARD``.
+    exceeds ``NODE_GUARD``; that estimate ignores the pruning below, so
+    the guard refuses the same inputs as an unpruned search would.
+
+    Pass s runs only after the smaller passes found no dependent subset, so
+    a dependent s-set is a circuit, and every row of H meets it in no
+    column or in at least two.  From the first pass of size 4 on, the DFS
+    uses that circuit rule to skip prefixes whose once-met rows the
+    columns still to pick cannot meet (see ``_dependent_subset``).  The
+    row and column support masks it needs are built once per call, at that
+    pass, from the normalized columns; the smaller passes, and the many
+    searches that end in them, never build them.
 
     The columns are normalized once per call, and every pass runs in this
     process.  ``workers`` is accepted, for callers that still pass it, and
@@ -370,6 +447,7 @@ def min_distance(h: Matrix, d_max: int | None = None, workers: int = 1) -> int:
     elif d_max < 1:
         raise InvalidParameter(f"d_max must be at least 1, got {d_max}")
     cols = [h.field.normalize(h.column(j)) for j in range(n)]
+    masks = None
     est = 0
     for s in range(1, d_max + 1):
         est += math.comb(n, s)
@@ -377,6 +455,8 @@ def min_distance(h: Matrix, d_max: int | None = None, workers: int = 1) -> int:
             raise Infeasible(
                 f"distance search would need ~{est} rank tests (> {NODE_GUARD})"
             )
-        if _dependent_subset(cols, h.nrows, h.field, s):
+        if s == 4:
+            masks = _support_masks(cols)
+        if _dependent_subset(cols, h.nrows, h.field, s, masks):
             return s
     raise Infeasible(f"no dependent subset of size <= {d_max} found")

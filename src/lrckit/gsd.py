@@ -22,7 +22,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 
-from .algebra import factor_prime_power
+from .algebra import PRIME_LIMIT, factor_prime_power
 from .errors import Infeasible, InvalidParameter, NotRegular
 from .lrc import EvaluationLayout, LinearCode
 from .erasure import recoverable
@@ -385,12 +385,15 @@ def _claims(rows: int, delta: int, h: int) -> list[dict]:
 
 
 def _next_prime_power(n: int) -> int:
-    while True:
+    """The smallest prime power >= n; raises InvalidParameter when there is
+    none below ``PRIME_LIMIT``, beyond which primality is not decided."""
+    for q in range(max(n, 2), PRIME_LIMIT):
         try:
-            factor_prime_power(n)
-            return n
+            factor_prime_power(q)
+            return q
         except InvalidParameter:
-            n += 1
+            pass
+    raise InvalidParameter(f"q_min is beyond {PRIME_LIMIT:.3g}, below which primality is exact")
 
 
 def family_params(family: str, **kw) -> dict:
@@ -399,6 +402,9 @@ def family_params(family: str, **kw) -> dict:
     parameters are checked as the design constructors check them: q1 and
     every entry of ``prime_powers`` must be prime powers, beta >= 2 and
     e > 1; delta must be at least 2, as ``LrcParams`` requires.
+    ``q_min_prime_power``, the smallest prime power >= q_min, is found by
+    exact primality tests, so q_min must lie below ``algebra.PRIME_LIMIT``
+    (about 3.3e24); beyond it InvalidParameter is raised.
 
     ``d_per_corollary`` is the distance exactly as printed in the source
     statements (h + delta - 1); ``d_singleton`` is the value the distance

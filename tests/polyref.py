@@ -1,11 +1,15 @@
-"""Reference encoder for the differential tests: the paper's two-step
-polynomial construction, built from dense polynomials exactly as it is
-defined.  The library encodes through the cached rows of the structural
-parity check instead; these functions are the slow oracle it is compared
+"""Dense-polynomial references for the differential tests: the paper's
+two-step polynomial encoder, built exactly as it is defined, and the search
+for a field's primitive element by square-and-multiply of polynomial
+products.  The library encodes through the cached rows of the structural
+parity check and finds the primitive element by walking multiplication
+tables instead; these functions are the slow oracles it is compared
 against, and are not used by the library.
 """
 
-from lrckit.algebra import Poly, interpolate, poly_from_roots
+import math
+
+from lrckit.algebra import FiniteField, Poly, interpolate, poly_from_roots
 
 
 def block_polys(layout, info) -> list[Poly]:
@@ -50,3 +54,32 @@ def poly_encode(layout, info) -> list[int]:
     word = [f(x) for f, a in zip(polys, layout.sets) for x in a]
     f_comb = global_poly(layout, polys)
     return word + [f_comb(s) for s in layout.s_points]
+
+
+def square_and_multiply_generator(fld) -> int:
+    """The smallest-encoded element of multiplicative order q - 1 (1 for
+    F_2): g is primitive iff g^((q-1)/l) != 1 for every prime l dividing
+    q - 1, each power taken by square-and-multiply, each product a
+    polynomial product over F_p reduced modulo the field's modulus."""
+    q = fld.q
+    fp = FiniteField(fld.p)
+    mod = Poly(fp, fld.modulus)
+
+    def mul(a, b):
+        prod = Poly(fp, fld.coords(a)) * Poly(fp, fld.coords(b)) % mod
+        return fld.from_coords(prod.coeffs)
+
+    def power(x, e):
+        acc = 1
+        while e:
+            if e & 1:
+                acc = mul(acc, x)
+            e >>= 1
+            if e:
+                x = mul(x, x)
+        return acc
+
+    primes = [f for f in range(2, q) if (q - 1) % f == 0
+              and all(f % d for d in range(2, math.isqrt(f) + 1))]
+    return next((g for g in range(2, q)
+                 if all(power(g, (q - 1) // ell) != 1 for ell in primes)), 1)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import pickle
 import random
 
@@ -19,6 +20,7 @@ from lrckit.algebra import (
 )
 from lrckit.errors import DuplicateNode, InternalInvariantViolation, InvalidParameter
 from linref import identity, same_row_space, solve
+from polyref import square_and_multiply_generator
 
 F11 = FiniteField(11)
 F13 = FiniteField(13)
@@ -76,6 +78,73 @@ def test_bad_field_parameters():
         FiniteField(2, 2, modulus=[0, 0, 1])  # x^2 is reducible
     with pytest.raises(ZeroDivisionError):
         F11.inv(0)
+
+
+@pytest.mark.parametrize("p, m", [(2, 17), (3, 11), (65537, 1), (2, 10**9), (10**30, 1),
+                                  (2**89 - 1, 2)])
+def test_fields_beyond_the_size_guard_are_refused(p, m):
+    # refused before any table, or any power p^m of a huge m, is built
+    with pytest.raises(InvalidParameter, match="MAX_FIELD"):
+        FiniteField(p, m)
+
+
+def test_the_size_guard_admits_its_bound():
+    assert FiniteField(2, 16).q == algebra.MAX_FIELD
+    assert FiniteField(65521).q == 65521  # the largest prime below the bound
+
+
+def trial_division_is_prime(n):
+    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
+def trial_division_prime_power(q):
+    """(p, m) with q = p^m from q's smallest divisor above 1, or None."""
+    if q < 2:
+        return None
+    p = next((f for f in range(2, math.isqrt(q) + 1) if q % f == 0), q)
+    m, rest = 0, q
+    while rest % p == 0:
+        rest //= p
+        m += 1
+    return (p, m) if rest == 1 else None
+
+
+def test_primality_matches_trial_division():
+    for n in range(-2, 10**5):
+        assert algebra.is_prime(n) == trial_division_is_prime(n), n
+
+
+def test_prime_powers_match_trial_division():
+    for q in range(-2, 10**5):
+        try:
+            got = algebra.factor_prime_power(q)
+        except InvalidParameter:
+            got = None
+        assert got == trial_division_prime_power(q), q
+
+
+@pytest.mark.parametrize("n, prime", [
+    (2**61 - 1, True),
+    (10**24 + 7, True),
+    (2**67 - 1, False),  # 193707721 * 761838257287
+    (3825123056546413051, False),  # a strong pseudoprime to the bases 2..31
+    (318665857834031151167461, False),  # a strong pseudoprime to the bases 2..37
+])
+def test_primality_is_exact_up_to_its_limit(n, prime):
+    assert algebra.is_prime(n) == prime
+    assert n < algebra.PRIME_LIMIT
+
+
+def test_primality_refuses_to_guess_beyond_its_limit():
+    # the limit is itself a strong pseudoprime to the bases 2..41
+    for n in (algebra.PRIME_LIMIT, 2**89 - 1):
+        with pytest.raises(InvalidParameter):
+            algebra.is_prime(n)
+    # a perfect power of a small prime is settled by its root
+    assert algebra.factor_prime_power(2**100) == (2, 100)
+    assert algebra.factor_prime_power((2**61 - 1) ** 2) == (2**61 - 1, 2)
+    with pytest.raises(InvalidParameter):
+        algebra.factor_prime_power(2**100 + 1)
 
 
 @pytest.mark.parametrize("fld", [FiniteField(7), F16, F9])  # one field of each kind
@@ -185,27 +254,30 @@ def power_walk_tables(fld):
     return powers + powers, log, zech
 
 
-def test_generator_is_the_smallest_primitive_element():
-    # every field up to 3^7, prime and extension alike
-    for q in range(2, 2188):
+def fields_up_to_3_7():
+    """Every field of order up to 3^7, the largest the tests build."""
+    for q in range(2, 3**7 + 1):
         try:
             p, m = algebra.factor_prime_power(q)
         except InvalidParameter:
             continue
-        fld = FiniteField(p, m)
+        yield FiniteField(p, m)
+
+
+def test_generator_is_the_smallest_primitive_element():
+    for fld in fields_up_to_3_7():
         assert fld.generator == walk_generator(fld), fld
 
 
+def test_generator_matches_the_square_and_multiply_search():
+    for fld in fields_up_to_3_7():
+        assert fld.generator == square_and_multiply_generator(fld), fld
+
+
 def test_log_tables_match_a_power_walk():
-    # every extension field up to 3^7
-    for q in range(4, 2188):
-        try:
-            p, m = algebra.factor_prime_power(q)
-        except InvalidParameter:
+    for fld in fields_up_to_3_7():
+        if fld.m == 1:
             continue
-        if m == 1:
-            continue
-        fld = FiniteField(p, m)
         exp, log, zech = power_walk_tables(fld)
         assert fld._exp == exp and fld._log == log, fld
         assert getattr(fld, "_zech", None) == zech, fld

@@ -1,5 +1,7 @@
+import contextlib
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +25,27 @@ def run_cli(*args, input_text=None, env=None):
         env={**os.environ, "PYTHONPATH": path, **(env or {})},
     )
     return proc
+
+
+class OverBudget(BaseException):
+    """Raised by ``time_budget``; a BaseException, so no ``except
+    Exception`` (or ``except OSError``) in the code under test absorbs it."""
+
+
+@contextlib.contextmanager
+def time_budget(seconds: int):
+    """Fail the enclosed in-process call, instead of hanging the suite, when
+    it runs longer than ``seconds``: SIGALRM, so the main thread only."""
+    def expire(signum, frame):
+        raise OverBudget(f"over the {seconds} s budget")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_bounds_singleton():
@@ -137,6 +160,13 @@ def decode_args(layout, n, first):
          "--q", "11", "--h", "1"),
         ("gsd", "params", "--family", "ag", "--q1", "3", "--beta", "2", "--delta", "0",
          "--v", "1"),
+        # refused before the work starts: fields of 2^30 and 2^28 elements
+        # (above MAX_FIELD), and a q_min of 286 digits (beyond PRIME_LIMIT)
+        ("goppa", "build", "--p", "2", "--m", "30", "--g1", "1,1", "--g2", "1,0,1",
+         "--sets", "1,2,3", "--t", "1"),
+        ("designs", "gen", "--family", "sg", "--q1", "16", "--beta", "7"),
+        ("gsd", "params", "--family", "sg", "--q1", "13", "--beta", "256", "--delta", "7",
+         "--v", "256"),
     ],
 )
 def test_bad_invocations_are_usage_errors(tmp_path, capsys, example1_layout, args):
@@ -154,9 +184,22 @@ def test_bad_invocations_are_usage_errors(tmp_path, capsys, example1_layout, arg
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     argv = [str(tmp_path / a) if a in files else a for a in args]
-    assert main(argv) == 2
+    with time_budget(10):
+        assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_family_params_near_the_primality_limit(capsys):
+    """q_min = 2^80 - 255, below the limit of exact primality: the next
+    prime power is found by a few dozen Miller-Rabin tests, not by trial
+    division up to 10^12."""
+    with time_budget(10):
+        assert main(["gsd", "params", "--family", "pg", "--q1", "2", "--beta", "79",
+                     "--delta", "2", "--v", "256"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["q_min"] == 2**80 - 255
+    assert rep["q_min_prime_power"] == 2**80 - 255 + 112
 
 
 @pytest.mark.parametrize(

@@ -439,20 +439,93 @@ def test_min_distance_matches_naive_on_structural_checks(lay):
     assert min_distance(h) == naive_min_distance(h)
 
 
-@given(small_matrices())
-@example(MDS_CHECKS[0])
-@settings(max_examples=60, deadline=None)
-def test_dependent_subset_matches_brute_force(m):
-    """Every pass up to the distance, run on its own: the search kernel
-    against "some s-subset has rank < s"."""
-    n = m.ncols
-    cols = [m.field.normalize(m.column(j)) for j in range(n)]
-    for s in range(1, n + 1):
+def brute_force_passes(m):
+    """(s, some s columns of m are dependent) for s = 1, 2, ... up to the
+    first dependent size, by the rank of every s-subset."""
+    for s in range(1, m.ncols + 1):
         dependent = any(m.columns(sub).rank() < s
-                        for sub in itertools.combinations(range(n), s))
-        assert erasure._dependent_subset(cols, m.nrows, m.field, s) == dependent
-        if dependent:  # later passes would break the kernel's premise
-            break
+                        for sub in itertools.combinations(range(m.ncols), s))
+        yield s, dependent
+        if dependent:  # later passes would break the search's premise
+            return
+
+
+def search_passes(m, with_masks):
+    """``_dependent_subset`` on each pass that ``brute_force_passes`` runs,
+    with or without the support masks."""
+    cols = [m.field.normalize(m.column(j)) for j in range(m.ncols)]
+    masks = erasure._support_masks(cols) if with_masks else None
+    return [erasure._dependent_subset(cols, m.nrows, m.field, s, masks)
+            for s, _ in brute_force_passes(m)]
+
+
+@given(small_matrices(), st.booleans())
+@example(MDS_CHECKS[0], False)
+@example(MDS_CHECKS[0], True)
+@settings(max_examples=60, deadline=None)
+def test_dependent_subset_matches_brute_force(m, with_masks):
+    """Every pass up to the distance, run on its own, with the circuit
+    rule's support masks and without: the search kernel against "some
+    s-subset has rank < s"."""
+    assert search_passes(m, with_masks) == [dep for _, dep in brute_force_passes(m)]
+
+
+@st.composite
+def block_checks(draw):
+    """A sparse check in the shape of an LRC's: blocks of 2 to 5 columns,
+    each with one or two local rows supported on it, plus up to three
+    denser rows, n <= 14, with rows and columns then shuffled.  A prefix
+    that takes part of a block meets its local rows once, so the circuit
+    rule has prefixes to skip."""
+    fld = draw(st.sampled_from(DISTANCE_FIELDS))
+    sizes = draw(st.lists(st.integers(2, 5), min_size=2, max_size=5)
+                 .filter(lambda sizes: sum(sizes) <= 14))
+    n = sum(sizes)
+    nonzero = st.integers(1, fld.q - 1)
+    rows, start = [], 0
+    for size in sizes:
+        for _ in range(draw(st.integers(1, 2))):
+            vals = draw(st.lists(nonzero, min_size=size, max_size=size))
+            rows.append([0] * start + vals + [0] * (n - start - size))
+        start += size
+    dense = st.one_of(st.just(0), nonzero, nonzero)  # a third of the entries zero
+    for _ in range(draw(st.integers(0, 3))):
+        rows.append(draw(st.lists(dense, min_size=n, max_size=n)))
+    rows = draw(st.permutations(rows))
+    order = draw(st.permutations(range(n)))
+    return Matrix(fld, [[r[j] for j in order] for r in rows], n)
+
+
+# circuits the circuit rule must keep: a 4-cycle, each row met twice,
+# which a rule that still counts rows met twice would drop; and the
+# 4-circuit {0, 2, 3, 6}, whose prefix {0, 2} meets rows 0..2 once, met
+# then only by columns 3 and 6 together, which a rule short of one column
+# would drop
+CIRCUIT_CHECKS = [
+    Matrix(FiniteField(5), [[1, 1, 0, 0], [0, 0, 1, 1], [0, 1, 0, 1]]),
+    Matrix(FiniteField(5), [[1, 1, 0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 1, 1, 1, 1],
+                            [0, 0, 1, 0, 2, 1, 1, 2], [0, 1, 0, 0, 0, 0, 0, 0],
+                            [0, 0, 0, 0, 0, 1, 0, 1], [0, 0, 0, 1, 0, 0, 1, 1]]),
+]
+
+
+@given(block_checks())
+@example(CIRCUIT_CHECKS[0])
+@example(CIRCUIT_CHECKS[1])
+@settings(max_examples=150, deadline=None)
+def test_circuit_rule_keeps_every_circuit(m):
+    """On block-structured sparse checks, where the circuit rule skips
+    prefixes: ``min_distance`` against ``naive_min_distance``, and each
+    pass with the support masks against brute force."""
+    assert search_passes(m, True) == [dep for _, dep in brute_force_passes(m)]
+
+    def distance(search):
+        try:
+            return search(m)
+        except Infeasible:
+            return None
+
+    assert distance(min_distance) == distance(naive_min_distance)
 
 
 @st.composite

@@ -12,7 +12,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lrckit.bounds import _iroot, classify, length_bound
+from lrckit.algebra import iroot
+from lrckit.bounds import classify, length_bound
 
 
 def is_prime_power(q: int) -> bool:
@@ -113,7 +114,7 @@ def test_classify_reports_the_exponent_of_the_best_offset():
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 10**80), st.integers(1, 9))
 def test_integer_root_is_the_floor_root(x, v):
-    y = _iroot(x, v)
+    y = iroot(x, v)
     assert y**v <= x < (y + 1) ** v
 
 
