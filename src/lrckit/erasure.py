@@ -1,7 +1,16 @@
 """Erasure-pattern machinery: the admissibility test for the structured
 polynomial decoder, the decoder itself, a generic linear-algebra rank test
 and decoding oracle that both run ``Matrix.eliminate`` (the library's one
-sparse column elimination), and exact minimum-distance search.
+sparse column elimination), exact minimum-distance search, and the local
+repair that the array sweeps apply before the rank test.
+
+Local repair rests on information locality.  If the code punctured to a
+repair set A has distance d, and an erased set E meets A in at least one
+and at most min(d, delta) - 1 coordinates, then E is recoverable iff E - A
+is: a codeword supported on E restricts on A to a punctured codeword of
+weight below d, which is zero.  ``local_repair_map`` finds those
+thresholds from the punctured checks, and ``peel`` drops the light sets of
+disjoint repair sets in one pass.
 
 Erasure patterns are stated in terms of evaluation points, grouped by the
 repair set they hit, plus the erased global points; the coordinate-level
@@ -17,7 +26,7 @@ from dataclasses import dataclass
 
 from .algebra import FiniteField, Matrix, lagrange_basis, value_from_roots
 from .errors import Inconsistent, Infeasible, InvalidParameter, NotAdmissible
-from .lrc import EvaluationLayout, LinearCode, encode
+from .lrc import EvaluationLayout, LinearCode, encode, punctured_checks
 
 
 @dataclass(frozen=True)
@@ -446,7 +455,18 @@ def min_distance(h: Matrix, d_max: int | None = None, workers: int = 1) -> int:
         d_max = min(n, h.nrows) + 1
     elif d_max < 1:
         raise InvalidParameter(f"d_max must be at least 1, got {d_max}")
-    cols = [h.field.normalize(h.column(j)) for j in range(n)]
+    s = _smallest_dependent(h, d_max)
+    if s is None:
+        raise Infeasible(f"no dependent subset of size <= {d_max} found")
+    return s
+
+
+def _smallest_dependent(h: Matrix, d_max: int) -> int | None:
+    """The passes of ``min_distance`` up to ``d_max``: the smallest s <=
+    d_max such that some s columns of H are dependent, or None.  Raises
+    Infeasible past ``NODE_GUARD``."""
+    n = h.ncols
+    cols = list(map(h.field.normalize, zip(*h.rows))) or [()] * n
     masks = None
     est = 0
     for s in range(1, d_max + 1):
@@ -459,4 +479,60 @@ def min_distance(h: Matrix, d_max: int | None = None, workers: int = 1) -> int:
             masks = _support_masks(cols)
         if _dependent_subset(cols, h.nrows, h.field, s, masks):
             return s
-    raise Infeasible(f"no dependent subset of size <= {d_max} found")
+    return None
+
+
+# ----------------------------------------------------------------------
+# local repair in front of the rank test
+
+
+def local_repair_map(code: LinearCode) -> dict[int, tuple[int, int]]:
+    """Coordinate -> (repair set, threshold t), for the coordinates of
+    every repair set of ``code`` with t >= 1, where t = min(d, delta) - 1
+    and d is the distance of the code punctured to the set: at most t
+    erasures in the set are repaired from it alone (module docstring).
+
+    d is tested only as far as delta - 1: the passes of ``min_distance``
+    of size < delta on each set's ``lrc.punctured_checks`` matrix.  A set
+    whose check is empty, or whose search would pass ``NODE_GUARD``, gets
+    t = 0.  The map is empty when delta < 2 or when the repair sets are
+    not disjoint: ``peel`` drops a set by the erasures it counts there,
+    which would miss those of a shared coordinate counted for another
+    set."""
+    sets = code.repair_sets
+    if len(set().union(*sets)) < sum(map(len, sets)):
+        return {}
+    out = {}
+    for b, (coords, pc) in enumerate(zip(sets, punctured_checks(code))):
+        if pc.nrows == 0:
+            continue
+        try:
+            d = _smallest_dependent(pc, code.delta - 1)
+        except Infeasible:
+            continue
+        t = code.delta - 1 if d is None else d - 1
+        if t:
+            out.update(dict.fromkeys(coords, (b, t)))
+    return out
+
+
+def peel(repair: dict[int, tuple[int, int]], coords) -> list[int]:
+    """The coordinates left of an erased set once every repair set it
+    meets in at most its threshold, by ``repair`` (``local_repair_map``),
+    is dropped, in one pass over ``coords``.  Exact: ``coords`` is
+    recoverable iff the result is, as dropping one light set leaves the
+    others' erasures as they were (the sets are disjoint)."""
+    kept: list[int] = []
+    hits: dict[tuple[int, int], list[int]] = {}
+    for c in coords:
+        entry = repair.get(c)
+        if entry is None:
+            kept.append(c)
+        elif entry in hits:
+            hits[entry].append(c)
+        else:
+            hits[entry] = [c]
+    for (_, t), cs in hits.items():
+        if len(cs) > t:
+            kept += cs
+    return kept

@@ -9,6 +9,14 @@ parities spread across all columns), and the truncated one for h = r - v
 block).  Cells erased as part of a column erasure are the column's real
 cells; zero-filled cells carry no information and are excluded from erasure
 accounting.
+
+A sweep repairs locally before it tests rank.  A repair set that holds
+fewer erasures than its punctured code's distance, and than delta, is
+repaired from the set alone: a codeword supported on the erased cells is
+zero on that set.  So a pattern is recoverable iff what is left once those
+light sets are dropped is (``erasure.local_repair_map`` and
+``erasure.peel``), and only the heavy sets and the global parities reach
+the rank test, ``erasure.recoverable``.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from functools import partial
 from .algebra import PRIME_LIMIT, factor_prime_power
 from .errors import Infeasible, InvalidParameter, NotRegular
 from .lrc import EvaluationLayout, LinearCode
-from .erasure import recoverable
+from .erasure import local_repair_map, peel, recoverable
 
 
 @dataclass
@@ -195,14 +203,19 @@ def chunk_map(workers: int):
         yield ex.map
 
 
-def _sweep_task(h, chunk):
+def _sweep_task(h, repair, chunk):
     """Test each (index, coords) pattern of a chunk; returns the counts and
-    the chunk's first ``MAX_WITNESS`` failures as (index, coords) pairs."""
+    the chunk's first ``MAX_WITNESS`` failures as (index, coords) pairs.
+
+    Each pattern goes to the rank test with its locally repaired sets
+    peeled off (``erasure.peel`` on ``repair``, the code's
+    ``erasure.local_repair_map``), which leaves the verdict as it is; a
+    failure records the pattern's own coordinates."""
     checked = passed = 0
     failures = []
     for index, coords in chunk:
         checked += 1
-        if recoverable(h, coords):
+        if recoverable(h, peel(repair, coords)):
             passed += 1
         elif len(failures) < MAX_WITNESS:
             failures.append((index, list(coords)))
@@ -235,6 +248,12 @@ def check_array(
 
     ``failures`` holds the first ``MAX_WITNESS`` unrecoverable patterns in
     pattern order, sorted; it is the same for every worker count.
+
+    The code's ``erasure.local_repair_map`` is computed once per call, and
+    each pattern is tested with its light repair sets peeled off, which is
+    exact (see the module docstring): the counts and the failures, which
+    hold the patterns' own coordinates, are those of the rank test alone.
+    Codes whose repair sets overlap, or have no local distance, get no peel.
     """
     if columns not in ("all", "data"):
         raise InvalidParameter("columns must be 'all' or 'data'")
@@ -308,7 +327,7 @@ def check_array(
     checked = passed = 0
     witnesses: list[tuple[int, list[int]]] = []
     with chunk_map(w) as run:
-        sweep = partial(_sweep_task, arr.code.check)
+        sweep = partial(_sweep_task, arr.code.check, local_repair_map(arr.code))
         for c, p_, f in run(sweep, [indexed[i::w] for i in range(w)]):
             checked += c
             passed += p_
@@ -342,11 +361,24 @@ def check_array(
 # closed-form family parameters
 
 
+MAX_CLAIMS = 10**4  # most item III claims a report may list
+
+
 def _claims(rows: int, delta: int, h: int) -> list[dict]:
     """(y, gamma) pairs claimed by the three corollary items for arrays from
     the truncated arrangement, with each item's side conditions evaluated.
     The second condition of every item is the sector-disk qualification
-    y*rows + gamma > h + delta - 1."""
+    y*rows + gamma > h + delta - 1.
+
+    Items II and III list y only while gamma >= 0: gamma falls as y grows,
+    so every later claim is void.  That leaves min(top - 1, h + delta - 1)
+    // 2 claims of item III, top = delta(delta+1)/2, and InvalidParameter
+    is raised before any is built when they exceed ``MAX_CLAIMS``."""
+    top = delta * (delta + 1) // 2
+    last = min(top - 1, h + delta - 1) // 2
+    if last > MAX_CLAIMS:
+        raise InvalidParameter(
+            f"item III would list {last} claims (> {MAX_CLAIMS}); delta = {delta} is too large")
     out = []
     for y in (1, 2):
         gamma = h - 2 * y - 1
@@ -361,17 +393,18 @@ def _claims(rows: int, delta: int, h: int) -> list[dict]:
     y = 1
     while math.comb(y, 2) <= delta:
         gamma = h - 2 - math.comb(y, 2) - y
+        if gamma < 0:
+            break
         out.append(
             {
                 "item": "II",
                 "y": y,
                 "gamma": gamma,
-                "valid": gamma >= 0 and y * rows - 1 - math.comb(y, 2) - y > delta,
+                "valid": y * rows - 1 - math.comb(y, 2) - y > delta,
             }
         )
         y += 1
-    top = delta * (delta + 1) // 2
-    for y in range(1, max(top - 1, 1)):
+    for y in range(1, last + 1):
         gamma = min(top - 2 * y - 1, h + delta - 1 - 2 * y)
         out.append(
             {
@@ -401,7 +434,9 @@ def family_params(family: str, **kw) -> dict:
     every corollary item's claims and side conditions evaluated.  The design
     parameters are checked as the design constructors check them: q1 and
     every entry of ``prime_powers`` must be prime powers, beta >= 2 and
-    e > 1; delta must be at least 2, as ``LrcParams`` requires.
+    e > 1; delta must be at least 2 and leave r >= 1, as ``LrcParams``
+    requires.  q1^beta must lie below ``algebra.PRIME_LIMIT``; that is
+    checked before the power is taken, so a huge beta is refused at once.
     ``q_min_prime_power``, the smallest prime power >= q_min, is found by
     exact primality tests, so q_min must lie below ``algebra.PRIME_LIMIT``
     (about 3.3e24); beyond it InvalidParameter is raised.
@@ -422,6 +457,10 @@ def family_params(family: str, **kw) -> dict:
         factor_prime_power(q1)
         if beta < 2:
             raise InvalidParameter("beta must be >= 2")
+        # checked before q1^beta for a huge beta, as q1 >= 2
+        if beta >= PRIME_LIMIT.bit_length() or q1**beta >= PRIME_LIMIT:
+            raise InvalidParameter(
+                f"q1^beta must lie below {PRIME_LIMIT:.3g}, below which primality is exact")
         if family == "AG":
             r = q1 - delta + 1
             rows = (q1**beta - 1) // (q1 - 1)
@@ -459,6 +498,8 @@ def family_params(family: str, **kw) -> dict:
     else:
         raise InvalidParameter(f"unknown family {family!r}")
 
+    if r < 1:
+        raise InvalidParameter(f"delta = {delta} leaves r = {r}; the blocks need r >= 1")
     h = r - v
     k = (blocks - 1) * r + v
     n = rows * cols

@@ -1,8 +1,8 @@
 """Erasure-pattern streams for the decoder tests: exhaustive heavy-plus-
-global patterns on a layout, and the first fixture's beyond-distance
-column pairs; and a full-scan reference for ``ErasurePattern.coords``.
-Not used by the library, whose sweeps enumerate their own patterns
-(``gsd.check_array``).
+global patterns on a layout, the first fixture's beyond-distance column
+pairs, and every disk-plus-sector pattern of an array; and a full-scan
+reference for ``ErasurePattern.coords``.  Not used by the library, whose
+sweeps enumerate their own patterns (``gsd.check_array``).
 """
 
 import itertools
@@ -70,3 +70,16 @@ def full_scan_coords(pat, layout) -> tuple[int, ...]:
         if s in pat.globals_:
             out.append(layout.global_coord(i))
     return tuple(sorted(out))
+
+
+def array_patterns(arr, y: int, gamma: int, columns: str = "all"):
+    """Every pattern of y whole eligible columns of an array plus gamma of
+    its other real cells, as sorted coordinate tuples, in the order of
+    ``gsd.check_array``'s exhaustive mode: column choices in
+    lexicographic order, then the other cells in ``real_cells()`` order."""
+    eligible = range(arr.data_cols if columns == "data" else arr.cols)
+    col_coords = [arr.column_coords(j) for j in range(arr.cols)]
+    for chosen in itertools.combinations(eligible, y):
+        rest = [c for j, cs in enumerate(col_coords) if j not in chosen for c in cs]
+        for extra in itertools.combinations(rest, gamma):
+            yield tuple(sorted(set(extra).union(*(col_coords[j] for j in chosen))))

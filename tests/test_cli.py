@@ -167,6 +167,14 @@ def decode_args(layout, n, first):
         ("designs", "gen", "--family", "sg", "--q1", "16", "--beta", "7"),
         ("gsd", "params", "--family", "sg", "--q1", "13", "--beta", "256", "--delta", "7",
          "--v", "256"),
+        # refused before the work starts: a delta that leaves r < 1, a
+        # q1^beta of 160 million bits, and 32,768 claims of item III
+        ("gsd", "params", "--family", "ag", "--q1", "3", "--beta", "2", "--delta", "100000",
+         "--v", "1"),
+        ("gsd", "params", "--family", "ag", "--q1", "3", "--beta", "100000000", "--delta", "3",
+         "--v", "1"),
+        ("gsd", "params", "--family", "ag", "--q1", "65537", "--beta", "2", "--delta", "60000",
+         "--v", "1"),
     ],
 )
 def test_bad_invocations_are_usage_errors(tmp_path, capsys, example1_layout, args):

@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import math
 
 import pytest
 
@@ -274,6 +276,53 @@ def test_family_params_regular_packing():
     # v=0 is out of range and must be flagged, arithmetic still reported
     assert rep["rows"] == 2 and rep["cols"] == 30
     assert not rep["preconditions"]["v_in_range"]
+
+
+def full_claims(rows, delta, h):
+    """Every claim of the three items, void ones included: items II and III
+    run to their own ends, y with C(y, 2) <= delta and y <= top - 2."""
+    top = delta * (delta + 1) // 2
+    out = [("I", y, h - 2 * y - 1, h - 2 * y - 1 >= 0 and y * (rows - 2) > delta)
+           for y in (1, 2)]
+    y = 1
+    while math.comb(y, 2) <= delta:
+        gamma = h - 2 - math.comb(y, 2) - y
+        out.append(("II", y, gamma, gamma >= 0 and y * rows - 1 - math.comb(y, 2) - y > delta))
+        y += 1
+    for y in range(1, max(top - 1, 1)):
+        gamma = min(top - 2 * y - 1, h + delta - 1 - 2 * y)
+        out.append(("III", y, gamma, gamma > 0 and y * rows + gamma > h + delta - 1))
+    return out
+
+
+def test_claims_stop_where_gamma_turns_negative():
+    for rows, delta, h in itertools.product((3, 9, 21), range(2, 10), range(-3, 40)):
+        claims = [(c["item"], c["y"], c["gamma"], c["valid"])
+                  for c in gsd._claims(rows, delta, h)]
+        assert claims == [c for c in full_claims(rows, delta, h) if c[0] == "I" or c[2] >= 0]
+
+
+def test_claims_beyond_the_guard_are_refused():
+    assert len(gsd._claims(9, 141, 19_000)) < gsd.MAX_CLAIMS
+    with pytest.raises(InvalidParameter, match="claims"):
+        gsd._claims(9, 30_000, 2)
+    with pytest.raises(InvalidParameter, match="claims"):
+        gsd._claims(9, 200, 20_000)
+
+
+@pytest.mark.parametrize("family, q1, delta", [("ag", 3, 4), ("pg", 3, 5), ("sg", 3, 5)])
+def test_family_params_need_r_at_least_one(family, q1, delta):
+    family_params(family, q1=q1, beta=2, delta=delta - 1, v=1)  # r = 1
+    with pytest.raises(InvalidParameter, match="r >= 1"):
+        family_params(family, q1=q1, beta=2, delta=delta, v=1)
+
+
+def test_family_params_bound_q1_to_the_beta():
+    rep = family_params("ag", q1=2, beta=81, delta=2, v=1)
+    assert rep["q_min_prime_power"] == rep["q_min"] == 2**81
+    for q1, beta in ((2, 82), (3, 52), (3, 10**8)):
+        with pytest.raises(InvalidParameter, match="q1\\^beta"):
+            family_params("ag", q1=q1, beta=beta, delta=2, v=1)
 
 
 def test_array_json(ex1_array):
