@@ -33,6 +33,10 @@ NEG_INF = float("-inf")  # degree of the zero polynomial
 PRIME_LIMIT = 3317044064679887385961981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MAX_FIELD = 2**16  # the largest field order FiniteField tabulates
+# the most steps a design constructor of ``designs`` may take: each counts
+# its own in closed form, from its point and block counts, before it builds
+# anything
+MAX_DESIGN = 10**6
 
 
 def is_prime(n: int) -> bool:

@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass, field as dc_field
 
-from .algebra import FiniteField, factor_prime_power
+from .algebra import MAX_DESIGN, FiniteField, factor_prime_power
 from .errors import InvalidParameter
 
 
@@ -61,15 +61,32 @@ def _pack_vector(vec, q1: int) -> int:
     return acc
 
 
+def _guarded_power(geometry: str, q1: int, e: int, steps) -> int:
+    """q1^e, once ``steps(q1^e)``, the steps of the construction, are found
+    within ``MAX_DESIGN``; InvalidParameter otherwise.  Every construction
+    takes at least q1^e steps and q1 >= 2, so a huge e is refused before
+    the power is taken."""
+    if e >= MAX_DESIGN.bit_length() or steps(q1**e) > MAX_DESIGN:
+        raise InvalidParameter(
+            f"{geometry} would take more than MAX_DESIGN = {MAX_DESIGN} steps to build")
+    return q1**e
+
+
 def ag_steiner(q1: int, beta: int) -> Design:
     """Steiner system of lines in the affine geometry AG(beta, q1):
     a (2, q1, q1^beta)-Steiner system.
+
+    The construction tries n base points for each of the (n - 1)/(q1 - 1)
+    directions, n = q1^beta, which is the number of blocks times q1;
+    InvalidParameter is raised before it starts when that exceeds
+    ``MAX_DESIGN``.
     """
     if beta < 2:
         raise InvalidParameter("beta must be >= 2")
     p, m = factor_prime_power(q1)
+    n = _guarded_power(f"AG({beta}, {q1})", q1, beta,
+                       lambda points: points * (points - 1) // (q1 - 1))
     fld = FiniteField(p, m)
-    n = q1**beta
     vectors = list(itertools.product(range(q1), repeat=beta))
     index = {v: _pack_vector(v, q1) for v in vectors}
     blocks = []
@@ -103,10 +120,17 @@ def ag_steiner(q1: int, beta: int) -> Design:
 def pg_steiner(q1: int, beta: int) -> Design:
     """Steiner system of lines in the projective geometry PG(beta, q1):
     a (2, q1+1, (q1^(beta+1)-1)/(q1-1))-Steiner system.
+
+    The construction visits, and records, each of the C(n, 2) point pairs
+    once, n the point count, which is the number of blocks times
+    C(q1 + 1, 2); InvalidParameter is raised before it starts when that
+    exceeds ``MAX_DESIGN``.
     """
     if beta < 2:
         raise InvalidParameter("beta must be >= 2")
     p, m = factor_prime_power(q1)
+    _guarded_power(f"PG({beta}, {q1})", q1, beta + 1,
+                   lambda power: math.comb((power - 1) // (q1 - 1), 2))
     fld = FiniteField(p, m)
     dim = beta + 1
     vectors = [v for v in itertools.product(range(q1), repeat=dim) if any(v)]
@@ -145,11 +169,16 @@ def sg_steiner(q1: int, beta: int) -> Design:
     a (3, q1+1, q1^beta+1)-Steiner system on the projective line.
 
     Blocks are the distinct images of the subline F_{q1} + {inf} under all
-    invertible Moebius maps, deduplicated as point sets.
+    invertible Moebius maps, deduplicated as point sets.  The construction
+    maps the q1 + 1 points of the subline by each of the q^4 coefficient
+    quadruples, q = q1^beta; InvalidParameter is raised before any field is
+    built when those q^4 (q1 + 1) steps exceed ``MAX_DESIGN``.
     """
     if beta < 2:
         raise InvalidParameter("beta must be >= 2")
     p, m = factor_prime_power(q1)
+    _guarded_power(f"the spherical geometry over F_{q1}^{beta}", q1, beta,
+                   lambda q: q**4 * (q1 + 1))
     big = FiniteField(p, m * beta)
     q = big.q
     INF = q  # label for the point at infinity

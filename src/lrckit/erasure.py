@@ -444,6 +444,9 @@ def min_distance(h: Matrix, d_max: int | None = None, workers: int = 1) -> int:
     pass, from the normalized columns; the smaller passes, and the many
     searches that end in them, never build them.
 
+    A pass of size s with nrows < s <= n ends the search with no DFS: any
+    s columns are dependent, as rank(H) <= nrows.
+
     The columns are normalized once per call, and every pass runs in this
     process.  ``workers`` is accepted, for callers that still pass it, and
     ignored.
@@ -464,7 +467,11 @@ def min_distance(h: Matrix, d_max: int | None = None, workers: int = 1) -> int:
 def _smallest_dependent(h: Matrix, d_max: int) -> int | None:
     """The passes of ``min_distance`` up to ``d_max``: the smallest s <=
     d_max such that some s columns of H are dependent, or None.  Raises
-    Infeasible past ``NODE_GUARD``."""
+    Infeasible past ``NODE_GUARD``.
+
+    A pass of size s with nrows < s <= n returns s with no search: any s
+    columns are dependent, as rank(H) <= nrows, and the smaller passes
+    found none."""
     n = h.ncols
     cols = list(map(h.field.normalize, zip(*h.rows))) or [()] * n
     masks = None
@@ -475,6 +482,8 @@ def _smallest_dependent(h: Matrix, d_max: int) -> int | None:
             raise Infeasible(
                 f"distance search would need ~{est} rank tests (> {NODE_GUARD})"
             )
+        if h.nrows < s <= n:
+            return s
         if s == 4:
             masks = _support_masks(cols)
         if _dependent_subset(cols, h.nrows, h.field, s, masks):

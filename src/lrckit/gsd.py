@@ -17,6 +17,14 @@ zero on that set.  So a pattern is recoverable iff what is left once those
 light sets are dropped is (``erasure.local_repair_map`` and
 ``erasure.peel``), and only the heavy sets and the global parities reach
 the rank test, ``erasure.recoverable``.
+
+Each array keeps the tables its sweeps read, built on first use
+(``ArrayLayout.plan``): the column coordinates and the code's local repair
+map.  A sweep draws and peels every pattern in the calling process, and a
+pattern the peel empties is recoverable with no rank test.  Worker
+processes run only the rank tests of what the peel leaves, and only when
+those hold more than ``POOL_WORK_FLOOR`` columns in all: below that, the
+start of a pool costs more than it saves.
 """
 
 from __future__ import annotations
@@ -26,14 +34,26 @@ import math
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property
 
 from .algebra import PRIME_LIMIT, factor_prime_power
 from .errors import Infeasible, InvalidParameter, NotRegular
 from .lrc import EvaluationLayout, LinearCode
 from .erasure import local_repair_map, peel, recoverable
+
+
+@dataclass(frozen=True)
+class SweepPlan:
+    """What every sweep of one array reads, built once per array: the
+    coordinates of each column's real cells, those of all columns in one
+    list (``flat``) with the position of each column's first cell there
+    (``starts``), and the code's ``erasure.local_repair_map``."""
+
+    col_coords: list[tuple[int, ...]]
+    flat: list[int]
+    starts: list[int]
+    repair: dict[int, tuple[int, int]]
 
 
 @dataclass
@@ -42,7 +62,8 @@ class ArrayLayout:
 
     ``data_cols`` leading columns hold code symbols keyed by evaluation
     point (``column_points``); any remaining columns hold only global
-    parities."""
+    parities.  The cells and the code are fixed once the array is built:
+    ``plan`` is computed from them on first use and kept."""
 
     rows: int
     cols: int
@@ -69,6 +90,16 @@ class ArrayLayout:
         if c is None:
             raise InvalidParameter("zero-filled cell has no coordinate")
         return c
+
+    @cached_property
+    def plan(self) -> SweepPlan:
+        col_coords = [self.column_coords(j) for j in range(self.cols)]
+        return SweepPlan(
+            col_coords=col_coords,
+            flat=list(itertools.chain.from_iterable(col_coords)),
+            starts=list(itertools.accumulate(map(len, col_coords), initial=0)),
+            repair=local_repair_map(self.code),
+        )
 
 
 def _regular_columns(layout: EvaluationLayout, dropped=()):
@@ -182,6 +213,16 @@ def truncated_array(layout: EvaluationLayout, code: LinearCode) -> ArrayLayout:
 
 MAX_WITNESS = 10  # unrecoverable patterns kept as witnesses per sweep
 
+# The residual columns (the cells the peel leaves, summed over a sweep's
+# patterns) past which a sweep sends its rank tests to worker processes.
+# Measured on example3 (Python 3.11, 2 cores): starting and stopping a
+# pool of two and installing H in each worker cost about 20 ms, and a
+# residual column costs about 8 us of rank test, so two workers, which
+# save half of that, pay past about 2 * 20 ms / 8 us = 5000 columns.  The
+# y=8 sweeps (about 13 residual columns a pattern) broke even between 350
+# and 500 patterns, 4500 to 6400 columns.
+POOL_WORK_FLOOR = 5000
+
 
 def pool_size(workers: int, tasks: int) -> int:
     """Worker processes worth starting: the request clamped to the CPU
@@ -191,35 +232,63 @@ def pool_size(workers: int, tasks: int) -> int:
     return max(1, min(workers, os.cpu_count() or 1, tasks))
 
 
-@contextmanager
-def chunk_map(workers: int):
-    """Yield a ``map`` for running chunks of work: the builtin one for a
-    single worker, else the map of one process pool that lives for the
-    whole block.  Functions and arguments must pickle when workers > 1."""
-    if workers <= 1:
-        yield map
-        return
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        yield ex.map
-
-
-def _sweep_task(h, repair, chunk):
-    """Test each (index, coords) pattern of a chunk; returns the counts and
-    the chunk's first ``MAX_WITNESS`` failures as (index, coords) pairs.
-
-    Each pattern goes to the rank test with its locally repaired sets
-    peeled off (``erasure.peel`` on ``repair``, the code's
-    ``erasure.local_repair_map``), which leaves the verdict as it is; a
-    failure records the pattern's own coordinates."""
-    checked = passed = 0
-    failures = []
-    for index, coords in chunk:
-        checked += 1
-        if recoverable(h, peel(repair, coords)):
+def _rank_tests(h, residuals):
+    """Rank-test each residual, the cells a pattern keeps after the peel;
+    returns how many are recoverable and the positions of the first
+    ``MAX_WITNESS`` that are not."""
+    passed = 0
+    failing = []
+    for pos, left in enumerate(residuals):
+        if recoverable(h, left):
             passed += 1
-        elif len(failures) < MAX_WITNESS:
-            failures.append((index, list(coords)))
-    return checked, passed, failures
+        elif len(failing) < MAX_WITNESS:
+            failing.append(pos)
+    return passed, failing
+
+
+_worker_check = None  # H, in a worker process: set once by _install_check
+
+
+def _install_check(h):
+    global _worker_check
+    _worker_check = h
+
+
+def _worker_rank_tests(residuals):
+    return _rank_tests(_worker_check, residuals)
+
+
+def _exhaustive_patterns(col_coords, eligible, y, gamma):
+    """Every pattern as a list of cells: column choices in lexicographic
+    order, then the gamma other cells in ``real_cells()`` order."""
+    for choice in itertools.combinations(eligible, y):
+        cells = [c for j in choice for c in col_coords[j]]
+        rest = [c for j, cs in enumerate(col_coords) if j not in choice for c in cs]
+        for extra in itertools.combinations(rest, gamma):
+            yield cells + list(extra)
+
+
+def _sampled_patterns(plan: SweepPlan, eligible, y, gamma, count, seed):
+    """``count`` patterns drawn from ``seed`` as lists of cells.
+
+    rng.sample reads only the length of its population and the items at
+    the positions it draws, so drawing positions in the list of the cells
+    outside the chosen columns (in ``real_cells()`` order) and mapping each
+    to its cell draws the same cells without building that list."""
+    rng = random.Random(seed)
+    col_coords, flat, starts = plan.col_coords, plan.flat, plan.starts
+    for _ in range(count):
+        choice = sorted(rng.sample(eligible, y))
+        cells = [c for j in choice for c in col_coords[j]]
+        if gamma:
+            for pos in rng.sample(range(len(flat) - len(cells)), gamma):
+                # step over the chosen columns at or before the cell
+                for j in choice:
+                    if starts[j] > pos:
+                        break
+                    pos += len(col_coords[j])
+                cells.append(flat[pos])
+        yield cells
 
 
 def check_array(
@@ -249,21 +318,27 @@ def check_array(
     ``failures`` holds the first ``MAX_WITNESS`` unrecoverable patterns in
     pattern order, sorted; it is the same for every worker count.
 
-    The code's ``erasure.local_repair_map`` is computed once per call, and
-    each pattern is tested with its light repair sets peeled off, which is
-    exact (see the module docstring): the counts and the failures, which
-    hold the patterns' own coordinates, are those of the rank test alone.
-    Codes whose repair sets overlap, or have no local distance, get no peel.
+    Every pattern is drawn, and peeled of its light repair sets, in this
+    process, from the array's ``plan`` (its column coordinates and the
+    code's ``erasure.local_repair_map``, built once per array).  The peel
+    is exact (see the module docstring), so the counts and the failures,
+    which hold the patterns' own coordinates, are those of the rank test
+    alone; a pattern the peel empties is recoverable, and codes whose
+    repair sets overlap, or have no local distance, get no peel.  What the
+    peel leaves goes to ``erasure.recoverable``: in this process, or split
+    over up to ``workers`` worker processes when it holds more than
+    ``POOL_WORK_FLOOR`` columns in all.
     """
     if columns not in ("all", "data"):
         raise InvalidParameter("columns must be 'all' or 'data'")
     eligible = list(range(arr.data_cols if columns == "data" else arr.cols))
     if not 0 <= y <= len(eligible):
         raise InvalidParameter(f"y must lie in [0, {len(eligible)}], got {y}")
-    col_coords = [arr.column_coords(j) for j in range(arr.cols)]
+    plan = arr.plan
+    col_coords = plan.col_coords
     # room: the fewest real cells that any y eligible columns leave outside
     tallest = sorted((len(col_coords[j]) for j in eligible), reverse=True)[:y]
-    room = sum(map(len, col_coords)) - sum(tallest)
+    room = len(plan.flat) - sum(tallest)
     if not 0 <= gamma <= room:
         raise InvalidParameter(f"gamma must lie in [0, {room}], got {gamma}")
     if mode == "sampled" and count < 1:
@@ -271,20 +346,6 @@ def check_array(
     if mode == "exhaustive" and exhaustive_limit < 1:
         raise InvalidParameter(f"exhaustive limit must be at least 1, got {exhaustive_limit}")
 
-    def rest_coords(chosen):
-        # the coordinates of the real cells outside the chosen columns, in
-        # real_cells() order: sampled mode draws positions in this list,
-        # so this order fixes the cells a seed draws
-        return list(itertools.chain.from_iterable(
-            cs for j, cs in enumerate(col_coords) if j not in chosen))
-
-    def pattern_coords(col_choice, extra):
-        coords = set(extra)
-        for j in col_choice:
-            coords.update(col_coords[j])
-        return tuple(sorted(coords))
-
-    patterns: list[tuple[int, ...]]
     used_seed = None
     if mode == "exhaustive":
         est = math.comb(len(eligible), y) * math.comb(room, gamma)
@@ -292,47 +353,40 @@ def check_array(
             raise Infeasible(
                 f"~{est} patterns exceed the exhaustive limit; use sampled mode"
             )
-        patterns = []
-        for col_choice in itertools.combinations(eligible, y):
-            for extra in itertools.combinations(rest_coords(set(col_choice)), gamma):
-                patterns.append(pattern_coords(col_choice, extra))
+        patterns = _exhaustive_patterns(col_coords, eligible, y, gamma)
     elif mode == "sampled":
         used_seed = seed
-        rng = random.Random(seed)
-        # rng.sample reads only the length of its population and the items
-        # at the positions it draws, so drawing positions of the
-        # rest_coords() list and mapping each to its cell draws the same
-        # cells without building that list
-        flat = list(itertools.chain.from_iterable(col_coords))
-        starts = list(itertools.accumulate(map(len, col_coords), initial=0))
-        patterns = []
-        for _ in range(count):
-            col_choice = sorted(rng.sample(eligible, y))
-            extra = []
-            if gamma:
-                rest_len = len(flat) - sum(len(col_coords[j]) for j in col_choice)
-                for pos in rng.sample(range(rest_len), gamma):
-                    # step over the chosen columns at or before the cell
-                    for j in col_choice:
-                        if starts[j] > pos:
-                            break
-                        pos += len(col_coords[j])
-                    extra.append(flat[pos])
-            patterns.append(pattern_coords(col_choice, extra))
+        patterns = _sampled_patterns(plan, eligible, y, gamma, count, seed)
     else:
         raise InvalidParameter("mode must be 'exhaustive' or 'sampled'")
 
-    indexed = list(enumerate(patterns))
-    w = pool_size(workers, len(indexed))
-    checked = passed = 0
-    witnesses: list[tuple[int, list[int]]] = []
-    with chunk_map(w) as run:
-        sweep = partial(_sweep_task, arr.code.check, local_repair_map(arr.code))
-        for c, p_, f in run(sweep, [indexed[i::w] for i in range(w)]):
-            checked += c
-            passed += p_
-            witnesses.extend(f)
-    failures = [coords for _, coords in sorted(witnesses)[:MAX_WITNESS]]
+    # a pattern's cells are distinct, as the columns are disjoint and the
+    # extra cells lie outside the chosen ones, so they need no set or sort
+    repair = plan.repair
+    checked = 0
+    kept = []  # the cells of the patterns the peel leaves cells of, in order
+    residuals = []  # what it leaves of each
+    for checked, cells in enumerate(patterns, 1):
+        left = peel(repair, cells)
+        if left:
+            kept.append(cells)
+            residuals.append(left)
+
+    h = arr.code.check
+    w = pool_size(workers, len(residuals)) if sum(map(len, residuals)) > POOL_WORK_FLOOR else 1
+    if w == 1:
+        results = [_rank_tests(h, residuals)]
+    else:
+        # H goes to each worker once, as it starts; the chunks carry only
+        # residuals
+        with ProcessPoolExecutor(max_workers=w, initializer=_install_check,
+                                 initargs=(h,)) as pool:
+            results = list(pool.map(_worker_rank_tests, [residuals[i::w] for i in range(w)]))
+    passed = checked - len(residuals) + sum(p for p, _ in results)
+    # chunk i holds the residuals i, i + w, ..., so i + p * w is the kept
+    # position of its p-th; each chunk's first failures cover the sweep's
+    failing = sorted(i + p * w for i, (_, ps) in enumerate(results) for p in ps)
+    failures = [sorted(kept[k]) for k in failing[:MAX_WITNESS]]
 
     report = {
         "construction": arr.construction,

@@ -175,6 +175,11 @@ def decode_args(layout, n, first):
          "--v", "1"),
         ("gsd", "params", "--family", "ag", "--q1", "65537", "--beta", "2", "--delta", "60000",
          "--v", "1"),
+        # refused before the work starts: designs whose constructions take
+        # more than MAX_DESIGN steps
+        ("designs", "gen", "--family", "ag", "--q1", "25", "--beta", "16"),
+        ("designs", "gen", "--family", "pg", "--q1", "13", "--beta", "8"),
+        ("designs", "gen", "--family", "sg", "--q1", "4", "--beta", "8"),
     ],
 )
 def test_bad_invocations_are_usage_errors(tmp_path, capsys, example1_layout, args):

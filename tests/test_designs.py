@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from lrckit import designs
 from lrckit.designs import (
     Design,
     ag_steiner,
@@ -101,6 +102,38 @@ def test_spherical_order2_cubed():
     # every triple to be a block, C(9,3)/C(3,3) = 84 of them
     d = sg_steiner(2, 3)
     assert_advertised(d, 9, 84, 3)
+
+
+# each construction's steps, as its docstring counts them: AG lines n(n-1)/(q1-1)
+# (blocks times q1), PG lines C(n, 2) point pairs, SG circles q^4 (q1+1)
+DESIGN_STEPS = [(ag_steiner, 3, 2, 36), (ag_steiner, 25, 2, 16250), (pg_steiner, 2, 2, 21),
+                (pg_steiner, 9, 2, 4095), (sg_steiner, 2, 2, 768), (sg_steiner, 3, 2, 26244)]
+
+
+@pytest.mark.parametrize("build, q1, beta, steps", DESIGN_STEPS,
+                         ids=lambda x: getattr(x, "__name__", x))
+def test_the_size_guard_admits_its_bound(monkeypatch, build, q1, beta, steps):
+    monkeypatch.setattr(designs, "MAX_DESIGN", steps)
+    build(q1, beta)
+    monkeypatch.setattr(designs, "MAX_DESIGN", steps - 1)
+    with pytest.raises(InvalidParameter, match="MAX_DESIGN"):
+        build(q1, beta)
+
+
+@pytest.mark.parametrize("build, q1, beta", [
+    (ag_steiner, 25, 16), (pg_steiner, 13, 8), (sg_steiner, 4, 8),
+    (ag_steiner, 256, 2), (pg_steiner, 64, 2), (sg_steiner, 2, 5),
+    (ag_steiner, 2, 10**9), (pg_steiner, 2, 10**9), (sg_steiner, 2, 10**9),
+])
+def test_designs_beyond_the_size_guard_are_refused(monkeypatch, build, q1, beta):
+    """Refused before any field is built, and before q1^beta is taken for
+    a huge beta."""
+    def no_field(*args, **kwargs):
+        raise AssertionError("a field was built")
+
+    monkeypatch.setattr(designs, "FiniteField", no_field)
+    with pytest.raises(InvalidParameter, match="MAX_DESIGN"):
+        build(q1, beta)
 
 
 def test_cyclotomic_3_5():

@@ -428,6 +428,53 @@ def test_min_distance_matches_naive(m):
     assert (d is None) == (m.rank() == m.ncols)
 
 
+@st.composite
+def wide_matrices(draw):
+    """A matrix of 0-4 rows and 2-5 more columns than rows, with zero
+    entries common; with two or more rows, the last is sometimes a
+    combination of the others, so the rank falls below the row count."""
+    fld = draw(st.sampled_from(DISTANCE_FIELDS))
+    nrows = draw(st.integers(0, 4))
+    ncols = draw(st.integers(nrows + 2, nrows + 5))
+    entry = st.one_of(st.just(0), st.integers(0, fld.q - 1))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    if nrows >= 2 and draw(st.booleans()):
+        a, b = (draw(st.integers(0, fld.q - 1)) for _ in range(2))
+        rows[-1] = [fld.add(fld.mul(a, x), fld.mul(b, y)) for x, y in zip(rows[0], rows[1])]
+    return Matrix(fld, rows, ncols)
+
+
+@given(st.one_of(wide_matrices(), small_matrices()), st.integers(1, 14))
+@settings(max_examples=150, deadline=None)
+def test_smallest_dependent_matches_naive(m, d_max):
+    """``_smallest_dependent``, which answers a pass of size s with
+    nrows < s <= n at once, against the naive search, on wide matrices
+    (whose passes reach past the row count) and with ``d_max`` below,
+    at and above n."""
+    try:
+        want = naive_min_distance(m, d_max)
+    except Infeasible:
+        want = None
+    assert erasure._smallest_dependent(m, d_max) == want
+
+
+def test_passes_beyond_the_row_count_take_no_search(monkeypatch):
+    """Every 3 columns of a 2-row matrix are dependent, so a distance-3
+    search answers pass 3 without the DFS."""
+    sizes = []
+    search = erasure._dependent_subset
+
+    def recorded(cols, nrows, fld, size, masks=None):
+        sizes.append(size)
+        return search(cols, nrows, fld, size, masks)
+
+    monkeypatch.setattr(erasure, "_dependent_subset", recorded)
+    h = Matrix(FiniteField(7), [[1, 1, 1, 1, 1, 1], [0, 1, 2, 3, 4, 5]])
+    assert min_distance(h) == 3
+    assert sizes == [1, 2]
+
+
 @given(layouts())
 @settings(max_examples=40, deadline=None)
 def test_min_distance_matches_naive_on_structural_checks(lay):

@@ -202,6 +202,82 @@ def test_check_array_single_worker_starts_no_pool(ex1_array, monkeypatch):
     assert rep["checked"] == 20
 
 
+def test_pool_path_matches_serial(ex1_array, ex3_array, monkeypatch):
+    """With the work floor at 1, workers=2 sends every residual rank test
+    to a pool; the reports must equal the serial ones byte for byte: an
+    exhaustive sweep, the ex1 shape with 159 failures and the ex3 y=8
+    shape, whose witnesses merge across chunks."""
+    ag13 = fixtures.ag13_layout()
+    sweeps = [(basic_array(ag13, build_code(ag13)), dict(y=1, gamma=2)),
+              (ex1_array, dict(y=2, gamma=3, mode="sampled", count=400, seed=3)),
+              (ex3_array, dict(y=8, gamma=0, mode="sampled", count=120, seed=104, d=9))]
+    serial_dumps = [serial.dumps(check_array(arr, workers=1, **kw)) for arr, kw in sweeps]
+    pools = []
+
+    class CountedPool(gsd.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(gsd, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(gsd, "POOL_WORK_FLOOR", 1)
+    monkeypatch.setattr(gsd.os, "cpu_count", lambda: 2)
+    assert [serial.dumps(check_array(arr, workers=2, **kw)) for arr, kw in sweeps] == serial_dumps
+    assert pools == [2, 2, 2]
+
+
+def test_paper_shape_sweeps_start_no_pool(ex3_array, monkeypatch):
+    """The paper shapes leave a few residual columns per 1000 patterns,
+    far below the work floor, so workers=2 tests them in this process."""
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(gsd, "ProcessPoolExecutor", no_pool)
+    for y, gamma in ((0, 8), (2, 1), (1, 3)):
+        rep = check_array(ex3_array, y=y, gamma=gamma, mode="sampled", count=1000, seed=5,
+                          workers=2, d=9)
+        assert rep["checked"] == rep["recoverable"] == 1000
+
+
+def test_local_repair_map_is_built_once_per_array(example1_layout_module, monkeypatch):
+    calls = []
+    build = gsd.local_repair_map
+
+    def counted(code):
+        calls.append(code)
+        return build(code)
+
+    monkeypatch.setattr(gsd, "local_repair_map", counted)
+    layout = example1_layout_module
+    arr = basic_array(layout, build_code(layout))
+    for gamma, workers in ((1, 1), (2, 2), (3, 1)):
+        check_array(arr, y=1, gamma=gamma, mode="sampled", count=30, seed=gamma, workers=workers)
+    check_array(arr, y=1, gamma=1)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("arrange, make", [
+    (basic_array, fixtures.example1_layout),
+    (basic_array, fixtures.ag13_layout),
+    (truncated_array, fixtures.example3_layout),
+    (basic_array, lambda: fano_layout(h=4)),
+    (rearranged_array, lambda: fano_layout(h=7, field=F17)),
+    (truncated_array, lambda: fano_layout(h=1, v=1)),
+])
+def test_every_coordinate_lies_in_one_cell(arrange, make):
+    """A sweep builds each pattern's cells with no set or sort, which is
+    exact only because every coordinate sits in exactly one cell: whole
+    columns are then disjoint, and cells outside them are new.  The plan's
+    tables list the cells column by column, in ``real_cells()`` order."""
+    layout = make()
+    arr = arrange(layout, build_code(layout))
+    assert_faithful(arr)
+    plan = arr.plan
+    assert plan.flat == [arr.coord_of(c) for c in arr.real_cells()]
+    assert [plan.flat[a:b] for a, b in zip(plan.starts, plan.starts[1:])] == [
+        list(cs) for cs in plan.col_coords]
+
+
 def test_check_array_exhaustive_guard(ex1_array):
     with pytest.raises(Infeasible):
         check_array(ex1_array, y=2, gamma=3, exhaustive_limit=10)
