@@ -12,7 +12,11 @@ The split between prime fields (residues mod p) and extension fields (log
 tables; addition by XOR in characteristic 2, else by Zech logarithms) lives
 in ``FiniteField`` alone, and is decided once per field: its constructor
 binds the scalar ops and vector kernels for the field's kind, and every
-other loop reaches field arithmetic through them.
+other loop reaches field arithmetic through them.  That includes the
+row-group kernel ``pack_rows``/``dots``: on a prime field it packs rows
+that share a support into integer lanes, so one C-level dot evaluates them
+all; on an extension field it is one ``dot`` per row.  The encoder's check
+groups and ``Matrix.row_groups`` run on it.
 """
 
 from __future__ import annotations
@@ -171,6 +175,19 @@ class FiniteField:
     tuple of v scaled to a leading 1 (the zero vector unchanged), so two
     nonzero vectors are parallel iff their normal forms coincide.  One
     inverse table per field serves ``inv`` and ``normalize``.
+
+    The row-group kernel: ``pack_rows(rows)`` prepares rows of equal
+    length, and ``dots(packed, values)`` returns ``[dot(row, values) for
+    row in rows]``.  On a prime field column j of the rows is packed into
+    one int, row i's entry at bit i*w, with w the bit length of
+    (p-1)^2 * (row length) + 1; one sum of products then holds every row's
+    dot in its own lane, read off by mask and shift and reduced mod p.
+    That is exact only when the rows and the values are field elements,
+    ints in [0, p), which ``are_elements`` checks: a negative or larger
+    entry spills into the next lane.  On an extension field
+    ``pack_rows`` keeps the rows and ``dots`` runs ``dot`` on each.
+    ``root_product(roots, x)`` is prod (x - r) over the roots, on a prime
+    field with plain int arithmetic reduced mod p at each step.
     """
 
     def __init__(self, p: int, m: int = 1, modulus: Sequence[int] | None = None):
@@ -306,6 +323,31 @@ class FiniteField:
             def dot(a, b):
                 return sum(map(prod, a, b)) % p
 
+            def pack_rows(rows):
+                # a zip fold: row i is shifted into lane i of every column
+                rows = list(rows)
+                if not rows:
+                    return (), (), 0
+                w = ((p - 1) ** 2 * len(rows[0]) + 1).bit_length()
+                shifts = range(0, w * len(rows), w)
+                cols = rows[0]
+                for s, row in zip(shifts[1:], rows[1:]):
+                    cols = [c | x << s for c, x in zip(cols, row)]
+                return tuple(cols), shifts, (1 << w) - 1
+
+            def dots(packed, values):
+                cols, shifts, mask = packed
+                total = sum(map(prod, cols, values))
+                if len(shifts) == 1:  # one row: its lane is the whole sum
+                    return [total % p]
+                return [(total >> s & mask) % p for s in shifts]
+
+            def root_product(roots, x):
+                acc = 1
+                for r in roots:
+                    acc = acc * (x - r) % p
+                return acc
+
         else:
             exp, log = self._exp, self._log
             invs = [0] + [exp[q - 1 - log[a]] for a in range(1, q)]
@@ -358,11 +400,37 @@ class FiniteField:
                 k = log[c]
                 return v if c == 1 else [exp[k + log[a]] if a and c else 0 for a in v]
 
-            def dot(a, b):
-                acc = 0
-                for x, y in zip(a, b):
-                    if x and y:
-                        acc = add(acc, exp[log[x] + log[y]])
+            if p == 2:
+                # log 0 points past the doubled exp table into zeros, so a
+                # product of two logs needs no test for zero
+                zlog, zexp = [2 * (q - 1)] + log[1:], exp + [0] * (2 * q - 1)
+
+                def dot(a, b):
+                    acc = 0
+                    for x, y in zip(a, b):
+                        acc ^= zexp[zlog[x] + zlog[y]]
+                    return acc
+
+            else:
+                def dot(a, b):
+                    acc = 0
+                    for x, y in zip(a, b):
+                        if x and y:
+                            acc = add(acc, exp[log[x] + log[y]])
+                    return acc
+
+            def pack_rows(rows):
+                return tuple(rows)
+
+            def dots(packed, values):
+                if len(packed) == 1:
+                    return [dot(packed[0], values)]
+                return [dot(row, values) for row in packed]
+
+            def root_product(roots, x):
+                acc = 1
+                for r in roots:
+                    acc = mul(acc, sub(x, r))
                 return acc
 
         def inv(a):
@@ -379,7 +447,20 @@ class FiniteField:
         self.add, self.neg, self.sub, self.mul, self.inv, self.div, self.pow = (
             add, neg, sub, mul, inv, div, power)
         self.vec_sub, self.vec_sub_at, self.vec_scale, self.dot = vec_sub, vec_sub_at, vec_scale, dot
+        self.pack_rows, self.dots, self.root_product = pack_rows, dots, root_product
         self.normalize = normalize
+
+    def are_elements(self, values: Sequence) -> bool:
+        """True iff every value is an int in [0, q), a bool counting as one.
+        A sum of ints is an int, and a float, str, None or other number
+        among them makes it something else or raises TypeError, so one
+        C-level ``sum`` checks the types; ``min`` and ``max`` the range."""
+        try:
+            if type(sum(values)) is not int:
+                return False
+        except TypeError:
+            return False
+        return not values or (0 <= min(values) and max(values) < self.q)
 
     def elements(self) -> range:
         return range(self.q)
@@ -541,16 +622,6 @@ def poly_from_roots(fld: FiniteField, roots: Iterable[int]) -> Poly:
     return out
 
 
-def value_from_roots(fld: FiniteField, roots: Iterable[int], x: int) -> int:
-    """prod (x - r) over the roots: the value at x of
-    ``poly_from_roots(fld, roots)``, without building the polynomial."""
-    mul, sub = fld.mul, fld.sub
-    acc = 1
-    for r in roots:
-        acc = mul(acc, sub(x, r))
-    return acc
-
-
 def lagrange_basis(fld: FiniteField, nodes: Sequence[int]):
     """The Lagrange basis on distinct ``nodes`` in barycentric form.
 
@@ -566,7 +637,8 @@ def lagrange_basis(fld: FiniteField, nodes: Sequence[int]):
     if len(position) != len(nodes):
         raise DuplicateNode("interpolation nodes must be distinct")
     inv, div, sub, vec_scale = fld.inv, fld.div, fld.sub, fld.vec_scale
-    weights = [inv(value_from_roots(fld, nodes[:u] + nodes[u + 1:], x))
+    root_product = fld.root_product
+    weights = [inv(root_product(nodes[:u] + nodes[u + 1:], x))
                for u, x in enumerate(nodes)]
 
     def basis(x: int) -> list[int]:
@@ -576,7 +648,7 @@ def lagrange_basis(fld: FiniteField, nodes: Sequence[int]):
             out[u] = 1
             return out
         return vec_scale([div(w, sub(x, xu)) for xu, w in zip(nodes, weights)],
-                         value_from_roots(fld, nodes, x))
+                         root_product(nodes, x))
 
     return basis
 
@@ -616,16 +688,20 @@ class Matrix:
     """Row-major matrix of field elements with exact linear algebra.
 
     The nonzero structure is derived once, on first use, and cached with
-    the matrix (``column_supports``, ``row_supports``, ``row_terms``,
-    ``private_columns``); it pickles with it, so worker processes do not
-    rebuild it.  ``rows`` must not be changed after that first use.
+    the matrix: ``column_supports``, ``row_supports`` and
+    ``private_columns`` together, and the packed ``row_groups`` from them
+    on their own first use, as only the linear decoder reads them.  It
+    pickles with the matrix, so worker processes do not rebuild it.
+    ``rows`` must not be changed after that first use, and its entries must
+    be field elements, ints in [0, q), as the lanes of ``row_groups``
+    assume.
 
     ``eliminate`` is the library's one elimination.  The dense ``rref``,
     ``rank`` and ``nullspace`` are the reference the tests and the
     benchmark check it against.
     """
 
-    __slots__ = ("field", "rows", "nrows", "ncols", "_supports")
+    __slots__ = ("field", "rows", "nrows", "ncols", "_supports", "_groups")
 
     def __init__(self, fld: FiniteField, rows: Sequence[Sequence[int]], ncols: int | None = None):
         self.field = fld
@@ -640,6 +716,7 @@ class Matrix:
             ncols = 0
         self.ncols = ncols
         self._supports = None
+        self._groups = None
 
     def copy_rows(self) -> list[list[int]]:
         return [r[:] for r in self.rows]
@@ -774,35 +851,57 @@ class Matrix:
         """Per-row tuple of nonzero column indices (cached)."""
         return self._nonzeros()[1]
 
-    def row_terms(self) -> list[tuple[operator.itemgetter, tuple[int, ...]]]:
-        """Per row, a getter that picks the row's support out of a vector
-        and the row's nonzero values (cached): ``field.dot(vals, get(v))``
-        is the row times v."""
-        return self._nonzeros()[2]
+    def row_groups(self) -> list[tuple[operator.itemgetter, object]]:
+        """The rows in groups of consecutive rows, in row order (cached):
+        per group, a getter that picks the union of the rows' supports out
+        of a vector, and the rows' values there, packed by
+        ``field.pack_rows``.  So ``field.dots(packed, get(v))`` is those rows
+        times v, for v with entries in [0, q), and the groups' results in
+        turn make up H times v.  On a prime field, consecutive rows whose
+        supports agree once their private columns are removed share a
+        group, as a block's local rows and the global rows of the
+        structural H do; on an extension field, where nothing packs, every
+        row is its own group.  A getter holds a slice for a group with
+        fewer than two columns, so that it too returns a sequence."""
+        if self._groups is None:
+            packs = self.field.m == 1  # lanes exist on prime fields only
+            private = self.private_columns()
+            runs = []  # per group: the shared support, the rows, their private columns
+            for i, js in enumerate(self.row_supports()):
+                own = private.get(i, [])
+                shared = tuple(itertools.filterfalse(own.__contains__, js)) if own else js
+                if packs and runs and shared == runs[-1][0]:
+                    runs[-1][1].append(i)
+                    runs[-1][2].extend(own)
+                else:
+                    runs.append((shared, [i], own[:]))
+            groups = []
+            for shared, rows, own in runs:
+                cols = sorted(shared + tuple(own))
+                get = (operator.itemgetter(*cols) if len(cols) > 1 else
+                       operator.itemgetter(slice(cols[0], cols[0] + 1) if cols else slice(0)))
+                groups.append((get, self.field.pack_rows([get(self.rows[i]) for i in rows])))
+            self._groups = groups
+        return self._groups
 
     def private_columns(self) -> dict[int, list[int]]:
         """Row -> the columns where it alone is nonzero, if any (cached)."""
-        return self._nonzeros()[3]
+        return self._nonzeros()[2]
 
-    def _nonzeros(self) -> tuple[list, list, list, dict]:
-        """Column supports, row supports, row terms and private columns,
-        built together on first use.  A getter holds a slice for a row with
-        fewer than two nonzeros, so that it too returns a sequence."""
+    def _nonzeros(self) -> tuple[list, list, dict]:
+        """Column supports, row supports and private columns, built
+        together on first use."""
         if self._supports is None:
             by_row = [tuple(j for j, v in enumerate(row) if v) for row in self.rows]
             by_col: list[list[int]] = [[] for _ in range(self.ncols)]
             for i, js in enumerate(by_row):
                 for j in js:
                     by_col[j].append(i)
-            terms = [(operator.itemgetter(*js) if len(js) > 1 else
-                      operator.itemgetter(slice(js[0], js[0] + 1) if js else slice(0)),
-                      tuple(map(row.__getitem__, js)))
-                     for row, js in zip(self.rows, by_row)]
             private: dict[int, list[int]] = {}
             for j, col in enumerate(by_col):
                 if len(col) == 1:
                     private.setdefault(col[0], []).append(j)
-            self._supports = ([tuple(s) for s in by_col], by_row, terms, private)
+            self._supports = ([tuple(s) for s in by_col], by_row, private)
         return self._supports
 
     def __eq__(self, other) -> bool:

@@ -24,9 +24,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .algebra import FiniteField, Matrix, lagrange_basis, value_from_roots
+from .algebra import FiniteField, Matrix, lagrange_basis
 from .errors import Inconsistent, Infeasible, InvalidParameter, NotAdmissible
-from .lrc import EvaluationLayout, LinearCode, encode, punctured_checks
+from .lrc import EvaluationLayout, LinearCode, encode_unchecked, punctured_checks
 
 
 @dataclass(frozen=True)
@@ -127,9 +127,10 @@ def decode_structured(layout: EvaluationLayout, received, pat: ErasurePattern) -
     Only the blocks with erasures are visited: an untouched light block
     keeps its survivors as they are.  Each e_t(x) is computed once per call.
 
-    The recovered information is re-encoded through ``layout.check_rows``,
-    and the one consistency check compares the result, zeroed at the
-    erased coordinates, with the survivors in a single list comparison.
+    The recovered information, field elements by construction, is
+    re-encoded (``lrc.encode_unchecked``), and the one consistency check
+    compares the result, zeroed at the erased coordinates, with the
+    survivors in a single list comparison.
     The result is always a codeword, so it matches the survivors iff they
     extend to a codeword, which admissibility makes unique; survivors the
     steps above did not read, those of untouched blocks included, are
@@ -137,8 +138,8 @@ def decode_structured(layout: EvaluationLayout, received, pat: ErasurePattern) -
 
     ``received`` holds None at erased coordinates; those entries are never
     read.  Raises NotAdmissible or Inconsistent, and InvalidParameter when
-    ``received`` does not have n symbols or a survivor is missing or
-    outside [0, q).
+    ``received`` does not have n symbols or a survivor is missing or not
+    an int in [0, q).
     """
     fld = layout.field
     dot = fld.dot
@@ -148,7 +149,7 @@ def decode_structured(layout: EvaluationLayout, received, pat: ErasurePattern) -
         raise NotAdmissible("pattern fails the admissibility conditions")
     erased = pat.coords(layout)
     heavy = rep.heavy_sets
-    survivors = _survivors(received, erased, layout.n, fld.q)
+    survivors = _survivors(received, erased, layout.n, fld)
     # survivors in place, light erasures filled below, heavy blocks zero;
     # only the information coordinates are read
     word = survivors[:]
@@ -177,7 +178,7 @@ def decode_structured(layout: EvaluationLayout, received, pat: ErasurePattern) -
 
         def e(t, x):
             if (t, x) not in e_values:
-                e_values[t, x] = value_from_roots(fld, outside[t], x)
+                e_values[t, x] = fld.root_product(outside[t], x)
             return e_values[t, x]
 
         erased_pts = set().union(*(pat.sets[t] for t in heavy))
@@ -196,17 +197,17 @@ def decode_structured(layout: EvaluationLayout, received, pat: ErasurePattern) -
         # heavy sets hold >= delta erasures, so the survivors in U fall
         # short of the need and the global parities complete it
         need = len(union) - p.delta + 1
-        global_rows = layout.check_rows[len(layout.check_rows) - p.h:]
+        # the global rows one at a time: only those needed are evaluated
+        glob = layout.check_groups[-1]
         for i, s in enumerate(layout.s_points):
             if len(xs) == need:
                 break
             if s in pat.globals_:
                 continue
-            pivot, cs, coeffs = global_rows[i]  # the pivot is s's coordinate
-            known = dot(coeffs, map(word.__getitem__, cs))
-            phi = fld.div(layout.delta_at_s[i], value_from_roots(fld, union, s))
+            known = dot(glob.coeffs[i], map(word.__getitem__, glob.coords))
+            phi = fld.div(layout.delta_at_s[i], fld.root_product(union, s))
             xs.append(s)
-            ys.append(fld.div(fld.sub(received[pivot], known), phi))
+            ys.append(fld.div(fld.sub(received[glob.pivots[i]], known), phi))
         combined = lagrange_basis(fld, xs)
 
         for t, exclusive in _exclusive_points(layout, heavy).items():
@@ -216,7 +217,7 @@ def decode_structured(layout: EvaluationLayout, received, pat: ErasurePattern) -
             for c, x in zip(layout.block_coords(t), layout.sets[t][: len(nodes)]):
                 word[c] = dot(basis(x), vals)
 
-    word = encode(layout, [word[c] for c in layout.info_coords])
+    word = encode_unchecked(layout, [word[c] for c in layout.info_coords])
     check = word[:]
     for c in erased:
         check[c] = 0
@@ -225,19 +226,19 @@ def decode_structured(layout: EvaluationLayout, received, pat: ErasurePattern) -
     return word
 
 
-def _survivors(received, erased, n: int, q: int) -> list[int]:
+def _survivors(received, erased, n: int, fld: FiniteField) -> list[int]:
     """The received word with its erased coordinates set to 0, after
     checking that it has n symbols and that every survivor is present and
-    a field element."""
+    a field element, an int in [0, q)."""
     word = list(received)
     if len(word) != n:
         raise InvalidParameter(f"received word must have length {n}")
     for c in erased:
         word[c] = 0
-    if None in word:
-        raise InvalidParameter("survivor coordinate is missing")
-    if word and not 0 <= min(word) <= max(word) < q:
-        raise InvalidParameter(f"received word symbols must lie in [0, {q})")
+    if not fld.are_elements(word):
+        if None in word:
+            raise InvalidParameter("survivor coordinate is missing")
+        raise InvalidParameter(f"received word symbols must be ints in [0, {fld.q})")
     return word
 
 
@@ -271,24 +272,29 @@ def decode_linear(code: LinearCode, erased, received) -> list[int] | None:
     (pattern not recoverable); raises Inconsistent when the survivors do
     not extend to a codeword, and InvalidParameter when an erased
     coordinate lies outside [0, n), ``received`` does not have n symbols or
-    a survivor is missing or outside [0, q).  Erased entries of
+    a survivor is missing or not an int in [0, q).  Erased entries of
     ``received`` are not read.
 
     Shares ``recoverable``'s elimination, with tagged columns: the
     survivors' syndrome, padded with zeros, is reduced against the pivots,
     must vanish on the rows of H, and leaves the erased values in the tag
-    rows.  Each syndrome entry is one ``field.dot`` of a row's cached
-    nonzero values with the survivors its getter picks (``Matrix.row_terms``)."""
+    rows.  The syndrome is taken one row group at a time
+    (``Matrix.row_groups``): one ``field.dots`` of the group's packed rows
+    with the survivors its getter picks, which ``_survivors`` has checked
+    to be field elements, as the lanes need."""
     h = code.check
     fld = code.field
     cols = _columns(erased, code.n)
-    masked = _survivors(received, cols, code.n, fld.q)
+    masked = _survivors(received, cols, code.n, fld)
     pivots, dependent = h.eliminate(cols, tagged=True)
     if dependent:
         return None
-    dot, nrows = fld.dot, h.nrows
+    dots, nrows = fld.dots, h.nrows
     # the syndrome (erased entries of masked are zero)
-    v = [dot(vals, get(masked)) for get, vals in h.row_terms()] + [0] * len(cols)
+    v = []
+    for get, packed in h.row_groups():
+        v += dots(packed, get(masked))
+    v += [0] * len(cols)
     for pr, pinv, u, su in pivots:
         if v[pr]:
             fld.vec_sub_at(v, fld.mul(v[pr], pinv), u, su)

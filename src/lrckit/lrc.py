@@ -9,13 +9,16 @@ g_j = prod_{x in A_j} (x - y).  That polynomial encoder defines the
 structural parity check H, whose rows each have one pivot at a
 local-parity or global coordinate and are otherwise supported on
 information coordinates.  Every entry of H is a value of a Lagrange basis
-polynomial, so each layout synthesises H once, as sparse rows ``(pivot,
-coords, coeffs)`` (``check_rows``), from ``algebra.lagrange_basis`` on
-each block's information points.  The encoder, generator and parity-check
-synthesis run from those rows, and the structured decoder
-(``erasure.decode_structured``) evaluates its interpolants through the
-same basis helper, so no coefficient-form polynomial is built on the codec
-path.
+polynomial, so each layout synthesises H once, from
+``algebra.lagrange_basis`` on each block's information points, as groups
+of rows that read the same information symbols (``check_groups``): a
+block's delta-1 local rows, and the h global rows.  Each group is packed
+for the field's row-group kernel (``FiniteField.dots``), so the encoder
+fills a block's local parities, and then the global parities, with one
+call each.  The generator and parity-check synthesis read the same groups,
+and the structured decoder (``erasure.decode_structured``) evaluates its
+interpolants through the same basis helper, so no coefficient-form
+polynomial is built on the codec path.
 
 A layout consists of an ordered h-subset S of the field (global-parity
 evaluation points) and ordered sets A_1..A_{L+1} of field elements disjoint
@@ -33,8 +36,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
+from typing import NamedTuple, Sequence
 
-from .algebra import FiniteField, Matrix, lagrange_basis, value_from_roots
+from .algebra import FiniteField, Matrix, lagrange_basis
 from .designs import Design
 from .errors import (
     FieldTooSmall,
@@ -67,6 +71,19 @@ class LrcParams:
     @property
     def n(self) -> int:
         return self.k + (self.ell + 1) * (self.delta - 1) + self.h
+
+
+class CheckGroup(NamedTuple):
+    """Rows of the structural parity check that read the same information
+    symbols: a block's delta-1 local rows, or the h global rows.  Every
+    codeword has ``word[pivots[t]] = sum(c * word[j] for j, c in
+    zip(coords, coeffs[t]))``, so H holds -c at j and 1 at the pivot."""
+
+    info: slice                # the symbols read, as a slice of the information
+    coords: Sequence[int]      # their coordinates: a range for a block
+    pivots: range              # per row, the coordinate it solves for
+    coeffs: tuple[tuple[int, ...], ...]  # per row, its coefficients on coords
+    packed: object             # ``field.pack_rows(coeffs)``
 
 
 class EvaluationLayout:
@@ -147,38 +164,46 @@ class EvaluationLayout:
     def delta_at_s(self) -> tuple[int, ...]:
         """Delta(s) = prod_i g_i(s) at each global point s."""
         roots = [x for a in self.sets for x in a]
-        return tuple(value_from_roots(self.field, roots, s) for s in self.s_points)
+        return tuple(self.field.root_product(roots, s) for s in self.s_points)
 
     @cached_property
-    def check_rows(self) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
-        """The structural parity check as sparse rows ``(pivot, coords,
-        coeffs)``: every codeword has ``word[pivot] = sum(c * word[j] for
-        j, c in zip(coords, coeffs))``, with ``coords`` information
-        coordinates only, so H holds -c at j and 1 at the pivot.  The two
-        tuples are kept apart so that one ``field.dot`` evaluates a row.
+    def check_groups(self) -> tuple[CheckGroup, ...]:
+        """The structural parity check in row groups, one per block and then
+        one for S.  Information is block-major, so a block's symbols are one
+        slice of the information and one range of coordinates, followed by
+        its delta-1 local-parity coordinates.
 
-        delta-1 local rows per block come first, block by block: the
-        Lagrange basis of the block's information points evaluated at each
-        local-parity point.  Then one global row per point s of S: the
-        same basis at s, scaled by Delta(s)/g_i(s).
+        A block's rows are the Lagrange basis of its information points
+        evaluated at each local-parity point.  The global group holds one
+        row per point s of S, over all the information: the same bases at
+        s, each scaled by Delta(s)/g_i(s).
         """
         fld = self.field
-        rows = []
+        groups = []
         bases = []  # per block: the Lagrange basis on its information points
+        start = 0
         for b, a in enumerate(self.sets):
             cnt = self.interp_count(b)
             basis = lagrange_basis(fld, a[:cnt])
             bases.append(basis)
-            info = self.block_coords(b)[:cnt]
-            for t in range(cnt, len(a)):
-                rows.append((self.coord(b, t), info, tuple(basis(a[t]))))
+            off = self.block_offsets[b]
+            coeffs = tuple(tuple(basis(x)) for x in a[cnt:])
+            groups.append(CheckGroup(slice(start, start + cnt), range(off, off + cnt),
+                                     range(off + cnt, off + len(a)), coeffs,
+                                     fld.pack_rows(coeffs)))
+            start += cnt
+        coeffs = []
         for j, s in enumerate(self.s_points):
-            coeffs = []
+            row = []
             for basis, a in zip(bases, self.sets):
-                scale = fld.div(self.delta_at_s[j], value_from_roots(fld, a, s))
-                coeffs += fld.vec_scale(basis(s), scale)
-            rows.append((self.global_coord(j), self.info_coords, tuple(coeffs)))
-        return tuple(rows)
+                scale = fld.div(self.delta_at_s[j], fld.root_product(a, s))
+                row += fld.vec_scale(basis(s), scale)
+            coeffs.append(tuple(row))
+        coeffs = tuple(coeffs)
+        groups.append(CheckGroup(slice(0, start), self.info_coords,
+                                 range(self.global_offset, self.n), coeffs,
+                                 fld.pack_rows(coeffs)))
+        return tuple(groups)
 
 
 def default_global_points(fld: FiniteField, h: int) -> tuple[int, ...]:
@@ -234,42 +259,56 @@ def encode(layout: EvaluationLayout, info) -> list[int]:
     """Map k information symbols to an n-symbol codeword.
 
     The code is systematic: information is placed block-major on the first
-    |A_i|-delta+1 coordinates of each block, and every local-parity and
-    global coordinate is a dot product of the information with one cached
-    row of the structural parity check.  The result is the codeword of the
-    two-step polynomial encoder, which defines those rows.  Raises
-    InvalidParameter unless every symbol is a field element in [0, q).
+    |A_i|-delta+1 coordinates of each block.  The word is assembled block
+    by block from ``layout.check_groups``, in coordinate order: a block's
+    slice of the information, then its local parities, one ``field.dots``
+    of the block's packed rows with that slice; then the global parities,
+    one ``dots`` of the global rows with all of it.  The result is the
+    codeword of the two-step polynomial encoder, which defines those rows.
+    Raises InvalidParameter unless there are k symbols and every one is a
+    field element, an int in [0, q), as the lanes of ``dots`` need.
     """
     p = layout.params
     if len(info) != p.k:
         raise InvalidParameter(f"information vector must have length {p.k}")
-    q = layout.field.q
-    if info and not 0 <= min(info) <= max(info) < q:
-        raise InvalidParameter(f"information symbols must lie in [0, {q})")
-    dot = layout.field.dot
-    ic = layout.info_coords
-    word = [0] * layout.n
-    for c, x in zip(ic, info):
-        word[c] = x
-    for pivot, coords, coeffs in layout.check_rows:
-        # a global row spans all of ``info_coords``: its values are info
-        word[pivot] = dot(coeffs, info if coords is ic else map(word.__getitem__, coords))
+    fld = layout.field
+    if not fld.are_elements(info):
+        raise InvalidParameter(f"information symbols must be ints in [0, {fld.q})")
+    return encode_unchecked(layout, info)
+
+
+def encode_unchecked(layout: EvaluationLayout, info) -> list[int]:
+    """``encode`` after its checks, for a caller whose k information symbols
+    are field elements by construction, such as the structured decoder's
+    re-encoding."""
+    dots = layout.field.dots
+    *blocks, glob = layout.check_groups
+    word = []
+    # coordinates are block-major: each block's information, then its
+    # local parities; the global parities close the word
+    for part, _, _, _, packed in blocks:
+        x = info[part]
+        word += x
+        word += dots(packed, x)
+    word += dots(glob.packed, info)
     return word
 
 
 def generator_matrix(layout: EvaluationLayout) -> Matrix:
     """Rows are the encodings of the standard basis vectors, read off
-    ``layout.check_rows``: row u holds 1 at ``info_coords[u]`` and, at the
-    pivot of each check row, that row's coefficient of ``info_coords[u]``."""
+    ``layout.check_groups``: row u holds 1 at ``info_coords[u]`` and, at
+    the pivot of each check row, that row's coefficient of
+    ``info_coords[u]``."""
     p = layout.params
     rows = [[0] * p.n for _ in range(p.k)]
     row_of = {}
     for u, c in enumerate(layout.info_coords):
         rows[u][c] = 1
         row_of[c] = rows[u]
-    for pivot, coords, coeffs in layout.check_rows:
-        for c, x in zip(coords, coeffs):
-            row_of[c][pivot] = x
+    for g in layout.check_groups:
+        for pivot, coeffs in zip(g.pivots, g.coeffs):
+            for c, x in zip(g.coords, coeffs):
+                row_of[c][pivot] = x
     return Matrix(layout.field, rows, p.n)
 
 
@@ -278,19 +317,20 @@ def parity_check_matrix(layout: EvaluationLayout) -> Matrix:
     non-information positions through interpolation, plus h global rows
     tying the global parities to the information positions.
 
-    The dense form of ``layout.check_rows``.  Every row has a unique pivot
-    (a local parity or global coordinate), so the matrix has full row rank
-    n-k and spans the nullspace of the generator matrix.
+    The dense form of ``layout.check_groups``.  Every row has a unique
+    pivot (a local parity or global coordinate), so the matrix has full
+    row rank n-k and spans the nullspace of the generator matrix.
     """
     fld = layout.field
     n = layout.n
     rows = []
-    for pivot, coords, coeffs in layout.check_rows:
-        row = [0] * n
-        for j, c in zip(coords, coeffs):
-            row[j] = fld.neg(c)
-        row[pivot] = 1
-        rows.append(row)
+    for g in layout.check_groups:
+        for pivot, coeffs in zip(g.pivots, g.coeffs):
+            row = [0] * n
+            for j, c in zip(g.coords, coeffs):
+                row[j] = fld.neg(c)
+            row[pivot] = 1
+            rows.append(row)
     return Matrix(fld, rows, n)
 
 

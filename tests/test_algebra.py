@@ -2,6 +2,8 @@ import itertools
 import math
 import pickle
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +23,7 @@ from lrckit.algebra import (
 from lrckit.errors import DuplicateNode, InternalInvariantViolation, InvalidParameter
 from linref import identity, same_row_space, solve
 from polyref import square_and_multiply_generator
+from rowref import value_from_roots
 
 F11 = FiniteField(11)
 F13 = FiniteField(13)
@@ -468,20 +471,99 @@ def test_row_and_column_supports_are_the_nonzero_positions():
 
 
 @pytest.mark.parametrize("fld", [F13, F16])
-def test_row_terms_give_the_row_times_a_vector(fld):
-    # rows with no, one and several nonzeros; the getter of each returns a
-    # sequence that lines up with the row's nonzero values
+def test_row_groups_give_the_rows_times_a_vector(fld):
+    # rows with no, one and several nonzeros, and rows that share the
+    # support of row 5 but for a private column (column 6 for row 6,
+    # column 7 for row 7); the groups, in row order, give H times v, as
+    # the dense mul_vec does
     rng = random.Random(11)
-    rows = [[0] * 6, [0, 0, 5, 0, 0, 0], [0] * 5 + [1],
-            [rng.choice([0, rng.randrange(1, fld.q)]) for _ in range(6)], [3, 1, 4, 1, 5, 9]]
+    rows = [[0] * 8, [0] * 8, [0, 0, 5, 0, 0, 0, 0, 0], [0] * 5 + [1, 0, 0],
+            [rng.choice([0, rng.randrange(1, fld.q)]) for _ in range(6)] + [0, 0],
+            [0, 3, 1, 4, 1, 0, 0, 0], [0, 5, 9, 2, 6, 0, 5, 0], [0, 2, 6, 5, 3, 0, 0, 7],
+            [3, 1, 4, 1, 5, 9, 0, 0]]
     m = Matrix(fld, rows)
-    v = [rng.randrange(fld.q) for _ in range(6)]
-    for mat in (m, pickle.loads(pickle.dumps(m))):  # the cached getters pickle too
-        terms = mat.row_terms()
-        assert [vals for _, vals in terms] == [
-            tuple(r[j] for j in js) for r, js in zip(rows, mat.row_supports())]
-        assert [fld.dot(vals, get(v)) for get, vals in terms] == m.mul_vec(v)
-    assert m.row_terms() is m.row_terms()  # cached
+    assert m.private_columns().get(6) == [6] and m.private_columns().get(7) == [7]
+    v = [rng.randrange(fld.q) for _ in range(8)]
+    m.row_groups()
+    copy = pickle.loads(pickle.dumps(m))
+    assert copy._groups is not None  # the packed groups pickle with the matrix
+    for mat in (m, copy):
+        groups = mat.row_groups()
+        assert [x for get, packed in groups for x in fld.dots(packed, get(v))] == m.mul_vec(v)
+    sizes = [len(fld.dots(packed, v)) for _, packed in groups]
+    # on F_13 the two zero rows share a group, and so do rows 5-7, whose
+    # supports agree once the private columns are removed
+    assert sizes == ([2, 1, 1, 1, 3, 1] if fld is F13 else [1] * len(rows))
+    assert m.row_groups() is m.row_groups()  # cached
+
+
+# the fields of the row-group kernel's differential tests: prime fields
+# from the smallest to the largest order, where lanes are widest, and
+# extension fields of characteristic 2 and 3
+ROW_GROUP_FIELDS = [FiniteField(2), FiniteField(7), FiniteField(79), FiniteField(65521),
+                    F4, F9, F16]
+
+
+@st.composite
+def row_blocks(draw):
+    """A field of ROW_GROUP_FIELDS, 1-6 rows of 0-12 terms each with entries
+    biased to 0 and q - 1, and a vector of field elements as long."""
+    fld = draw(st.sampled_from(ROW_GROUP_FIELDS))
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(0, 12))
+    entry = st.one_of(st.just(0), st.just(fld.q - 1), st.integers(0, fld.q - 1))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    return fld, rows, draw(st.lists(entry, min_size=ncols, max_size=ncols))
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_blocks())
+def test_dots_match_one_dot_per_row(case):
+    fld, rows, v = case
+    assert fld.dots(fld.pack_rows(rows), v) == [fld.dot(r, v) for r in rows]
+    # single rows, and one-term rows
+    for row in rows:
+        assert fld.dots(fld.pack_rows([row]), v) == [fld.dot(row, v)]
+    if v:
+        assert fld.dots(fld.pack_rows([r[:1] for r in rows]), v[:1]) == [
+            fld.mul(r[0], v[0]) for r in rows]
+
+
+@pytest.mark.parametrize("fld", ROW_GROUP_FIELDS, ids=repr)
+def test_dots_of_no_rows(fld):
+    assert fld.dots(fld.pack_rows([]), [1, 2]) == []
+
+
+def test_lanes_hold_the_largest_sums():
+    """Every entry p - 1 on F_65521 over 2000 terms: each lane holds its
+    largest possible sum, (p-1)^2 * 2000, without a carry into the next,
+    also beside lanes that sum to 0 and to 1."""
+    fld = FiniteField(65521)
+    top = fld.q - 1
+    full, zero, one = [top] * 2000, [0] * 2000, [0] * 1999 + [1]
+    rows = [full, zero, full, full, one, full]
+    for v in ([top] * 2000, one):
+        assert fld.dots(fld.pack_rows(rows), v) == [fld.dot(r, v) for r in rows]
+    assert fld.dots(fld.pack_rows([full] * 3), full) == [top * top * 2000 % fld.q] * 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(ROW_GROUP_FIELDS), st.data())
+def test_root_product_matches_the_loop(fld, data):
+    elem = st.integers(0, fld.q - 1)
+    roots, x = data.draw(st.lists(elem, max_size=40)), data.draw(elem)
+    assert fld.root_product(roots, x) == value_from_roots(fld, roots, x)
+    assert fld.root_product(roots + [x], x) == 0  # x among the roots
+    assert fld.root_product([], x) == 1
+    assert fld.root_product(iter(roots), x) == value_from_roots(fld, roots, x)
+
+
+@pytest.mark.parametrize("fld", ROW_GROUP_FIELDS, ids=repr)
+def test_are_elements_admits_ints_in_range_only(fld):
+    assert fld.are_elements([]) and fld.are_elements([0, fld.q - 1]) and fld.are_elements([True])
+    for bad in (-1, fld.q, 1.0, 0.5, -0.5, "1", None, 1j, Fraction(1), Decimal(1)):
+        assert not fld.are_elements([0, bad]) and not fld.are_elements([bad, 0])
+    assert not fld.are_elements([0.5, -0.5, 1])  # floats that sum to an integer
 
 
 ELIMINATION_FIELDS = [FiniteField(2), FiniteField(7), F4, F9]

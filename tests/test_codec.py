@@ -13,7 +13,7 @@ from lrckit import algebra, fixtures
 from lrckit.algebra import FiniteField
 from lrckit.designs import ag_steiner
 from lrckit.erasure import ErasurePattern, decode_linear, decode_structured, pattern_admissible
-from lrckit.errors import Inconsistent, NotAdmissible
+from lrckit.errors import Inconsistent, InvalidParameter, NotAdmissible
 from lrckit.lrc import (
     EvaluationLayout,
     LrcParams,
@@ -24,6 +24,7 @@ from lrckit.lrc import (
     parity_check_matrix,
 )
 from polyref import poly_encode
+from rowref import check_rows, row_encode
 
 FIELDS = (
     FiniteField(5),
@@ -167,7 +168,7 @@ def test_codec_builds_no_polynomial(make, monkeypatch):
     """Encoding, the parity check synthesis and structured decoding with one
     or two heavy sets run on scalars only."""
     lay = make()
-    assert "check_rows" not in vars(lay)  # synthesised below, under the patch
+    assert "check_groups" not in vars(lay)  # synthesised below, under the patch
 
     def no_poly(self, *args, **kwargs):
         raise AssertionError("a Poly was built")
@@ -186,3 +187,75 @@ def test_codec_builds_no_polynomial(make, monkeypatch):
         if pattern_admissible(lay, pat).admissible:
             assert decode_structured(lay, mask(word, pat.coords(lay)), pat) == word
             decoded += 1
+
+
+def _truncated_layout():
+    """AG(2,3) blocks of 3 points over F_11 with v = 1 < r = 2: the last
+    block is cut to v+delta-1 = 2 points."""
+    return build_layout(LrcParams(r=2, delta=2, ell=3, v=1, h=2), FiniteField(11),
+                        ag_steiner(3, 2))
+
+
+def assert_groups_are_the_rows(lay):
+    """The check groups hold the per-row reference rows, in order."""
+    rows = [(pivot, tuple(g.coords), coeffs)
+            for g in lay.check_groups for pivot, coeffs in zip(g.pivots, g.coeffs)]
+    assert rows == [(pivot, tuple(coords), coeffs) for pivot, coords, coeffs in check_rows(lay)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(layouts(), st.data())
+def test_encode_matches_per_row_reference(lay, data):
+    q, k = lay.field.q, lay.params.k
+    assert_groups_are_the_rows(lay)
+    info = data.draw(st.lists(st.integers(0, q - 1), min_size=k, max_size=k))
+    assert encode(lay, info) == row_encode(lay, info)
+    assert encode(lay, tuple(info)) == row_encode(lay, info)
+
+
+@pytest.mark.parametrize("make", [fixtures.example3_layout, _truncated_layout])
+def test_encode_matches_per_row_reference_on_truncated_layouts(make):
+    lay = make()
+    assert len(lay.sets[-1]) < len(lay.sets[0])
+    assert_groups_are_the_rows(lay)
+    rows = check_rows(lay)
+    rng = random.Random(lay.n)
+    q, k = lay.field.q, lay.params.k
+    for info in ([q - 1] * k, [0] * k, *([rng.randrange(q) for _ in range(k)] for _ in range(5))):
+        assert encode(lay, info) == row_encode(lay, info, rows)
+
+
+def test_example3_check_packs_into_block_and_global_groups():
+    """On example3's H ([657,505]/F_79, delta = 3, h = 6) a block's two
+    local rows share their support but for their pivots, and so do the six
+    global rows: 73 two-row groups and one six-row group, not 152 rows."""
+    lay = fixtures.example3_layout()
+    h = build_code(lay).check
+    fld = h.field
+    sizes = [len(fld.dots(packed, [0] * h.ncols)) for _, packed in h.row_groups()]
+    assert sizes == [2] * 73 + [6]
+    assert [len(g.pivots) for g in lay.check_groups] == [2] * 73 + [6]
+
+
+@pytest.mark.parametrize("bad", ["3", 1.5, 5.0, None, -1, 13])
+def test_encode_refuses_symbols_that_are_not_field_elements(ag13_layout, bad):
+    info = [0] * ag13_layout.params.k
+    info[1] = bad
+    with pytest.raises(InvalidParameter, match=r"information symbols must be ints in \[0, 13\)"):
+        encode(ag13_layout, info)
+
+
+@pytest.mark.parametrize("bad", ["3", 1.5, 5.0, 0.0])
+def test_decoders_refuse_survivors_that_are_not_ints(ag13_layout, ag13_code, bad):
+    """A float or str survivor is refused, not carried into the word: the
+    linear decoder once returned a word holding 0.0."""
+    lay = ag13_layout
+    word = encode(lay, [u % 13 for u in range(lay.params.k)])
+    pat = ErasurePattern.make(lay, {0: lay.sets[0][:1]})
+    coords = pat.coords(lay)
+    received = mask(word, coords)
+    received[coords[0] + 1] = bad
+    with pytest.raises(InvalidParameter, match=r"received word symbols must be ints in \[0, 13\)"):
+        decode_structured(lay, received, pat)
+    with pytest.raises(InvalidParameter, match=r"received word symbols must be ints in \[0, 13\)"):
+        decode_linear(ag13_code, coords, received)

@@ -633,6 +633,57 @@ def test_recoverable_matches_rank_on_sparse_matrices(case, rng):
             == outcome(dense_decode, h, coords, received))
 
 
+@st.composite
+def grouped_checks(draw):
+    """A parity check whose rows the row groups pack together: over shared
+    columns 0..m-1 plus one private column per row (column m + i, nonzero
+    in row i alone, if at all), each row is zero, repeats the shared
+    support of the row before with new values, or is random there.  So
+    there are zero rows, repeated supports and rows that differ only in
+    their private columns.  With erased coordinates, repeats allowed."""
+    fld = draw(st.sampled_from([FiniteField(2), FiniteField(7), FiniteField(79),
+                                FiniteField(2, 2), FiniteField(3, 2)]))
+    nrows, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    nonzero = st.integers(1, fld.q - 1)
+    rows, shared = [], []
+    for i in range(nrows):
+        kind = draw(st.sampled_from(["zero", "repeat", "random"] if i else ["zero", "random"]))
+        if kind == "random":
+            shared = [j for j in range(m) if draw(st.booleans())]
+        elif kind == "zero":
+            shared = []
+        row = [0] * (m + nrows)
+        for j in shared:
+            row[j] = draw(nonzero)
+        if kind != "zero" and draw(st.booleans()):
+            row[m + i] = draw(nonzero)
+        rows.append(row)
+    coords = draw(st.lists(st.integers(0, m + nrows - 1), max_size=m + nrows))
+    return Matrix(fld, rows, m + nrows), coords
+
+
+@given(grouped_checks(), st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_decode_linear_matches_dense_solve_on_grouped_rows(case, rng):
+    """The grouped syndrome gives the dense solve's word, None or
+    Inconsistent, on codewords and on codewords with one corrupted
+    survivor."""
+    h, coords = case
+    fld = h.field
+    word = [0] * h.ncols
+    for v in h.nullspace().rows:
+        c = rng.randrange(fld.q)
+        word = [fld.add(x, fld.mul(c, y)) for x, y in zip(word, v)]
+    survivors = [j for j in range(h.ncols) if j not in coords]
+    if survivors and rng.random() < 0.5:
+        j = rng.choice(survivors)
+        word[j] = fld.add(word[j], rng.randrange(1, fld.q))
+    received = [None if j in coords else x for j, x in enumerate(word)]
+    code = LinearCode(k=h.ncols - h.rank(), check=h)
+    assert (outcome(decode_linear, code, coords, received)
+            == outcome(dense_decode, h, coords, received))
+
+
 def test_worker_runs_pickle_a_matrix_with_its_caches_filled():
     """decode_linear fills the parity check's cached supports and row
     getters; the same H must still go to worker processes and give the

@@ -149,3 +149,38 @@ def test_dense_reference_call_detector():
                          ids=lambda p: p.name)
 def test_library_eliminates_only_through_the_kernel(path):
     assert dense_reference_calls(path.read_text()) == []
+
+
+# the prime/extension split: only algebra.py, whose FiniteField binds the
+# kernels per kind (the lanes of ``dots`` among them), may compare a
+# field's characteristic or degree; serial.py writes them into a spec
+KIND_ATTRS = {"p", "m"}
+KIND_FORK_ALLOWED = {"algebra.py", "serial.py"}
+
+
+def kind_comparisons(source: str) -> list[str]:
+    """Comparisons with an attribute named ``p`` or ``m`` on either side."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            out.extend(f"line {node.lineno}: .{side.attr}"
+                       for side in [node.left, *node.comparators]
+                       if isinstance(side, ast.Attribute) and side.attr in KIND_ATTRS)
+    return out
+
+
+def test_kind_comparison_detector():
+    source = "\n".join([
+        "if fld.m == 1: pass",
+        "ok = 2 < self.field.p <= 7",
+        "q = fld.p ** fld.m",
+        "big = FiniteField(base.p, base.m * d)",
+        "same = a.m != b.q",
+    ])
+    assert kind_comparisons(source) == ["line 1: .m", "line 2: .p", "line 5: .m"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in KIND_FORK_ALLOWED],
+                         ids=lambda p: p.name)
+def test_field_kind_forks_stay_in_algebra(path):
+    assert kind_comparisons(path.read_text()) == []
