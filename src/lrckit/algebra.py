@@ -1,6 +1,8 @@
 """Exact arithmetic over prime-power finite fields, dense polynomials,
 and matrices, with ``Matrix.eliminate``, the one sparse elimination that
-the library's ranks, rank tests and decoders run.
+the library's ranks, rank tests and decoders run; its core,
+``eliminate_vectors``, also reduces the short vectors of the array sweeps'
+local-then-global rank test.
 
 Field elements are plain Python ints in ``[0, q)``.  For an extension
 field F_{p^m} the integer ``sum(c_i * p**i)`` encodes the element with
@@ -684,6 +686,32 @@ def interpolate(fld: FiniteField, points: Sequence[tuple[int, int]]) -> Poly:
 # matrices
 
 
+def eliminate_vectors(fld: FiniteField, vectors, bound: int, stop: bool = True):
+    """The core of ``Matrix.eliminate``, on any vectors: ``vectors`` holds
+    pairs (v, live), v a list the call may change and live a set holding
+    at least v's nonzero positions.  Each v is reduced
+    against the pivots so far, an update touching just the pivot's nonzero
+    positions, and becomes a pivot at its lowest nonzero position if that
+    is below ``bound``, else it is dependent.  Returns (pivots,
+    dependents) as ``Matrix.eliminate`` does; ``stop`` ends at the first
+    dependent."""
+    vec_sub_at, mul, inv = fld.vec_sub_at, fld.mul, fld.inv
+    pivots, dependents = [], []
+    for v, live in vectors:
+        for pr, pinv, u, su in pivots:
+            if v[pr]:
+                vec_sub_at(v, mul(v[pr], pinv), u, su)
+                live.update(su)
+        nz = [i for i in live if v[i]]
+        if nz and (pr := min(nz)) < bound:
+            pivots.append((pr, inv(v[pr]), v, nz))
+        else:
+            dependents.append(v)
+            if stop:
+                break
+    return pivots, dependents
+
+
 class Matrix:
     """Row-major matrix of field elements with exact linear algebra.
 
@@ -691,14 +719,14 @@ class Matrix:
     the matrix: ``column_supports``, ``row_supports`` and
     ``private_columns`` together, and the packed ``row_groups`` from them
     on their own first use, as only the linear decoder reads them.  It
-    pickles with the matrix, so worker processes do not rebuild it.
-    ``rows`` must not be changed after that first use, and its entries must
-    be field elements, ints in [0, q), as the lanes of ``row_groups``
-    assume.
+    pickles with the matrix.  ``rows`` must not be changed after that first
+    use, and its entries must be field elements, ints in [0, q), as the
+    lanes of ``row_groups`` assume.
 
-    ``eliminate`` is the library's one elimination.  The dense ``rref``,
-    ``rank`` and ``nullspace`` are the reference the tests and the
-    benchmark check it against.
+    ``eliminate`` is the library's one elimination, and
+    ``eliminate_vectors`` its core.  The dense ``rref``, ``rank`` and
+    ``nullspace`` are the reference the tests and the benchmark check it
+    against.
     """
 
     __slots__ = ("field", "rows", "nrows", "ncols", "_supports", "_groups")
@@ -769,15 +797,14 @@ class Matrix:
         dependent, or at once with dependents ``[None]`` when the columns
         touch fewer rows than there are columns.  ``tagged`` adds a 1 at
         row nrows + t of column t (never a pivot row), so each vector
-        records which combination of the columns it is."""
+        records which combination of the columns it is.  The reduction is
+        ``eliminate_vectors`` on the columns as vectors."""
         sup = self.column_supports()
         if stop and len(set().union(*map(sup.__getitem__, cols))) < len(cols):
             return [], [None]
-        vec_sub_at, mul, inv = self.field.vec_sub_at, self.field.mul, self.field.inv
         rows, nrows = self.rows, self.nrows
         size = nrows + len(cols) if tagged else nrows
-        bound = nrows if bound is None else bound
-        pivots, dependents = [], []
+        vectors = []
         for t, c in enumerate(cols):
             v = [0] * size
             live = set(sup[c])
@@ -786,18 +813,8 @@ class Matrix:
             if tagged:
                 v[nrows + t] = 1
                 live.add(nrows + t)
-            for pr, pinv, u, su in pivots:
-                if v[pr]:
-                    vec_sub_at(v, mul(v[pr], pinv), u, su)
-                    live.update(su)
-            nz = [i for i in live if v[i]]
-            if nz and (pr := min(nz)) < bound:
-                pivots.append((pr, inv(v[pr]), v, nz))
-            else:
-                dependents.append(v)
-                if stop:
-                    break
-        return pivots, dependents
+            vectors.append((v, live))
+        return eliminate_vectors(self.field, vectors, nrows if bound is None else bound, stop)
 
     def rref(self) -> tuple[list[list[int]], list[int]]:
         """Reduced row echelon form; returns (rows, pivot column list).

@@ -35,7 +35,6 @@ from .erasure import (
 from .errors import LrckitError, InvalidParameter
 from .goppa import GoppaParams, build_code as goppa_build, distance_report, parity_check
 from .gsd import (
-    POOL_WORK_FLOOR,
     basic_array,
     check_array,
     family_params,
@@ -388,10 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
         # LRCKIT_WORKERS is a usage error like a bad --workers
         default=os.environ.get("LRCKIT_WORKERS", "1"),
         help="worker processes for the sweeps of gsd check and fixtures run "
-        "(default LRCKIT_WORKERS or 1); must be >= 1 and is clamped to the CPU count. "
-        "Workers run only the rank tests of what the local-repair peel leaves, and only "
-        f"when those hold more than {POOL_WORK_FLOOR} columns in all; below that a sweep "
-        "runs in one process",
+        "(default LRCKIT_WORKERS or 1); must be >= 1.  Accepted for callers that pass it: "
+        "every sweep runs in one process",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -2,15 +2,24 @@
 polynomial decoder, the decoder itself, a generic linear-algebra rank test
 and decoding oracle that both run ``Matrix.eliminate`` (the library's one
 sparse column elimination), exact minimum-distance search, and the local
-repair that the array sweeps apply before the rank test.
+repair thresholds that the array sweeps' rank test reads.
 
 Local repair rests on information locality.  If the code punctured to a
 repair set A has distance d, and an erased set E meets A in at least one
 and at most min(d, delta) - 1 coordinates, then E is recoverable iff E - A
 is: a codeword supported on E restricts on A to a punctured codeword of
 weight below d, which is zero.  ``local_repair_map`` finds those
-thresholds from the punctured checks, and ``peel`` drops the light sets of
-disjoint repair sets in one pass.
+thresholds from the punctured checks.  The array sweeps drop such light
+sets and test the rest on the local/global split of H (``gsd.row_split``):
+with disjoint repair sets, a row is local to A when its support lies
+inside A, and global otherwise.  A's local rows vanish outside A, so the
+erased columns are independent iff the g-row matrix of each heavy set's
+image G K_A, K_A a kernel basis of its local rows on its erased cells,
+next to the global columns of the cells outside the sets, has full column
+rank: exact for any H with disjoint sets.  That is the recoverability
+argument of partial-MDS codes (Blaum, Hafner and Hetzler, IEEE T-IT 2013)
+and SD codes (Plank, Blaum and Hafner, FAST 2013).  ``recoverable``, the
+plain rank test on all of H, is the reference it is checked against.
 
 Erasure patterns are stated in terms of evaluation points, grouped by the
 repair set they hit, plus the erased global points; the coordinate-level
@@ -498,7 +507,7 @@ def _smallest_dependent(h: Matrix, d_max: int) -> int | None:
 
 
 # ----------------------------------------------------------------------
-# local repair in front of the rank test
+# local repair thresholds
 
 
 def local_repair_map(code: LinearCode) -> dict[int, tuple[int, int]]:
@@ -511,7 +520,7 @@ def local_repair_map(code: LinearCode) -> dict[int, tuple[int, int]]:
     of size < delta on each set's ``lrc.punctured_checks`` matrix.  A set
     whose check is empty, or whose search would pass ``NODE_GUARD``, gets
     t = 0.  The map is empty when delta < 2 or when the repair sets are
-    not disjoint: ``peel`` drops a set by the erasures it counts there,
+    not disjoint: a sweep drops a set by the erasures it counts there,
     which would miss those of a shared coordinate counted for another
     set."""
     sets = code.repair_sets
@@ -530,24 +539,3 @@ def local_repair_map(code: LinearCode) -> dict[int, tuple[int, int]]:
             out.update(dict.fromkeys(coords, (b, t)))
     return out
 
-
-def peel(repair: dict[int, tuple[int, int]], coords) -> list[int]:
-    """The coordinates left of an erased set once every repair set it
-    meets in at most its threshold, by ``repair`` (``local_repair_map``),
-    is dropped, in one pass over ``coords``.  Exact: ``coords`` is
-    recoverable iff the result is, as dropping one light set leaves the
-    others' erasures as they were (the sets are disjoint)."""
-    kept: list[int] = []
-    hits: dict[tuple[int, int], list[int]] = {}
-    for c in coords:
-        entry = repair.get(c)
-        if entry is None:
-            kept.append(c)
-        elif entry in hits:
-            hits[entry].append(c)
-        else:
-            hits[entry] = [c]
-    for (_, t), cs in hits.items():
-        if len(cs) > t:
-            kept += cs
-    return kept

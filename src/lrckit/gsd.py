@@ -10,37 +10,109 @@ block).  Cells erased as part of a column erasure are the column's real
 cells; zero-filled cells carry no information and are excluded from erasure
 accounting.
 
-A sweep repairs locally before it tests rank.  A repair set that holds
-fewer erasures than its punctured code's distance, and than delta, is
-repaired from the set alone: a codeword supported on the erased cells is
-zero on that set.  So a pattern is recoverable iff what is left once those
-light sets are dropped is (``erasure.local_repair_map`` and
-``erasure.peel``), and only the heavy sets and the global parities reach
-the rank test, ``erasure.recoverable``.
+A sweep tests each pattern locally first, then globally, on the split of
+H by the code's repair sets (``row_split``), which must be disjoint.  A
+row of H is local to set A when its support lies inside A, and global
+otherwise; g rows are global (6 on example3, 4 on ag13).  An erased set E
+meets A in E_A and leaves E_F outside every set.  As A's local rows L_A
+vanish outside A, H_E x = 0 iff every x_A lies in the kernel of L_A on
+E_A, x_A = K_A z_A with K_A a kernel basis, and the global rows G give
+sum_A G_{E_A} K_A z_A + G_{E_F} x_F = 0.  x -> z is one to one, so E is
+recoverable iff the g-row matrix [G_{E_A} K_A ... | G_{E_F}] has full
+column rank, which it cannot have with more than g columns.  That is
+exact for any H with disjoint sets.  It is the recoverability argument of
+partial-MDS codes (Blaum, Hafner and Hetzler, IEEE T-IT 2013) and of SD
+codes (Plank, Blaum and Hafner, FAST 2013): each set absorbs erasures up
+to its local parities, and the rest must meet the global parities.
 
-Each array keeps the tables its sweeps read, built on first use
-(``ArrayLayout.plan``): the column coordinates and the code's local repair
-map.  A sweep draws and peels every pattern in the calling process, and a
-pattern the peel empties is recoverable with no rank test.  Worker
-processes run only the rank tests of what the peel leaves, and only when
-those hold more than ``POOL_WORK_FLOOR`` columns in all: below that, the
-start of a pool costs more than it saves.
+Two things make it cheap.  A set holding at most its local repair
+threshold (``erasure.local_repair_map``) is dropped at once: a codeword
+supported on E restricts on A to a punctured codeword of weight below the
+punctured distance, which is zero.  And A's image G_{E_A} K_A depends on
+(A, E_A) alone, so it is cached; a sweep then reduces a few g-vectors per
+pattern.  When the sets overlap or none holds a local row, the test is
+``erasure.recoverable`` on all of H, which stays the reference.
+
+Each array keeps what its sweeps read, built on first use
+(``ArrayLayout.plan``): the column coordinates, the row split and the
+image cache, holding at most ``MAX_IMAGES`` images.  Every sweep runs in
+the calling process.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 import random
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
-from .algebra import PRIME_LIMIT, factor_prime_power
+from .algebra import PRIME_LIMIT, Matrix, eliminate_vectors, factor_prime_power
 from .errors import Infeasible, InvalidParameter, NotRegular
 from .lrc import EvaluationLayout, LinearCode
-from .erasure import local_repair_map, peel, recoverable
+from .erasure import local_repair_map, recoverable
+
+
+# The most (repair set, erased cells) images a sweep plan keeps; past it,
+# images are computed and not stored.  example3 has at most 73 * 2^9 keys.
+MAX_IMAGES = 1 << 16
+
+
+@dataclass(frozen=True)
+class RowSplit:
+    """H's rows split by disjoint repair sets, as ``SweepPlan.recoverable``
+    reads them.  A row is local to set A when its support lies inside A,
+    and global otherwise; ``g`` global rows.
+
+    ``slots``: per coordinate, (set, 1 << its position in the set) when
+    the set has local rows or a local repair threshold, else None (a free
+    coordinate).  ``members``: per set, its coordinates by position.
+    ``nlocal`` and ``thresholds``: per set, its local row count and its
+    ``erasure.local_repair_map`` threshold.  ``items``: per coordinate,
+    (column, its nonzero positions), the column being the global rows for
+    a free coordinate, and the set's local rows then the global rows for
+    a slotted one."""
+
+    g: int
+    slots: list[tuple[int, int] | None]
+    members: list[tuple[int, ...]]
+    nlocal: list[int]
+    thresholds: list[int]
+    items: list[tuple[tuple[int, ...], tuple[int, ...]]]
+
+
+def row_split(code: LinearCode) -> RowSplit | None:
+    """The ``RowSplit`` of the code's H, or None when its repair sets
+    overlap or none of them holds a local row."""
+    h, sets = code.check, code.repair_sets
+    owner = {c: s for s, cs in enumerate(sets) for c in cs}
+    if len(owner) < sum(map(len, sets)):
+        return None
+    local: list[list[int]] = [[] for _ in sets]
+    glob = []
+    within = [set(cs).issuperset for cs in sets]
+    for i, sup in enumerate(h.row_supports()):
+        s = owner.get(sup[0]) if sup else None
+        if s is not None and within[s](sup):
+            local[s].append(i)
+        elif sup:
+            glob.append(i)
+    if not any(local):
+        return None
+    thresholds = [0] * len(sets)
+    for s, t in local_repair_map(code).values():
+        thresholds[s] = t
+    slots: list[tuple[int, int] | None] = [None] * h.ncols
+    cols = list(zip(*(h.rows[i] for i in glob))) if glob else [()] * h.ncols
+    for s, cs in enumerate(sets):
+        if local[s] or thresholds[s]:
+            lead = [[h.rows[i][c] for c in cs] for i in local[s]]
+            for k, (c, col) in enumerate(zip(cs, zip(*lead) if lead else [()] * len(cs))):
+                slots[c] = (s, 1 << k)
+                cols[c] = col + cols[c]
+    items = [(col, tuple(itertools.compress(itertools.count(), col))) for col in cols]
+    return RowSplit(len(glob), slots, [tuple(cs) for cs in sets], list(map(len, local)),
+                    thresholds, items)
 
 
 @dataclass(frozen=True)
@@ -48,12 +120,73 @@ class SweepPlan:
     """What every sweep of one array reads, built once per array: the
     coordinates of each column's real cells, those of all columns in one
     list (``flat``) with the position of each column's first cell there
-    (``starts``), and the code's ``erasure.local_repair_map``."""
+    (``starts``), H, its ``row_split`` and the cache of repair set images
+    that ``recoverable`` fills."""
 
     col_coords: list[tuple[int, ...]]
     flat: list[int]
     starts: list[int]
-    repair: dict[int, tuple[int, int]]
+    h: Matrix
+    split: RowSplit | None
+    images: dict[tuple[int, int], list] = field(default_factory=dict)
+
+    def recoverable(self, cells) -> bool:
+        """``erasure.recoverable(H, cells)`` for distinct coordinates, by the
+        local-then-global test of the module docstring.  One pass groups
+        the cells by repair set.  A set holding at most its threshold is
+        dropped; every other set A adds its image, G K_A on its erased
+        cells (cached per set and erased cells); a free cell adds its
+        global column.  Those g-vectors decide the verdict: more than g
+        of them are dependent, which A's |E_A| - (its local rows) image
+        vectors at least already tell before any image is looked up, and
+        otherwise an elimination does.  With no split, the test is
+        ``erasure.recoverable``."""
+        split = self.split
+        if split is None:
+            return recoverable(self.h, cells)
+        slots, items = split.slots, split.items
+        vecs = []
+        hits: dict[int, int] = {}
+        for c in cells:
+            slot = slots[c]
+            if slot is None:
+                vecs.append(items[c])
+            else:
+                s, bit = slot
+                hits[s] = hits.get(s, 0) | bit
+        thresholds, nlocal = split.thresholds, split.nlocal
+        heavy = []
+        least = len(vecs)
+        for key in hits.items():
+            s, erased = key[0], key[1].bit_count()
+            if erased > thresholds[s]:
+                heavy.append(key)
+                if erased > nlocal[s]:
+                    least += erased - nlocal[s]
+        if least > split.g:
+            return False
+        images = self.images
+        for key in heavy:
+            image = images.get(key)
+            if image is None:
+                image = self._image(*key)
+                if len(images) < MAX_IMAGES:
+                    images[key] = image
+            vecs += image
+        return not vecs or not eliminate_vectors(
+            self.h.field, [(list(v), set(nz)) for v, nz in vecs], split.g)[1]
+
+    def _image(self, s, mask):
+        """Set s's image for the erased cells at the bits of ``mask``: its
+        stacked columns eliminated with pivots on its local rows only, so
+        the dependents are G times a basis of the local rows' kernel."""
+        split = self.split
+        r, members = split.nlocal[s], split.members[s]
+        cols = [split.items[members[k]] for k in range(mask.bit_length()) if mask >> k & 1]
+        dependents = eliminate_vectors(self.h.field, [(list(v), set(nz)) for v, nz in cols], r,
+                                       stop=False)[1]
+        return [(v, tuple(itertools.compress(itertools.count(), v)))
+                for v in map(tuple, (v[r:] for v in dependents))]
 
 
 @dataclass
@@ -98,7 +231,8 @@ class ArrayLayout:
             col_coords=col_coords,
             flat=list(itertools.chain.from_iterable(col_coords)),
             starts=list(itertools.accumulate(map(len, col_coords), initial=0)),
-            repair=local_repair_map(self.code),
+            h=self.code.check,
+            split=row_split(self.code),
         )
 
 
@@ -213,50 +347,6 @@ def truncated_array(layout: EvaluationLayout, code: LinearCode) -> ArrayLayout:
 
 MAX_WITNESS = 10  # unrecoverable patterns kept as witnesses per sweep
 
-# The residual columns (the cells the peel leaves, summed over a sweep's
-# patterns) past which a sweep sends its rank tests to worker processes.
-# Measured on example3 (Python 3.11, 2 cores): starting and stopping a
-# pool of two and installing H in each worker cost about 20 ms, and a
-# residual column costs about 8 us of rank test, so two workers, which
-# save half of that, pay past about 2 * 20 ms / 8 us = 5000 columns.  The
-# y=8 sweeps (about 13 residual columns a pattern) broke even between 350
-# and 500 patterns, 4500 to 6400 columns.
-POOL_WORK_FLOOR = 5000
-
-
-def pool_size(workers: int, tasks: int) -> int:
-    """Worker processes worth starting: the request clamped to the CPU
-    count and to the number of tasks, and at least one."""
-    if workers <= 1:
-        return 1
-    return max(1, min(workers, os.cpu_count() or 1, tasks))
-
-
-def _rank_tests(h, residuals):
-    """Rank-test each residual, the cells a pattern keeps after the peel;
-    returns how many are recoverable and the positions of the first
-    ``MAX_WITNESS`` that are not."""
-    passed = 0
-    failing = []
-    for pos, left in enumerate(residuals):
-        if recoverable(h, left):
-            passed += 1
-        elif len(failing) < MAX_WITNESS:
-            failing.append(pos)
-    return passed, failing
-
-
-_worker_check = None  # H, in a worker process: set once by _install_check
-
-
-def _install_check(h):
-    global _worker_check
-    _worker_check = h
-
-
-def _worker_rank_tests(residuals):
-    return _rank_tests(_worker_check, residuals)
-
 
 def _exhaustive_patterns(col_coords, eligible, y, gamma):
     """Every pattern as a list of cells: column choices in lexicographic
@@ -316,18 +406,17 @@ def check_array(
     when the minimum distance ``d`` is supplied.
 
     ``failures`` holds the first ``MAX_WITNESS`` unrecoverable patterns in
-    pattern order, sorted; it is the same for every worker count.
+    pattern order, sorted.
 
-    Every pattern is drawn, and peeled of its light repair sets, in this
-    process, from the array's ``plan`` (its column coordinates and the
-    code's ``erasure.local_repair_map``, built once per array).  The peel
-    is exact (see the module docstring), so the counts and the failures,
-    which hold the patterns' own coordinates, are those of the rank test
-    alone; a pattern the peel empties is recoverable, and codes whose
-    repair sets overlap, or have no local distance, get no peel.  What the
-    peel leaves goes to ``erasure.recoverable``: in this process, or split
-    over up to ``workers`` worker processes when it holds more than
-    ``POOL_WORK_FLOOR`` columns in all.
+    Every pattern is drawn from the array's ``plan`` and tested by
+    ``SweepPlan.recoverable``, the local-then-global rank test of the module
+    docstring: light repair sets are dropped, the heavy ones add their
+    cached images on the g global rows, the cells outside the sets add
+    their global columns, and an elimination of at most g short vectors
+    decides.  The test is exact, so the counts and the failures are those
+    of ``erasure.recoverable`` on each pattern.  ``workers`` is accepted,
+    for callers that still pass it, and ignored: every sweep runs in this
+    process.
     """
     if columns not in ("all", "data"):
         raise InvalidParameter("columns must be 'all' or 'data'")
@@ -362,31 +451,14 @@ def check_array(
 
     # a pattern's cells are distinct, as the columns are disjoint and the
     # extra cells lie outside the chosen ones, so they need no set or sort
-    repair = plan.repair
-    checked = 0
-    kept = []  # the cells of the patterns the peel leaves cells of, in order
-    residuals = []  # what it leaves of each
+    test = plan.recoverable
+    checked = passed = 0
+    failures = []
     for checked, cells in enumerate(patterns, 1):
-        left = peel(repair, cells)
-        if left:
-            kept.append(cells)
-            residuals.append(left)
-
-    h = arr.code.check
-    w = pool_size(workers, len(residuals)) if sum(map(len, residuals)) > POOL_WORK_FLOOR else 1
-    if w == 1:
-        results = [_rank_tests(h, residuals)]
-    else:
-        # H goes to each worker once, as it starts; the chunks carry only
-        # residuals
-        with ProcessPoolExecutor(max_workers=w, initializer=_install_check,
-                                 initargs=(h,)) as pool:
-            results = list(pool.map(_worker_rank_tests, [residuals[i::w] for i in range(w)]))
-    passed = checked - len(residuals) + sum(p for p, _ in results)
-    # chunk i holds the residuals i, i + w, ..., so i + p * w is the kept
-    # position of its p-th; each chunk's first failures cover the sweep's
-    failing = sorted(i + p * w for i, (_, ps) in enumerate(results) for p in ps)
-    failures = [sorted(kept[k]) for k in failing[:MAX_WITNESS]]
+        if test(cells):
+            passed += 1
+        elif len(failures) < MAX_WITNESS:
+            failures.append(sorted(cells))
 
     report = {
         "construction": arr.construction,

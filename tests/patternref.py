@@ -1,8 +1,10 @@
 """Erasure-pattern streams for the decoder tests: exhaustive heavy-plus-
 global patterns on a layout, the first fixture's beyond-distance column
-pairs, and every disk-plus-sector pattern of an array; and a full-scan
-reference for ``ErasurePattern.coords``.  Not used by the library, whose
-sweeps enumerate their own patterns (``gsd.check_array``).
+pairs, and every disk-plus-sector pattern of an array; a full-scan
+reference for ``ErasurePattern.coords``; and ``peel``, local repair alone,
+which drops the light repair sets of an erased set.  Not used by the
+library, whose sweeps enumerate their own patterns and test them on their
+plan (``gsd.check_array``, ``gsd.SweepPlan``).
 """
 
 import itertools
@@ -83,3 +85,25 @@ def array_patterns(arr, y: int, gamma: int, columns: str = "all"):
         rest = [c for j, cs in enumerate(col_coords) if j not in chosen for c in cs]
         for extra in itertools.combinations(rest, gamma):
             yield tuple(sorted(set(extra).union(*(col_coords[j] for j in chosen))))
+
+
+def peel(repair: dict[int, tuple[int, int]], coords) -> list[int]:
+    """The coordinates left of an erased set once every repair set it
+    meets in at most its threshold, by ``repair`` (``local_repair_map``),
+    is dropped, in one pass over ``coords``.  Exact: ``coords`` is
+    recoverable iff the result is, as dropping one light set leaves the
+    others' erasures as they were (the sets are disjoint)."""
+    kept: list[int] = []
+    hits: dict[tuple[int, int], list[int]] = {}
+    for c in coords:
+        entry = repair.get(c)
+        if entry is None:
+            kept.append(c)
+        elif entry in hits:
+            hits[entry].append(c)
+        else:
+            hits[entry] = [c]
+    for (_, t), cs in hits.items():
+        if len(cs) > t:
+            kept += cs
+    return kept

@@ -14,6 +14,7 @@ from lrckit.algebra import (
     Matrix,
     Poly,
     dump_matrix,
+    eliminate_vectors,
     interpolate,
     lagrange_basis,
     load_matrix,
@@ -626,6 +627,29 @@ def test_eliminate_stops_at_a_dependent_column(mc, tagged):
     assert len(dependents) <= 1
     if not dependents:
         assert len(pivots) == len(cols)
+
+
+@given(matrices_with_columns(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_eliminate_vectors_runs_eliminate_on_any_live_superset(mc, data):
+    """The core on the columns as dense vectors, each with every position
+    live, reduces them as ``Matrix.eliminate`` does from the sparse
+    supports."""
+    m, cols = mc
+    bound = data.draw(st.integers(0, m.nrows))
+    stop = data.draw(st.booleans())
+    got = eliminate_vectors(m.field, [(m.column(c), set(range(m.nrows))) for c in cols], bound,
+                            stop)
+    want = m.eliminate(cols, stop=stop, bound=bound)
+    if want == ([], [None]):  # eliminate's shortcut: fewer rows touched than columns
+        assert got[1]
+        return
+
+    def key(result):
+        pivots, dependents = result
+        return [(pr, pinv, u, sorted(nz)) for pr, pinv, u, nz in pivots], dependents
+
+    assert key(got) == key(want)
 
 
 def test_eliminate_on_no_columns_and_no_rows():

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import itertools
 import math
@@ -194,66 +195,50 @@ def test_sweep_reports_are_pinned(ex1_array, ex3_array, workers):
 
 
 def test_check_array_single_worker_starts_no_pool(ex1_array, monkeypatch):
+    """Every sweep runs in this process, whatever ``workers`` says."""
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(gsd, "ProcessPoolExecutor", no_pool)
-    rep = check_array(ex1_array, y=1, gamma=1, mode="sampled", count=20, seed=1, workers=1)
-    assert rep["checked"] == 20
-
-
-def test_pool_path_matches_serial(ex1_array, ex3_array, monkeypatch):
-    """With the work floor at 1, workers=2 sends every residual rank test
-    to a pool; the reports must equal the serial ones byte for byte: an
-    exhaustive sweep, the ex1 shape with 159 failures and the ex3 y=8
-    shape, whose witnesses merge across chunks."""
-    ag13 = fixtures.ag13_layout()
-    sweeps = [(basic_array(ag13, build_code(ag13)), dict(y=1, gamma=2)),
-              (ex1_array, dict(y=2, gamma=3, mode="sampled", count=400, seed=3)),
-              (ex3_array, dict(y=8, gamma=0, mode="sampled", count=120, seed=104, d=9))]
-    serial_dumps = [serial.dumps(check_array(arr, workers=1, **kw)) for arr, kw in sweeps]
-    pools = []
-
-    class CountedPool(gsd.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(kwargs["max_workers"])
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(gsd, "ProcessPoolExecutor", CountedPool)
-    monkeypatch.setattr(gsd, "POOL_WORK_FLOOR", 1)
-    monkeypatch.setattr(gsd.os, "cpu_count", lambda: 2)
-    assert [serial.dumps(check_array(arr, workers=2, **kw)) for arr, kw in sweeps] == serial_dumps
-    assert pools == [2, 2, 2]
-
-
-def test_paper_shape_sweeps_start_no_pool(ex3_array, monkeypatch):
-    """The paper shapes leave a few residual columns per 1000 patterns,
-    far below the work floor, so workers=2 tests them in this process."""
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
-
-    monkeypatch.setattr(gsd, "ProcessPoolExecutor", no_pool)
-    for y, gamma in ((0, 8), (2, 1), (1, 3)):
-        rep = check_array(ex3_array, y=y, gamma=gamma, mode="sampled", count=1000, seed=5,
-                          workers=2, d=9)
-        assert rep["checked"] == rep["recoverable"] == 1000
+    monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "__init__", no_pool)
+    for workers in (1, 2):
+        rep = check_array(ex1_array, y=1, gamma=1, mode="sampled", count=20, seed=1,
+                          workers=workers)
+        assert rep["checked"] == 20
 
 
 def test_local_repair_map_is_built_once_per_array(example1_layout_module, monkeypatch):
-    calls = []
-    build = gsd.local_repair_map
+    """The repair map and the row split that reads it are built on the
+    first sweep of an array, and its later sweeps reuse them."""
+    calls = {"local_repair_map": [], "row_split": []}
 
-    def counted(code):
-        calls.append(code)
-        return build(code)
+    def counting(name):
+        build = getattr(gsd, name)
 
-    monkeypatch.setattr(gsd, "local_repair_map", counted)
+        def counted(code):
+            calls[name].append(code)
+            return build(code)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(gsd, name, counting(name))
     layout = example1_layout_module
     arr = basic_array(layout, build_code(layout))
     for gamma, workers in ((1, 1), (2, 2), (3, 1)):
         check_array(arr, y=1, gamma=gamma, mode="sampled", count=30, seed=gamma, workers=workers)
     check_array(arr, y=1, gamma=1)
-    assert len(calls) == 1
+    assert {name: len(codes) for name, codes in calls.items()} == {
+        "local_repair_map": 1, "row_split": 1}
+    assert arr.plan.split is not None and arr.plan.images
+
+
+def test_example3_splits_into_six_global_rows(ex3_array):
+    """example3's H: two local rows in each of its 73 repair sets, and the
+    6 global rows."""
+    split = ex3_array.plan.split
+    assert split.g == 6
+    assert split.nlocal == [2] * 73
+    assert sum(split.nlocal) + split.g == ex3_array.code.check.nrows
 
 
 @pytest.mark.parametrize("arrange, make", [

@@ -1,28 +1,31 @@
-"""Differential tests of the local-repair peel that ``gsd.check_array``
-puts in front of the rank test: ``erasure.local_repair_map`` against
-dense punctured checks and the naive distance, ``erasure.peel`` followed
-by ``recoverable`` against plain ``recoverable``, and exhaustive sweeps
+"""Differential tests of the local-then-global rank test that
+``gsd.check_array`` runs on each pattern (``gsd.SweepPlan.recoverable``):
+``erasure.local_repair_map`` against dense punctured checks and the naive
+distance, the plan's test, cold, warm and past its cache bound, against
+plain ``recoverable``, the peel reference (``patternref.peel``) followed by
+``recoverable`` against plain ``recoverable``, and exhaustive sweeps
 against a per-pattern loop over plain ``recoverable``.
 
 The erased sets are drawn around codeword supports, which are dependent,
 and those supports less a coordinate, so that many sit right at the edge
-a wrong threshold would cross.
+a wrong threshold, kernel or image would cross.
 """
 
 import dataclasses
 import hashlib
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lrckit import fixtures, serial
+from lrckit import fixtures, gsd, serial
 from lrckit.algebra import FiniteField, Matrix
-from lrckit.erasure import local_repair_map, peel, recoverable
+from lrckit.erasure import local_repair_map, recoverable
 from lrckit.errors import Infeasible
-from lrckit.gsd import MAX_WITNESS, basic_array, check_array
+from lrckit.gsd import MAX_WITNESS, SweepPlan, basic_array, check_array, row_split
 from lrckit.lrc import LinearCode, build_code, generator_matrix
 from linref import dense_punctured_check, naive_min_distance, random_code
-from patternref import array_patterns
+from patternref import array_patterns, peel
 from test_codec import layouts
 
 
@@ -104,6 +107,26 @@ def erased_sets(draw, code: LinearCode) -> list[int]:
     return sorted(draw(st.sets(st.integers(0, n - 1))))
 
 
+def plan_of(code: LinearCode) -> SweepPlan:
+    """A fresh sweep plan of the code, with no array: its rank test alone."""
+    return SweepPlan(col_coords=[], flat=[], starts=[0], h=code.check, split=row_split(code))
+
+
+def assert_plan_is_exact(code: LinearCode, patterns):
+    """The plan's test against plain ``recoverable`` on each pattern: on a
+    fresh plan (a cold cache), then twice on one plan (the second pass
+    reads its cache), then with a cache bound of one image."""
+    h = code.check
+    want = [recoverable(h, coords) for coords in patterns]
+    assert [plan_of(code).recoverable(coords) for coords in patterns] == want
+    warm = plan_of(code)
+    assert [warm.recoverable(coords) for coords in patterns * 2] == want * 2
+    with mock.patch.object(gsd, "MAX_IMAGES", 1):
+        bounded = plan_of(code)
+        assert [bounded.recoverable(coords) for coords in patterns * 2] == want * 2
+        assert len(bounded.images) <= 1
+
+
 def assert_peel_is_exact(code: LinearCode, patterns):
     repair = local_repair_map(code)
     assert repair == reference_map(code)
@@ -112,6 +135,7 @@ def assert_peel_is_exact(code: LinearCode, patterns):
         left = peel(repair, coords)
         assert set(left) <= set(coords)
         assert recoverable(h, left) == recoverable(h, coords), coords
+    assert_plan_is_exact(code, patterns)
 
 
 @settings(max_examples=100, deadline=None)
@@ -120,9 +144,70 @@ def test_peel_keeps_every_verdict(code, data):
     assert_peel_is_exact(code, [erased_sets(data.draw, code) for _ in range(8)])
 
 
+@st.composite
+def split_codes(draw):
+    """A code with disjoint repair sets, varied where the row split has
+    edges.  Either a structural code from ``layouts()``, with some sets
+    left undeclared (their cells free, their local rows global) or with
+    the global coordinates declared as one more set, which holds no local
+    row; or a seeded random code whose H gains random rows inside some of
+    its consecutive sets, some sets none, and whose last cells lie in no
+    set."""
+    if draw(st.booleans()):
+        code = build_code(draw(layouts()))
+        sets = list(code.repair_sets)
+        kind = draw(st.sampled_from(["declared", "undeclared", "globals"]))
+        if kind == "undeclared":
+            sets = [cs for cs in sets if draw(st.booleans())]
+        elif kind == "globals" and len(set().union(*sets)) < code.n:
+            sets.append(tuple(sorted(set(range(code.n)).difference(*sets))))
+        return dataclasses.replace(code, repair_sets=sets,
+                                   delta=code.delta + draw(st.integers(0, 1)))
+    fld = draw(st.sampled_from([FiniteField(2), FiniteField(3), FiniteField(5), FiniteField(2, 2)]))
+    n = draw(st.integers(5, 10))
+    code = random_code(fld, n, draw(st.integers(1, n - 2)), draw(st.integers(0, 10**6)))
+    size = draw(st.integers(2, n))
+    covered = n - draw(st.integers(0, 2))
+    sets = [tuple(range(i, min(i + size, covered))) for i in range(0, covered, size)]
+    rows = code.check.copy_rows()
+    for cs in sets:
+        for _ in range(draw(st.integers(0, 2))):
+            row = [0] * n
+            for c in cs:
+                row[c] = draw(st.integers(0, fld.q - 1))
+            rows.append(row)
+    h = Matrix(fld, rows)
+    return LinearCode(k=n - h.rank(), check=h, repair_sets=sets, delta=draw(st.integers(2, 4)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(split_codes(), st.data())
+def test_plan_matches_recoverable(code, data):
+    assert_plan_is_exact(code, [erased_sets(data.draw, code) for _ in range(8)])
+
+
+def test_more_columns_than_global_rows_fail_at_once(monkeypatch):
+    """ag13's H has 4 global rows, and each of its repair sets, three
+    cells with one local row, erased whole adds two image vectors: three
+    such sets are refused before any image is built or any elimination
+    runs."""
+    code = build_code(fixtures.ag13_layout())
+    plan = plan_of(code)
+    assert plan.split.g == 4
+    assert set(plan.split.nlocal) == {1} and {len(cs) for cs in code.repair_sets} == {3}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an elimination ran")
+
+    monkeypatch.setattr(gsd, "eliminate_vectors", refuse)
+    assert not plan.recoverable([c for cs in code.repair_sets[:3] for c in cs])
+    assert plan.images == {}
+
+
 def test_overlapping_sets_are_not_peeled():
     code = overlapping_code()
     assert local_repair_map(code) == {}
+    assert row_split(code) is None  # the plan falls back to recoverable
     assert not recoverable(code.check, [2, 3, 4, 5, 6])
     assert recoverable(code.check, [3, 4, 5, 6])
     assert_peel_is_exact(code, [[2, 3, 4, 5, 6], [0, 1, 2, 3, 4], [0, 1, 5, 6], [3, 4, 5, 6]])
