@@ -18,7 +18,9 @@ other loop reaches field arithmetic through them.  That includes the
 row-group kernel ``pack_rows``/``dots``: on a prime field it packs rows
 that share a support into integer lanes, so one C-level dot evaluates them
 all; on an extension field it is one ``dot`` per row.  The encoder's check
-groups and ``Matrix.row_groups`` run on it.
+groups and ``Matrix.row_groups`` run on it.  So do the distance search's
+keys, ``vec_key``/``sub_key``: ``bytes`` under translation tables on small
+prime and characteristic-2 fields, tuples on the others.
 """
 
 from __future__ import annotations
@@ -157,6 +159,22 @@ def _primitive_root(p: int) -> int:
                 1)
 
 
+class _SearchKernel:
+    """``FiniteField.vec_key`` or ``sub_key`` before its first use: the
+    first read of either binds both, with their tables, on the instance,
+    whose attributes then shadow this descriptor.  (A ``__getattr__`` would
+    slow every other attribute read of the field.)"""
+
+    def __init__(self, index: int):
+        self.index = index
+
+    def __get__(self, fld, owner=None):
+        if fld is None:
+            return self
+        fld.vec_key, fld.sub_key = kernels = fld._key_kernels()
+        return kernels[self.index]
+
+
 class FiniteField:
     """Arithmetic context for F_{p^m}; elements are ints in [0, q).
 
@@ -190,7 +208,23 @@ class FiniteField:
     ``pack_rows`` keeps the rows and ``dots`` runs ``dot`` on each.
     ``root_product(roots, x)`` is prod (x - r) over the roots, on a prime
     field with plain int arithmetic reduced mod p at each step.
+
+    The distance search's kernels: ``vec_key(v)`` is the normal form of v
+    as a hashable key, and ``sub_key(w, c, u)`` the key of w - c*u for keys
+    w and u; a key compares as ``normalize`` gives it, entry by entry.  On
+    a lane field, a prime field with p <= 127 or a characteristic-2 field
+    with q <= 256, a key is ``bytes``, one entry per byte.  c*u is
+    ``u.translate`` by c's multiplication table, and the subtraction is one
+    int op on ``int.from_bytes``: XOR in characteristic 2, and on a prime
+    field the sum with (p-c)*u, whose lanes stay below 2p - 1 < 256, so none
+    carries into the next; one more ``translate`` reduces them mod p.  The
+    normal form finds the leading entry by ``lstrip`` and scales by one
+    ``translate``.  On the other fields a key is the tuple ``normalize``
+    makes.  The q tables, each the previous one translated by the
+    generator's, are built on the first use of either kernel.
     """
+
+    vec_key, sub_key = _SearchKernel(0), _SearchKernel(1)
 
     def __init__(self, p: int, m: int = 1, modulus: Sequence[int] | None = None):
         if p <= MAX_FIELD and not is_prime(p):
@@ -446,11 +480,60 @@ class FiniteField:
         def normalize(v):
             return tuple(vec_scale(v, invs[next(filter(None, v), 0)]))
 
+        gen, prime = self.generator, self.m == 1
+
+        def key_kernels():
+            # vec_key and sub_key of the class docstring; run on first use
+            if not (p <= 127 if prime else p == 2 and q <= 256):
+                def sub_key(w, c, u):
+                    return normalize(vec_sub(w, c, u))
+
+                return normalize, sub_key
+            # tables[c][x] = c*x for every byte x: mod p on a prime field,
+            # 0 past q in characteristic 2, where no lane reaches q.  Each
+            # table is the previous one translated by the generator's
+            pad = bytes(256 - q)
+            if prime:
+                step = bytes(gen * x % p for x in range(256))
+                table = bytes(x % p for x in range(256))
+            else:
+                step = bytes(mul(gen, x) for x in range(q)) + pad
+                table = bytes(range(q)) + pad
+            tables, x = [bytes(256)] * q, 1
+            for _ in range(q - 1):
+                tables[x], table, x = table, table.translate(step), mul(x, gen)
+            norm = [tables[a] for a in invs]
+            from_bytes = int.from_bytes
+
+            def vec_key(v):
+                r = bytes(v)
+                lead = r.lstrip(b"\0")
+                return r if not lead or lead[0] == 1 else r.translate(norm[lead[0]])
+
+            if prime:
+                mod, negs = tables[1], [tables[-c % p] for c in range(p)]
+
+                def sub_key(w, c, u):
+                    # lanes of w + (p-c)*u stay below 2p - 1 <= 253: no carry
+                    s = (from_bytes(w, "big") + from_bytes(u.translate(negs[c]), "big")
+                         ).to_bytes(len(w), "big")
+                    lead = s.translate(mod).lstrip(b"\0")
+                    return s.translate(norm[lead[0] if lead else 1])
+
+            else:
+                def sub_key(w, c, u):
+                    r = (from_bytes(w, "big") ^ from_bytes(u.translate(tables[c]), "big")
+                         ).to_bytes(len(w), "big")
+                    lead = r.lstrip(b"\0")
+                    return r if not lead or lead[0] == 1 else r.translate(norm[lead[0]])
+
+            return vec_key, sub_key
+
         self.add, self.neg, self.sub, self.mul, self.inv, self.div, self.pow = (
             add, neg, sub, mul, inv, div, power)
         self.vec_sub, self.vec_sub_at, self.vec_scale, self.dot = vec_sub, vec_sub_at, vec_scale, dot
         self.pack_rows, self.dots, self.root_product = pack_rows, dots, root_product
-        self.normalize = normalize
+        self.normalize, self._key_kernels = normalize, key_kernels
 
     def are_elements(self, values: Sequence) -> bool:
         """True iff every value is an int in [0, q), a bool counting as one.

@@ -338,20 +338,31 @@ def _support_masks(cols) -> tuple[list[int], list[int]]:
 
 def _dependent_subset(cols, nrows, fld: FiniteField, size, masks=None) -> bool:
     """True iff some ``size`` of the columns are dependent, given that no
-    smaller subset is.  ``cols`` holds the columns as ``fld.normalize``
-    maps them (scaled to a leading 1), each of ``nrows`` entries.
+    smaller subset is.  ``cols`` holds the columns as ``fld.vec_key`` maps
+    them (normalized: scaled to a leading 1), each of ``nrows`` entries.
 
     Sizes 1 and 2 need no search: a zero column, or, with no zero column, a
     repeat.  For larger sizes every column after the prefix (a candidate)
     is held normalized, its own collision key.  The lowest ``size - 2``
     columns of a subset form its prefix, found by a DFS over independent
     prefixes in lexicographic order.  Pushing a candidate u as a pivot at
-    its leading row reduces and re-normalizes only the later candidates
-    nonzero at that row; the others pass through unchanged.  So each
-    candidate is zero on the pivot rows, the one such normalized vector in
-    its class modulo the prefix's span, up to scale.  As no smaller subset
-    is dependent, the prefix plus candidates a and b is dependent iff
-    a == b or one is zero: one set lookup per candidate.
+    its leading row reduces and re-normalizes, by ``fld.sub_key``, only the
+    later candidates nonzero at that row; the others pass through
+    unchanged.  So each candidate is zero on the pivot rows, the one such
+    normalized vector in its class modulo the prefix's span, up to scale.
+    As no smaller subset is dependent, no candidate is zero, and the
+    prefix plus candidates a and b is dependent iff a == b.
+
+    At the collision level only the reduced candidates are hashed: against
+    each other, and against one set per node of every candidate of the
+    node.  That is exact.  Two untouched candidates that coincide would be
+    a dependency of ``size - 1`` columns, which the premise excludes, so
+    every collision has a reduced side.  And every hit in the set is a
+    dependent ``size``-set: a reduced candidate is zero at u's leading row,
+    so it cannot equal u or a candidate the pivot reduced; it equals an
+    untouched candidate, a collision as above, or a candidate c before u,
+    which puts c in the span of the prefix, u and the reduced candidate's
+    column.
 
     ``masks``, ``_support_masks(cols)`` or None, turns on the
     circuit rule.  As no smaller subset is dependent, a dependent
@@ -365,12 +376,11 @@ def _dependent_subset(cols, nrows, fld: FiniteField, size, masks=None) -> bool:
     columns together meet them all.
     These conditions are necessary only: a skip never hides a circuit, and
     the collision step is still the only way to answer True."""
-    zero = (0,) * nrows
     if size == 1:
-        return zero in cols
+        return fld.vec_key((0,) * nrows) in cols
     if size == 2:
         return len(set(cols)) < len(cols)
-    vec_sub, key = fld.vec_sub, fld.normalize
+    sub_key = fld.sub_key
     if masks is not None:
         col_rows, row_cols = masks
         after = [0] * (len(cols) + 1)  # after[j]: the rows columns j.. meet
@@ -400,12 +410,15 @@ def _dependent_subset(cols, nrows, fld: FiniteField, size, masks=None) -> bool:
         return False
 
     def extend(cands, lo, once, many, depth):
-        # cands: the normalized columns lo.. reduced against the prefix,
+        # cands: the keys of columns lo.. reduced against the prefix,
         # which meets the rows of once in one column and those of many in
         # more; a pivot needs k = size - depth - 1 more columns after it,
         # the rest of the prefix and at least two candidates
         k = size - depth - 1
         once2 = many2 = 0
+        leaf = k == 2
+        if leaf:  # the collision level
+            seen = set(cands)
         for t in range(len(cands) - k):
             if masks is not None:
                 m = col_rows[lo + t]
@@ -415,11 +428,13 @@ def _dependent_subset(cols, nrows, fld: FiniteField, size, masks=None) -> bool:
                     continue
             u = cands[t]
             pi = u.index(1)  # the leading row
-            rest = [key(vec_sub(w, w[pi], u)) if w[pi] else w for w in cands[t + 1:]]
-            if depth + 3 == size:
-                if len(set(rest)) < len(rest) or zero in rest:
+            if leaf:
+                reduced = [sub_key(w, w[pi], u) for w in cands[t + 1:] if w[pi]]
+                keys = set(reduced)
+                if len(keys) < len(reduced) or not keys.isdisjoint(seen):
                     return True
-            elif extend(rest, lo + t + 1, once2, many2, depth + 1):
+            elif extend([sub_key(w, w[pi], u) if w[pi] else w for w in cands[t + 1:]],
+                        lo + t + 1, once2, many2, depth + 1):
                 return True
         return False
 
@@ -437,10 +452,11 @@ def min_distance(h: Matrix, d_max: int | None = None, workers: int = 1) -> int:
     subset of size < s exists before subsets of size s are examined, so the
     first hit is exact.  Within pass s a DFS enumerates the independent
     prefixes of s - 2 columns.  The later columns are held reduced against
-    the prefix and normalized (scaled to a leading 1), so a pivot touches
+    the prefix and normalized (scaled to a leading 1), as the field's search
+    keys (``FiniteField.vec_key`` and ``sub_key``), so a pivot touches
     only the columns nonzero at its row, and the last two columns come from
     a collision step: two later columns are dependent with the prefix iff
-    their normalized forms coincide or one is zero (see
+    their keys coincide (see
     ``_dependent_subset``).  ``d_max`` bounds the search and must be at
     least 1.  Its default, min(n, nrows) + 1, needs no rank: any rank(H) +
     1 columns are dependent and rank(H) <= min(n, nrows), so a dependent
@@ -456,13 +472,13 @@ def min_distance(h: Matrix, d_max: int | None = None, workers: int = 1) -> int:
     uses that circuit rule to skip prefixes whose once-met rows the
     columns still to pick cannot meet (see ``_dependent_subset``).  The
     row and column support masks it needs are built once per call, at that
-    pass, from the normalized columns; the smaller passes, and the many
+    pass, from the columns' keys; the smaller passes, and the many
     searches that end in them, never build them.
 
     A pass of size s with nrows < s <= n ends the search with no DFS: any
     s columns are dependent, as rank(H) <= nrows.
 
-    The columns are normalized once per call, and every pass runs in this
+    Each column's key is built once per call, and every pass runs in this
     process.  ``workers`` is accepted, for callers that still pass it, and
     ignored.
     """
@@ -486,9 +502,10 @@ def _smallest_dependent(h: Matrix, d_max: int) -> int | None:
 
     A pass of size s with nrows < s <= n returns s with no search: any s
     columns are dependent, as rank(H) <= nrows, and the smaller passes
-    found none."""
+    found none.  Each column's key, ``fld.vec_key``, is built once, for
+    every pass."""
     n = h.ncols
-    cols = list(map(h.field.normalize, zip(*h.rows))) or [()] * n
+    cols = list(map(h.field.vec_key, zip(*h.rows)))
     masks = None
     est = 0
     for s in range(1, d_max + 1):

@@ -356,6 +356,53 @@ def test_normalize_keys_parallel_classes(fld, data):
         assert key == tuple(u)  # the zero vector is unchanged
 
 
+# the distance search's keys are bytes on prime fields up to p = 127 and
+# characteristic-2 fields up to q = 256, tuples on the rest: a field of each
+# kind on each side of both bounds, and the odd extension F_9
+LANE_FIELDS = [FiniteField(2), F11, FiniteField(127), F4, FiniteField(2, 8)]
+TUPLE_KEY_FIELDS = [FiniteField(131), FiniteField(2, 9), F9]
+
+
+@given(st.sampled_from(LANE_FIELDS + TUPLE_KEY_FIELDS), st.data())
+@settings(max_examples=150, deadline=None)
+def test_search_keys_match_normalize(fld, data):
+    """``vec_key`` and ``sub_key`` against ``normalize`` and
+    ``normalize(vec_sub(...))``, compared as tuples, for every c."""
+    elem = st.one_of(st.just(0), st.integers(0, fld.q - 1))
+    n = data.draw(st.integers(0, 6))
+    w = data.draw(st.lists(elem, min_size=n, max_size=n))
+    u = data.draw(st.lists(elem, min_size=n, max_size=n))
+    kw, ku = fld.vec_key(w), fld.vec_key(u)
+    assert tuple(kw) == fld.normalize(w) and kw == fld.vec_key(tuple(w))
+    wn, un = fld.normalize(w), fld.normalize(u)
+    for c in range(fld.q):
+        assert tuple(fld.sub_key(kw, c, ku)) == fld.normalize(fld.vec_sub(wn, c, un))
+    assert fld.sub_key(kw, 1, kw) == fld.vec_key([0] * n)  # a zero result
+
+
+@pytest.mark.parametrize("fld", LANE_FIELDS + TUPLE_KEY_FIELDS, ids=repr)
+def test_search_keys_on_short_vectors(fld):
+    """Length 0 and every vector of length 1, with every c; the key type
+    marks the kind."""
+    key = fld.vec_key
+    assert isinstance(key(()), bytes if fld in LANE_FIELDS else tuple)
+    assert tuple(key(())) == () and tuple(fld.sub_key(key(()), 1, key(()))) == ()
+    for a in range(fld.q):
+        assert tuple(key((a,))) == fld.normalize((a,)) == (int(a > 0),)
+    one = key((1,))
+    for c in range(fld.q):
+        assert tuple(fld.sub_key(one, c, one)) == (int(c != 1),)
+        assert tuple(fld.sub_key(key((0, 1)), c, key((1, 0)))) == fld.normalize((fld.neg(c), 1))
+
+
+def test_search_key_tables_wait_for_first_use():
+    fld = FiniteField(2, 8)
+    assert "vec_key" not in vars(fld) and "sub_key" not in vars(fld)
+    key = fld.vec_key((0, 3, 5))
+    assert vars(fld)["vec_key"] is fld.vec_key and "sub_key" in vars(fld)
+    assert tuple(key) == fld.normalize((0, 3, 5))
+
+
 def test_interpolate_line():
     f = interpolate(F11, [(0, 1), (1, 2)])
     assert f.coeffs == [1, 1]

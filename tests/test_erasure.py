@@ -1,5 +1,6 @@
 import concurrent.futures
 import itertools
+import pickle
 import random
 
 import pytest
@@ -364,10 +365,11 @@ def test_min_distance_parity_code():
     assert min_distance(h) == 2
 
 
-# prime fields take the inline ``% p`` vector kernels, extension fields the
-# table-driven ones
-DISTANCE_FIELDS = [FiniteField(5), FiniteField(7), FiniteField(2, 2), FiniteField(2, 3),
-                   FiniteField(3, 2), FiniteField(2, 4)]
+# the search holds its columns as bytes keys on prime fields up to p = 127
+# and characteristic-2 fields up to q = 256, and as tuples on the others:
+# F_131 past the lane bound and the odd extension F_9
+DISTANCE_FIELDS = [FiniteField(5), FiniteField(7), F11, FiniteField(2, 2), FiniteField(2, 3),
+                   FiniteField(3, 2), FiniteField(2, 4), FiniteField(131)]
 
 
 @st.composite
@@ -473,6 +475,27 @@ def test_passes_beyond_the_row_count_take_no_search(monkeypatch):
     assert sizes == [1, 2]
 
 
+@pytest.mark.parametrize("p, m", [(11, 1), (79, 1), (2, 8), (131, 1)])
+def test_first_later_and_unpickled_searches_agree(p, m):
+    """A field builds its search keys' tables on its first search: that
+    search, a later one and one on the field rebuilt by unpickling (the
+    shared instance of ``algebra._shared_field``) find the same distance
+    on seeded sparse matrices, and the published example1 check, taken
+    into a fresh F_11, still has distance 5."""
+    fld = FiniteField(p, m)
+    assert "sub_key" not in vars(fld)
+    rng = random.Random(p * m)
+    for nrows, ncols in [(3, 7), (4, 9), (5, 10)]:
+        h = Matrix(fld, [[rng.randrange(fld.q) if rng.random() < 0.6 else 0
+                          for _ in range(ncols)] for _ in range(nrows)])
+        first = min_distance(h)
+        rebuilt = pickle.loads(pickle.dumps(h))
+        assert rebuilt.field is not fld and rebuilt.field == fld
+        assert min_distance(h) == min_distance(rebuilt) == first == naive_min_distance(h)
+    if (p, m) == (11, 1):
+        assert min_distance(Matrix(FiniteField(11), fixtures.example1_check().rows)) == 5
+
+
 @given(layouts())
 @settings(max_examples=40, deadline=None)
 def test_min_distance_matches_naive_on_structural_checks(lay):
@@ -498,7 +521,7 @@ def brute_force_passes(m):
 def search_passes(m, with_masks):
     """``_dependent_subset`` on each pass that ``brute_force_passes`` runs,
     with or without the support masks."""
-    cols = [m.field.normalize(m.column(j)) for j in range(m.ncols)]
+    cols = [m.field.vec_key(m.column(j)) for j in range(m.ncols)]
     masks = erasure._support_masks(cols) if with_masks else None
     return [erasure._dependent_subset(cols, m.nrows, m.field, s, masks)
             for s, _ in brute_force_passes(m)]
