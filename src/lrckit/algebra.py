@@ -1,8 +1,6 @@
 """Exact arithmetic over prime-power finite fields, dense polynomials,
 and matrices, with ``Matrix.eliminate``, the one sparse elimination that
-the library's ranks, rank tests and decoders run; its core,
-``eliminate_vectors``, also reduces the short vectors of the array sweeps'
-local-then-global rank test.
+the library's ranks, rank tests and decoders run.
 
 Field elements are plain Python ints in ``[0, q)``.  For an extension
 field F_{p^m} the integer ``sum(c_i * p**i)`` encodes the element with
@@ -20,7 +18,8 @@ that share a support into integer lanes, so one C-level dot evaluates them
 all; on an extension field it is one ``dot`` per row.  The encoder's check
 groups and ``Matrix.row_groups`` run on it.  So do the distance search's
 keys, ``vec_key``/``sub_key``: ``bytes`` under translation tables on small
-prime and characteristic-2 fields, tuples on the others.
+prime and characteristic-2 fields, tuples on the others.  The array
+sweeps' local-then-global rank test reduces its short vectors as keys too.
 """
 
 from __future__ import annotations

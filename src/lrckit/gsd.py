@@ -25,18 +25,28 @@ partial-MDS codes (Blaum, Hafner and Hetzler, IEEE T-IT 2013) and of SD
 codes (Plank, Blaum and Hafner, FAST 2013): each set absorbs erasures up
 to its local parities, and the rest must meet the global parities.
 
-Two things make it cheap.  A set holding at most its local repair
-threshold (``erasure.local_repair_map``) is dropped at once: a codeword
-supported on E restricts on A to a punctured codeword of weight below the
-punctured distance, which is zero.  And A's image G_{E_A} K_A depends on
-(A, E_A) alone, so it is cached; a sweep then reduces a few g-vectors per
-pattern.  When the sets overlap or none holds a local row, the test is
-``erasure.recoverable`` on all of H, which stays the reference.
+The test runs on packed words, so that a pattern costs a few big-int
+operations and a rank test on at most g short keys.  Each set owns a lane
+of bits, one per member and a guard bit above them, and each coordinate
+outside the sets a lane of its own; a pattern is the sum of its cells'
+words.  A set holding at most its local repair threshold
+(``erasure.local_repair_map``) is dropped: a codeword supported on E
+restricts on A to a punctured codeword of weight below the punctured
+distance, which is zero.  Clearing the lowest bit of every lane t times,
+under per-lane masks, leaves just the lanes holding more than their
+threshold t, and only those are read back.  A's image G_{E_A} K_A
+depends on (A, E_A) alone, so it is cached, and held, as the free
+columns are, as the field's search keys (``FiniteField.vec_key``); the
+rank test reduces them with ``sub_key``.  When the sets overlap or none
+holds a local row, the test is ``erasure.recoverable`` on all of H, which
+stays the reference.
 
 Each array keeps what its sweeps read, built on first use
-(``ArrayLayout.plan``): the column coordinates, the row split and the
-image cache, holding at most ``MAX_IMAGES`` images.  Every sweep runs in
-the calling process.
+(``ArrayLayout.plan``): the column coordinates, the words of its cells and
+columns, the row split and the image cache, holding at most
+``MAX_IMAGES`` images.  A sweep draws each pattern as its column choice
+and its extra cells, and adds their words.  Every sweep runs in the
+calling process.
 """
 
 from __future__ import annotations
@@ -47,7 +57,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .algebra import PRIME_LIMIT, Matrix, eliminate_vectors, factor_prime_power
+from .algebra import PRIME_LIMIT, Matrix, factor_prime_power
 from .errors import Infeasible, InvalidParameter, NotRegular
 from .lrc import EvaluationLayout, LinearCode
 from .erasure import local_repair_map, recoverable
@@ -60,25 +70,33 @@ MAX_IMAGES = 1 << 16
 
 @dataclass(frozen=True)
 class RowSplit:
-    """H's rows split by disjoint repair sets, as ``SweepPlan.recoverable``
-    reads them.  A row is local to set A when its support lies inside A,
-    and global otherwise; ``g`` global rows.
+    """H's rows split by disjoint repair sets, as ``SweepPlan`` reads them.
+    A row is local to set A when its support lies inside A, and global
+    otherwise; ``g`` global rows.
 
-    ``slots``: per coordinate, (set, 1 << its position in the set) when
-    the set has local rows or a local repair threshold, else None (a free
-    coordinate).  ``members``: per set, its coordinates by position.
-    ``nlocal`` and ``thresholds``: per set, its local row count and its
-    ``erasure.local_repair_map`` threshold.  ``items``: per coordinate,
-    (column, its nonzero positions), the column being the global rows for
-    a free coordinate, and the set's local rows then the global rows for
-    a slotted one."""
+    Each lane of a packed word is a run of bits, one per member, then a
+    guard bit.  A set with local rows or a local repair threshold owns a
+    lane, and every other coordinate (a free one) owns a lane of its own,
+    after the sets' lanes.  ``lanes``: per lane, its coordinates by
+    position; ``offsets``: its first bit.  ``nlocal`` and ``thresholds``:
+    per lane, its local row count and its ``erasure.local_repair_map``
+    threshold, 0 for a free lane.  ``keys``: per coordinate, the search key
+    (``FiniteField.vec_key``) of its column on its lane's local rows, then
+    on the global rows.  ``guards``: every lane's guard bit; ``clears[i]``:
+    the lowest bit of each lane whose threshold exceeds i; ``lane_at``: per
+    bit, its lane; ``spans``: per lane, the mask of the bits below it, the
+    mask of its members and its local row count."""
 
     g: int
-    slots: list[tuple[int, int] | None]
-    members: list[tuple[int, ...]]
+    lanes: list[tuple[int, ...]]
+    offsets: list[int]
     nlocal: list[int]
     thresholds: list[int]
-    items: list[tuple[tuple[int, ...], tuple[int, ...]]]
+    keys: list
+    guards: int
+    clears: list[int]
+    lane_at: list[int]
+    spans: list[tuple[int, int, int]]
 
 
 def row_split(code: LinearCode) -> RowSplit | None:
@@ -99,94 +117,169 @@ def row_split(code: LinearCode) -> RowSplit | None:
             glob.append(i)
     if not any(local):
         return None
-    thresholds = [0] * len(sets)
+    set_thresholds = [0] * len(sets)
     for s, t in local_repair_map(code).values():
-        thresholds[s] = t
-    slots: list[tuple[int, int] | None] = [None] * h.ncols
+        set_thresholds[s] = t
     cols = list(zip(*(h.rows[i] for i in glob))) if glob else [()] * h.ncols
+    vec_key = h.field.vec_key
+    keys: list = [None] * h.ncols
+    lanes, nlocal, thresholds = [], [], []
     for s, cs in enumerate(sets):
-        if local[s] or thresholds[s]:
+        if local[s] or set_thresholds[s]:
+            lanes.append(tuple(cs))
+            nlocal.append(len(local[s]))
+            thresholds.append(set_thresholds[s])
             lead = [[h.rows[i][c] for c in cs] for i in local[s]]
-            for k, (c, col) in enumerate(zip(cs, zip(*lead) if lead else [()] * len(cs))):
-                slots[c] = (s, 1 << k)
-                cols[c] = col + cols[c]
-    items = [(col, tuple(itertools.compress(itertools.count(), col))) for col in cols]
-    return RowSplit(len(glob), slots, [tuple(cs) for cs in sets], list(map(len, local)),
-                    thresholds, items)
+            for c, col in zip(cs, zip(*lead) if lead else [()] * len(cs)):
+                keys[c] = vec_key(col + cols[c])
+    for c, key in enumerate(keys):
+        if key is None:
+            lanes.append((c,))
+            nlocal.append(0)
+            thresholds.append(0)
+            keys[c] = vec_key(cols[c])
+    offsets = list(itertools.accumulate((len(cs) + 1 for cs in lanes), initial=0))
+    guards = sum(1 << (off + len(cs)) for cs, off in zip(lanes, offsets))
+    clears = [sum(1 << off for off, t in zip(offsets, thresholds) if t > i)
+              for i in range(max(thresholds))]
+    lane_at = [s for s, cs in enumerate(lanes) for _ in range(len(cs) + 1)]
+    spans = [((1 << off) - 1, ((1 << len(cs)) - 1) << off, r)
+             for cs, off, r in zip(lanes, offsets, nlocal)]
+    return RowSplit(len(glob), lanes, offsets[:-1], nlocal, thresholds, keys, guards, clears,
+                    lane_at, spans)
+
+
+def _eliminate_keys(sub_key, keys, bound: int, stop: bool = True) -> list:
+    """``algebra.eliminate_vectors`` on search keys, which hold a vector's
+    normal form (a leading 1): each key is reduced by ``sub_key`` against
+    the pivots so far, and becomes a pivot at its leading 1 if that is
+    below ``bound``, else it is dependent, a zero key among them.  Returns
+    the dependents; ``stop`` ends at the first.  A key is read only by
+    indexing, ``any`` and ``index``, so ``bytes`` and tuple keys run
+    alike."""
+    pivots, dependents = [], []
+    for v in keys:
+        for pos, u in pivots:
+            if v[pos]:
+                v = sub_key(v, v[pos], u)
+        if any(v) and (pos := v.index(1)) < bound:
+            pivots.append((pos, v))
+        else:
+            dependents.append(v)
+            if stop:
+                break
+    return dependents
 
 
 @dataclass(frozen=True)
 class SweepPlan:
-    """What every sweep of one array reads, built once per array: the
-    coordinates of each column's real cells, those of all columns in one
-    list (``flat``) with the position of each column's first cell there
-    (``starts``), H, its ``row_split`` and the cache of repair set images
-    that ``recoverable`` fills."""
+    """What every sweep of one array reads, built once per array
+    (``SweepPlan.of``): the coordinates of each column's real cells, those
+    of all columns in one list (``flat``) with the position of each
+    column's first cell there (``starts``), H, its ``row_split``, the
+    packed word of each coordinate (``words``; its lane bit, or bit c of
+    coordinate c when there is no split) and of each column
+    (``col_words``, the sum of its cells' words), and the cache of images
+    that ``verdict`` fills, keyed by a lane's bits of the word."""
 
     col_coords: list[tuple[int, ...]]
     flat: list[int]
     starts: list[int]
     h: Matrix
     split: RowSplit | None
-    images: dict[tuple[int, int], list] = field(default_factory=dict)
+    words: list[int]
+    col_words: list[int]
+    images: dict[int, list] = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, code: LinearCode, col_coords=()) -> "SweepPlan":
+        """The plan of ``code`` on an array with these column coordinates;
+        with none, the plan of its rank test alone."""
+        split = row_split(code)
+        words = [1 << c for c in range(code.n)]
+        if split is not None:
+            for cs, off in zip(split.lanes, split.offsets):
+                for k, c in enumerate(cs):
+                    words[c] = 1 << (off + k)
+        col_coords = list(col_coords)
+        return cls(
+            col_coords=col_coords,
+            flat=list(itertools.chain.from_iterable(col_coords)),
+            starts=list(itertools.accumulate(map(len, col_coords), initial=0)),
+            h=code.check,
+            split=split,
+            words=words,
+            col_words=[sum(map(words.__getitem__, cs)) for cs in col_coords],
+        )
 
     def recoverable(self, cells) -> bool:
-        """``erasure.recoverable(H, cells)`` for distinct coordinates, by the
-        local-then-global test of the module docstring.  One pass groups
-        the cells by repair set.  A set holding at most its threshold is
-        dropped; every other set A adds its image, G K_A on its erased
-        cells (cached per set and erased cells); a free cell adds its
-        global column.  Those g-vectors decide the verdict: more than g
-        of them are dependent, which A's |E_A| - (its local rows) image
-        vectors at least already tell before any image is looked up, and
-        otherwise an elimination does.  With no split, the test is
-        ``erasure.recoverable``."""
+        """``erasure.recoverable(H, cells)``: the ``verdict`` on the sum of
+        the distinct cells' words.  Raises InvalidParameter unless every
+        cell lies in [0, n)."""
+        cells, n = set(cells), self.h.ncols
+        if cells and not (0 <= min(cells) and max(cells) < n):
+            raise InvalidParameter(f"erased coordinates must lie in [0, {n})")
+        return self.verdict(sum(map(self.words.__getitem__, cells)))
+
+    def verdict(self, word: int) -> bool:
+        """Whether the cells whose words sum to ``word`` are recoverable, by
+        the local-then-global test of the module docstring.  Clearing the
+        lowest bit of each lane ``thresholds`` times leaves the heavy lanes,
+        read back from the top bit down: a set holding more than its
+        threshold, or a free cell.  A heavy set A adds |E_A| - (its local
+        rows) or more image vectors, so more than g of those are refused
+        before any image is looked up.  Otherwise each heavy lane adds its
+        image, G K_A on its erased cells (cached per lane bits; a free
+        cell's is its global column), and an elimination of those keys
+        decides.  With no split, the test is ``erasure.recoverable``."""
         split = self.split
         if split is None:
+            cells = []
+            while word:
+                cells.append(c := word.bit_length() - 1)
+                word ^= 1 << c
             return recoverable(self.h, cells)
-        slots, items = split.slots, split.items
-        vecs = []
-        hits: dict[int, int] = {}
-        for c in cells:
-            slot = slots[c]
-            if slot is None:
-                vecs.append(items[c])
-            else:
-                s, bit = slot
-                hits[s] = hits.get(s, 0) | bit
-        thresholds, nlocal = split.thresholds, split.nlocal
-        heavy = []
-        least = len(vecs)
-        for key in hits.items():
-            s, erased = key[0], key[1].bit_count()
-            if erased > thresholds[s]:
-                heavy.append(key)
-                if erased > nlocal[s]:
-                    least += erased - nlocal[s]
+        x, guards = word, split.guards
+        for low in split.clears:
+            x &= (x | guards) - low
+        lane_at, spans = split.lane_at, split.spans
+        parts, least = [], 0
+        while x:
+            below, mask, r = spans[lane_at[x.bit_length() - 1]]
+            x &= below
+            part = word & mask
+            parts.append(part)
+            if (extra := part.bit_count() - r) > 0:
+                least += extra
         if least > split.g:
             return False
         images = self.images
-        for key in heavy:
-            image = images.get(key)
+        vecs = []
+        for part in parts:
+            image = images.get(part)
             if image is None:
-                image = self._image(*key)
+                image = self._image(part)
                 if len(images) < MAX_IMAGES:
-                    images[key] = image
+                    images[part] = image
             vecs += image
-        return not vecs or not eliminate_vectors(
-            self.h.field, [(list(v), set(nz)) for v, nz in vecs], split.g)[1]
+        return not _eliminate_keys(self.h.field.sub_key, vecs, split.g)
 
-    def _image(self, s, mask):
-        """Set s's image for the erased cells at the bits of ``mask``: its
-        stacked columns eliminated with pivots on its local rows only, so
-        the dependents are G times a basis of the local rows' kernel."""
+    def _image(self, part: int) -> list:
+        """The image of the lane holding the bits of ``part``: its erased
+        cells' keys eliminated with pivots on its local rows only, so the
+        dependents' global parts, themselves keys, are G times a basis of
+        the local rows' kernel."""
         split = self.split
-        r, members = split.nlocal[s], split.members[s]
-        cols = [split.items[members[k]] for k in range(mask.bit_length()) if mask >> k & 1]
-        dependents = eliminate_vectors(self.h.field, [(list(v), set(nz)) for v, nz in cols], r,
-                                       stop=False)[1]
-        return [(v, tuple(itertools.compress(itertools.count(), v)))
-                for v in map(tuple, (v[r:] for v in dependents))]
+        s = split.lane_at[part.bit_length() - 1]
+        keys, r = split.keys, split.nlocal[s]
+        part >>= split.offsets[s]
+        cols = [keys[c] for k, c in enumerate(split.lanes[s]) if part >> k & 1]
+        return [v[r:] for v in _eliminate_keys(self.h.field.sub_key, cols, r, stop=False)]
+
+    def cells(self, choice, extras) -> list[int]:
+        """The sorted coordinates of the chosen columns and the extra cells."""
+        col_coords = self.col_coords
+        return sorted([c for j in choice for c in col_coords[j]] + list(extras))
 
 
 @dataclass
@@ -226,14 +319,7 @@ class ArrayLayout:
 
     @cached_property
     def plan(self) -> SweepPlan:
-        col_coords = [self.column_coords(j) for j in range(self.cols)]
-        return SweepPlan(
-            col_coords=col_coords,
-            flat=list(itertools.chain.from_iterable(col_coords)),
-            starts=list(itertools.accumulate(map(len, col_coords), initial=0)),
-            h=self.code.check,
-            split=row_split(self.code),
-        )
+        return SweepPlan.of(self.code, [self.column_coords(j) for j in range(self.cols)])
 
 
 def _regular_columns(layout: EvaluationLayout, dropped=()):
@@ -349,36 +435,41 @@ MAX_WITNESS = 10  # unrecoverable patterns kept as witnesses per sweep
 
 
 def _exhaustive_patterns(col_coords, eligible, y, gamma):
-    """Every pattern as a list of cells: column choices in lexicographic
-    order, then the gamma other cells in ``real_cells()`` order."""
+    """Every pattern as (column choice, extra cells): column choices in
+    lexicographic order, then the gamma other cells in ``real_cells()``
+    order.  All the patterns of one choice share its tuple."""
     for choice in itertools.combinations(eligible, y):
-        cells = [c for j in choice for c in col_coords[j]]
         rest = [c for j, cs in enumerate(col_coords) if j not in choice for c in cs]
-        for extra in itertools.combinations(rest, gamma):
-            yield cells + list(extra)
+        for extras in itertools.combinations(rest, gamma):
+            yield choice, extras
 
 
 def _sampled_patterns(plan: SweepPlan, eligible, y, gamma, count, seed):
-    """``count`` patterns drawn from ``seed`` as lists of cells.
+    """``count`` patterns drawn from ``seed`` as (column choice, extra
+    cells).
 
     rng.sample reads only the length of its population and the items at
     the positions it draws, so drawing positions in the list of the cells
     outside the chosen columns (in ``real_cells()`` order) and mapping each
-    to its cell draws the same cells without building that list."""
+    to its cell draws the same cells without building that list.  A sample
+    of no columns draws nothing from the rng, so it is not taken."""
     rng = random.Random(seed)
-    col_coords, flat, starts = plan.col_coords, plan.flat, plan.starts
+    flat, starts = plan.flat, plan.starts
+    sizes = list(map(len, plan.col_coords))
+    choice: list[int] | tuple = ()
     for _ in range(count):
-        choice = sorted(rng.sample(eligible, y))
-        cells = [c for j in choice for c in col_coords[j]]
+        if y:
+            choice = sorted(rng.sample(eligible, y))
+        extras = []
         if gamma:
-            for pos in rng.sample(range(len(flat) - len(cells)), gamma):
+            for pos in rng.sample(range(len(flat) - sum(map(sizes.__getitem__, choice))), gamma):
                 # step over the chosen columns at or before the cell
                 for j in choice:
                     if starts[j] > pos:
                         break
-                    pos += len(col_coords[j])
-                cells.append(flat[pos])
-        yield cells
+                    pos += sizes[j]
+                extras.append(flat[pos])
+        yield choice, extras
 
 
 def check_array(
@@ -403,20 +494,24 @@ def check_array(
     seed.  Raises InvalidParameter unless 0 <= y <= the eligible columns
     and 0 <= gamma <= the real cells left outside any y of them.  The
     report carries the sector-disk qualification bit y*rows + gamma > d - 1
-    when the minimum distance ``d`` is supplied.
+    when the minimum distance ``d`` is supplied, which must then lie in
+    [1, n] (InvalidParameter otherwise).
 
     ``failures`` holds the first ``MAX_WITNESS`` unrecoverable patterns in
     pattern order, sorted.
 
-    Every pattern is drawn from the array's ``plan`` and tested by
-    ``SweepPlan.recoverable``, the local-then-global rank test of the module
-    docstring: light repair sets are dropped, the heavy ones add their
-    cached images on the g global rows, the cells outside the sets add
-    their global columns, and an elimination of at most g short vectors
+    Every pattern is drawn from the array's ``plan`` as its column choice
+    and its extra cells, and its word, the sum of the choice's column
+    words (once per choice in exhaustive mode) and the extra cells' words,
+    goes to ``SweepPlan.verdict``, the local-then-global rank test of the
+    module docstring that ``SweepPlan.recoverable`` also runs: a few big-int
+    operations find the repair sets holding more than their threshold, those
+    add their cached images on the g global rows, the cells outside the sets
+    add their global columns, and an elimination of at most g search keys
     decides.  The test is exact, so the counts and the failures are those
-    of ``erasure.recoverable`` on each pattern.  ``workers`` is accepted,
-    for callers that still pass it, and ignored: every sweep runs in this
-    process.
+    of ``erasure.recoverable`` on each pattern; a failure's sorted cells are
+    built only when it is kept.  ``workers`` is accepted, for callers that
+    still pass it, and ignored: every sweep runs in this process.
     """
     if columns not in ("all", "data"):
         raise InvalidParameter("columns must be 'all' or 'data'")
@@ -434,6 +529,8 @@ def check_array(
         raise InvalidParameter(f"count must be at least 1, got {count}")
     if mode == "exhaustive" and exhaustive_limit < 1:
         raise InvalidParameter(f"exhaustive limit must be at least 1, got {exhaustive_limit}")
+    if d is not None and not 1 <= d <= arr.code.n:
+        raise InvalidParameter(f"d must lie in [1, {arr.code.n}], got {d}")
 
     used_seed = None
     if mode == "exhaustive":
@@ -450,15 +547,19 @@ def check_array(
         raise InvalidParameter("mode must be 'exhaustive' or 'sampled'")
 
     # a pattern's cells are distinct, as the columns are disjoint and the
-    # extra cells lie outside the chosen ones, so they need no set or sort
-    test = plan.recoverable
+    # extra cells lie outside the chosen ones, so their words add up to the
+    # pattern's word; an exhaustive sweep passes one choice to many patterns
+    verdict, words, col_words = plan.verdict, plan.words, plan.col_words
     checked = passed = 0
     failures = []
-    for checked, cells in enumerate(patterns, 1):
-        if test(cells):
+    last = base = None
+    for checked, (choice, extras) in enumerate(patterns, 1):
+        if choice is not last:
+            last, base = choice, sum(map(col_words.__getitem__, choice))
+        if verdict(sum(map(words.__getitem__, extras), base)):
             passed += 1
         elif len(failures) < MAX_WITNESS:
-            failures.append(sorted(cells))
+            failures.append(plan.cells(choice, extras))
 
     report = {
         "construction": arr.construction,

@@ -1,13 +1,15 @@
 """Erasure-pattern streams for the decoder tests: exhaustive heavy-plus-
 global patterns on a layout, the first fixture's beyond-distance column
-pairs, and every disk-plus-sector pattern of an array; a full-scan
-reference for ``ErasurePattern.coords``; and ``peel``, local repair alone,
-which drops the light repair sets of an erased set.  Not used by the
+pairs, and every disk-plus-sector pattern of an array or a seeded sample
+of them; a full-scan reference for ``ErasurePattern.coords``; and
+``peel``, local repair alone, which drops the light repair sets of an
+erased set.  Not used by the
 library, whose sweeps enumerate their own patterns and test them on their
 plan (``gsd.check_array``, ``gsd.SweepPlan``).
 """
 
 import itertools
+import random
 
 from lrckit import fixtures
 from lrckit.erasure import ErasurePattern
@@ -85,6 +87,22 @@ def array_patterns(arr, y: int, gamma: int, columns: str = "all"):
         rest = [c for j, cs in enumerate(col_coords) if j not in chosen for c in cs]
         for extra in itertools.combinations(rest, gamma):
             yield tuple(sorted(set(extra).union(*(col_coords[j] for j in chosen))))
+
+
+def sampled_array_patterns(arr, y: int, gamma: int, count: int, seed: int,
+                           columns: str = "all"):
+    """``count`` patterns of y whole eligible columns plus gamma other real
+    cells, drawn from ``seed`` as ``gsd.check_array``'s sampled mode draws
+    them (sorted ``rng.sample`` of the columns, then ``rng.sample`` of the
+    other cells in ``real_cells()`` order), as sorted coordinate tuples."""
+    rng = random.Random(seed)
+    eligible = list(range(arr.data_cols if columns == "data" else arr.cols))
+    col_coords = [arr.column_coords(j) for j in range(arr.cols)]
+    for _ in range(count):
+        chosen = sorted(rng.sample(eligible, y))
+        rest = [c for j, cs in enumerate(col_coords) if j not in chosen for c in cs]
+        extra = rng.sample(rest, gamma)
+        yield tuple(sorted(set(extra).union(*(col_coords[j] for j in chosen))))
 
 
 def peel(repair: dict[int, tuple[int, int]], coords) -> list[int]:

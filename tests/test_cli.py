@@ -180,6 +180,10 @@ def decode_args(layout, n, first):
         ("designs", "gen", "--family", "ag", "--q1", "25", "--beta", "16"),
         ("designs", "gen", "--family", "pg", "--q1", "13", "--beta", "8"),
         ("designs", "gen", "--family", "sg", "--q1", "4", "--beta", "8"),
+        # a distance outside [1, n], n = 24
+        (*EX1_CHECK, "--y", "0", "--gamma", "1", "--d", "0"),
+        (*EX1_CHECK, "--y", "0", "--gamma", "1", "--d", "-5"),
+        (*EX1_CHECK, "--y", "0", "--gamma", "1", "--d", "25"),
     ],
 )
 def test_bad_invocations_are_usage_errors(tmp_path, capsys, example1_layout, args):

@@ -234,11 +234,16 @@ def test_local_repair_map_is_built_once_per_array(example1_layout_module, monkey
 
 def test_example3_splits_into_six_global_rows(ex3_array):
     """example3's H: two local rows in each of its 73 repair sets, and the
-    6 global rows."""
+    6 global rows.  The sets own the first 73 lanes of the packed words, and
+    the 6 global coordinates, in no set, one lane each after them."""
+    code = ex3_array.code
     split = ex3_array.plan.split
     assert split.g == 6
-    assert split.nlocal == [2] * 73
-    assert sum(split.nlocal) + split.g == ex3_array.code.check.nrows
+    assert split.nlocal == [2] * 73 + [0] * 6
+    assert sum(split.nlocal) + split.g == code.check.nrows
+    assert split.lanes[:73] == [tuple(cs) for cs in code.repair_sets]
+    assert sorted(c for (c,) in split.lanes[73:]) == sorted(
+        set(range(code.n)).difference(*code.repair_sets))
 
 
 @pytest.mark.parametrize("arrange, make", [
@@ -276,10 +281,19 @@ def test_check_array_exhaustive_guard(ex1_array):
     dict(y=1, gamma=22, mode="sampled"),
     dict(y=1, gamma=1, mode="sampled", count=0),
     dict(y=1, gamma=1, mode="sampled", count=-5),
+    dict(y=0, gamma=1, d=0),
+    dict(y=0, gamma=1, d=-5),
+    dict(y=0, gamma=1, d=25),  # n = 24
 ])
 def test_check_array_rejects_bad_arguments(ex1_array, kw):
     with pytest.raises(InvalidParameter):
         check_array(ex1_array, **kw)
+
+
+def test_check_array_accepts_d_from_one_to_n(ex1_array):
+    for d, holds in ((1, True), (2, False), (24, False)):
+        rep = check_array(ex1_array, y=0, gamma=1, d=d)
+        assert rep["gsd_condition"] == {"d": d, "s_b_plus_gamma": 1, "holds": holds}
 
 
 @pytest.mark.parametrize("limit", [0, -1])

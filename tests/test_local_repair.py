@@ -1,10 +1,11 @@
 """Differential tests of the local-then-global rank test that
-``gsd.check_array`` runs on each pattern (``gsd.SweepPlan.recoverable``):
+``gsd.check_array`` runs on each pattern (``gsd.SweepPlan.verdict``):
 ``erasure.local_repair_map`` against dense punctured checks and the naive
 distance, the plan's test, cold, warm and past its cache bound, against
 plain ``recoverable``, the peel reference (``patternref.peel``) followed by
-``recoverable`` against plain ``recoverable``, and exhaustive sweeps
-against a per-pattern loop over plain ``recoverable``.
+``recoverable`` against plain ``recoverable``, and exhaustive and sampled
+sweeps, pattern by pattern, against plain ``recoverable`` on the
+reference patterns.
 
 The erased sets are drawn around codeword supports, which are dependent,
 and those supports less a coordinate, so that many sit right at the edge
@@ -21,12 +22,14 @@ from hypothesis import given, settings, strategies as st
 from lrckit import fixtures, gsd, serial
 from lrckit.algebra import FiniteField, Matrix
 from lrckit.erasure import local_repair_map, recoverable
-from lrckit.errors import Infeasible
-from lrckit.gsd import MAX_WITNESS, SweepPlan, basic_array, check_array, row_split
+from lrckit.errors import Infeasible, InvalidParameter
+from lrckit.gsd import (MAX_WITNESS, SweepPlan, basic_array, check_array, rearranged_array,
+                        row_split, truncated_array)
 from lrckit.lrc import LinearCode, build_code, generator_matrix
 from linref import dense_punctured_check, naive_min_distance, random_code
-from patternref import array_patterns, peel
+from patternref import array_patterns, peel, sampled_array_patterns
 from test_codec import layouts
+from test_gsd import F17, fano_layout
 
 
 def reference_thresholds(code: LinearCode) -> list[int]:
@@ -109,18 +112,19 @@ def erased_sets(draw, code: LinearCode) -> list[int]:
 
 def plan_of(code: LinearCode) -> SweepPlan:
     """A fresh sweep plan of the code, with no array: its rank test alone."""
-    return SweepPlan(col_coords=[], flat=[], starts=[0], h=code.check, split=row_split(code))
+    return SweepPlan.of(code)
 
 
 def assert_plan_is_exact(code: LinearCode, patterns):
     """The plan's test against plain ``recoverable`` on each pattern: on a
-    fresh plan (a cold cache), then twice on one plan (the second pass
-    reads its cache), then with a cache bound of one image."""
+    fresh plan (a cold cache), then twice on one plan with every cell given
+    twice, which counts once (the second pass reads its cache), then with
+    a cache bound of one image."""
     h = code.check
     want = [recoverable(h, coords) for coords in patterns]
     assert [plan_of(code).recoverable(coords) for coords in patterns] == want
     warm = plan_of(code)
-    assert [warm.recoverable(coords) for coords in patterns * 2] == want * 2
+    assert [warm.recoverable(coords * 2) for coords in patterns * 2] == want * 2
     with mock.patch.object(gsd, "MAX_IMAGES", 1):
         bounded = plan_of(code)
         assert [bounded.recoverable(coords) for coords in patterns * 2] == want * 2
@@ -144,16 +148,53 @@ def test_peel_keeps_every_verdict(code, data):
     assert_peel_is_exact(code, [erased_sets(data.draw, code) for _ in range(8)])
 
 
+# fields whose search keys are bytes, and F_131 and F_27, whose keys are
+# tuples (a prime above 127, an odd extension)
+KEY_FIELDS = [FiniteField(2), FiniteField(3), FiniteField(5), FiniteField(2, 2),
+              FiniteField(131), FiniteField(3, 3)]
+
+
+def tiered_code(draw) -> LinearCode:
+    """Three repair sets, in a drawn order, whose thresholds are 0, 1 and 2
+    (delta = 3): one local row with a zero entry (punctured distance 1),
+    one with none (distance 2), and two rows of an MDS code (distance 3).
+    The free coordinates hold an identity on the global rows, so no global
+    row reaches a set's punctured check: it is the set's own local rows.
+    The first two sets may hold up to 18 cells, more than a 16-bit lane."""
+    fld = draw(st.sampled_from([FiniteField(7), FiniteField(131), FiniteField(3, 3)]))
+    nonzero = st.integers(1, fld.q - 1)
+    sizes = [draw(st.integers(2, 18)), draw(st.integers(2, 18)), draw(st.integers(3, 6))]
+    local = [[draw(nonzero) for _ in range(sizes[0] - 1)] + [0],
+             [draw(nonzero) for _ in range(sizes[1])]]
+    points = draw(st.lists(st.integers(0, 6), min_size=sizes[2], max_size=sizes[2], unique=True))
+    mds = [[1] * sizes[2], points]
+    g = draw(st.integers(1, 3))
+    order = draw(st.permutations(range(3)))
+    n = sum(sizes) + g
+    rows, sets, start = [], [], 0
+    for s in order:
+        sets.append(tuple(range(start, start + sizes[s])))
+        for part in ([local[s]] if s < 2 else mds):
+            rows.append([0] * start + part + [0] * (n - start - sizes[s]))
+        start += sizes[s]
+    for i in range(g):
+        rows.append([draw(st.integers(0, fld.q - 1)) for _ in range(start)]
+                    + [int(i == j) for j in range(g)])
+    return LinearCode(k=n - len(rows), check=Matrix(fld, rows), repair_sets=sets, delta=3)
+
+
 @st.composite
 def split_codes(draw):
-    """A code with disjoint repair sets, varied where the row split has
-    edges.  Either a structural code from ``layouts()``, with some sets
-    left undeclared (their cells free, their local rows global) or with
-    the global coordinates declared as one more set, which holds no local
-    row; or a seeded random code whose H gains random rows inside some of
-    its consecutive sets, some sets none, and whose last cells lie in no
-    set."""
-    if draw(st.booleans()):
+    """A code with disjoint repair sets, varied where the row split and its
+    packed lanes have edges.  Either a structural code from ``layouts()``,
+    with some sets left undeclared (their cells free, their local rows
+    global) or with the global coordinates declared as one more set, which
+    holds no local row; or a seeded random code, sometimes over a field of
+    tuple keys or with sets of 16 or more cells, whose H gains random rows
+    inside some of its consecutive sets, some sets none, and whose last
+    cells lie in no set; or a ``tiered_code``."""
+    kind = draw(st.sampled_from(["structural", "random", "wide", "tiered"]))
+    if kind == "structural":
         code = build_code(draw(layouts()))
         sets = list(code.repair_sets)
         kind = draw(st.sampled_from(["declared", "undeclared", "globals"]))
@@ -163,10 +204,12 @@ def split_codes(draw):
             sets.append(tuple(sorted(set(range(code.n)).difference(*sets))))
         return dataclasses.replace(code, repair_sets=sets,
                                    delta=code.delta + draw(st.integers(0, 1)))
-    fld = draw(st.sampled_from([FiniteField(2), FiniteField(3), FiniteField(5), FiniteField(2, 2)]))
-    n = draw(st.integers(5, 10))
+    if kind == "tiered":
+        return tiered_code(draw)
+    fld = draw(st.sampled_from(KEY_FIELDS))
+    n = draw(st.integers(17, 20) if kind == "wide" else st.integers(5, 10))
     code = random_code(fld, n, draw(st.integers(1, n - 2)), draw(st.integers(0, 10**6)))
-    size = draw(st.integers(2, n))
+    size = draw(st.integers(16, n) if kind == "wide" else st.integers(2, n))
     covered = n - draw(st.integers(0, 2))
     sets = [tuple(range(i, min(i + size, covered))) for i in range(0, covered, size)]
     rows = code.check.copy_rows()
@@ -186,6 +229,19 @@ def test_plan_matches_recoverable(code, data):
     assert_plan_is_exact(code, [erased_sets(data.draw, code) for _ in range(8)])
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_tiered_codes_have_every_threshold(data):
+    """The three sets of a ``tiered_code`` own the first three lanes, with
+    thresholds 0, 1 and 2, as the dense reference finds them too; the other
+    lanes are the free coordinates."""
+    code = tiered_code(data.draw)
+    split = row_split(code)
+    assert sorted(split.thresholds[:3]) == [0, 1, 2] == sorted(reference_thresholds(code))
+    assert split.lanes[:3] == code.repair_sets and split.thresholds[3:] == [0] * split.g
+    assert_plan_is_exact(code, [erased_sets(data.draw, code) for _ in range(8)])
+
+
 def test_more_columns_than_global_rows_fail_at_once(monkeypatch):
     """ag13's H has 4 global rows, and each of its repair sets, three
     cells with one local row, erased whole adds two image vectors: three
@@ -194,14 +250,27 @@ def test_more_columns_than_global_rows_fail_at_once(monkeypatch):
     code = build_code(fixtures.ag13_layout())
     plan = plan_of(code)
     assert plan.split.g == 4
-    assert set(plan.split.nlocal) == {1} and {len(cs) for cs in code.repair_sets} == {3}
+    sets = len(code.repair_sets)
+    assert set(plan.split.nlocal[:sets]) == {1} and {len(cs) for cs in code.repair_sets} == {3}
 
     def refuse(*args, **kwargs):
         raise AssertionError("an elimination ran")
 
-    monkeypatch.setattr(gsd, "eliminate_vectors", refuse)
+    monkeypatch.setattr(gsd, "_eliminate_keys", refuse)
     assert not plan.recoverable([c for cs in code.repair_sets[:3] for c in cs])
     assert plan.images == {}
+
+
+@pytest.mark.parametrize("make", [fixtures.ag13_layout, overlapping_code])
+def test_plan_refuses_cells_outside_the_code(make):
+    """As ``recoverable`` does, with or without a split."""
+    code = make() if make is overlapping_code else build_code(make())
+    plan = plan_of(code)
+    assert (plan.split is None) == (make is overlapping_code)
+    for cells in ([-1], [0, code.n]):
+        for test in (plan.recoverable, lambda cs: recoverable(code.check, cs)):
+            with pytest.raises(InvalidParameter, match="must lie in"):
+                test(cells)
 
 
 def test_overlapping_sets_are_not_peeled():
@@ -261,6 +330,55 @@ def test_exhaustive_sweep_matches_plain_rank_tests(make, y, gamma, columns, fail
     want = reference_sweep(arr, y, gamma, columns)
     assert {key: report[key] for key in want} == want
     assert report["checked"] - report["recoverable"] == failing
+
+
+def undeclared(arr):
+    """The array with its code's repair sets undeclared: no row split, so
+    its plan falls back to ``recoverable``."""
+    return dataclasses.replace(arr, code=dataclasses.replace(arr.code, repair_sets=[]))
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+@pytest.mark.parametrize("arrange, make, y, gamma, columns", [
+    (basic_array, lambda: fano_layout(h=4), 3, 1, "all"),  # zero-filled cells
+    (basic_array, lambda: fano_layout(h=4), 3, 0, "all"),
+    (rearranged_array, lambda: fano_layout(h=7, field=F17), 3, 1, "all"),
+    (truncated_array, lambda: fano_layout(h=1, v=1), 0, 3, "all"),
+    (truncated_array, lambda: fano_layout(h=1, v=1), 1, 2, "all"),
+    (basic_array, fixtures.example1_layout, 2, 1, "all"),
+    (basic_array, fixtures.ag13_layout, 3, 0, "data"),
+])
+@pytest.mark.parametrize("split", [True, False])
+def test_sweep_loop_matches_each_pattern(arrange, make, y, gamma, columns, mode, split):
+    """A sweep draws each pattern as (column choice, extra cells) and tests
+    the sum of their words.  Pattern by pattern, those cells are the
+    reference's (``array_patterns``, ``sampled_array_patterns``), and
+    ``SweepPlan.recoverable`` agrees with plain ``recoverable`` on them; with
+    room for every witness, ``check_array`` reports exactly the patterns
+    that plain ``recoverable`` refuses.  Without a split the loop runs on
+    the fallback."""
+    lay = make()
+    arr = arrange(lay, build_code(lay))
+    arr = arr if split else undeclared(arr)
+    plan = arr.plan
+    assert (plan.split is not None) == split
+    eligible = list(range(arr.data_cols if columns == "data" else arr.cols))
+    if mode == "exhaustive":
+        kw = {}
+        want = list(array_patterns(arr, y, gamma, columns))
+        drawn = gsd._exhaustive_patterns(plan.col_coords, eligible, y, gamma)
+    else:
+        kw = dict(count=300, seed=y + 10 * gamma)
+        want = list(sampled_array_patterns(arr, y, gamma, columns=columns, **kw))
+        drawn = gsd._sampled_patterns(plan, eligible, y, gamma, kw["count"], kw["seed"])
+    assert [tuple(plan.cells(choice, extras)) for choice, extras in drawn] == want
+    verdicts = [recoverable(arr.code.check, coords) for coords in want]
+    assert [plan.recoverable(coords) for coords in want] == verdicts
+    with mock.patch.object(gsd, "MAX_WITNESS", len(want)):
+        report = check_array(arr, y=y, gamma=gamma, mode=mode, columns=columns, **kw)
+    assert (report["checked"], report["recoverable"]) == (len(want), sum(verdicts))
+    assert 0 < sum(verdicts) < len(want)
+    assert report["failures"] == sorted(list(c) for c, ok in zip(want, verdicts) if not ok)
 
 
 # sha256 of serial.dumps of the exhaustive ag13 sweep: 589,050 patterns of
