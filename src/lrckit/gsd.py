@@ -45,7 +45,10 @@ Each array keeps what its sweeps read, built on first use
 (``ArrayLayout.plan``): the column coordinates, the words of its cells and
 columns, the row split and the image cache, holding at most
 ``MAX_IMAGES`` images.  A sweep draws each pattern as its column choice
-and its extra cells, and adds their words.  Every sweep runs in the
+and its extra cells, and adds their words.  A sampled sweep draws them as
+``random.Random(seed).sample`` would, from the same ``getrandbits``
+calls, by a selection on positions (``_sample_positions``) that leaves
+out ``sample``'s per-call checks and containers.  Every sweep runs in the
 calling process.
 """
 
@@ -444,25 +447,66 @@ def _exhaustive_patterns(col_coords, eligible, y, gamma):
             yield choice, extras
 
 
+def _set_size(k: int) -> int:
+    """The population size up to which ``random.Random.sample`` draws k
+    items from a pool list, and past which it rejects repeats against a
+    set, by its own expression."""
+    return 21 + 4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 21
+
+
+def _sample_positions(getrandbits, n: int, k: int, setsize: int):
+    """``random.Random.sample(range(n), k)``, ``setsize`` being
+    ``_set_size(k)``, in selection order: the same branch and the same
+    ``getrandbits(m.bit_length())`` rejection draws of its ``_randbelow``,
+    so the same positions and the same generator state after.  The set
+    branch returns the positions as the keys of a dict, which also tests
+    the repeats."""
+    if n <= setsize:
+        pool = list(range(n))
+        picked = []
+        for m in range(n, n - k, -1):
+            bits = m.bit_length()
+            j = getrandbits(bits)
+            while j >= m:
+                j = getrandbits(bits)
+            picked.append(pool[j])
+            pool[j] = pool[m - 1]
+        return picked
+    picked = {}
+    bits = n.bit_length()
+    for _ in range(k):
+        j = getrandbits(bits)
+        while j >= n or j in picked:
+            j = getrandbits(bits)
+        picked[j] = None
+    return picked
+
+
 def _sampled_patterns(plan: SweepPlan, eligible, y, gamma, count, seed):
     """``count`` patterns drawn from ``seed`` as (column choice, extra
     cells).
 
-    rng.sample reads only the length of its population and the items at
-    the positions it draws, so drawing positions in the list of the cells
-    outside the chosen columns (in ``real_cells()`` order) and mapping each
-    to its cell draws the same cells without building that list.  A sample
-    of no columns draws nothing from the rng, so it is not taken."""
-    rng = random.Random(seed)
+    The draws are ``random.Random(seed)``'s: a sorted ``rng.sample`` of
+    ``eligible``, then an ``rng.sample`` of the cells outside the chosen
+    columns (in ``real_cells()`` order), each made by ``_sample_positions``
+    from the same ``getrandbits`` calls, so a seed gives the same patterns.
+    ``sample`` reads only the length of its population and the items at the
+    positions it draws, so each position is mapped to its column, or to its
+    cell by stepping over the chosen columns, without building the list of
+    the cells left.  A sample of none draws nothing."""
+    getrandbits = random.Random(seed).getrandbits
     flat, starts = plan.flat, plan.starts
     sizes = list(map(len, plan.col_coords))
+    ncols, col_setsize, cell_setsize = len(eligible), _set_size(y), _set_size(gamma)
     choice: list[int] | tuple = ()
     for _ in range(count):
         if y:
-            choice = sorted(rng.sample(eligible, y))
+            choice = sorted(map(eligible.__getitem__,
+                                _sample_positions(getrandbits, ncols, y, col_setsize)))
         extras = []
         if gamma:
-            for pos in rng.sample(range(len(flat) - sum(map(sizes.__getitem__, choice))), gamma):
+            left = len(flat) - sum(map(sizes.__getitem__, choice))
+            for pos in _sample_positions(getrandbits, left, gamma, cell_setsize):
                 # step over the chosen columns at or before the cell
                 for j in choice:
                     if starts[j] > pos:
@@ -491,11 +535,14 @@ def check_array(
     to the leading data columns, "all" includes parity columns.  Exhaustive
     mode enumerates every pattern (guarded by ``exhaustive_limit``, at least
     1); sampled mode draws ``count`` (at least 1) patterns from the given
-    seed.  Raises InvalidParameter unless 0 <= y <= the eligible columns
-    and 0 <= gamma <= the real cells left outside any y of them.  The
-    report carries the sector-disk qualification bit y*rows + gamma > d - 1
-    when the minimum distance ``d`` is supplied, which must then lie in
-    [1, n] (InvalidParameter otherwise).
+    seed, with ``random.Random(seed).sample``'s selection and its
+    ``getrandbits`` calls, so a seed gives the same report.  Raises
+    InvalidParameter unless y, gamma, count and seed are ints (not bools),
+    0 <= y <= the eligible columns and 0 <= gamma <= the real cells left
+    outside any y of them.  The report carries the sector-disk
+    qualification bit y*rows + gamma > d - 1 when the minimum distance
+    ``d`` is supplied, which must then lie in [1, n] (InvalidParameter
+    otherwise).
 
     ``failures`` holds the first ``MAX_WITNESS`` unrecoverable patterns in
     pattern order, sorted.
@@ -513,6 +560,9 @@ def check_array(
     built only when it is kept.  ``workers`` is accepted, for callers that
     still pass it, and ignored: every sweep runs in this process.
     """
+    for name, value in (("y", y), ("gamma", gamma), ("count", count), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise InvalidParameter(f"{name} must be an int, got {value!r}")
     if columns not in ("all", "data"):
         raise InvalidParameter("columns must be 'all' or 'data'")
     eligible = list(range(arr.data_cols if columns == "data" else arr.cols))

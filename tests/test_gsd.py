@@ -284,6 +284,13 @@ def test_check_array_exhaustive_guard(ex1_array):
     dict(y=0, gamma=1, d=0),
     dict(y=0, gamma=1, d=-5),
     dict(y=0, gamma=1, d=25),  # n = 24
+    dict(y=1, gamma=1, mode="sampled", seed=None),  # would draw from OS entropy
+    dict(y=1, gamma=1, mode="sampled", seed=1.5),
+    dict(y=1, gamma=1, mode="sampled", seed=True),
+    dict(y=1.0, gamma=1),
+    dict(y=1, gamma=1.0),
+    dict(y=1, gamma=1, mode="sampled", count=2.5),
+    dict(y=1, gamma=1, mode="sampled", count="10"),
 ])
 def test_check_array_rejects_bad_arguments(ex1_array, kw):
     with pytest.raises(InvalidParameter):

@@ -5,7 +5,8 @@ distance, the plan's test, cold, warm and past its cache bound, against
 plain ``recoverable``, the peel reference (``patternref.peel``) followed by
 ``recoverable`` against plain ``recoverable``, and exhaustive and sampled
 sweeps, pattern by pattern, against plain ``recoverable`` on the
-reference patterns.
+reference patterns; and the sampled sweeps' selection
+(``gsd._sample_positions``) against ``random.Random.sample`` itself.
 
 The erased sets are drawn around codeword supports, which are dependent,
 and those supports less a coordinate, so that many sit right at the edge
@@ -14,6 +15,7 @@ a wrong threshold, kernel or image would cross.
 
 import dataclasses
 import hashlib
+import random
 from unittest import mock
 
 import pytest
@@ -338,30 +340,14 @@ def undeclared(arr):
     return dataclasses.replace(arr, code=dataclasses.replace(arr.code, repair_sets=[]))
 
 
-@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
-@pytest.mark.parametrize("arrange, make, y, gamma, columns", [
-    (basic_array, lambda: fano_layout(h=4), 3, 1, "all"),  # zero-filled cells
-    (basic_array, lambda: fano_layout(h=4), 3, 0, "all"),
-    (rearranged_array, lambda: fano_layout(h=7, field=F17), 3, 1, "all"),
-    (truncated_array, lambda: fano_layout(h=1, v=1), 0, 3, "all"),
-    (truncated_array, lambda: fano_layout(h=1, v=1), 1, 2, "all"),
-    (basic_array, fixtures.example1_layout, 2, 1, "all"),
-    (basic_array, fixtures.ag13_layout, 3, 0, "data"),
-])
-@pytest.mark.parametrize("split", [True, False])
-def test_sweep_loop_matches_each_pattern(arrange, make, y, gamma, columns, mode, split):
+def assert_sweep_loop_is_exact(arr, y, gamma, columns, mode) -> list[bool]:
     """A sweep draws each pattern as (column choice, extra cells) and tests
     the sum of their words.  Pattern by pattern, those cells are the
     reference's (``array_patterns``, ``sampled_array_patterns``), and
     ``SweepPlan.recoverable`` agrees with plain ``recoverable`` on them; with
     room for every witness, ``check_array`` reports exactly the patterns
-    that plain ``recoverable`` refuses.  Without a split the loop runs on
-    the fallback."""
-    lay = make()
-    arr = arrange(lay, build_code(lay))
-    arr = arr if split else undeclared(arr)
+    that plain ``recoverable`` refuses.  Returns those verdicts."""
     plan = arr.plan
-    assert (plan.split is not None) == split
     eligible = list(range(arr.data_cols if columns == "data" else arr.cols))
     if mode == "exhaustive":
         kw = {}
@@ -377,8 +363,73 @@ def test_sweep_loop_matches_each_pattern(arrange, make, y, gamma, columns, mode,
     with mock.patch.object(gsd, "MAX_WITNESS", len(want)):
         report = check_array(arr, y=y, gamma=gamma, mode=mode, columns=columns, **kw)
     assert (report["checked"], report["recoverable"]) == (len(want), sum(verdicts))
-    assert 0 < sum(verdicts) < len(want)
     assert report["failures"] == sorted(list(c) for c, ok in zip(want, verdicts) if not ok)
+    return verdicts
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+@pytest.mark.parametrize("arrange, make, y, gamma, columns", [
+    (basic_array, lambda: fano_layout(h=4), 3, 1, "all"),  # zero-filled cells
+    (basic_array, lambda: fano_layout(h=4), 3, 0, "all"),
+    (rearranged_array, lambda: fano_layout(h=7, field=F17), 3, 1, "all"),
+    (truncated_array, lambda: fano_layout(h=1, v=1), 0, 3, "all"),
+    (truncated_array, lambda: fano_layout(h=1, v=1), 1, 2, "all"),
+    (basic_array, fixtures.example1_layout, 2, 1, "all"),
+    (basic_array, fixtures.ag13_layout, 3, 0, "data"),
+])
+@pytest.mark.parametrize("split", [True, False])
+def test_sweep_loop_matches_each_pattern(arrange, make, y, gamma, columns, mode, split):
+    """``assert_sweep_loop_is_exact`` on patterns of both outcomes.  Without
+    a split the loop runs on the fallback."""
+    lay = make()
+    arr = arrange(lay, build_code(lay))
+    arr = arr if split else undeclared(arr)
+    assert (arr.plan.split is not None) == split
+    verdicts = assert_sweep_loop_is_exact(arr, y, gamma, columns, mode)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+@pytest.mark.parametrize("y, gamma, failing", [(2, 1, 0), (8, 0, 28)])
+def test_sampled_sweep_on_example3_matches_each_pattern(y, gamma, failing):
+    """``assert_sweep_loop_is_exact`` on example3's truncated array.  Its 73
+    columns lie past ``random.sample``'s pool bound for 2 items (21) and
+    within it for 8 (85), so the y = 2 draw rejects repeats against a set
+    and the y = 8 draw swaps in a pool; no other sampled case has more
+    than 21 eligible columns."""
+    lay = fixtures.example3_layout()
+    arr = truncated_array(lay, build_code(lay))
+    assert gsd._set_size(2) < arr.cols <= gsd._set_size(8)
+    verdicts = assert_sweep_loop_is_exact(arr, y, gamma, "all", "sampled")
+    assert len(verdicts) - sum(verdicts) == failing
+
+
+# (n, k) on both sides of every bound of ``random.sample``'s pool branch:
+# n <= 21 for k <= 5, 85 for k in [6, 21], 277 for k in [22, 85]
+SAMPLE_EDGES = sorted({(n, k) for n in (1, 20, 21, 22, 84, 85, 86, 276, 277, 278, 700)
+                       for k in (0, 1, 5, 6, 8, 21, 22, n) if k <= n})
+
+
+def assert_sample_matches_random(seed: int, n: int, k: int):
+    """``_sample_positions`` picks ``random.Random(seed).sample(range(n), k)``
+    and leaves the generator where ``sample`` leaves it."""
+    mine, theirs = random.Random(seed), random.Random(seed)
+    picked = gsd._sample_positions(mine.getrandbits, n, k, gsd._set_size(k))
+    assert list(picked) == theirs.sample(range(n), k), (seed, n, k)
+    assert mine.getrandbits(32) == theirs.getrandbits(32), (seed, n, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**64))
+def test_sample_positions_match_random_sample_at_the_branch_edges(seed):
+    for n, k in SAMPLE_EDGES:
+        assert_sample_matches_random(seed, n, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**64), st.integers(1, 3000).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, min(n, 400)))))
+def test_sample_positions_match_random_sample(seed, nk):
+    assert_sample_matches_random(seed, *nk)
 
 
 # sha256 of serial.dumps of the exhaustive ag13 sweep: 589,050 patterns of
@@ -387,9 +438,11 @@ def test_sweep_loop_matches_each_pattern(arrange, make, y, gamma, columns, mode,
 AG13_EXHAUSTIVE = "ce1d86be944cd0b6c6f065f479a56c0f7abc3afa735d574d38876c06803932cc"
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_exhaustive_sweep_report_is_pinned(workers):
+def test_exhaustive_sweep_report_is_pinned():
+    """Run once, with ``workers=2``: every sweep runs in the calling
+    process, and ``test_sweep_reports_are_pinned`` covers both worker
+    counts."""
     lay = fixtures.ag13_layout()
-    report = check_array(basic_array(lay, build_code(lay)), y=1, gamma=4, workers=workers)
+    report = check_array(basic_array(lay, build_code(lay)), y=1, gamma=4, workers=2)
     assert (report["checked"], report["recoverable"]) == (589050, 570024)
     assert hashlib.sha256(serial.dumps(report).encode()).hexdigest() == AG13_EXHAUSTIVE
