@@ -438,11 +438,9 @@ def test_sample_positions_match_random_sample(seed, nk):
 AG13_EXHAUSTIVE = "ce1d86be944cd0b6c6f065f479a56c0f7abc3afa735d574d38876c06803932cc"
 
 
-def test_exhaustive_sweep_report_is_pinned():
-    """Run once, with ``workers=2``: every sweep runs in the calling
-    process, and ``test_sweep_reports_are_pinned`` covers both worker
-    counts."""
+@pytest.mark.parametrize("workers", [1, 2])
+def test_exhaustive_sweep_report_is_pinned(workers):
     lay = fixtures.ag13_layout()
-    report = check_array(basic_array(lay, build_code(lay)), y=1, gamma=4, workers=2)
+    report = check_array(basic_array(lay, build_code(lay)), y=1, gamma=4, workers=workers)
     assert (report["checked"], report["recoverable"]) == (589050, 570024)
     assert hashlib.sha256(serial.dumps(report).encode()).hexdigest() == AG13_EXHAUSTIVE
