@@ -13,13 +13,13 @@ tables; addition by XOR in characteristic 2, else by Zech logarithms) lives
 in ``FiniteField`` alone, and is decided once per field: its constructor
 binds the scalar ops and vector kernels for the field's kind, and every
 other loop reaches field arithmetic through them.  That includes the
-row-group kernel ``pack_rows``/``dots``: on a prime field it packs rows
-that share a support into integer lanes, so one C-level dot evaluates them
-all; on an extension field it is one ``dot`` per row.  The encoder's check
-groups and ``Matrix.row_groups`` run on it.  So do the distance search's
-keys, ``vec_key``/``sub_key``: ``bytes`` under translation tables on small
-prime and characteristic-2 fields, tuples on the others.  The array
-sweeps' local-then-global rank test reduces its short vectors as keys too.
+row plan, ``row_plan``/``run_plan``: on a prime field it packs sparse rows
+into integer lanes of a few column chunks, so one C-level dot per chunk
+evaluates every row; on an extension field it is one ``dot`` per row.  The
+encoder and the decoders run on it.  So do the distance search's keys,
+``vec_key``/``sub_key``: ``bytes`` under translation tables on small prime
+and characteristic-2 fields, tuples on the others.  The array sweeps'
+local-then-global rank test reduces its short vectors as keys too.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ MAX_FIELD = 2**16  # the largest field order FiniteField tabulates
 # its own in closed form, from its point and block counts, before it builds
 # anything
 MAX_DESIGN = 10**6
+CHUNK_BITS = 256  # lanes of a prime-field row plan's chunk: 128-512 time alike
 
 
 def is_prime(n: int) -> bool:
@@ -195,16 +196,22 @@ class FiniteField:
     nonzero vectors are parallel iff their normal forms coincide.  One
     inverse table per field serves ``inv`` and ``normalize``.
 
-    The row-group kernel: ``pack_rows(rows)`` prepares rows of equal
-    length, and ``dots(packed, values)`` returns ``[dot(row, values) for
-    row in rows]``.  On a prime field column j of the rows is packed into
-    one int, row i's entry at bit i*w, with w the bit length of
-    (p-1)^2 * (row length) + 1; one sum of products then holds every row's
-    dot in its own lane, read off by mask and shift and reduced mod p.
-    That is exact only when the rows and the values are field elements,
-    ints in [0, p), which ``are_elements`` checks: a negative or larger
-    entry spills into the next lane.  On an extension field
-    ``pack_rows`` keeps the rows and ``dots`` runs ``dot`` on each.
+    The row plan: ``row_plan(rows, ncols)`` prepares a list of sparse
+    rows, pairs (support, values), over ``ncols`` columns as plain data,
+    and ``run_plan(plan, v, rows=None)`` returns each row times v, or
+    those listed in ``rows``.  On a prime field the columns are cut into
+    chunks, each closed once the rows inside it hold ``CHUNK_BITS`` bits of
+    lanes, each as wide as the bit length of (p-1)^2 * (nonzero count) + 1
+    of the widest such row; a row spanning chunks has a lane at the bottom
+    of each, as wide as the widest one's whole sum needs.  Column j is one
+    int of its rows' entries in their lanes, so a pass is one C-level sum
+    of products per chunk, its own lanes read off by shift and mask, its
+    bottom ones added into one accumulator.  That is exact only for rows
+    and values in [0, p), as ``are_elements`` checks: a larger or negative
+    entry spills into the next lane.  On an extension field a pass is one
+    ``dot`` per row asked for.
+    ``inv_dot(ws, nodes, x)`` is sum(w / (x - u)) over ws and nodes, for x
+    not among the nodes: the barycentric sum of ``interpolant``.
     ``root_product(roots, x)`` is prod (x - r) over the roots, on a prime
     field with plain int arithmetic reduced mod p at each step.
 
@@ -358,24 +365,49 @@ class FiniteField:
             def dot(a, b):
                 return sum(map(prod, a, b)) % p
 
-            def pack_rows(rows):
-                # a zip fold: row i is shifted into lane i of every column
-                rows = list(rows)
-                if not rows:
-                    return (), (), 0
-                w = ((p - 1) ** 2 * len(rows[0]) + 1).bit_length()
-                shifts = range(0, w * len(rows), w)
-                cols = rows[0]
-                for s, row in zip(shifts[1:], rows[1:]):
-                    cols = [c | x << s for c, x in zip(cols, row)]
-                return tuple(cols), shifts, (1 << w) - 1
+            def row_plan(rows, ncols):
+                width = [((p - 1) ** 2 * len(sup) + 1).bit_length() for sup, _ in rows]
+                # rows with entries by last column (an empty row reads 0): a
+                # chunk closes before the first row past its rows once their
+                # lanes hold CHUNK_BITS; a row starting before its chunk spans
+                cuts, end, bits, home, spans = [0], 0, 0, [[]], []
+                for i in sorted((i for i, (sup, _) in enumerate(rows) if sup),
+                                key=lambda i: rows[i][0][-1]):
+                    sup = rows[i][0]
+                    if bits >= CHUNK_BITS and sup[0] >= end:
+                        cuts, home, bits = cuts + [end], home + [[]], 0
+                    (spans if sup[0] < cuts[-1] else home[-1]).append(i)
+                    if sup[0] >= cuts[-1]:
+                        bits, end = bits + width[i], sup[-1] + 1
+                # lanes as (row, shift): the spanning rows' at the bottom
+                wide = max(map(width.__getitem__, spans), default=1)
+                w = max((width[i] for own in home for i in own), default=1)
+                base = len(spans) * wide
+                spans = tuple((i, t * wide) for t, i in enumerate(spans))
+                home = [tuple((i, base + t * w) for t, i in enumerate(own)) for own in home]
+                cols = [0] * ncols
+                for i, s in itertools.chain(spans, *home):
+                    for j, x in zip(*rows[i]):
+                        cols[j] |= x << s
+                chunks = tuple((lo, hi, tuple(cols[lo:hi]), lanes)
+                               for lo, hi, lanes in zip(cuts, cuts[1:] + [ncols], home))
+                return len(rows), chunks, (1 << base) - 1, (1 << w) - 1, spans, (1 << wide) - 1
 
-            def dots(packed, values):
-                cols, shifts, mask = packed
-                total = sum(map(prod, cols, values))
-                if len(shifts) == 1:  # one row: its lane is the whole sum
-                    return [total % p]
-                return [(total >> s & mask) % p for s in shifts]
+            def run_plan(plan, v, rows=None):
+                n, chunks, bottom, lane, spans, mask = plan
+                out, acc = [0] * n, 0
+                for lo, hi, cols, lanes in chunks:
+                    total = sum(map(prod, cols, v[lo:hi]))
+                    acc += total & bottom
+                    for i, s in lanes:
+                        out[i] = (total >> s & lane) % p
+                for i, s in spans:
+                    out[i] = (acc >> s & mask) % p
+                return out if rows is None else [out[i] for i in rows]
+
+            def inv_dot(ws, nodes, x):
+                # a negative index x - u picks the inverse of x - u + p
+                return sum(w * invs[x - u] for w, u in zip(ws, nodes)) % p
 
             def root_product(roots, x):
                 acc = 1
@@ -454,13 +486,24 @@ class FiniteField:
                             acc = add(acc, exp[log[x] + log[y]])
                     return acc
 
-            def pack_rows(rows):
-                return tuple(rows)
+            def getter(sup):
+                # a slice for one column or none, so that it too returns a sequence
+                if len(sup) > 1:
+                    return operator.itemgetter(*sup)
+                return operator.itemgetter(slice(sup[0], sup[0] + 1) if sup else slice(0))
 
-            def dots(packed, values):
-                if len(packed) == 1:
-                    return [dot(packed[0], values)]
-                return [dot(row, values) for row in packed]
+            def row_plan(rows, ncols):
+                return tuple((getter(sup), tuple(vals)) for sup, vals in rows)
+
+            def run_plan(plan, v, rows=None):
+                return [dot(vals, get(v)) for get, vals in
+                        (plan if rows is None else map(plan.__getitem__, rows))]
+
+            def inv_dot(ws, nodes, x):
+                acc = 0
+                for w, u in zip(ws, nodes):
+                    acc = add(acc, div(w, sub(x, u)))
+                return acc
 
             def root_product(roots, x):
                 acc = 1
@@ -531,7 +574,8 @@ class FiniteField:
         self.add, self.neg, self.sub, self.mul, self.inv, self.div, self.pow = (
             add, neg, sub, mul, inv, div, power)
         self.vec_sub, self.vec_sub_at, self.vec_scale, self.dot = vec_sub, vec_sub_at, vec_scale, dot
-        self.pack_rows, self.dots, self.root_product = pack_rows, dots, root_product
+        self.row_plan, self.run_plan, self.inv_dot = row_plan, run_plan, inv_dot
+        self.root_product = root_product
         self.normalize, self._key_kernels = normalize, key_kernels
 
     def are_elements(self, values: Sequence) -> bool:
@@ -706,6 +750,17 @@ def poly_from_roots(fld: FiniteField, roots: Iterable[int]) -> Poly:
     return out
 
 
+def _distinct_nodes(fld: FiniteField, nodes: Sequence[int]):
+    """The nodes as a tuple, their positions, and per node u 1 / w_u =
+    prod_{i != u} (x_u - x_i); raises DuplicateNode on a repeated node."""
+    nodes = tuple(nodes)
+    position = {x: u for u, x in enumerate(nodes)}
+    if len(position) != len(nodes):
+        raise DuplicateNode("interpolation nodes must be distinct")
+    return nodes, position, [fld.root_product(nodes[:u] + nodes[u + 1:], x)
+                             for u, x in enumerate(nodes)]
+
+
 def lagrange_basis(fld: FiniteField, nodes: Sequence[int]):
     """The Lagrange basis on distinct ``nodes`` in barycentric form.
 
@@ -716,14 +771,9 @@ def lagrange_basis(fld: FiniteField, nodes: Sequence[int]):
     the nodes takes the value ``fld.dot(basis(x), ys)`` at x, so no
     polynomial is built.  Raises DuplicateNode on a repeated node.
     """
-    nodes = tuple(nodes)
-    position = {x: u for u, x in enumerate(nodes)}
-    if len(position) != len(nodes):
-        raise DuplicateNode("interpolation nodes must be distinct")
-    inv, div, sub, vec_scale = fld.inv, fld.div, fld.sub, fld.vec_scale
-    root_product = fld.root_product
-    weights = [inv(root_product(nodes[:u] + nodes[u + 1:], x))
-               for u, x in enumerate(nodes)]
+    nodes, position, products = _distinct_nodes(fld, nodes)
+    div, sub, vec_scale, root_product = fld.div, fld.sub, fld.vec_scale, fld.root_product
+    weights = list(map(fld.inv, products))
 
     def basis(x: int) -> list[int]:
         u = position.get(x)
@@ -735,6 +785,25 @@ def lagrange_basis(fld: FiniteField, nodes: Sequence[int]):
                          root_product(nodes, x))
 
     return basis
+
+
+def interpolant(fld: FiniteField, nodes: Sequence[int], ys: Sequence[int]):
+    """The polynomial of degree < len(nodes) through ``ys`` at distinct
+    ``nodes`` as a function of x, ``dot(lagrange_basis(fld, nodes)(x), ys)``
+    without the basis: y_u at node x_u, else prod_i (x - x_i) * sum_u
+    w_u y_u / (x - x_u) (``fld.inv_dot``), each w_u y_u computed once."""
+    nodes, position, products = _distinct_nodes(fld, nodes)
+    ys = tuple(ys)
+    weighted = list(map(fld.div, ys, products))
+    mul, inv_dot, root_product = fld.mul, fld.inv_dot, fld.root_product
+
+    def value(x: int) -> int:
+        u = position.get(x)
+        if u is not None:
+            return ys[u]
+        return mul(root_product(nodes, x), inv_dot(weighted, nodes, x))
+
+    return value
 
 
 def interpolate(fld: FiniteField, points: Sequence[tuple[int, int]]) -> Poly:
@@ -799,11 +868,11 @@ class Matrix:
 
     The nonzero structure is derived once, on first use, and cached with
     the matrix: ``column_supports``, ``row_supports`` and
-    ``private_columns`` together, and the packed ``row_groups`` from them
-    on their own first use, as only the linear decoder reads them.  It
-    pickles with the matrix.  ``rows`` must not be changed after that first
-    use, and its entries must be field elements, ints in [0, q), as the
-    lanes of ``row_groups`` assume.
+    ``private_columns`` together, and the ``row_plan`` from the row
+    supports on its own first use, as only the linear decoder reads it.
+    It pickles with the matrix.  ``rows`` must not be changed after that
+    first use, and its entries must be field elements, ints in [0, q), as
+    the lanes of the plan assume.
 
     ``eliminate`` is the library's one elimination, and
     ``eliminate_vectors`` its core.  The dense ``rref``, ``rank`` and
@@ -811,7 +880,7 @@ class Matrix:
     against.
     """
 
-    __slots__ = ("field", "rows", "nrows", "ncols", "_supports", "_groups")
+    __slots__ = ("field", "rows", "nrows", "ncols", "_supports", "_plan")
 
     def __init__(self, fld: FiniteField, rows: Sequence[Sequence[int]], ncols: int | None = None):
         self.field = fld
@@ -826,7 +895,7 @@ class Matrix:
             ncols = 0
         self.ncols = ncols
         self._supports = None
-        self._groups = None
+        self._plan = None
 
     def copy_rows(self) -> list[list[int]]:
         return [r[:] for r in self.rows]
@@ -950,38 +1019,15 @@ class Matrix:
         """Per-row tuple of nonzero column indices (cached)."""
         return self._nonzeros()[1]
 
-    def row_groups(self) -> list[tuple[operator.itemgetter, object]]:
-        """The rows in groups of consecutive rows, in row order (cached):
-        per group, a getter that picks the union of the rows' supports out
-        of a vector, and the rows' values there, packed by
-        ``field.pack_rows``.  So ``field.dots(packed, get(v))`` is those rows
-        times v, for v with entries in [0, q), and the groups' results in
-        turn make up H times v.  On a prime field, consecutive rows whose
-        supports agree once their private columns are removed share a
-        group, as a block's local rows and the global rows of the
-        structural H do; on an extension field, where nothing packs, every
-        row is its own group.  A getter holds a slice for a group with
-        fewer than two columns, so that it too returns a sequence."""
-        if self._groups is None:
-            packs = self.field.m == 1  # lanes exist on prime fields only
-            private = self.private_columns()
-            runs = []  # per group: the shared support, the rows, their private columns
-            for i, js in enumerate(self.row_supports()):
-                own = private.get(i, [])
-                shared = tuple(itertools.filterfalse(own.__contains__, js)) if own else js
-                if packs and runs and shared == runs[-1][0]:
-                    runs[-1][1].append(i)
-                    runs[-1][2].extend(own)
-                else:
-                    runs.append((shared, [i], own[:]))
-            groups = []
-            for shared, rows, own in runs:
-                cols = sorted(shared + tuple(own))
-                get = (operator.itemgetter(*cols) if len(cols) > 1 else
-                       operator.itemgetter(slice(cols[0], cols[0] + 1) if cols else slice(0)))
-                groups.append((get, self.field.pack_rows([get(self.rows[i]) for i in rows])))
-            self._groups = groups
-        return self._groups
+    def row_plan(self) -> tuple:
+        """The rows as a ``field.row_plan`` over their supports (cached), so
+        that ``field.run_plan(plan, v)`` is the matrix times v."""
+        if self._plan is None:
+            rows = self.rows
+            self._plan = self.field.row_plan(
+                [(js, [rows[i][j] for j in js]) for i, js in enumerate(self.row_supports())],
+                self.ncols)
+        return self._plan
 
     def private_columns(self) -> dict[int, list[int]]:
         """Row -> the columns where it alone is nonzero, if any (cached)."""

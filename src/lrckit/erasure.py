@@ -33,7 +33,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .algebra import FiniteField, Matrix, lagrange_basis
+from .algebra import FiniteField, Matrix, interpolant
 from .errors import Inconsistent, Infeasible, InvalidParameter, NotAdmissible
 from .lrc import EvaluationLayout, LinearCode, encode_unchecked, punctured_checks
 
@@ -119,7 +119,8 @@ def pattern_admissible(layout: EvaluationLayout, pat: ErasurePattern) -> Admissi
 def decode_structured(layout: EvaluationLayout, received, pat: ErasurePattern) -> list[int]:
     """Recover a codeword from an admissible pattern by the polynomial
     procedure, evaluating every polynomial only at the points it is needed
-    at, through ``lagrange_basis``: no polynomial is built.
+    at, in barycentric form (``algebra.interpolant``): no polynomial is
+    built.
 
     A light set's erased information symbols are the values of the
     polynomial through its first |A_i|-delta+1 survivors.  For the heavy
@@ -127,9 +128,10 @@ def decode_structured(layout: EvaluationLayout, received, pat: ErasurePattern) -
     unknown part supported on the union U of the heavy sets; the unknown
     part has degree < |U|-delta+1 and is pinned by that many values: the
     survivors in U, each scaled by e_t(x) = prod_{y in U - A_t} (x - y),
-    then the surviving global parities, less the known part (a partial dot
-    product of the global row over the light blocks) and divided by
-    phi(s) = Delta(s)/U(s).  Each heavy set's information symbols are then
+    then the first surviving global parities that complete the count,
+    less their known part (the global row over the light blocks' symbols)
+    and divided by phi(s) = Delta(s)/U(s), from one pass of those rows of
+    ``layout.global_plan``.  Each heavy set's information symbols are then
     read off its first |A_t|-delta+1 exclusive points.  Admissibility
     guarantees that there are enough of each.
 
@@ -151,7 +153,6 @@ def decode_structured(layout: EvaluationLayout, received, pat: ErasurePattern) -
     an int in [0, q).
     """
     fld = layout.field
-    dot = fld.dot
     p = layout.params
     rep = pattern_admissible(layout, pat)
     if not rep.admissible:
@@ -174,10 +175,9 @@ def decode_structured(layout: EvaluationLayout, received, pat: ErasurePattern) -
         lost = [(c, x) for c, x in zip(coords, a[:cnt]) if x in lost_pts]
         if lost:
             kept = [(x, word[c]) for x, c in zip(a, coords) if x not in lost_pts][:cnt]
-            basis = lagrange_basis(fld, [x for x, _ in kept])
-            ys = [y for _, y in kept]
+            block = interpolant(fld, *zip(*kept))
             for c, x in lost:
-                word[c] = dot(basis(x), ys)
+                word[c] = block(x)
 
     if heavy:
         union = sorted({x for t in heavy for x in layout.sets[t]})
@@ -204,27 +204,21 @@ def decode_structured(layout: EvaluationLayout, received, pat: ErasurePattern) -
             xs.append(x)
             ys.append(acc)
         # heavy sets hold >= delta erasures, so the survivors in U fall
-        # short of the need and the global parities complete it
+        # short of the need and the first surviving global parities complete it
         need = len(union) - p.delta + 1
-        # the global rows one at a time: only those needed are evaluated
-        glob = layout.check_groups[-1]
-        for i, s in enumerate(layout.s_points):
-            if len(xs) == need:
-                break
-            if s in pat.globals_:
-                continue
-            known = dot(glob.coeffs[i], map(word.__getitem__, glob.coords))
+        rows = [i for i, s in enumerate(layout.s_points) if s not in pat.globals_][:need - len(xs)]
+        for i, known in zip(rows, fld.run_plan(layout.global_plan, word, rows)):
+            s = layout.s_points[i]
             phi = fld.div(layout.delta_at_s[i], fld.root_product(union, s))
             xs.append(s)
-            ys.append(fld.div(fld.sub(received[glob.pivots[i]], known), phi))
-        combined = lagrange_basis(fld, xs)
+            ys.append(fld.div(fld.sub(received[layout.global_coord(i)], known), phi))
+        combined = interpolant(fld, xs, ys)
 
         for t, exclusive in _exclusive_points(layout, heavy).items():
             nodes = exclusive[: layout.interp_count(t)]
-            vals = [fld.div(dot(combined(x), ys), e(t, x)) for x in nodes]
-            basis = lagrange_basis(fld, nodes)
+            restore = interpolant(fld, nodes, [fld.div(combined(x), e(t, x)) for x in nodes])
             for c, x in zip(layout.block_coords(t), layout.sets[t][: len(nodes)]):
-                word[c] = dot(basis(x), vals)
+                word[c] = restore(x)
 
     word = encode_unchecked(layout, [word[c] for c in layout.info_coords])
     check = word[:]
@@ -287,10 +281,9 @@ def decode_linear(code: LinearCode, erased, received) -> list[int] | None:
     Shares ``recoverable``'s elimination, with tagged columns: the
     survivors' syndrome, padded with zeros, is reduced against the pivots,
     must vanish on the rows of H, and leaves the erased values in the tag
-    rows.  The syndrome is taken one row group at a time
-    (``Matrix.row_groups``): one ``field.dots`` of the group's packed rows
-    with the survivors its getter picks, which ``_survivors`` has checked
-    to be field elements, as the lanes need."""
+    rows.  The syndrome is one pass of H's cached ``row_plan`` over the
+    survivors, which ``_survivors`` has checked to be field elements, as
+    the plan's lanes need."""
     h = code.check
     fld = code.field
     cols = _columns(erased, code.n)
@@ -298,12 +291,8 @@ def decode_linear(code: LinearCode, erased, received) -> list[int] | None:
     pivots, dependent = h.eliminate(cols, tagged=True)
     if dependent:
         return None
-    dots, nrows = fld.dots, h.nrows
-    # the syndrome (erased entries of masked are zero)
-    v = []
-    for get, packed in h.row_groups():
-        v += dots(packed, get(masked))
-    v += [0] * len(cols)
+    nrows = h.nrows
+    v = fld.run_plan(h.row_plan(), masked) + [0] * len(cols)  # erased entries are zero
     for pr, pinv, u, su in pivots:
         if v[pr]:
             fld.vec_sub_at(v, fld.mul(v[pr], pinv), u, su)

@@ -12,12 +12,12 @@ information coordinates.  Every entry of H is a value of a Lagrange basis
 polynomial, so each layout synthesises H once, from
 ``algebra.lagrange_basis`` on each block's information points, as groups
 of rows that read the same information symbols (``check_groups``): a
-block's delta-1 local rows, and the h global rows.  Each group is packed
-for the field's row-group kernel (``FiniteField.dots``), so the encoder
-fills a block's local parities, and then the global parities, with one
-call each.  The generator and parity-check synthesis read the same groups,
-and the structured decoder (``erasure.decode_structured``) evaluates its
-interpolants through the same basis helper, so no coefficient-form
+block's delta-1 local rows, and the h global rows.  The encoder runs them
+all as one row plan over the information (``FiniteField.row_plan``), and
+the structured decoder the global rows as another.  The generator and
+parity-check synthesis read the same groups, and the structured decoder
+(``erasure.decode_structured``) evaluates its interpolants in the same
+barycentric form (``algebra.interpolant``), so no coefficient-form
 polynomial is built on the codec path.
 
 A layout consists of an ordered h-subset S of the field (global-parity
@@ -34,6 +34,7 @@ on it, shortening the dual to each repair set from H's own supports
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -83,7 +84,6 @@ class CheckGroup(NamedTuple):
     coords: Sequence[int]      # their coordinates: a range for a block
     pivots: range              # per row, the coordinate it solves for
     coeffs: tuple[tuple[int, ...], ...]  # per row, its coefficients on coords
-    packed: object             # ``field.pack_rows(coeffs)``
 
 
 class EvaluationLayout:
@@ -189,8 +189,7 @@ class EvaluationLayout:
             off = self.block_offsets[b]
             coeffs = tuple(tuple(basis(x)) for x in a[cnt:])
             groups.append(CheckGroup(slice(start, start + cnt), range(off, off + cnt),
-                                     range(off + cnt, off + len(a)), coeffs,
-                                     fld.pack_rows(coeffs)))
+                                     range(off + cnt, off + len(a)), coeffs))
             start += cnt
         coeffs = []
         for j, s in enumerate(self.s_points):
@@ -199,11 +198,25 @@ class EvaluationLayout:
                 scale = fld.div(self.delta_at_s[j], fld.root_product(a, s))
                 row += fld.vec_scale(basis(s), scale)
             coeffs.append(tuple(row))
-        coeffs = tuple(coeffs)
         groups.append(CheckGroup(slice(0, start), self.info_coords,
-                                 range(self.global_offset, self.n), coeffs,
-                                 fld.pack_rows(coeffs)))
+                                 range(self.global_offset, self.n), tuple(coeffs)))
         return tuple(groups)
+
+    @cached_property
+    def encoder(self) -> tuple[tuple, operator.itemgetter]:
+        """The check rows as one row plan over the information, and the
+        getter of the codeword from the information and a pass's values."""
+        k, groups = self.params.k, self.check_groups
+        coords = [*self.info_coords, *(c for g in groups for c in g.pivots)]
+        return (self.field.row_plan([(range(*g.info.indices(k)), c)
+                                     for g in groups for c in g.coeffs], k),
+                operator.itemgetter(*sorted(range(self.n), key=coords.__getitem__)))
+
+    @cached_property
+    def global_plan(self) -> tuple:
+        """The h global rows as a row plan over the coordinates."""
+        glob = self.check_groups[-1]
+        return self.field.row_plan([(glob.coords, c) for c in glob.coeffs], self.n)
 
 
 def default_global_points(fld: FiniteField, h: int) -> tuple[int, ...]:
@@ -259,14 +272,13 @@ def encode(layout: EvaluationLayout, info) -> list[int]:
     """Map k information symbols to an n-symbol codeword.
 
     The code is systematic: information is placed block-major on the first
-    |A_i|-delta+1 coordinates of each block.  The word is assembled block
-    by block from ``layout.check_groups``, in coordinate order: a block's
-    slice of the information, then its local parities, one ``field.dots``
-    of the block's packed rows with that slice; then the global parities,
-    one ``dots`` of the global rows with all of it.  The result is the
-    codeword of the two-step polynomial encoder, which defines those rows.
-    Raises InvalidParameter unless there are k symbols and every one is a
-    field element, an int in [0, q), as the lanes of ``dots`` need.
+    |A_i|-delta+1 coordinates of each block.  One pass of the layout's
+    row plan (``layout.encoder``) evaluates every check row on the
+    information, and one getter interleaves the information and those
+    values in coordinate order.  The result is the codeword of the two-step
+    polynomial encoder, which defines those rows.  Raises InvalidParameter
+    unless there are k symbols and every one is a field element, an int in
+    [0, q), as the lanes of the plan need.
     """
     p = layout.params
     if len(info) != p.k:
@@ -281,17 +293,8 @@ def encode_unchecked(layout: EvaluationLayout, info) -> list[int]:
     """``encode`` after its checks, for a caller whose k information symbols
     are field elements by construction, such as the structured decoder's
     re-encoding."""
-    dots = layout.field.dots
-    *blocks, glob = layout.check_groups
-    word = []
-    # coordinates are block-major: each block's information, then its
-    # local parities; the global parities close the word
-    for part, _, _, _, packed in blocks:
-        x = info[part]
-        word += x
-        word += dots(packed, x)
-    word += dots(glob.packed, info)
-    return word
+    plan, interleave = layout.encoder
+    return list(interleave([*info, *layout.field.run_plan(plan, info)]))
 
 
 def generator_matrix(layout: EvaluationLayout) -> Matrix:

@@ -1,11 +1,11 @@
-"""Per-row references for the differential tests of the grouped codec: the
+"""Per-row references for the differential tests of the codec: the
 structural parity check synthesised one sparse row ``(pivot, coords,
 coeffs)`` at a time, and the encoder that evaluates those rows one
-``field.dot`` per row.  The library keeps the rows in packed groups
-(``EvaluationLayout.check_groups``) and evaluates a group with one
-``field.dots``, and multiplies out prod (x - r) by the field's
-``root_product``; these functions are the plain versions it is compared
-against, and are not used by the library.
+``field.dot`` per row.  The library keeps the rows in groups
+(``EvaluationLayout.check_groups``), evaluates them all in one pass of a
+row plan (``FiniteField.run_plan``), and multiplies out prod (x - r) by
+the field's ``root_product``; these functions are the plain versions it
+is compared against, and are not used by the library.
 """
 
 from lrckit.algebra import lagrange_basis

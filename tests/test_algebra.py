@@ -15,6 +15,7 @@ from lrckit.algebra import (
     Poly,
     dump_matrix,
     eliminate_vectors,
+    interpolant,
     interpolate,
     lagrange_basis,
     load_matrix,
@@ -519,11 +520,11 @@ def test_row_and_column_supports_are_the_nonzero_positions():
 
 
 @pytest.mark.parametrize("fld", [F13, F16])
-def test_row_groups_give_the_rows_times_a_vector(fld):
+def test_row_plan_gives_the_rows_times_a_vector(fld):
     # rows with no, one and several nonzeros, and rows that share the
     # support of row 5 but for a private column (column 6 for row 6,
-    # column 7 for row 7); the groups, in row order, give H times v, as
-    # the dense mul_vec does
+    # column 7 for row 7); a pass of the plan gives H times v, as the
+    # dense mul_vec does, also after a pickle round trip
     rng = random.Random(11)
     rows = [[0] * 8, [0] * 8, [0, 0, 5, 0, 0, 0, 0, 0], [0] * 5 + [1, 0, 0],
             [rng.choice([0, rng.randrange(1, fld.q)]) for _ in range(6)] + [0, 0],
@@ -532,67 +533,131 @@ def test_row_groups_give_the_rows_times_a_vector(fld):
     m = Matrix(fld, rows)
     assert m.private_columns().get(6) == [6] and m.private_columns().get(7) == [7]
     v = [rng.randrange(fld.q) for _ in range(8)]
-    m.row_groups()
+    plan = m.row_plan()
     copy = pickle.loads(pickle.dumps(m))
-    assert copy._groups is not None  # the packed groups pickle with the matrix
+    assert copy._plan is not None  # the plan pickles with the matrix
     for mat in (m, copy):
-        groups = mat.row_groups()
-        assert [x for get, packed in groups for x in fld.dots(packed, get(v))] == m.mul_vec(v)
-    sizes = [len(fld.dots(packed, v)) for _, packed in groups]
-    # on F_13 the two zero rows share a group, and so do rows 5-7, whose
-    # supports agree once the private columns are removed
-    assert sizes == ([2, 1, 1, 1, 3, 1] if fld is F13 else [1] * len(rows))
-    assert m.row_groups() is m.row_groups()  # cached
+        assert fld.run_plan(mat.row_plan(), v) == m.mul_vec(v)
+    assert m.row_plan() is plan  # cached
+    for nrows in (0, 1):
+        one = Matrix(fld, rows[2:2 + nrows], 8)
+        assert fld.run_plan(one.row_plan(), v) == m.mul_vec(v)[2:2 + nrows]
 
 
-# the fields of the row-group kernel's differential tests: prime fields
-# from the smallest to the largest order, where lanes are widest, and
-# extension fields of characteristic 2 and 3
+# the fields of the row plan's differential tests: prime fields from the
+# smallest to the largest order, where lanes are widest, and extension
+# fields of characteristic 2 and 3
 ROW_GROUP_FIELDS = [FiniteField(2), FiniteField(7), FiniteField(79), FiniteField(65521),
                     F4, F9, F16]
 
 
 @st.composite
-def row_blocks(draw):
-    """A field of ROW_GROUP_FIELDS, 1-6 rows of 0-12 terms each with entries
-    biased to 0 and q - 1, and a vector of field elements as long."""
+def banded_rows(draw):
+    """A field of ROW_GROUP_FIELDS and sparse rows over up to ~500 columns:
+    0-40 bands of 1-12 columns, with 0-3 rows inside each band, then 0-4
+    rows anywhere (spanning bands when the plan cuts chunks) and 0-2 empty
+    rows, in a shuffled order; entries biased to 0 and q - 1.  Also a
+    vector of field elements as long, biased to q - 1."""
     fld = draw(st.sampled_from(ROW_GROUP_FIELDS))
-    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(0, 12))
     entry = st.one_of(st.just(0), st.just(fld.q - 1), st.integers(0, fld.q - 1))
-    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
-                         min_size=nrows, max_size=nrows))
-    return fld, rows, draw(st.lists(entry, min_size=ncols, max_size=ncols))
+    widths = draw(st.lists(st.integers(1, 12), min_size=draw(st.sampled_from([0, 6])),
+                           max_size=40))
+    ncols = sum(widths) + draw(st.integers(0, 3))  # trailing columns no row reads
+    supports, lo = [], 0
+    for w in widths:
+        supports += [range(lo, lo + w)] * draw(st.sampled_from([0, 1, 1, 2, 3]))
+        lo += w
+    cols = st.lists(st.integers(0, max(ncols - 1, 0)), min_size=min(ncols, 2),
+                    unique=True).map(sorted)
+    supports += [draw(cols) for _ in range(draw(st.sampled_from([0, 1, 2, 4]) if ncols
+                                                else st.just(0)))]
+    supports += [()] * draw(st.integers(0, 2))
+    rows = [(sup, draw(st.lists(entry, min_size=len(sup), max_size=len(sup))))
+            for sup in draw(st.permutations(supports))]
+    v = draw(st.lists(st.one_of(st.just(fld.q - 1), entry), min_size=ncols, max_size=ncols))
+    return fld, rows, ncols, v
+
+
+def dense(rows, ncols):
+    """The sparse rows as lists of ``ncols`` entries."""
+    out = []
+    for sup, vals in rows:
+        row = [0] * ncols
+        for j, x in zip(sup, vals):
+            row[j] = x
+        out.append(row)
+    return out
 
 
 @settings(max_examples=300, deadline=None)
-@given(row_blocks())
-def test_dots_match_one_dot_per_row(case):
-    fld, rows, v = case
-    assert fld.dots(fld.pack_rows(rows), v) == [fld.dot(r, v) for r in rows]
-    # single rows, and one-term rows
-    for row in rows:
-        assert fld.dots(fld.pack_rows([row]), v) == [fld.dot(row, v)]
-    if v:
-        assert fld.dots(fld.pack_rows([r[:1] for r in rows]), v[:1]) == [
-            fld.mul(r[0], v[0]) for r in rows]
+@given(banded_rows(), st.sampled_from([1, 16, 64, algebra.CHUNK_BITS]), st.data())
+def test_dots_match_one_dot_per_row(case, chunk_bits, data):
+    """A pass of the plan gives every row's dot, and asked for some rows,
+    those rows' dots in the order asked; a matrix's plan gives
+    ``mul_vec``.  Smaller chunks than the library's cut these rows into
+    many, so that rows span them."""
+    fld, rows, ncols, v = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algebra, "CHUNK_BITS", chunk_bits)
+        plan = fld.row_plan(rows, ncols)
+        m = Matrix(fld, dense(rows, ncols), ncols)
+        m.row_plan()
+    want = [fld.dot(vals, [v[j] for j in sup]) for sup, vals in rows]
+    assert fld.run_plan(plan, v) == want
+    some = data.draw(st.lists(st.sampled_from(range(len(rows))), max_size=4) if rows
+                     else st.just([]))
+    assert fld.run_plan(plan, v, some) == [want[i] for i in some]
+    assert fld.run_plan(m.row_plan(), v) == m.mul_vec(v) == want
 
 
 @pytest.mark.parametrize("fld", ROW_GROUP_FIELDS, ids=repr)
 def test_dots_of_no_rows(fld):
-    assert fld.dots(fld.pack_rows([]), [1, 2]) == []
+    assert fld.run_plan(fld.row_plan([], 2), [1, 2]) == []
+    assert fld.run_plan(fld.row_plan([], 0), []) == []
+    assert fld.run_plan(Matrix(fld, [], 2).row_plan(), [1, 2]) == []
+    # a row of no nonzeros, alone, among others and over no columns
+    assert fld.run_plan(fld.row_plan([((), [])], 0), []) == [0]
+    plan = fld.row_plan([((), []), ((1,), [1]), ((), [])], 2)
+    assert fld.run_plan(plan, [0, 1]) == [0, 1, 0]
 
 
 def test_lanes_hold_the_largest_sums():
-    """Every entry p - 1 on F_65521 over 2000 terms: each lane holds its
-    largest possible sum, (p-1)^2 * 2000, without a carry into the next,
-    also beside lanes that sum to 0 and to 1."""
+    """Every entry p - 1 on F_65521 over 2000 terms: each row spanning the
+    plan's chunks gets a lane that holds its largest possible sum,
+    (p-1)^2 * 2000, without a carry into the next, summed over every
+    chunk, also beside spanning lanes that sum to 0 and to 1 and the
+    chunks' own lanes."""
     fld = FiniteField(65521)
     top = fld.q - 1
-    full, zero, one = [top] * 2000, [0] * 2000, [0] * 1999 + [1]
-    rows = [full, zero, full, full, one, full]
-    for v in ([top] * 2000, one):
-        assert fld.dots(fld.pack_rows(rows), v) == [fld.dot(r, v) for r in rows]
-    assert fld.dots(fld.pack_rows([full] * 3), full) == [top * top * 2000 % fld.q] * 3
+    full = (range(2000), [top] * 2000)
+    zero, one = (range(0, 2000, 7), [0] * 286), ((0, 1999), [top, 1])
+    bands = [(range(j, j + 10), [top] * 10) for j in range(0, 2000, 10)]
+    rows = [full, zero, full, full, one, full] + bands
+    plan = fld.row_plan(rows, 2000)
+    _, chunks, _, _, spans, _ = plan
+    assert len(chunks) > 10 and len(spans) == 6
+    for v in ([top] * 2000, [1] + [0] * 1998 + [1], [top] + [0] * 1999):
+        assert fld.run_plan(plan, v) == [fld.dot(vals, [v[j] for j in sup])
+                                         for sup, vals in rows]
+    assert fld.run_plan(plan, [top] * 2000, [0, 2, 3, 5]) == [top * top * 2000 % fld.q] * 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(ROW_GROUP_FIELDS), st.data())
+def test_interpolant_matches_the_basis(fld, data):
+    """The barycentric interpolant gives ``dot(lagrange_basis(x), ys)`` at
+    targets on and off the nodes."""
+    elem = st.integers(0, fld.q - 1)
+    nodes = data.draw(st.lists(elem, min_size=1, max_size=min(fld.q, 16), unique=True))
+    ys = data.draw(st.lists(st.one_of(st.just(0), st.just(fld.q - 1), elem),
+                            min_size=len(nodes), max_size=len(nodes)))
+    targets = data.draw(st.lists(st.one_of(st.sampled_from(nodes), elem), max_size=20))
+    basis, value = lagrange_basis(fld, nodes), interpolant(fld, nodes, ys)
+    assert [value(x) for x in targets + nodes] == [fld.dot(basis(x), ys)
+                                                    for x in targets + nodes]
+    assert [value(x) for x in nodes] == ys
+    with pytest.raises(DuplicateNode):
+        interpolant(fld, nodes + nodes[:1], ys + ys[:1])
 
 
 @settings(max_examples=200, deadline=None)

@@ -189,6 +189,58 @@ def test_codec_builds_no_polynomial(make, monkeypatch):
             decoded += 1
 
 
+def global_row_patterns(lay, rng):
+    """Admissible patterns that make the structured decoder read the known
+    part of every number of global rows, 0 through h, each with the number
+    it reads: light erasures only, then one or two heavy sets with 0, 1 or
+    2 erased global points and every total of erased points that fits.  A
+    pattern reads one row per erased heavy point beyond delta - 1."""
+    p = lay.params
+    nsets = len(lay.sets)
+    light = {b: rng.sample(lay.sets[b], p.delta - 1) for b in rng.sample(range(nsets), 3)}
+    yield ErasurePattern.make(lay, light, lay.s_points[:1]), 0
+    for heavy in (1, 2):
+        for g in (0, 1, 2):
+            for total in range(heavy * p.delta, p.h + p.delta - g):
+                sizes = [total - p.delta * (heavy - 1)] + [p.delta] * (heavy - 1)
+                if sizes[0] > len(lay.sets[0]):
+                    continue
+                while True:
+                    blocks = rng.sample(range(nsets - 1), heavy)  # not the truncated set
+                    per_set = {b: rng.sample(lay.sets[b], size) for b, size in zip(blocks, sizes)}
+                    pat = ErasurePattern.make(lay, per_set, rng.sample(lay.s_points, g))
+                    points = set().union(*per_set.values())
+                    if pattern_admissible(lay, pat).admissible and len(points) == total:
+                        yield pat, total - p.delta + 1
+                        break
+
+
+@pytest.mark.parametrize("make", [fixtures.example3_layout, _f16_layout])
+def test_structured_decoder_reads_every_number_of_global_rows(make):
+    """Each pattern of ``global_row_patterns`` decodes to the per-row
+    reference word, as the linear oracle does, and with one survivor
+    corrupted both decoders raise Inconsistent."""
+    lay = make()
+    rng = random.Random(lay.n)
+    info = [rng.randrange(lay.field.q) for _ in range(lay.params.k)]
+    word = row_encode(lay, info)
+    code = build_code(lay)
+    read = set()
+    for pat, rows in global_row_patterns(lay, rng):
+        coords = pat.coords(lay)
+        assert decode_structured(lay, mask(word, coords), pat) == word
+        assert decode_linear(code, coords, mask(word, coords, 0)) == word
+        bad = list(word)
+        c = rng.choice([c for c in range(lay.n) if c not in set(coords)])
+        bad[c] = lay.field.add(bad[c], 1)
+        with pytest.raises(Inconsistent):
+            decode_structured(lay, mask(bad, coords), pat)
+        with pytest.raises(Inconsistent):
+            decode_linear(code, coords, mask(bad, coords, 0))
+        read.add(rows)
+    assert read == set(range(lay.params.h + 1))
+
+
 def _truncated_layout():
     """AG(2,3) blocks of 3 points over F_11 with v = 1 < r = 2: the last
     block is cut to v+delta-1 = 2 points."""
@@ -226,14 +278,22 @@ def test_encode_matches_per_row_reference_on_truncated_layouts(make):
 
 
 def test_example3_check_packs_into_block_and_global_groups():
-    """On example3's H ([657,505]/F_79, delta = 3, h = 6) a block's two
-    local rows share their support but for their pivots, and so do the six
-    global rows: 73 two-row groups and one six-row group, not 152 rows."""
+    """On example3's H ([657,505]/F_79, delta = 3, h = 6) the plan cuts
+    the columns at block ends, eight blocks of two local rows to a chunk,
+    and the six global rows span the chunks in lanes of their own.  The
+    encoder's plan over the information has the same shape, and the
+    global rows alone make one chunk."""
     lay = fixtures.example3_layout()
     h = build_code(lay).check
-    fld = h.field
-    sizes = [len(fld.dots(packed, [0] * h.ncols)) for _, packed in h.row_groups()]
-    assert sizes == [2] * 73 + [6]
+    ends = set(lay.block_offsets) | {lay.n}
+    for plan, ncols in ((h.row_plan(), lay.n), (lay.encoder[0], lay.params.k)):
+        _, chunks, _, _, spans, _ = plan
+        assert [i for i, _ in spans] == list(range(146, 152))  # the global rows
+        assert [len(lanes) for *_, lanes in chunks] == [16] * 9 + [2]
+        assert chunks[-1][1] == ncols
+    assert {lo for lo, *_ in h.row_plan()[1]} <= ends
+    _, chunks, _, _, spans, _ = lay.global_plan
+    assert len(chunks) == 1 and len(chunks[0][3]) == 6 and not spans
     assert [len(g.pivots) for g in lay.check_groups] == [2] * 73 + [6]
 
 

@@ -656,10 +656,11 @@ def test_recoverable_matches_rank_on_sparse_matrices(case, rng):
 
 @st.composite
 def grouped_checks(draw):
-    """A parity check whose rows the row groups pack together: over shared
-    columns 0..m-1 plus one private column per row (column m + i, nonzero
-    in row i alone, if at all), each row is zero, repeats the shared
-    support of the row before with new values, or is random there.  So
+    """A parity check whose rows share supports, as the structural H's
+    do: over shared columns 0..m-1 plus one private column per row (column
+    m + i, nonzero in row i alone, if at all), each row is zero, repeats
+    the shared support of the row before with new values, or is random
+    there.  So
     there are zero rows, repeated supports and rows that differ only in
     their private columns.  With erased coordinates, repeats allowed."""
     fld = draw(st.sampled_from([FiniteField(2), FiniteField(7), FiniteField(79),
@@ -686,7 +687,7 @@ def grouped_checks(draw):
 @given(grouped_checks(), st.randoms(use_true_random=False))
 @settings(max_examples=300, deadline=None)
 def test_decode_linear_matches_dense_solve_on_grouped_rows(case, rng):
-    """The grouped syndrome gives the dense solve's word, None or
+    """The row plan's syndrome gives the dense solve's word, None or
     Inconsistent, on codewords and on codewords with one corrupted
     survivor."""
     h, coords = case
@@ -707,7 +708,7 @@ def test_decode_linear_matches_dense_solve_on_grouped_rows(case, rng):
 
 def test_worker_runs_pickle_a_matrix_with_its_caches_filled():
     """decode_linear fills the parity check's cached supports and row
-    getters; a sweep on the same H must give the same report for any
+    plan; a sweep on the same H must give the same report for any
     worker count."""
     lay = fixtures.example1_layout()
     code = build_code(lay)

@@ -152,7 +152,7 @@ def test_library_eliminates_only_through_the_kernel(path):
 
 
 # the prime/extension split: only algebra.py, whose FiniteField binds the
-# kernels per kind (the lanes of ``dots`` among them), may compare a
+# kernels per kind (the row plan's lanes among them), may compare a
 # field's characteristic or degree; serial.py writes them into a spec
 KIND_ATTRS = {"p", "m"}
 KIND_FORK_ALLOWED = {"algebra.py", "serial.py"}
