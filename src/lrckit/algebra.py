@@ -198,18 +198,18 @@ class FiniteField:
 
     The row plan: ``row_plan(rows, ncols)`` prepares a list of sparse
     rows, pairs (support, values), over ``ncols`` columns as plain data,
-    and ``run_plan(plan, v, rows=None)`` returns each row times v, or
-    those listed in ``rows``.  On a prime field the columns are cut into
-    chunks, each closed once the rows inside it hold ``CHUNK_BITS`` bits of
-    lanes, each as wide as the bit length of (p-1)^2 * (nonzero count) + 1
-    of the widest such row; a row spanning chunks has a lane at the bottom
-    of each, as wide as the widest one's whole sum needs.  Column j is one
-    int of its rows' entries in their lanes, so a pass is one C-level sum
-    of products per chunk, its own lanes read off by shift and mask, its
-    bottom ones added into one accumulator.  That is exact only for rows
-    and values in [0, p), as ``are_elements`` checks: a larger or negative
-    entry spills into the next lane.  On an extension field a pass is one
-    ``dot`` per row asked for.
+    and ``run_plan(plan, v)`` returns every row times v: the encoder's
+    pass, which the structured decoder runs once too.  On a prime field
+    the columns are cut into chunks, each closed once the rows inside it
+    hold ``CHUNK_BITS`` bits of lanes, each as wide as the bit length of
+    (p-1)^2 * (nonzero count) + 1 of the widest such row; a row spanning
+    chunks has a lane at the bottom of each, as wide as the widest one's
+    whole sum needs.  Column j is one int of its rows' entries in their
+    lanes, so a pass is one C-level sum of products per chunk, its own
+    lanes read off by shift and mask, its bottom ones added into one
+    accumulator.  That is exact only for rows and values in [0, p), as
+    ``are_elements`` checks: a larger or negative entry spills into the
+    next lane.  On an extension field a pass is one ``dot`` per row.
     ``inv_dot(ws, nodes, x)`` is sum(w / (x - u)) over ws and nodes, for x
     not among the nodes: the barycentric sum of ``interpolant``.
     ``root_product(roots, x)`` is prod (x - r) over the roots, on a prime
@@ -243,6 +243,7 @@ class FiniteField:
         self.p = p
         self.m = m
         self.q = p**m
+        self._bytes_below_q = bytes(range(self.q)) if self.q <= 256 else None
         if m == 1:
             self.modulus = (1 % p, 1) if modulus is None else tuple(modulus)
             self.generator = _primitive_root(p)
@@ -393,7 +394,7 @@ class FiniteField:
                                for lo, hi, lanes in zip(cuts, cuts[1:] + [ncols], home))
                 return len(rows), chunks, (1 << base) - 1, (1 << w) - 1, spans, (1 << wide) - 1
 
-            def run_plan(plan, v, rows=None):
+            def run_plan(plan, v):
                 n, chunks, bottom, lane, spans, mask = plan
                 out, acc = [0] * n, 0
                 for lo, hi, cols, lanes in chunks:
@@ -403,7 +404,7 @@ class FiniteField:
                         out[i] = (total >> s & lane) % p
                 for i, s in spans:
                     out[i] = (acc >> s & mask) % p
-                return out if rows is None else [out[i] for i in rows]
+                return out
 
             def inv_dot(ws, nodes, x):
                 # a negative index x - u picks the inverse of x - u + p
@@ -495,9 +496,8 @@ class FiniteField:
             def row_plan(rows, ncols):
                 return tuple((getter(sup), tuple(vals)) for sup, vals in rows)
 
-            def run_plan(plan, v, rows=None):
-                return [dot(vals, get(v)) for get, vals in
-                        (plan if rows is None else map(plan.__getitem__, rows))]
+            def run_plan(plan, v):
+                return [dot(vals, get(v)) for get, vals in plan]
 
             def inv_dot(ws, nodes, x):
                 acc = 0
@@ -582,11 +582,15 @@ class FiniteField:
         """True iff every value is an int in [0, q), a bool counting as one.
         A sum of ints is an int, and a float, str, None or other number
         among them makes it something else or raises TypeError, so one
-        C-level ``sum`` checks the types; ``min`` and ``max`` the range."""
+        C-level ``sum`` checks the types.  For q <= 256 ``bytes`` of them,
+        raising ValueError off [0, 256), less the bytes below q is empty
+        iff they are in range; for larger q ``min`` and ``max`` check it."""
         try:
             if type(sum(values)) is not int:
                 return False
-        except TypeError:
+            if self._bytes_below_q is not None:
+                return not bytes(values).translate(None, self._bytes_below_q)
+        except (TypeError, ValueError):
             return False
         return not values or (0 <= min(values) and max(values) < self.q)
 

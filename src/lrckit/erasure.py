@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from .algebra import FiniteField, Matrix, interpolant
 from .errors import Inconsistent, Infeasible, InvalidParameter, NotAdmissible
-from .lrc import EvaluationLayout, LinearCode, encode_unchecked, punctured_checks
+from .lrc import EvaluationLayout, LinearCode, punctured_checks
 
 
 @dataclass(frozen=True)
@@ -120,32 +120,30 @@ def decode_structured(layout: EvaluationLayout, received, pat: ErasurePattern) -
     """Recover a codeword from an admissible pattern by the polynomial
     procedure, evaluating every polynomial only at the points it is needed
     at, in barycentric form (``algebra.interpolant``): no polynomial is
-    built.
+    built, and the encoder (``layout.encoder``) runs once.
 
     A light set's erased information symbols are the values of the
-    polynomial through its first |A_i|-delta+1 survivors.  For the heavy
-    sets, the combined polynomial is split into a known part and an
-    unknown part supported on the union U of the heavy sets; the unknown
-    part has degree < |U|-delta+1 and is pinned by that many values: the
-    survivors in U, each scaled by e_t(x) = prod_{y in U - A_t} (x - y),
-    then the first surviving global parities that complete the count,
-    less their known part (the global row over the light blocks' symbols)
-    and divided by phi(s) = Delta(s)/U(s), from one pass of those rows of
-    ``layout.global_plan``.  Each heavy set's information symbols are then
-    read off its first |A_t|-delta+1 exclusive points.  Admissibility
-    guarantees that there are enough of each.
+    polynomial through its first |A_i|-delta+1 survivors.  With the heavy
+    blocks' information zero, one pass of the encoder's row plan gives
+    every check row on what is known.  For the heavy sets, the combined
+    polynomial is split into that known part and an unknown part
+    supported on the union U of the heavy sets; the unknown part has
+    degree < |U|-delta+1 and is pinned by that many values: the survivors
+    in U, each scaled by e_t(x) = prod_{y in U - A_t} (x - y), then the
+    first surviving global parities that complete the count, less the
+    pass's value of their row and divided by phi(s) = Delta(s)/U(s).  Each
+    heavy set's information x_t is then read off its first |A_t|-delta+1
+    exclusive points, and, the rows being linear, added into the pass by
+    the check groups' coefficients: block t's local rows times x_t, and
+    each global row's coefficients on block t times x_t.  Admissibility
+    guarantees enough points of each kind.  Only the blocks with erasures
+    are visited, and each e_t(x) is computed once per call.
 
-    Only the blocks with erasures are visited: an untouched light block
-    keeps its survivors as they are.  Each e_t(x) is computed once per call.
-
-    The recovered information, field elements by construction, is
-    re-encoded (``lrc.encode_unchecked``), and the one consistency check
-    compares the result, zeroed at the erased coordinates, with the
-    survivors in a single list comparison.
-    The result is always a codeword, so it matches the survivors iff they
-    extend to a codeword, which admissibility makes unique; survivors the
-    steps above did not read, those of untouched blocks included, are
-    checked there too.
+    The word interleaves the information and the pass's values; zeroed at
+    the erased coordinates, it is compared with the survivors in one list
+    comparison.  It is a codeword, so it matches them iff they extend to
+    one, which admissibility makes unique; survivors the steps above did
+    not read, those of untouched blocks included, are checked there too.
 
     ``received`` holds None at erased coordinates; those entries are never
     read.  Raises NotAdmissible or Inconsistent, and InvalidParameter when
@@ -178,8 +176,12 @@ def decode_structured(layout: EvaluationLayout, received, pat: ErasurePattern) -
             block = interpolant(fld, *zip(*kept))
             for c, x in lost:
                 word[c] = block(x)
+    plan, gather, interleave = layout.encoder
+    info = list(gather(word))
+    values = fld.run_plan(plan, info)
 
     if heavy:
+        glob = len(values) - p.h  # the global rows follow the local ones
         union = sorted({x for t in heavy for x in layout.sets[t]})
         # e_t(x) = prod_{y in U \ A_t} (x - y), which vanishes on U \ A_t
         outside = {t: [y for y in union if y not in layout.sets[t]] for t in heavy}
@@ -207,20 +209,25 @@ def decode_structured(layout: EvaluationLayout, received, pat: ErasurePattern) -
         # short of the need and the first surviving global parities complete it
         need = len(union) - p.delta + 1
         rows = [i for i, s in enumerate(layout.s_points) if s not in pat.globals_][:need - len(xs)]
-        for i, known in zip(rows, fld.run_plan(layout.global_plan, word, rows)):
+        for i in rows:
             s = layout.s_points[i]
             phi = fld.div(layout.delta_at_s[i], fld.root_product(union, s))
             xs.append(s)
-            ys.append(fld.div(fld.sub(received[layout.global_coord(i)], known), phi))
+            ys.append(fld.div(fld.sub(received[layout.global_coord(i)], values[glob + i]), phi))
         combined = interpolant(fld, xs, ys)
 
         for t, exclusive in _exclusive_points(layout, heavy).items():
+            group = layout.check_groups[t]
             nodes = exclusive[: layout.interp_count(t)]
             restore = interpolant(fld, nodes, [fld.div(combined(x), e(t, x)) for x in nodes])
-            for c, x in zip(layout.block_coords(t), layout.sets[t][: len(nodes)]):
-                word[c] = restore(x)
+            x_t = [restore(x) for x in layout.sets[t][: len(nodes)]]
+            info[group.info] = x_t
+            values[t * (p.delta - 1):(t + 1) * (p.delta - 1)] = [
+                fld.dot(row, x_t) for row in group.coeffs]
+            for j, row in enumerate(layout.check_groups[-1].coeffs, glob):
+                values[j] = fld.add(values[j], fld.dot(row[group.info], x_t))
 
-    word = encode_unchecked(layout, [word[c] for c in layout.info_coords])
+    word = list(interleave([*info, *values]))
     check = word[:]
     for c in erased:
         check[c] = 0

@@ -13,12 +13,12 @@ polynomial, so each layout synthesises H once, from
 ``algebra.lagrange_basis`` on each block's information points, as groups
 of rows that read the same information symbols (``check_groups``): a
 block's delta-1 local rows, and the h global rows.  The encoder runs them
-all as one row plan over the information (``FiniteField.row_plan``), and
-the structured decoder the global rows as another.  The generator and
-parity-check synthesis read the same groups, and the structured decoder
-(``erasure.decode_structured``) evaluates its interpolants in the same
-barycentric form (``algebra.interpolant``), so no coefficient-form
-polynomial is built on the codec path.
+all as one row plan over the information (``FiniteField.row_plan``); the
+structured decoder (``erasure.decode_structured``) runs it once, on the
+information it knows, and adds what it restores by the groups'
+coefficients.  The generator and parity-check synthesis read the same
+groups, and the decoder's interpolants are barycentric
+(``algebra.interpolant``), so no polynomial is built on the codec path.
 
 A layout consists of an ordered h-subset S of the field (global-parity
 evaluation points) and ordered sets A_1..A_{L+1} of field elements disjoint
@@ -203,20 +203,16 @@ class EvaluationLayout:
         return tuple(groups)
 
     @cached_property
-    def encoder(self) -> tuple[tuple, operator.itemgetter]:
-        """The check rows as one row plan over the information, and the
-        getter of the codeword from the information and a pass's values."""
+    def encoder(self) -> tuple[tuple, operator.itemgetter, operator.itemgetter]:
+        """The check rows as one row plan over the information, the getter
+        of the information from a codeword, and the getter of the codeword
+        from the information and a pass's values."""
         k, groups = self.params.k, self.check_groups
         coords = [*self.info_coords, *(c for g in groups for c in g.pivots)]
         return (self.field.row_plan([(range(*g.info.indices(k)), c)
                                      for g in groups for c in g.coeffs], k),
+                operator.itemgetter(*self.info_coords),
                 operator.itemgetter(*sorted(range(self.n), key=coords.__getitem__)))
-
-    @cached_property
-    def global_plan(self) -> tuple:
-        """The h global rows as a row plan over the coordinates."""
-        glob = self.check_groups[-1]
-        return self.field.row_plan([(glob.coords, c) for c in glob.coeffs], self.n)
 
 
 def default_global_points(fld: FiniteField, h: int) -> tuple[int, ...]:
@@ -286,15 +282,8 @@ def encode(layout: EvaluationLayout, info) -> list[int]:
     fld = layout.field
     if not fld.are_elements(info):
         raise InvalidParameter(f"information symbols must be ints in [0, {fld.q})")
-    return encode_unchecked(layout, info)
-
-
-def encode_unchecked(layout: EvaluationLayout, info) -> list[int]:
-    """``encode`` after its checks, for a caller whose k information symbols
-    are field elements by construction, such as the structured decoder's
-    re-encoding."""
-    plan, interleave = layout.encoder
-    return list(interleave([*info, *layout.field.run_plan(plan, info)]))
+    plan, _, interleave = layout.encoder
+    return list(interleave([*info, *fld.run_plan(plan, info)]))
 
 
 def generator_matrix(layout: EvaluationLayout) -> Matrix:

@@ -557,9 +557,9 @@ def banded_rows(draw):
     0-40 bands of 1-12 columns, with 0-3 rows inside each band, then 0-4
     rows anywhere (spanning bands when the plan cuts chunks) and 0-2 empty
     rows, in a shuffled order; entries biased to 0 and q - 1.  Also a
-    vector of field elements as long, biased to q - 1."""
+    vector of field elements as long, biased to q - 1.  The shape is drawn
+    first, then every value at once, from one drawn seed."""
     fld = draw(st.sampled_from(ROW_GROUP_FIELDS))
-    entry = st.one_of(st.just(0), st.just(fld.q - 1), st.integers(0, fld.q - 1))
     widths = draw(st.lists(st.integers(1, 12), min_size=draw(st.sampled_from([0, 6])),
                            max_size=40))
     ncols = sum(widths) + draw(st.integers(0, 3))  # trailing columns no row reads
@@ -572,9 +572,10 @@ def banded_rows(draw):
     supports += [draw(cols) for _ in range(draw(st.sampled_from([0, 1, 2, 4]) if ncols
                                                 else st.just(0)))]
     supports += [()] * draw(st.integers(0, 2))
-    rows = [(sup, draw(st.lists(entry, min_size=len(sup), max_size=len(sup))))
+    rng, q = random.Random(draw(st.integers(0, 2**64 - 1))), fld.q
+    rows = [(sup, [rng.choice((0, q - 1, rng.randrange(q))) for _ in sup])
             for sup in draw(st.permutations(supports))]
-    v = draw(st.lists(st.one_of(st.just(fld.q - 1), entry), min_size=ncols, max_size=ncols))
+    v = [rng.choice((q - 1, q - 1, q - 1, 0, rng.randrange(q))) for _ in range(ncols)]
     return fld, rows, ncols, v
 
 
@@ -590,10 +591,9 @@ def dense(rows, ncols):
 
 
 @settings(max_examples=300, deadline=None)
-@given(banded_rows(), st.sampled_from([1, 16, 64, algebra.CHUNK_BITS]), st.data())
-def test_dots_match_one_dot_per_row(case, chunk_bits, data):
-    """A pass of the plan gives every row's dot, and asked for some rows,
-    those rows' dots in the order asked; a matrix's plan gives
+@given(banded_rows(), st.sampled_from([1, 16, 64, algebra.CHUNK_BITS]))
+def test_dots_match_one_dot_per_row(case, chunk_bits):
+    """A pass of the plan gives every row's dot, and a matrix's plan gives
     ``mul_vec``.  Smaller chunks than the library's cut these rows into
     many, so that rows span them."""
     fld, rows, ncols, v = case
@@ -604,9 +604,6 @@ def test_dots_match_one_dot_per_row(case, chunk_bits, data):
         m.row_plan()
     want = [fld.dot(vals, [v[j] for j in sup]) for sup, vals in rows]
     assert fld.run_plan(plan, v) == want
-    some = data.draw(st.lists(st.sampled_from(range(len(rows))), max_size=4) if rows
-                     else st.just([]))
-    assert fld.run_plan(plan, v, some) == [want[i] for i in some]
     assert fld.run_plan(m.row_plan(), v) == m.mul_vec(v) == want
 
 
@@ -639,7 +636,8 @@ def test_lanes_hold_the_largest_sums():
     for v in ([top] * 2000, [1] + [0] * 1998 + [1], [top] + [0] * 1999):
         assert fld.run_plan(plan, v) == [fld.dot(vals, [v[j] for j in sup])
                                          for sup, vals in rows]
-    assert fld.run_plan(plan, [top] * 2000, [0, 2, 3, 5]) == [top * top * 2000 % fld.q] * 4
+    full_rows = fld.run_plan(plan, [top] * 2000)
+    assert [full_rows[i] for i in (0, 2, 3, 5)] == [top * top * 2000 % fld.q] * 4
 
 
 @settings(max_examples=200, deadline=None)
@@ -671,12 +669,30 @@ def test_root_product_matches_the_loop(fld, data):
     assert fld.root_product(iter(roots), x) == value_from_roots(fld, roots, x)
 
 
+class Symbol(int):
+    """An int subclass: its instances are ints, and field elements in range."""
+
+
 @pytest.mark.parametrize("fld", ROW_GROUP_FIELDS, ids=repr)
 def test_are_elements_admits_ints_in_range_only(fld):
     assert fld.are_elements([]) and fld.are_elements([0, fld.q - 1]) and fld.are_elements([True])
     for bad in (-1, fld.q, 1.0, 0.5, -0.5, "1", None, 1j, Fraction(1), Decimal(1)):
         assert not fld.are_elements([0, bad]) and not fld.are_elements([bad, 0])
     assert not fld.are_elements([0.5, -0.5, 1])  # floats that sum to an integer
+    # either side of q and of a byte's range, which the small fields' check reads
+    for x in (fld.q - 1, fld.q, 255, 256):
+        for values in ([0, x], (x, 0), [Symbol(x)], (Symbol(0), Symbol(x))):
+            assert fld.are_elements(values) == (x < fld.q)
+    assert fld.are_elements(b"") and fld.are_elements(bytes([0, min(fld.q, 256) - 1]))
+    if fld.q < 256:
+        assert not fld.are_elements(bytes([fld.q])) and not fld.are_elements(b"\x00\xff")
+
+
+@pytest.mark.parametrize("fld", ROW_GROUP_FIELDS, ids=repr)
+def test_are_elements_refuses_numpy_ints(fld):
+    np = pytest.importorskip("numpy")
+    assert not fld.are_elements([np.int64(1)]) and not fld.are_elements([0, np.uint8(1)])
+    assert not fld.are_elements(np.array([0, 1]))
 
 
 ELIMINATION_FIELDS = [FiniteField(2), FiniteField(7), F4, F9]

@@ -1,7 +1,8 @@
 """Differential tests of the codec that runs from the cached structural
 parity check: the systematic encoder against the two-step polynomial
 reference (``polyref``), and the structured decoder against the linear
-oracle and the original word, on fixed codes and on small random layouts.
+oracle, the two-pass reference (``decoderef``) and the original word, on
+fixed codes and on small random layouts.
 """
 
 import random
@@ -12,7 +13,13 @@ from hypothesis import given, settings, strategies as st
 from lrckit import algebra, fixtures
 from lrckit.algebra import FiniteField
 from lrckit.designs import ag_steiner
-from lrckit.erasure import ErasurePattern, decode_linear, decode_structured, pattern_admissible
+from lrckit.erasure import (
+    ErasurePattern,
+    decode_linear,
+    decode_structured,
+    pattern_admissible,
+    recoverable,
+)
 from lrckit.errors import Inconsistent, InvalidParameter, NotAdmissible
 from lrckit.lrc import (
     EvaluationLayout,
@@ -23,6 +30,7 @@ from lrckit.lrc import (
     generator_matrix,
     parity_check_matrix,
 )
+from decoderef import two_pass_decode
 from polyref import poly_encode
 from rowref import check_rows, row_encode
 
@@ -218,8 +226,8 @@ def global_row_patterns(lay, rng):
 @pytest.mark.parametrize("make", [fixtures.example3_layout, _f16_layout])
 def test_structured_decoder_reads_every_number_of_global_rows(make):
     """Each pattern of ``global_row_patterns`` decodes to the per-row
-    reference word, as the linear oracle does, and with one survivor
-    corrupted both decoders raise Inconsistent."""
+    reference word, as the linear oracle and the two-pass reference do,
+    and with one survivor corrupted all three raise Inconsistent."""
     lay = make()
     rng = random.Random(lay.n)
     info = [rng.randrange(lay.field.q) for _ in range(lay.params.k)]
@@ -229,6 +237,7 @@ def test_structured_decoder_reads_every_number_of_global_rows(make):
     for pat, rows in global_row_patterns(lay, rng):
         coords = pat.coords(lay)
         assert decode_structured(lay, mask(word, coords), pat) == word
+        assert two_pass_decode(lay, mask(word, coords), pat) == word
         assert decode_linear(code, coords, mask(word, coords, 0)) == word
         bad = list(word)
         c = rng.choice([c for c in range(lay.n) if c not in set(coords)])
@@ -236,9 +245,82 @@ def test_structured_decoder_reads_every_number_of_global_rows(make):
         with pytest.raises(Inconsistent):
             decode_structured(lay, mask(bad, coords), pat)
         with pytest.raises(Inconsistent):
+            two_pass_decode(lay, mask(bad, coords), pat)
+        with pytest.raises(Inconsistent):
             decode_linear(code, coords, mask(bad, coords, 0))
         read.add(rows)
     assert read == set(range(lay.params.h + 1))
+
+
+@st.composite
+def heavy_patterns(draw):
+    """(layout, codeword, erasure pattern) on a layout with h >= 1: 0, 1
+    or 2 heavy sets whose erased points number delta - 1 more than a
+    drawn count of global rows, 1 through h, that the structured decoder
+    then reads; light erasures elsewhere, and erased global points within
+    what is left of the h+delta-1 budget.  A second heavy set is one that
+    meets the first in the most points short of delta, as admissibility
+    asks, and erases the shared ones first; where delta from each still
+    overshoots the count, the decoder reads more rows, or the pattern is
+    not admissible."""
+    lay = draw(layouts().filter(lambda lay: lay.params.h))
+    p = lay.params
+    info = draw(st.lists(st.integers(0, lay.field.q - 1), min_size=p.k, max_size=p.k))
+    order = draw(st.permutations(range(p.ell + 1)))
+    shared = [len(set(lay.sets[order[0]]) & set(a)) for a in lay.sets]
+    second = max((t for t in order[1:] if shared[t] < p.delta), key=shared.__getitem__,
+                 default=None)
+    heavy = [order[0], second][: draw(st.sampled_from([0, 1, 2, 2])) if second is not None
+                               else draw(st.integers(0, 1))]
+    total = draw(st.integers(1, p.h)) + p.delta - 1 if heavy else 0
+    per_set, union = {}, []
+    for t in heavy:
+        pts = sorted(draw(st.permutations(lay.sets[t])), key=lambda x: x not in union)
+        per_set[t] = pts[: p.delta]
+        union += [x for x in per_set[t] if x not in union]
+    for t in heavy:
+        more = [x for x in lay.sets[t] if x not in per_set[t]][: max(0, total - len(union))]
+        per_set[t] += more
+        union += [x for x in more if x not in union]
+    for b, a in enumerate(lay.sets):
+        if b not in per_set:
+            per_set[b] = draw(st.permutations(a))[: draw(st.integers(0, p.delta - 1))]
+    spare = max(0, p.h + p.delta - 1 - len(union))
+    globs = draw(st.permutations(lay.s_points))[: draw(st.integers(0, min(p.h, spare)))]
+    return lay, encode(lay, info), ErasurePattern.make(lay, per_set, globs)
+
+
+def outcome(decoder, lay, received, pat):
+    """The decoded word, or the class of the error the decoder raised."""
+    try:
+        return decoder(lay, received, pat)
+    except (Inconsistent, NotAdmissible, InvalidParameter) as err:
+        return type(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(heavy_patterns(), st.data())
+def test_structured_decoder_matches_two_pass_reference(case, data):
+    """The decoder's one encoder pass gives the two-pass reference's word,
+    or its error, on the survivors and on the survivors with one of them
+    perturbed.  The perturbed ones raise Inconsistent in both whenever the
+    erased coordinates and the perturbed one are independent columns of
+    H, so that no codeword agrees with them."""
+    lay, word, pat = case
+    coords = pat.coords(lay)
+    received = mask(word, coords)
+    want = outcome(two_pass_decode, lay, received, pat)
+    assert outcome(decode_structured, lay, received, pat) == want
+    assert want in (word, NotAdmissible)
+    kept = [c for c in range(lay.n) if c not in set(coords)]
+    if not kept:
+        return
+    c = data.draw(st.sampled_from(kept))
+    received[c] = lay.field.add(received[c], data.draw(st.integers(1, lay.field.q - 1)))
+    want = outcome(two_pass_decode, lay, received, pat)
+    assert outcome(decode_structured, lay, received, pat) == want
+    if want is not NotAdmissible and recoverable(build_code(lay).check, coords + (c,)):
+        assert want is Inconsistent
 
 
 def _truncated_layout():
@@ -281,8 +363,7 @@ def test_example3_check_packs_into_block_and_global_groups():
     """On example3's H ([657,505]/F_79, delta = 3, h = 6) the plan cuts
     the columns at block ends, eight blocks of two local rows to a chunk,
     and the six global rows span the chunks in lanes of their own.  The
-    encoder's plan over the information has the same shape, and the
-    global rows alone make one chunk."""
+    encoder's plan over the information has the same shape."""
     lay = fixtures.example3_layout()
     h = build_code(lay).check
     ends = set(lay.block_offsets) | {lay.n}
@@ -292,8 +373,6 @@ def test_example3_check_packs_into_block_and_global_groups():
         assert [len(lanes) for *_, lanes in chunks] == [16] * 9 + [2]
         assert chunks[-1][1] == ncols
     assert {lo for lo, *_ in h.row_plan()[1]} <= ends
-    _, chunks, _, _, spans, _ = lay.global_plan
-    assert len(chunks) == 1 and len(chunks[0][3]) == 6 and not spans
     assert [len(g.pivots) for g in lay.check_groups] == [2] * 73 + [6]
 
 
