@@ -23,15 +23,19 @@ plain rank test on all of H, is the reference it is checked against.
 
 Erasure patterns are stated in terms of evaluation points, grouped by the
 repair set they hit, plus the erased global points; the coordinate-level
-view is derived through the layout's coordinate map.  The structured
-decoder receives erased coordinates as ``None`` and never reads them.
+view is read off the layout's point maps (``EvaluationLayout.point_coords``,
+point -> coordinate per block and for S).  The admissibility test, the
+coordinate view and the structured decoder visit only the sets a pattern
+touches, and refuse a pattern that does not fit the layout.  The
+structured decoder receives erased coordinates as ``None`` and never
+reads them.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
+from itertools import compress
 
 from .algebra import FiniteField, Matrix, interpolant
 from .errors import Inconsistent, Infeasible, InvalidParameter, NotAdmissible
@@ -50,7 +54,8 @@ class ErasurePattern:
         """Build a pattern from erased points per set (a list aligned with
         the layout's sets, or a dict keyed by set index) plus erased global
         points.  Raises InvalidParameter for a set index the layout does
-        not have, and for a list longer than the layout's sets."""
+        not have, for a list longer than the layout's sets, and for a
+        pattern that does not fit the layout (``_touched_sets``)."""
         nsets = len(layout.sets)
         if isinstance(per_set, dict):
             unknown = set(per_set) - set(range(nsets))
@@ -59,30 +64,39 @@ class ErasurePattern:
             per_set = [per_set.get(b, ()) for b in range(nsets)]
         elif len(per_set) > nsets:
             raise InvalidParameter(f"pattern has {len(per_set)} sets, the layout {nsets}")
-        sets = []
-        for b, pts in enumerate(per_set):
-            pts = frozenset(pts)
-            if not pts <= set(layout.sets[b]):
-                raise InvalidParameter(f"erasures outside evaluation set {b}")
-            sets.append(pts)
-        while len(sets) < nsets:
-            sets.append(frozenset())
-        g = frozenset(global_points)
-        if not g <= set(layout.s_points):
-            raise InvalidParameter("global erasures outside the global point set")
-        return ErasurePattern(tuple(sets), g)
+        sets = [*map(frozenset, per_set)] + [frozenset()] * (nsets - len(per_set))
+        pat = ErasurePattern(tuple(sets), frozenset(global_points))
+        _touched_sets(layout, pat)
+        return pat
 
     def coords(self, layout: EvaluationLayout) -> tuple[int, ...]:
-        """The erased coordinates, sorted; only the sets with erased points
-        and the erased global points are visited."""
-        out = []
-        for b, pts in enumerate(self.sets):
-            if pts:
-                out.extend(layout.coord(b, t) for t, x in enumerate(layout.sets[b]) if x in pts)
-        if self.globals_:
-            out.extend(layout.global_coord(i) for i, s in enumerate(layout.s_points)
-                       if s in self.globals_)
+        """The erased coordinates, sorted, read off the layout's point maps
+        (``layout.point_coords``) for the sets with erased points and the
+        erased global points.  Raises InvalidParameter unless the pattern
+        fits the layout (``_touched_sets``)."""
+        touched, maps = _touched_sets(layout, self), layout.point_coords
+        out = [*map(maps[-1].__getitem__, self.globals_)]
+        for b in touched:
+            out += map(maps[b].__getitem__, self.sets[b])
         return tuple(sorted(out))
+
+
+def _touched_sets(layout: EvaluationLayout, pat: ErasurePattern) -> list[int]:
+    """The indices of the sets with erased points, after checking that the
+    pattern fits the layout: one set of points per evaluation set, each
+    inside its set, and erased global points in S.  Raises InvalidParameter
+    otherwise, so ``ErasurePattern.make`` builds no pattern that does not
+    fit."""
+    maps = layout.point_coords
+    if len(pat.sets) != len(layout.sets):
+        raise InvalidParameter(f"pattern has {len(pat.sets)} sets, the layout {len(layout.sets)}")
+    touched = list(compress(range(len(pat.sets)), pat.sets))
+    for b in touched:
+        if not maps[b].keys() >= pat.sets[b]:
+            raise InvalidParameter(f"erasures outside evaluation set {b}")
+    if not maps[-1].keys() >= pat.globals_:
+        raise InvalidParameter("global erasures outside the global point set")
+    return touched
 
 
 @dataclass
@@ -91,13 +105,8 @@ class AdmissibilityReport:
     heavy_sets: list[int]
     union_size: int
     budget: int   # h + delta - 1
-
-
-def _exclusive_points(layout: EvaluationLayout, heavy) -> dict[int, list[int]]:
-    """Per heavy set, in set order, its points that lie in no other heavy
-    set."""
-    count = Counter(x for t in heavy for x in layout.sets[t])
-    return {t: [x for x in layout.sets[t] if count[x] == 1] for t in heavy}
+    # per heavy set, in set order: its points, in order, in no other heavy set
+    exclusive_points: dict[int, list[int]] = dc_field(default_factory=dict)
 
 
 def pattern_admissible(layout: EvaluationLayout, pat: ErasurePattern) -> AdmissibilityReport:
@@ -105,15 +114,23 @@ def pattern_admissible(layout: EvaluationLayout, pat: ErasurePattern) -> Admissi
     points over heavy sets plus the global erasures fits within h+delta-1,
     and each heavy set meets the union of the other heavy sets in at most
     delta-1 evaluation points, i.e. keeps at least |A_t|-delta+1 exclusive
-    points."""
+    points.  Only the sets the pattern touches are visited; the heavy
+    sets' exclusive points are found once, and reported for the decoder.
+    Raises InvalidParameter unless the pattern fits the layout."""
     p = layout.params
-    heavy = [i for i, e in enumerate(pat.sets) if len(e) >= p.delta]
-    union = set().union(*(pat.sets[i] for i in heavy))
+    heavy = [t for t in _touched_sets(layout, pat) if len(pat.sets[t]) >= p.delta]
+    union = set().union(*map(pat.sets.__getitem__, heavy))
     budget = p.h + p.delta - 1
-    ok = len(union) + len(pat.globals_) <= budget and all(
-        len(xs) >= layout.interp_count(t)
-        for t, xs in _exclusive_points(layout, heavy).items())
-    return AdmissibilityReport(ok, heavy, len(union), budget)
+    ok = len(union) + len(pat.globals_) <= budget
+    seen, shared = set(), set()  # the points of the heavy sets, those of two or more
+    for t in heavy:
+        shared |= seen.intersection(layout.sets[t])
+        seen.update(layout.sets[t])
+    exclusive = {}
+    for t in heavy:
+        exclusive[t] = [x for x in layout.sets[t] if x not in shared]
+        ok = ok and len(exclusive[t]) >= layout.interp_count(t)
+    return AdmissibilityReport(ok, heavy, len(union), budget, exclusive)
 
 
 def decode_structured(layout: EvaluationLayout, received, pat: ErasurePattern) -> list[int]:
@@ -132,12 +149,18 @@ def decode_structured(layout: EvaluationLayout, received, pat: ErasurePattern) -
     in U, each scaled by e_t(x) = prod_{y in U - A_t} (x - y), then the
     first surviving global parities that complete the count, less the
     pass's value of their row and divided by phi(s) = Delta(s)/U(s).  Each
-    heavy set's information x_t is then read off its first |A_t|-delta+1
-    exclusive points, and, the rows being linear, added into the pass by
-    the check groups' coefficients: block t's local rows times x_t, and
-    each global row's coefficients on block t times x_t.  Admissibility
-    guarantees enough points of each kind.  Only the blocks with erasures
-    are visited, and each e_t(x) is computed once per call.
+    heavy set's information x_t is then read off block t's polynomial,
+    combined / e_t, at its first |A_t|-delta+1 exclusive points (at a
+    surviving one that value is the survivor itself), and, the rows being
+    linear, added into the pass by the check groups' coefficients: block
+    t's local rows times x_t, and each global row's coefficients on block
+    t times x_t.  Admissibility guarantees enough points of each kind.
+
+    The bookkeeping visits only the sets the pattern touches.  The one
+    ``pattern_admissible`` report gives the heavy sets and their exclusive
+    points; the erased coordinates come from the layout's point maps
+    (``layout.point_coords``); the heavy blocks' information is zeroed by
+    slice; and each e_t(x) is computed once, where it is needed.
 
     The word interleaves the information and the pass's values; zeroed at
     the erased coordinates, it is compared with the survivors in one list
@@ -146,85 +169,86 @@ def decode_structured(layout: EvaluationLayout, received, pat: ErasurePattern) -
     not read, those of untouched blocks included, are checked there too.
 
     ``received`` holds None at erased coordinates; those entries are never
-    read.  Raises NotAdmissible or Inconsistent, and InvalidParameter when
-    ``received`` does not have n symbols or a survivor is missing or not
-    an int in [0, q).
+    read.  Raises InvalidParameter when the pattern does not fit the
+    layout, then NotAdmissible, then InvalidParameter when ``received``
+    does not have n symbols or a survivor is missing or not an int in
+    [0, q), and then Inconsistent.
     """
     fld = layout.field
     p = layout.params
     rep = pattern_admissible(layout, pat)
     if not rep.admissible:
         raise NotAdmissible("pattern fails the admissibility conditions")
-    erased = pat.coords(layout)
-    heavy = rep.heavy_sets
+    heavy = rep.exclusive_points
+    maps, offsets = layout.point_coords, layout.block_offsets
+    erased = [*map(maps[-1].__getitem__, pat.globals_)]
+    light = []
+    for b in compress(range(len(pat.sets)), pat.sets):
+        lost = [*map(maps[b].__getitem__, pat.sets[b])]
+        erased += lost
+        if b not in heavy:
+            light.append((b, lost))
     survivors = _survivors(received, erased, layout.n, fld)
-    # survivors in place, light erasures filled below, heavy blocks zero;
-    # only the information coordinates are read
+    # survivors in place and light erasures filled below; only the
+    # information coordinates are read, and the heavy blocks' are zeroed
     word = survivors[:]
-    for b, lost_pts in enumerate(pat.sets):
-        if not lost_pts:
-            continue
-        a, coords = layout.sets[b], layout.block_coords(b)
-        if b in heavy:
-            for c in coords:
-                word[c] = 0
-            continue
+    for b, lost in light:
+        a, off = layout.sets[b], offsets[b]
         cnt = layout.interp_count(b)
-        lost = [(c, x) for c, x in zip(coords, a[:cnt]) if x in lost_pts]
-        if lost:
-            kept = [(x, word[c]) for x, c in zip(a, coords) if x not in lost_pts][:cnt]
+        fill = [c for c in lost if c < off + cnt]
+        if fill:
+            kept = [(x, word[c]) for c, x in enumerate(a, off) if x not in pat.sets[b]][:cnt]
             block = interpolant(fld, *zip(*kept))
-            for c, x in lost:
-                word[c] = block(x)
+            for c in fill:
+                word[c] = block(a[c - off])
     plan, gather, interleave = layout.encoder
+    groups = layout.check_groups
     info = list(gather(word))
+    for t in heavy:
+        info[groups[t].info] = [0] * layout.interp_count(t)
     values = fld.run_plan(plan, info)
 
     if heavy:
         glob = len(values) - p.h  # the global rows follow the local ones
-        union = sorted({x for t in heavy for x in layout.sets[t]})
+        root_product = fld.root_product
+        union = set().union(*map(layout.sets.__getitem__, heavy))
+        erased_pts = set().union(*map(pat.sets.__getitem__, heavy))
         # e_t(x) = prod_{y in U \ A_t} (x - y), which vanishes on U \ A_t
-        outside = {t: [y for y in union if y not in layout.sets[t]] for t in heavy}
-        e_values = {}
-
-        def e(t, x):
-            if (t, x) not in e_values:
-                e_values[t, x] = fld.root_product(outside[t], x)
-            return e_values[t, x]
-
-        erased_pts = set().union(*(pat.sets[t] for t in heavy))
-        xs, ys = [], []
-        for x in union:
-            if x in erased_pts:
-                continue
-            acc = 0
-            for t in heavy:
-                a = layout.sets[t]
-                if x in a:
-                    c = received[layout.coord(t, a.index(x))]
-                    acc = fld.add(acc, fld.mul(e(t, x), c))
-            xs.append(x)
-            ys.append(acc)
+        outside = {t: union.difference(layout.sets[t]) for t in heavy}
+        combined_at = {}  # the survivors in U, each scaled by e_t(x)
+        for t in heavy:
+            for c, x in enumerate(layout.sets[t], offsets[t]):
+                if x not in erased_pts:
+                    combined_at[x] = fld.add(combined_at.get(x, 0),
+                                             fld.mul(root_product(outside[t], x), received[c]))
+        xs, ys = [*combined_at], [*combined_at.values()]
         # heavy sets hold >= delta erasures, so the survivors in U fall
         # short of the need and the first surviving global parities complete it
         need = len(union) - p.delta + 1
         rows = [i for i, s in enumerate(layout.s_points) if s not in pat.globals_][:need - len(xs)]
         for i in rows:
             s = layout.s_points[i]
-            phi = fld.div(layout.delta_at_s[i], fld.root_product(union, s))
+            phi = fld.div(layout.delta_at_s[i], root_product(union, s))
             xs.append(s)
             ys.append(fld.div(fld.sub(received[layout.global_coord(i)], values[glob + i]), phi))
         combined = interpolant(fld, xs, ys)
 
-        for t, exclusive in _exclusive_points(layout, heavy).items():
-            group = layout.check_groups[t]
+        for t, exclusive in heavy.items():
+            # block t's polynomial at its first exclusive points: combined(x)
+            # / e_t(x), which at a survivor is the survivor itself
+            a, lost, group = layout.sets[t], pat.sets[t], groups[t]
             nodes = exclusive[: layout.interp_count(t)]
-            restore = interpolant(fld, nodes, [fld.div(combined(x), e(t, x)) for x in nodes])
-            x_t = [restore(x) for x in layout.sets[t][: len(nodes)]]
+            at_nodes = [fld.div(combined(x), root_product(outside[t], x)) if x in lost
+                        else received[maps[t][x]] for x in nodes]
+            if nodes == list(a[: len(nodes)]):  # the information points
+                x_t = at_nodes
+            else:
+                restore = interpolant(fld, nodes, at_nodes)
+                x_t = [restore(x) for x in a[: len(nodes)]]
             info[group.info] = x_t
             values[t * (p.delta - 1):(t + 1) * (p.delta - 1)] = [
                 fld.dot(row, x_t) for row in group.coeffs]
-            for j, row in enumerate(layout.check_groups[-1].coeffs, glob):
+            for j, row in enumerate(groups[-1].coeffs, glob):
                 values[j] = fld.add(values[j], fld.dot(row[group.info], x_t))
 
     word = list(interleave([*info, *values]))

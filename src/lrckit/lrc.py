@@ -24,7 +24,10 @@ A layout consists of an ordered h-subset S of the field (global-parity
 evaluation points) and ordered sets A_1..A_{L+1} of field elements disjoint
 from S, with |A_i| = r+delta-1 for i <= L and |A_{L+1}| = v+delta-1.
 Codeword coordinates are block-major: block 1's points, block 2's points,
-..., then the h global coordinates.
+..., then the h global coordinates.  The layout also holds that map
+inverted, point -> coordinate per block and for S (``point_coords``), so
+that an erasure pattern, stated in points, is read one erased point at a
+time and the structured decoder walks only the sets the pattern touches.
 
 A ``LinearCode`` is a code given by its parity check H alone, with declared
 repair sets.  ``verify_locality`` checks the paper's information locality
@@ -150,6 +153,14 @@ class EvaluationLayout:
     def block_coords(self, block: int) -> tuple[int, ...]:
         off = self.block_offsets[block]
         return tuple(range(off, off + len(self.sets[block])))
+
+    @cached_property
+    def point_coords(self) -> tuple[dict[int, int], ...]:
+        """The coordinate map inverted: per block, then for S, each
+        evaluation point's coordinate.  Erasure patterns, stated in points,
+        are read through it."""
+        return tuple({x: c for c, x in enumerate(a, off)} for a, off in
+                     zip([*self.sets, self.s_points], [*self.block_offsets, self.global_offset]))
 
     # -- the structural parity check, synthesised once per layout ----------
 

@@ -5,6 +5,7 @@ oracle, the two-pass reference (``decoderef``) and the original word, on
 fixed codes and on small random layouts.
 """
 
+import itertools
 import random
 
 import pytest
@@ -30,7 +31,7 @@ from lrckit.lrc import (
     generator_matrix,
     parity_check_matrix,
 )
-from decoderef import two_pass_decode
+from decoderef import heavy_exclusive, two_pass_decode
 from polyref import poly_encode
 from rowref import check_rows, row_encode
 
@@ -68,19 +69,23 @@ def layouts(draw):
 
 @st.composite
 def codewords(draw):
-    """(layout, information, codeword, erasure pattern): up to two heavy
+    """(layout, information, codeword, erasure pattern): up to three heavy
     sets, light erasures elsewhere, and erased global points, mostly within
-    the h+delta-1 budget of an admissible pattern."""
-    lay = draw(layouts())
+    the h+delta-1 budget of an admissible pattern.  With three, a point can
+    lie in all of them, and a set's exclusive points depend on both of the
+    others.  One layout in four is ag13's: three of its sets (lines of
+    AG(2,3)) can meet in one point and nowhere else, so three heavy sets
+    can be admissible there, which they never are on ``layouts()``."""
+    lay = fixtures.ag13_layout() if draw(st.integers(0, 3)) == 0 else draw(layouts())
     p = lay.params
     info = draw(st.lists(st.integers(0, lay.field.q - 1), min_size=p.k, max_size=p.k))
     budget = p.h + p.delta - 1
-    heavy = draw(st.permutations(range(p.ell + 1)))[: draw(st.integers(0, 2))]
+    heavy = draw(st.permutations(range(p.ell + 1)))[: draw(st.integers(0, 3))]
     per_set, union = [], set()
     for b, a in enumerate(lay.sets):
         if b in heavy:
-            # points already erased elsewhere first, so that two heavy
-            # sets can share erasures and fit the budget together
+            # points already erased elsewhere first, so that heavy sets
+            # can share erasures and fit the budget together
             order = sorted(draw(st.permutations(a)), key=lambda x: x not in union)
             pts = order[: draw(st.integers(p.delta, max(p.delta, min(len(a), budget))))]
             union.update(pts)
@@ -150,6 +155,52 @@ def test_corrupted_survivor(case, data):
             decode_structured(lay, mask(bad, coords), pat)
         return
     assert decode_structured(lay, mask(bad, coords), pat) == linear
+
+
+@settings(max_examples=200, deadline=None)
+@given(codewords())
+def test_admissibility_matches_the_definitions(case):
+    """The admissibility verdict and the exclusive points it reports are
+    those of the reference, which reads them off the definitions; with
+    three heavy sets a point can lie in all of them."""
+    lay, _, _, pat = case
+    rep = pattern_admissible(lay, pat)
+    assert (rep.admissible, rep.exclusive_points) == heavy_exclusive(lay, pat)
+    assert rep.heavy_sets == list(rep.exclusive_points)
+
+
+def test_three_heavy_sets_through_one_point(ag13_layout, ag13_code):
+    """Three lines of AG(2,3) through a point P, each erasing P and one
+    point of its own, with no or one erased global point: admissible, with
+    every point but P exclusive.  The structured decoder, the two-pass
+    reference and the linear oracle return the word, and with a survivor
+    corrupted both structured decoders give the same word or error."""
+    lay, fld = ag13_layout, ag13_layout.field
+    rng = random.Random(3)
+    word = encode(lay, [rng.randrange(fld.q) for _ in range(lay.params.k)])
+    checked = 0
+    for x in range(9):  # the points of the plane
+        lines = [b for b, a in enumerate(lay.sets) if x in a]
+        assert len(lines) == 4
+        for heavy in itertools.combinations(lines, 3):
+            per_set = {t: [x, rng.choice([y for y in lay.sets[t] if y != x])] for t in heavy}
+            for globs in ([], [rng.choice(lay.s_points)]):
+                pat = ErasurePattern.make(lay, per_set, globs)
+                rep = pattern_admissible(lay, pat)
+                assert rep.admissible
+                assert rep.exclusive_points == {t: [y for y in lay.sets[t] if y != x]
+                                                for t in heavy}
+                coords = pat.coords(lay)
+                received = mask(word, coords)
+                assert decode_structured(lay, received, pat) == word
+                assert two_pass_decode(lay, received, pat) == word
+                assert decode_linear(ag13_code, coords, mask(word, coords, 0)) == word
+                c = rng.choice([c for c in range(lay.n) if c not in set(coords)])
+                received[c] = fld.add(received[c], 1)
+                assert (outcome(decode_structured, lay, received, pat)
+                        == outcome(two_pass_decode, lay, received, pat))
+                checked += 1
+    assert checked == 72
 
 
 def _f16_layout():

@@ -107,6 +107,91 @@ def test_pattern_names_only_the_layouts_sets(example1_layout, per_set):
     assert ErasurePattern.make(example1_layout, {6: [example1_layout.sets[6][0]]}).sets[6]
 
 
+def _misfit(lay, kind):
+    """A pattern that ``ErasurePattern.make`` would refuse, built directly:
+    one set too many or too few, a point of another set, a point of S in a
+    set, or a set's point among the global points."""
+    sets = [frozenset()] * len(lay.sets)
+    foreign = next(x for x in lay.sets[1] if x not in lay.sets[0])
+    if kind == "a set too many":
+        return ErasurePattern(tuple(sets) + (frozenset(),), frozenset())
+    if kind == "a set too few":
+        return ErasurePattern(tuple(sets[1:]), frozenset())
+    if kind == "a point of another set":
+        sets[0] = frozenset({lay.sets[0][0], foreign})
+    elif kind == "a global point in a set":
+        sets[0] = frozenset({lay.s_points[0]})
+    else:
+        return ErasurePattern(tuple(sets), frozenset({lay.s_points[0], lay.sets[0][0]}))
+    return ErasurePattern(tuple(sets), frozenset())
+
+
+@pytest.mark.parametrize("kind, match", [
+    ("a set too many", "pattern has 13 sets, the layout 12"),
+    ("a set too few", "pattern has 11 sets, the layout 12"),
+    ("a point of another set", "erasures outside evaluation set 0"),
+    ("a global point in a set", "erasures outside evaluation set 0"),
+    ("a set's point among the global points", "global erasures outside the global point set"),
+])
+def test_pattern_must_fit_the_layout(ag13_layout, kind, match):
+    """A pattern that does not fit the layout is refused by its coordinate
+    view, the admissibility test and the structured decoder, rather than
+    raising IndexError or dropping the points that do not fit; and
+    ``ErasurePattern.make`` builds none of them, but pads a list of too few
+    sets."""
+    lay = ag13_layout
+    pat = _misfit(lay, kind)
+    if kind == "a set too few":
+        assert ErasurePattern.make(lay, pat.sets, pat.globals_).sets == pat.sets + (frozenset(),)
+    else:
+        with pytest.raises(InvalidParameter, match=match):
+            ErasurePattern.make(lay, pat.sets, pat.globals_)
+    word = encode(lay, [u % 13 for u in range(lay.params.k)])
+    with pytest.raises(InvalidParameter, match=match):
+        pat.coords(lay)
+    with pytest.raises(InvalidParameter, match=match):
+        pattern_admissible(lay, pat)
+    with pytest.raises(InvalidParameter, match=match):
+        decode_structured(lay, word, pat)
+
+
+def test_decoder_reads_one_admissibility_report(ag13_layout, monkeypatch):
+    """Each decode calls ``erasure.pattern_admissible`` once, through the
+    module attribute (the one per-layer tracing wraps), whatever it then
+    returns or raises."""
+    lay = ag13_layout
+    word = encode(lay, [u % 13 for u in range(lay.params.k)])
+    calls = []
+    real = erasure.pattern_admissible
+
+    def counted(layout, pat):
+        calls.append(pat)
+        return real(layout, pat)
+
+    monkeypatch.setattr(erasure, "pattern_admissible", counted)
+    cases = [
+        ({}, [], None),                                      # nothing erased
+        ({0: [0]}, [12], None),                              # light only
+        ({0: [0, 1]}, [12], None),                           # one heavy set
+        ({0: [0, 1], 10: [3, 4]}, [12], None),               # two heavy sets
+        ({0: lay.sets[0], 1: lay.sets[1]}, lay.s_points, NotAdmissible),
+        ({0: [0, 1]}, [], Inconsistent),                     # a corrupted survivor
+    ]
+    for per_set, globs, error in cases:
+        pat = ErasurePattern.make(lay, per_set, globs)
+        received = mask(word, pat.coords(lay))
+        if error is Inconsistent:
+            c = lay.global_coord(0)
+            received[c] = lay.field.add(received[c], 1)
+        calls.clear()
+        if error is None:
+            assert decode_structured(lay, received, pat) == word
+        else:
+            with pytest.raises(error):
+                decode_structured(lay, received, pat)
+        assert calls == [pat]
+
+
 def test_decoder_missing_survivor_rejected(example1_layout):
     lay = example1_layout
     pat = ErasurePattern.make(lay, [lay.sets[0]])
