@@ -15,11 +15,14 @@ binds the scalar ops and vector kernels for the field's kind, and every
 other loop reaches field arithmetic through them.  That includes the
 row plan, ``row_plan``/``run_plan``: on a prime field it packs sparse rows
 into integer lanes of a few column chunks, so one C-level dot per chunk
-evaluates every row; on an extension field it is one ``dot`` per row.  The
-encoder and the decoders run on it.  So do the distance search's keys,
-``vec_key``/``sub_key``: ``bytes`` under translation tables on small prime
-and characteristic-2 fields, tuples on the others.  The array sweeps'
-local-then-global rank test reduces its short vectors as keys too.
+evaluates every row; on a characteristic-2 field of at most 256 elements
+its columns are ``bytes``, so one C-level chain of translations and XORs
+evaluates every row; on the other extension fields it is one ``dot`` per
+row.  The encoder and the decoders run on it.  So do the distance search's
+keys, ``vec_key``/``sub_key``: ``bytes`` under the same translation tables
+on small prime and characteristic-2 fields, tuples on the others.  The
+array sweeps' local-then-global rank test reduces its short vectors as
+keys too.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
 from .errors import DuplicateNode, InternalInvariantViolation, InvalidParameter
@@ -159,20 +162,23 @@ def _primitive_root(p: int) -> int:
                 1)
 
 
-class _SearchKernel:
-    """``FiniteField.vec_key`` or ``sub_key`` before its first use: the
-    first read of either binds both, with their tables, on the instance,
-    whose attributes then shadow this descriptor.  (A ``__getattr__`` would
-    slow every other attribute read of the field.)"""
+class _TableKernel:
+    """A kernel of ``FiniteField`` that reads the field's multiplication
+    tables, before its first use: ``vec_key``, ``sub_key``, and on a
+    characteristic-2 byte field ``run_plan``.  The first read of any binds
+    them all, with the tables built once, on the instance, whose attributes
+    then shadow these descriptors.  (A ``__getattr__`` would slow every
+    other attribute read of the field.)"""
 
-    def __init__(self, index: int):
-        self.index = index
+    def __set_name__(self, owner, name):
+        self.name = name
 
     def __get__(self, fld, owner=None):
         if fld is None:
             return self
-        fld.vec_key, fld.sub_key = kernels = fld._key_kernels()
-        return kernels[self.index]
+        kernels = fld._table_kernels()
+        vars(fld).update(kernels)
+        return kernels[self.name]
 
 
 class FiniteField:
@@ -209,7 +215,13 @@ class FiniteField:
     lanes read off by shift and mask, its bottom ones added into one
     accumulator.  That is exact only for rows and values in [0, p), as
     ``are_elements`` checks: a larger or negative entry spills into the
-    next lane.  On an extension field a pass is one ``dot`` per row.
+    next lane.  On a characteristic-2 field with q <= 256 the plan is the
+    row count and column j as the ``bytes`` of its entries down the rows,
+    an empty row reading 0.  A pass translates column j by v_j's
+    multiplication table, the one the search keys read, and XORs the
+    columns as ints, which is their sum, no byte carrying into the next;
+    so it is one C-level chain over the columns.  On the other extension
+    fields a pass is one ``dot`` per row.
     ``inv_dot(ws, nodes, x)`` is sum(w / (x - u)) over ws and nodes, for x
     not among the nodes: the barycentric sum of ``interpolant``.
     ``root_product(roots, x)`` is prod (x - r) over the roots, on a prime
@@ -227,10 +239,11 @@ class FiniteField:
     normal form finds the leading entry by ``lstrip`` and scales by one
     ``translate``.  On the other fields a key is the tuple ``normalize``
     makes.  The q tables, each the previous one translated by the
-    generator's, are built on the first use of either kernel.
+    generator's, are built on the first use of either kernel, or of a
+    characteristic-2 byte field's ``run_plan``, which shares them.
     """
 
-    vec_key, sub_key = _SearchKernel(0), _SearchKernel(1)
+    vec_key, sub_key, run_plan = _TableKernel(), _TableKernel(), _TableKernel()
 
     def __init__(self, p: int, m: int = 1, modulus: Sequence[int] | None = None):
         if p <= MAX_FIELD and not is_prime(p):
@@ -334,6 +347,9 @@ class FiniteField:
         """The scalar ops, vector kernels and ``normalize`` of the class
         docstring, bound once for the field's kind, with one inverse table."""
         p, q = self.p, self.q
+        # the fields whose search keys are bytes; in characteristic 2 their
+        # row plans are byte columns too, and both read one set of tables
+        byte_keys = p <= 127 if self.m == 1 else p == 2 and q <= 256
         if self.m == 1:
             prod = operator.mul
             invs = [0] + [pow(a, p - 2, p) for a in range(1, p)]
@@ -487,17 +503,30 @@ class FiniteField:
                             acc = add(acc, exp[log[x] + log[y]])
                     return acc
 
-            def getter(sup):
-                # a slice for one column or none, so that it too returns a sequence
-                if len(sup) > 1:
-                    return operator.itemgetter(*sup)
-                return operator.itemgetter(slice(sup[0], sup[0] + 1) if sup else slice(0))
+            if byte_keys:
+                def row_plan(rows, ncols):
+                    # column j as the bytes of its entries down the rows; an
+                    # empty row reads 0.  run_plan comes with the tables
+                    cols = [bytearray(len(rows)) for _ in range(ncols)]
+                    for i, (sup, vals) in enumerate(rows):
+                        for j, x in zip(sup, vals):
+                            cols[j][i] = x
+                    return len(rows), tuple(map(bytes, cols))
 
-            def row_plan(rows, ncols):
-                return tuple((getter(sup), tuple(vals)) for sup, vals in rows)
+                run_plan = None
 
-            def run_plan(plan, v):
-                return [dot(vals, get(v)) for get, vals in plan]
+            else:
+                def getter(sup):
+                    # a slice for one column or none, so that it too returns a sequence
+                    if len(sup) > 1:
+                        return operator.itemgetter(*sup)
+                    return operator.itemgetter(slice(sup[0], sup[0] + 1) if sup else slice(0))
+
+                def row_plan(rows, ncols):
+                    return tuple((getter(sup), tuple(vals)) for sup, vals in rows)
+
+                def run_plan(plan, v):
+                    return [dot(vals, get(v)) for get, vals in plan]
 
             def inv_dot(ws, nodes, x):
                 acc = 0
@@ -524,13 +553,13 @@ class FiniteField:
 
         gen, prime = self.generator, self.m == 1
 
-        def key_kernels():
-            # vec_key and sub_key of the class docstring; run on first use
-            if not (p <= 127 if prime else p == 2 and q <= 256):
+        def table_kernels():
+            # the kernels of ``_TableKernel``, by name; run on first use of any
+            if not byte_keys:
                 def sub_key(w, c, u):
                     return normalize(vec_sub(w, c, u))
 
-                return normalize, sub_key
+                return {"vec_key": normalize, "sub_key": sub_key}
             # tables[c][x] = c*x for every byte x: mod p on a prime field,
             # 0 past q in characteristic 2, where no lane reaches q.  Each
             # table is the previous one translated by the generator's
@@ -562,21 +591,32 @@ class FiniteField:
                     lead = s.translate(mod).lstrip(b"\0")
                     return s.translate(norm[lead[0] if lead else 1])
 
-            else:
-                def sub_key(w, c, u):
-                    r = (from_bytes(w, "big") ^ from_bytes(u.translate(tables[c]), "big")
-                         ).to_bytes(len(w), "big")
-                    lead = r.lstrip(b"\0")
-                    return r if not lead or lead[0] == 1 else r.translate(norm[lead[0]])
+                return {"vec_key": vec_key, "sub_key": sub_key}
 
-            return vec_key, sub_key
+            def sub_key(w, c, u):
+                r = (from_bytes(w, "big") ^ from_bytes(u.translate(tables[c]), "big")
+                     ).to_bytes(len(w), "big")
+                lead = r.lstrip(b"\0")
+                return r if not lead or lead[0] == 1 else r.translate(norm[lead[0]])
+
+            xor, repeat = operator.xor, itertools.repeat
+
+            def run_plan(plan, v):
+                # column j times v_j by translation, the columns summed by XOR
+                n, cols = plan
+                products = map(bytes.translate, cols, map(tables.__getitem__, v))
+                return list(reduce(xor, map(from_bytes, products, repeat("big")), 0)
+                            .to_bytes(n, "big"))
+
+            return {"vec_key": vec_key, "sub_key": sub_key, "run_plan": run_plan}
 
         self.add, self.neg, self.sub, self.mul, self.inv, self.div, self.pow = (
             add, neg, sub, mul, inv, div, power)
         self.vec_sub, self.vec_sub_at, self.vec_scale, self.dot = vec_sub, vec_sub_at, vec_scale, dot
-        self.row_plan, self.run_plan, self.inv_dot = row_plan, run_plan, inv_dot
-        self.root_product = root_product
-        self.normalize, self._key_kernels = normalize, key_kernels
+        self.row_plan, self.inv_dot, self.root_product = row_plan, inv_dot, root_product
+        if run_plan is not None:  # else bound with the tables
+            self.run_plan = run_plan
+        self.normalize, self._table_kernels = normalize, table_kernels
 
     def are_elements(self, values: Sequence) -> bool:
         """True iff every value is an int in [0, q), a bool counting as one.
@@ -910,11 +950,6 @@ class Matrix:
     def columns(self, idx: Iterable[int]) -> "Matrix":
         idx = list(idx)
         return Matrix(self.field, [[r[j] for j in idx] for r in self.rows], len(idx))
-
-    def stack(self, other: "Matrix") -> "Matrix":
-        if other.ncols != self.ncols:
-            raise InvalidParameter("column count mismatch in stack")
-        return Matrix(self.field, self.rows + other.rows, self.ncols)
 
     def transpose(self) -> "Matrix":
         return Matrix(

@@ -30,9 +30,14 @@ def solve(m: Matrix, rhs) -> list[int] | None:
     return x
 
 
+def stack(a: Matrix, b: Matrix) -> Matrix:
+    """The rows of a, then those of b; Matrix refuses rows of two lengths."""
+    return Matrix(a.field, a.rows + b.rows, a.ncols)
+
+
 def same_row_space(a: Matrix, b: Matrix) -> bool:
     ra = a.rank()
-    return ra == b.rank() == a.stack(b).rank()
+    return ra == b.rank() == stack(a, b).rank()
 
 
 def dense_decode(h: Matrix, erased, received) -> list[int] | None:

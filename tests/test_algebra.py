@@ -404,6 +404,26 @@ def test_search_key_tables_wait_for_first_use():
     assert tuple(key) == fld.normalize((0, 3, 5))
 
 
+def closure_value(fn, name):
+    return fn.__closure__[fn.__code__.co_freevars.index(name)].cell_contents
+
+
+def test_byte_plan_shares_the_key_tables():
+    """On a characteristic-2 field of at most 256 elements the first pass
+    of a plan binds the search keys too, on the one set of tables, and the
+    plan holds none of them: its columns are ``bytes``."""
+    fld = FiniteField(2, 8)
+    plan = fld.row_plan([((0, 2), [3, 255]), ((), [])], 3)
+    assert plan == (2, (b"\x03\x00", b"\x00\x00", b"\xff\x00"))
+    assert not {"run_plan", "vec_key", "sub_key"} & set(vars(fld))
+    assert fld.run_plan(plan, [1, 7, 1]) == [3 ^ 255, 0]
+    assert {"run_plan", "vec_key", "sub_key"} <= set(vars(fld))
+    assert closure_value(fld.run_plan, "tables") is closure_value(fld.sub_key, "tables")
+    # the other fields bind their passes with their other ops
+    for other in (FiniteField(2), FiniteField(2, 9), FiniteField(3, 2)):
+        assert "run_plan" in vars(other) and "sub_key" not in vars(other)
+
+
 def test_interpolate_line():
     f = interpolate(F11, [(0, 1), (1, 2)])
     assert f.coeffs == [1, 1]
@@ -519,7 +539,7 @@ def test_row_and_column_supports_are_the_nonzero_positions():
     assert Matrix(F13, [], 3).column_supports() == [(), (), ()]
 
 
-@pytest.mark.parametrize("fld", [F13, F16])
+@pytest.mark.parametrize("fld", [F13, F16, FiniteField(2, 8), FiniteField(2, 9)])
 def test_row_plan_gives_the_rows_times_a_vector(fld):
     # rows with no, one and several nonzeros, and rows that share the
     # support of row 5 but for a private column (column 6 for row 6,
@@ -546,9 +566,10 @@ def test_row_plan_gives_the_rows_times_a_vector(fld):
 
 # the fields of the row plan's differential tests: prime fields from the
 # smallest to the largest order, where lanes are widest, and extension
-# fields of characteristic 2 and 3
+# fields of characteristic 2 and 3; in characteristic 2 up to F_256, the
+# largest of byte columns, and F_512, one dot per row
 ROW_GROUP_FIELDS = [FiniteField(2), FiniteField(7), FiniteField(79), FiniteField(65521),
-                    F4, F9, F16]
+                    F4, F9, F16, FiniteField(2, 8), FiniteField(2, 9)]
 
 
 @st.composite

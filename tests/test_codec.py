@@ -42,12 +42,13 @@ FIELDS = (
     FiniteField(3, 2),
     FiniteField(11),
     FiniteField(2, 4),
+    FiniteField(2, 8),
 )
 
 
 @st.composite
 def layouts(draw):
-    """A layout over F_5..F_16 with ell <= 4 and h <= 3.  Its evaluation
+    """A layout over F_5..F_256 with ell <= 4 and h <= 3.  Its evaluation
     sets are windows of one shuffled point list, ``step`` apart, so they
     share points as design blocks do, or none when the list is long."""
     fld = draw(st.sampled_from(FIELDS))
@@ -68,25 +69,60 @@ def layouts(draw):
 
 
 @st.composite
+def concurrent_layouts(draw):
+    """A layout over F_7..F_256 whose first three sets meet in one common
+    point and are otherwise disjoint, as three lines of a plane through a
+    point do, with ell <= 3 and h >= 2*delta - 1: three heavy sets, each
+    erasing the common point and delta - 1 points of its own, then fit the
+    h+delta-1 budget.  A fourth set, if any, is a window of the points
+    outside S.  ``layouts()`` cannot yield such a pattern."""
+    fld = draw(st.sampled_from([f for f in FIELDS if f.q >= 7]))
+    delta = draw(st.integers(2, 3 if fld.q >= 12 else 2))
+    h = draw(st.integers(2 * delta - 1, min(2 * delta + 1, fld.q - 3 * delta + 2)))
+    room = fld.q - h - 1  # for the three sets past their common point
+    r = draw(st.integers(1, min(3, (room - delta + 1) // 2 - delta + 2)))
+    ell = draw(st.integers(2, 3 if 3 * (r + delta - 2) <= room else 2))
+    v = draw(st.integers(1, r if ell == 3 else min(r, room - 2 * (r + delta - 2) - delta + 2)))
+    sizes = [r + delta - 1] * ell + [v + delta - 1]
+    order = draw(st.permutations(range(fld.q)))
+    s_points, common, rest = order[:h], order[h], order[h + 1:]
+    sets = []
+    for size in sizes[:3]:
+        own, rest = rest[:size - 1], rest[size - 1:]
+        sets.append(draw(st.permutations([common, *own])))
+    sets += [draw(st.permutations(order[h:]))[:size] for size in sizes[3:]]
+    return EvaluationLayout(fld, LrcParams(r=r, delta=delta, ell=ell, v=v, h=h), sets, s_points)
+
+
+@st.composite
 def codewords(draw):
     """(layout, information, codeword, erasure pattern): up to three heavy
     sets, light erasures elsewhere, and erased global points, mostly within
     the h+delta-1 budget of an admissible pattern.  With three, a point can
     lie in all of them, and a set's exclusive points depend on both of the
-    others.  One layout in four is ag13's: three of its sets (lines of
-    AG(2,3)) can meet in one point and nowhere else, so three heavy sets
-    can be admissible there, which they never are on ``layouts()``."""
-    lay = fixtures.ag13_layout() if draw(st.integers(0, 3)) == 0 else draw(layouts())
+    others.  One layout in four is ag13's, whose sets are the lines of
+    AG(2,3), and one in four from ``concurrent_layouts()``, whose three
+    sets that meet are then the heavy ones: on those three heavy sets can
+    be admissible, which they never are on ``layouts()``."""
+    kind = draw(st.integers(0, 3))
+    lay = (fixtures.ag13_layout() if kind == 0 else draw(concurrent_layouts()) if kind == 1
+           else draw(layouts()))
     p = lay.params
     info = draw(st.lists(st.integers(0, lay.field.q - 1), min_size=p.k, max_size=p.k))
     budget = p.h + p.delta - 1
-    heavy = draw(st.permutations(range(p.ell + 1)))[: draw(st.integers(0, 3))]
+    # on concurrent layouts the heavy sets are the three that meet
+    heavy = (draw(st.permutations(range(3))) if kind == 1
+             else draw(st.permutations(range(p.ell + 1)))[: draw(st.integers(0, 3))])
+    shared = {x for t, u in itertools.combinations(heavy, 2)
+              for x in set(lay.sets[t]) & set(lay.sets[u])}
     per_set, union = [], set()
     for b, a in enumerate(lay.sets):
         if b in heavy:
-            # points already erased elsewhere first, so that heavy sets
-            # can share erasures and fit the budget together
-            order = sorted(draw(st.permutations(a)), key=lambda x: x not in union)
+            # points already erased elsewhere first, then those of other
+            # heavy sets, so that heavy sets can share erasures and fit the
+            # budget together
+            order = sorted(draw(st.permutations(a)), key=lambda x: (x not in union,
+                                                                    x not in shared))
             pts = order[: draw(st.integers(p.delta, max(p.delta, min(len(a), budget))))]
             union.update(pts)
         else:
@@ -201,6 +237,41 @@ def test_three_heavy_sets_through_one_point(ag13_layout, ag13_code):
                         == outcome(two_pass_decode, lay, received, pat))
                 checked += 1
     assert checked == 72
+
+
+@pytest.mark.parametrize("fld, r, delta", [(FiniteField(2, 3), 1, 2), (FiniteField(2, 4), 2, 3),
+                                           (FiniteField(2, 8), 3, 2)], ids=repr)
+def test_three_heavy_sets_through_one_point_in_characteristic_2(fld, r, delta):
+    """Three sets through the point 0, otherwise disjoint, with 0 at
+    position t of set t, h = 2*delta - 1, and each heavy set erasing 0
+    and delta - 1 points of its own, which fills the budget: the
+    structured decoder, the two-pass reference and the linear oracle
+    return the word, and with a survivor corrupted both structured
+    decoders give the same word or error."""
+    h = 2 * delta - 1
+    own = iter(range(1, fld.q))
+    sets = []
+    for t in range(3):
+        a = [next(own) for _ in range(r + delta - 2)]
+        sets.append(a[:t] + [0] + a[t:])
+    lay = EvaluationLayout(fld, LrcParams(r=r, delta=delta, ell=2, v=r, h=h), sets,
+                           range(fld.q - 1, fld.q - 1 - h, -1))
+    code = build_code(lay)
+    rng = random.Random(fld.q)
+    word = encode(lay, [rng.randrange(fld.q) for _ in range(lay.params.k)])
+    for _ in range(10):
+        per_set = {t: [0, *rng.sample([x for x in a if x], delta - 1)] for t, a in enumerate(sets)}
+        pat = ErasurePattern.make(lay, per_set)
+        assert pattern_admissible(lay, pat).admissible
+        coords = pat.coords(lay)
+        received = mask(word, coords)
+        assert decode_structured(lay, received, pat) == word
+        assert two_pass_decode(lay, received, pat) == word
+        assert decode_linear(code, coords, mask(word, coords, 0)) == word
+        c = rng.choice([c for c in range(lay.n) if c not in set(coords)])
+        received[c] = fld.add(received[c], 1)
+        assert (outcome(decode_structured, lay, received, pat)
+                == outcome(two_pass_decode, lay, received, pat))
 
 
 def _f16_layout():

@@ -18,7 +18,7 @@ from lrckit.goppa import (
 )
 from lrckit.lrc import verify_locality
 from gopparef import congruences_hold, embed_matrix
-from linref import same_row_space
+from linref import same_row_space, stack
 
 F16 = FiniteField(2, 4)
 
@@ -140,7 +140,7 @@ def test_splitting_extension_field():
     p_emb = embed_matrix(p, big, emb)
     # base-field rows lie in the Cauchy row space (same code over the
     # extension), so stacking does not grow the rank
-    assert p_star.stack(p_emb).rank() == p_star.rank()
+    assert stack(p_star, p_emb).rank() == p_star.rank()
     # every base-field codeword embeds to a splitting-field codeword
     code = build_code(gp)
     for word in itertools.islice(all_codewords(code), 64):

@@ -184,3 +184,74 @@ def test_kind_comparison_detector():
                          ids=lambda p: p.name)
 def test_field_kind_forks_stay_in_algebra(path):
     assert kind_comparisons(path.read_text()) == []
+
+
+# int.from_bytes and int.to_bytes take the byte order as a required
+# argument before Python 3.11, and the project supports 3.10
+BYTE_ORDERS = {"big", "little"}
+BYTE_METHODS = {"from_bytes", "to_bytes"}
+
+
+def names_byte_order(node) -> bool:
+    """True iff ``node`` is the literal "big" or "little"."""
+    return isinstance(node, ast.Constant) and node.value in BYTE_ORDERS
+
+
+def implicit_byte_orders(source: str) -> list[str]:
+    """Uses of ``from_bytes``/``to_bytes`` that do not name the byte order:
+    a call without "big" or "little" as its second argument or its
+    ``byteorder``, a ``map`` of one without a ``repeat("big")`` or
+    ``repeat("little")`` among its iterables, and any other mention but an
+    alias under the same name (whose uses are checked by that name)."""
+    tree = ast.parse(source)
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        else:
+            continue
+        if name not in BYTE_METHODS:
+            continue
+        up = parent.get(node)
+        if isinstance(up, ast.Call) and up.func is node:
+            ok = (len(up.args) > 1 and names_byte_order(up.args[1])
+                  or any(kw.arg == "byteorder" and names_byte_order(kw.value)
+                         for kw in up.keywords))
+        elif (isinstance(up, ast.Call) and isinstance(up.func, ast.Name)
+              and up.func.id == "map" and up.args[0] is node):
+            ok = any(isinstance(arg, ast.Call) and len(arg.args) == 1
+                     and names_byte_order(arg.args[0])
+                     and getattr(arg.func, "id", getattr(arg.func, "attr", None)) == "repeat"
+                     for arg in up.args[1:])
+        else:
+            ok = (isinstance(up, ast.Assign) and len(up.targets) == 1
+                  and isinstance(up.targets[0], ast.Name) and up.targets[0].id == name)
+        if not ok:
+            out.append(f"line {node.lineno}: {name}")
+    return sorted(out)
+
+
+def test_implicit_byte_order_detector():
+    source = "\n".join([
+        "from_bytes = int.from_bytes",
+        "a = from_bytes(w, 'big') ^ int.from_bytes(u, byteorder='little')",
+        "b = x.to_bytes(4, 'big') + x.to_bytes(4) + x.to_bytes(length=4)",
+        "c = from_bytes(w)",
+        "d = list(map(from_bytes, ws, itertools.repeat('big')))",
+        "e = list(map(from_bytes, ws, repeat(order)))",
+        "f = list(map(int.to_bytes, xs, ns))",
+        "g, conv = 1, int.from_bytes",
+        "h = x.to_bytes(4, order)",
+    ])
+    assert implicit_byte_orders(source) == [
+        "line 3: to_bytes", "line 3: to_bytes", "line 4: from_bytes", "line 6: from_bytes",
+        "line 7: to_bytes", "line 8: from_bytes", "line 9: to_bytes",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_byte_order_is_explicit(path):
+    assert implicit_byte_orders(path.read_text()) == []
