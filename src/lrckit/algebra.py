@@ -1,6 +1,6 @@
 """Exact arithmetic over prime-power finite fields, dense polynomials,
-and matrices, with ``Matrix.eliminate``, the one sparse elimination that
-the library's ranks, rank tests and decoders run.
+and matrices, with ``eliminate_keys``, the one column elimination that
+the library's ranks, rank tests and decoders run, on search keys.
 
 Field elements are plain Python ints in ``[0, q)``.  For an extension
 field F_{p^m} the integer ``sum(c_i * p**i)`` encodes the element with
@@ -18,11 +18,10 @@ into integer lanes of a few column chunks, so one C-level dot per chunk
 evaluates every row; on a characteristic-2 field of at most 256 elements
 its columns are ``bytes``, so one C-level chain of translations and XORs
 evaluates every row; on the other extension fields it is one ``dot`` per
-row.  The encoder and the decoders run on it.  So do the distance search's
-keys, ``vec_key``/``sub_key``: ``bytes`` under the same translation tables
-on small prime and characteristic-2 fields, tuples on the others.  The
-array sweeps' local-then-global rank test reduces its short vectors as
-keys too.
+row.  The encoder and the decoders run on it.  So do the search keys,
+``vec_key``/``sub_key``: ``bytes`` under the same translation tables on
+small prime and characteristic-2 fields, tuples on the others.  The
+distance search and ``eliminate_keys`` reduce them.
 """
 
 from __future__ import annotations
@@ -227,20 +226,23 @@ class FiniteField:
     ``root_product(roots, x)`` is prod (x - r) over the roots, on a prime
     field with plain int arithmetic reduced mod p at each step.
 
-    The distance search's kernels: ``vec_key(v)`` is the normal form of v
-    as a hashable key, and ``sub_key(w, c, u)`` the key of w - c*u for keys
-    w and u; a key compares as ``normalize`` gives it, entry by entry.  On
-    a lane field, a prime field with p <= 127 or a characteristic-2 field
-    with q <= 256, a key is ``bytes``, one entry per byte.  c*u is
-    ``u.translate`` by c's multiplication table, and the subtraction is one
+    The search keys' kernels: ``vec_key(v)`` is the normal form of v as a
+    hashable key, and ``sub_key(w, c, u)`` the key of w - c*u for keys w
+    and u; a key compares as ``normalize`` gives it, entry by entry.
+    ``packed(v)`` is v in the form ``vec_key`` reads without conversion,
+    and two packed vectors concatenate with ``+``.  On a lane field, a
+    prime field with p <= 127 or a characteristic-2 field with q <= 256, a
+    key is ``bytes``, one entry per byte, and so is a packed vector.  c*u
+    is ``u.translate`` by c's multiplication table, and the subtraction is one
     int op on ``int.from_bytes``: XOR in characteristic 2, and on a prime
     field the sum with (p-c)*u, whose lanes stay below 2p - 1 < 256, so none
     carries into the next; one more ``translate`` reduces them mod p.  The
     normal form finds the leading entry by ``lstrip`` and scales by one
     ``translate``.  On the other fields a key is the tuple ``normalize``
-    makes.  The q tables, each the previous one translated by the
-    generator's, are built on the first use of either kernel, or of a
-    characteristic-2 byte field's ``run_plan``, which shares them.
+    makes, and a packed vector a tuple.  The q tables, each the previous
+    one translated by the generator's, are built on the first use of
+    either kernel, or of a characteristic-2 byte field's ``run_plan``,
+    which shares them.
     """
 
     vec_key, sub_key, run_plan = _TableKernel(), _TableKernel(), _TableKernel()
@@ -617,6 +619,7 @@ class FiniteField:
         if run_plan is not None:  # else bound with the tables
             self.run_plan = run_plan
         self.normalize, self._table_kernels = normalize, table_kernels
+        self.packed = bytes if byte_keys else tuple
 
     def are_elements(self, values: Sequence) -> bool:
         """True iff every value is an int in [0, q), a bool counting as one.
@@ -881,25 +884,24 @@ def interpolate(fld: FiniteField, points: Sequence[tuple[int, int]]) -> Poly:
 # matrices
 
 
-def eliminate_vectors(fld: FiniteField, vectors, bound: int, stop: bool = True):
-    """The core of ``Matrix.eliminate``, on any vectors: ``vectors`` holds
-    pairs (v, live), v a list the call may change and live a set holding
-    at least v's nonzero positions.  Each v is reduced
-    against the pivots so far, an update touching just the pivot's nonzero
-    positions, and becomes a pivot at its lowest nonzero position if that
-    is below ``bound``, else it is dependent.  Returns (pivots,
-    dependents) as ``Matrix.eliminate`` does; ``stop`` ends at the first
-    dependent."""
-    vec_sub_at, mul, inv = fld.vec_sub_at, fld.mul, fld.inv
+def eliminate_keys(sub_key, keys, bound: int, stop: bool = True):
+    """Column elimination on search keys (``FiniteField.vec_key``), which
+    hold a vector's normal form, a leading 1: each key is reduced by
+    ``sub_key`` against the pivots so far, and becomes a pivot at its
+    leading 1 if that is below ``bound``, else it is dependent, a zero key
+    among them.  Returns (pivots, dependents): the pivots as (row, key),
+    each zero on the earlier pivot rows, so their count is the rank on the
+    rows below ``bound``, and the dependents' reduced keys, which vanish
+    below ``bound``.  ``stop`` ends at the first dependent.  A key is read
+    only by indexing, ``in`` and ``index``, so ``bytes`` and tuple keys
+    run alike."""
     pivots, dependents = [], []
-    for v, live in vectors:
-        for pr, pinv, u, su in pivots:
-            if v[pr]:
-                vec_sub_at(v, mul(v[pr], pinv), u, su)
-                live.update(su)
-        nz = [i for i in live if v[i]]
-        if nz and (pr := min(nz)) < bound:
-            pivots.append((pr, inv(v[pr]), v, nz))
+    for v in keys:
+        for pos, u in pivots:
+            if v[pos]:
+                v = sub_key(v, v[pos], u)
+        if 1 in v and (pos := v.index(1)) < bound:  # a nonzero key holds its leading 1
+            pivots.append((pos, v))
         else:
             dependents.append(v)
             if stop:
@@ -912,19 +914,19 @@ class Matrix:
 
     The nonzero structure is derived once, on first use, and cached with
     the matrix: ``column_supports``, ``row_supports`` and
-    ``private_columns`` together, and the ``row_plan`` from the row
-    supports on its own first use, as only the linear decoder reads it.
-    It pickles with the matrix.  ``rows`` must not be changed after that
-    first use, and its entries must be field elements, ints in [0, q), as
-    the lanes of the plan assume.
+    ``private_columns`` together, the ``row_plan`` from the row supports
+    on its own first use, as only the linear decoder reads it, and each
+    ``packed_column`` on its own first use.  They pickle with the matrix.
+    ``rows`` must not be changed after that first use, and its entries
+    must be field elements, ints in [0, q), as the lanes of the plan and
+    the bytes of the packed columns assume.
 
-    ``eliminate`` is the library's one elimination, and
-    ``eliminate_vectors`` its core.  The dense ``rref``, ``rank`` and
-    ``nullspace`` are the reference the tests and the benchmark check it
-    against.
+    ``eliminate`` runs ``eliminate_keys`` on the columns' keys.  The dense
+    ``rref``, ``rank`` and ``nullspace`` are the reference the tests and
+    the benchmark check it against.
     """
 
-    __slots__ = ("field", "rows", "nrows", "ncols", "_supports", "_plan")
+    __slots__ = ("field", "rows", "nrows", "ncols", "_supports", "_plan", "_packed")
 
     def __init__(self, fld: FiniteField, rows: Sequence[Sequence[int]], ncols: int | None = None):
         self.field = fld
@@ -940,6 +942,7 @@ class Matrix:
         self.ncols = ncols
         self._supports = None
         self._plan = None
+        self._packed = None
 
     def copy_rows(self) -> list[list[int]]:
         return [r[:] for r in self.rows]
@@ -975,36 +978,20 @@ class Matrix:
 
     # -- elimination -------------------------------------------------------
 
-    def eliminate(self, cols, tagged: bool = False, stop: bool = True, bound: int | None = None):
-        """Column-by-column elimination over the nonzero entries only: each
-        column ``cols[t]`` is reduced against the pivots so far, an update
-        touching just the pivot's nonzero rows, and becomes a pivot at its
-        lowest nonzero row if that is below ``bound`` (default nrows), else
-        it is dependent.  Returns (pivots, dependents): the pivots as (row,
-        1 / value, vector, its nonzero rows), each zero on the earlier pivot
-        rows, so their count is the rank on the rows below ``bound``, and
-        the dependents' reduced vectors.  ``stop`` ends at the first
-        dependent, or at once with dependents ``[None]`` when the columns
-        touch fewer rows than there are columns.  ``tagged`` adds a 1 at
-        row nrows + t of column t (never a pivot row), so each vector
-        records which combination of the columns it is.  The reduction is
-        ``eliminate_vectors`` on the columns as vectors."""
-        sup = self.column_supports()
-        if stop and len(set().union(*map(sup.__getitem__, cols))) < len(cols):
-            return [], [None]
-        rows, nrows = self.rows, self.nrows
-        size = nrows + len(cols) if tagged else nrows
-        vectors = []
-        for t, c in enumerate(cols):
-            v = [0] * size
-            live = set(sup[c])
-            for i in live:
-                v[i] = rows[i][c]
-            if tagged:
-                v[nrows + t] = 1
-                live.add(nrows + t)
-            vectors.append((v, live))
-        return eliminate_vectors(self.field, vectors, nrows if bound is None else bound, stop)
+    def eliminate(self, cols, stop: bool = True, bound: int | None = None):
+        """``eliminate_keys`` on the keys of the columns ``cols``, with
+        ``bound`` (default nrows): the pivots as (row, key), their count the
+        rank on the rows below ``bound``, and the dependents' reduced keys.
+        ``stop`` ends at the first dependent, or at once with dependents
+        ``[None]`` when the columns touch fewer rows than there are
+        columns."""
+        if stop:
+            sup = self.column_supports()
+            if len(set().union(*map(sup.__getitem__, cols))) < len(cols):
+                return [], [None]
+        fld = self.field
+        return eliminate_keys(fld.sub_key, map(fld.vec_key, map(self.packed_column, cols)),
+                              self.nrows if bound is None else bound, stop)
 
     def rref(self) -> tuple[list[list[int]], list[int]]:
         """Reduced row echelon form; returns (rows, pivot column list).
@@ -1067,6 +1054,19 @@ class Matrix:
                 [(js, [rows[i][j] for j in js]) for i, js in enumerate(self.row_supports())],
                 self.ncols)
         return self._plan
+
+    def packed_column(self, j: int):
+        """Column j as ``field.packed`` gives it, built on first use from
+        the column supports and cached."""
+        if self._packed is None:
+            self._packed = [None] * self.ncols
+        col = self._packed[j]
+        if col is None:
+            v = [0] * self.nrows
+            for i in self.column_supports()[j]:
+                v[i] = self.rows[i][j]
+            col = self._packed[j] = self.field.packed(v)
+        return col
 
     def private_columns(self) -> dict[int, list[int]]:
         """Row -> the columns where it alone is nonzero, if any (cached)."""

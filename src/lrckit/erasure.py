@@ -1,8 +1,10 @@
 """Erasure-pattern machinery: the admissibility test for the structured
 polynomial decoder, the decoder itself, a generic linear-algebra rank test
-and decoding oracle that both run ``Matrix.eliminate`` (the library's one
-sparse column elimination), exact minimum-distance search, and the local
-repair thresholds that the array sweeps' rank test reads.
+and decoding oracle that both run ``algebra.eliminate_keys`` (the
+library's one column elimination) on H's column keys, the decoder with
+the survivors' syndrome appended as one more key, exact minimum-distance
+search, and the local repair thresholds that the array sweeps' rank test
+reads.
 
 Local repair rests on information locality.  If the code punctured to a
 repair set A has distance d, and an erased set E meets A in at least one
@@ -37,7 +39,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from itertools import compress
 
-from .algebra import FiniteField, Matrix, interpolant
+from .algebra import FiniteField, Matrix, eliminate_keys, interpolant
 from .errors import Inconsistent, Infeasible, InvalidParameter, NotAdmissible
 from .lrc import EvaluationLayout, LinearCode, punctured_checks
 
@@ -309,28 +311,34 @@ def decode_linear(code: LinearCode, erased, received) -> list[int] | None:
     a survivor is missing or not an int in [0, q).  Erased entries of
     ``received`` are not read.
 
-    Shares ``recoverable``'s elimination, with tagged columns: the
-    survivors' syndrome, padded with zeros, is reduced against the pivots,
-    must vanish on the rows of H, and leaves the erased values in the tag
-    rows.  The syndrome is one pass of H's cached ``row_plan`` over the
-    survivors, which ``_survivors`` has checked to be field elements, as
-    the plan's lanes need."""
+    One ``eliminate_keys`` call with ``bound`` nrows decides it all.  Erased
+    column t is keyed as [H_t; e_t; 0], its tag e_t the t-th unit vector,
+    and the survivors' syndrome s = H w as one more key [s; 0; 1] after
+    them: one pass of H's cached ``row_plan`` over the survivors, which
+    ``_survivors`` has checked to be field elements, as the plan's lanes
+    need.  A dependent erased column means None; a syndrome that becomes a
+    pivot, one not in the span of the erased columns, means Inconsistent.
+    Otherwise the syndrome reduces to c [0; x; 1], c nonzero, with s + H_E
+    x = 0, so the erased values x are its tag entries divided by its last
+    entry."""
     h = code.check
     fld = code.field
     cols = _columns(erased, code.n)
     masked = _survivors(received, cols, code.n, fld)
-    pivots, dependent = h.eliminate(cols, tagged=True)
-    if dependent:
+    m, nrows = len(cols), h.nrows
+    vec_key = fld.vec_key
+    unit = fld.packed([0] * m + [1] + [0] * m)  # [e_t; 0] is m + 1 entries from m - t
+    keys = [vec_key(h.packed_column(c) + unit[m - t:2 * m + 1 - t]) for t, c in enumerate(cols)]
+    keys.append(vec_key(fld.run_plan(h.row_plan(), masked) + [0] * m + [1]))
+    pivots, dependents = eliminate_keys(fld.sub_key, keys, nrows)
+    if len(pivots) < m:
         return None
-    nrows = h.nrows
-    v = fld.run_plan(h.row_plan(), masked) + [0] * len(cols)  # erased entries are zero
-    for pr, pinv, u, su in pivots:
-        if v[pr]:
-            fld.vec_sub_at(v, fld.mul(v[pr], pinv), u, su)
-    if any(v[:nrows]):
+    if not dependents:
         raise Inconsistent("survivors are inconsistent with the code")
-    for t, c in enumerate(cols):
-        masked[c] = v[nrows + t]
+    v = dependents[0]
+    scale = fld.inv(v[-1])
+    for t, c in enumerate(cols, nrows):
+        masked[c] = fld.mul(v[t], scale)
     return masked
 
 
@@ -477,9 +485,10 @@ def min_distance(h: Matrix, d_max: int | None = None, workers: int = 1) -> int:
     only the columns nonzero at its row, and the last two columns come from
     a collision step: two later columns are dependent with the prefix iff
     their keys coincide (see
-    ``_dependent_subset``).  ``d_max`` bounds the search and must be at
-    least 1.  Its default, min(n, nrows) + 1, needs no rank: any rank(H) +
-    1 columns are dependent and rank(H) <= min(n, nrows), so a dependent
+    ``_dependent_subset``).  ``d_max`` bounds the search and must be an
+    int (not a bool), at least 1; InvalidParameter otherwise.  Its
+    default, min(n, nrows) + 1, needs no rank: any rank(H) + 1 columns are
+    dependent and rank(H) <= min(n, nrows), so a dependent
     subset, if any, is found within it; if there is none, rank(H) = n <=
     nrows and the bound is n + 1.  Raises Infeasible when the projected
     number of rank tests, the sum of C(n, s) over the passes so far,
@@ -507,6 +516,8 @@ def min_distance(h: Matrix, d_max: int | None = None, workers: int = 1) -> int:
         raise InvalidParameter("empty matrix")
     if d_max is None:
         d_max = min(n, h.nrows) + 1
+    elif isinstance(d_max, bool) or not isinstance(d_max, int):
+        raise InvalidParameter(f"d_max must be an int, got {d_max!r}")
     elif d_max < 1:
         raise InvalidParameter(f"d_max must be at least 1, got {d_max}")
     s = _smallest_dependent(h, d_max)

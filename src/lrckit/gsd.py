@@ -11,9 +11,10 @@ cells; zero-filled cells carry no information and are excluded from erasure
 accounting.
 
 A sweep tests each pattern locally first, then globally, on the split of
-H by the code's repair sets (``row_split``), which must be disjoint.  A
-row of H is local to set A when its support lies inside A, and global
-otherwise; g rows are global (6 on example3, 4 on ag13).  An erased set E
+H by the code's repair sets (``row_split``).  A row of H is local to set
+A when its support lies inside A, and global otherwise; g rows are global
+(6 on example3, 4 on ag13).  Sets that overlap are not split on: every
+coordinate is then free, and every nonzero row global.  An erased set E
 meets A in E_A and leaves E_F outside every set.  As A's local rows L_A
 vanish outside A, H_E x = 0 iff every x_A lies in the kernel of L_A on
 E_A, x_A = K_A z_A with K_A a kernel basis, and the global rows G give
@@ -37,9 +38,10 @@ under per-lane masks, leaves just the lanes holding more than their
 threshold t, and only those are read back.  A's image G_{E_A} K_A
 depends on (A, E_A) alone, so it is cached, and held, as the free
 columns are, as the field's search keys (``FiniteField.vec_key``); the
-rank test reduces them with ``sub_key``.  When the sets overlap or none
-holds a local row, the test is ``erasure.recoverable`` on all of H, which
-stays the reference.
+rank test is ``algebra.eliminate_keys`` on them.  A free coordinate's
+image is its column on the global rows, so with no set lane the test is
+the plain rank test on all of H, as ``erasure.recoverable``, the
+reference, runs it.
 
 Each array keeps what its sweeps read, built on first use
 (``ArrayLayout.plan``): the column coordinates, the words of its cells and
@@ -60,10 +62,10 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .algebra import PRIME_LIMIT, Matrix, factor_prime_power
+from .algebra import PRIME_LIMIT, Matrix, eliminate_keys, factor_prime_power
 from .errors import Infeasible, InvalidParameter, NotRegular
 from .lrc import EvaluationLayout, LinearCode
-from .erasure import local_repair_map, recoverable
+from .erasure import local_repair_map
 
 
 # The most (repair set, erased cells) images a sweep plan keeps; past it,
@@ -73,9 +75,9 @@ MAX_IMAGES = 1 << 16
 
 @dataclass(frozen=True)
 class RowSplit:
-    """H's rows split by disjoint repair sets, as ``SweepPlan`` reads them.
-    A row is local to set A when its support lies inside A, and global
-    otherwise; ``g`` global rows.
+    """H's rows split by the code's repair sets, as ``SweepPlan`` reads
+    them.  A row is local to set A when its support lies inside A, and
+    global otherwise; ``g`` global rows.  Sets that overlap own no lane.
 
     Each lane of a packed word is a run of bits, one per member, then a
     guard bit.  A set with local rows or a local repair threshold owns a
@@ -102,13 +104,13 @@ class RowSplit:
     spans: list[tuple[int, int, int]]
 
 
-def row_split(code: LinearCode) -> RowSplit | None:
-    """The ``RowSplit`` of the code's H, or None when its repair sets
-    overlap or none of them holds a local row."""
+def row_split(code: LinearCode) -> RowSplit:
+    """The ``RowSplit`` of the code's H.  When its repair sets overlap, no
+    set owns a lane and every coordinate is free."""
     h, sets = code.check, code.repair_sets
     owner = {c: s for s, cs in enumerate(sets) for c in cs}
     if len(owner) < sum(map(len, sets)):
-        return None
+        sets, owner = [], {}
     local: list[list[int]] = [[] for _ in sets]
     glob = []
     within = [set(cs).issuperset for cs in sets]
@@ -118,8 +120,6 @@ def row_split(code: LinearCode) -> RowSplit | None:
             local[s].append(i)
         elif sup:
             glob.append(i)
-    if not any(local):
-        return None
     set_thresholds = [0] * len(sets)
     for s, t in local_repair_map(code).values():
         set_thresholds[s] = t
@@ -152,36 +152,14 @@ def row_split(code: LinearCode) -> RowSplit | None:
                     lane_at, spans)
 
 
-def _eliminate_keys(sub_key, keys, bound: int, stop: bool = True) -> list:
-    """``algebra.eliminate_vectors`` on search keys, which hold a vector's
-    normal form (a leading 1): each key is reduced by ``sub_key`` against
-    the pivots so far, and becomes a pivot at its leading 1 if that is
-    below ``bound``, else it is dependent, a zero key among them.  Returns
-    the dependents; ``stop`` ends at the first.  A key is read only by
-    indexing, ``any`` and ``index``, so ``bytes`` and tuple keys run
-    alike."""
-    pivots, dependents = [], []
-    for v in keys:
-        for pos, u in pivots:
-            if v[pos]:
-                v = sub_key(v, v[pos], u)
-        if any(v) and (pos := v.index(1)) < bound:
-            pivots.append((pos, v))
-        else:
-            dependents.append(v)
-            if stop:
-                break
-    return dependents
-
-
 @dataclass(frozen=True)
 class SweepPlan:
     """What every sweep of one array reads, built once per array
     (``SweepPlan.of``): the coordinates of each column's real cells, those
     of all columns in one list (``flat``) with the position of each
     column's first cell there (``starts``), H, its ``row_split``, the
-    packed word of each coordinate (``words``; its lane bit, or bit c of
-    coordinate c when there is no split) and of each column
+    packed word of each coordinate (``words``, its lane bit) and of each
+    column
     (``col_words``, the sum of its cells' words), and the cache of images
     that ``verdict`` fills, keyed by a lane's bits of the word."""
 
@@ -189,7 +167,7 @@ class SweepPlan:
     flat: list[int]
     starts: list[int]
     h: Matrix
-    split: RowSplit | None
+    split: RowSplit
     words: list[int]
     col_words: list[int]
     images: dict[int, list] = field(default_factory=dict)
@@ -199,11 +177,10 @@ class SweepPlan:
         """The plan of ``code`` on an array with these column coordinates;
         with none, the plan of its rank test alone."""
         split = row_split(code)
-        words = [1 << c for c in range(code.n)]
-        if split is not None:
-            for cs, off in zip(split.lanes, split.offsets):
-                for k, c in enumerate(cs):
-                    words[c] = 1 << (off + k)
+        words = [0] * code.n
+        for cs, off in zip(split.lanes, split.offsets):
+            for k, c in enumerate(cs):
+                words[c] = 1 << (off + k)
         col_coords = list(col_coords)
         return cls(
             col_coords=col_coords,
@@ -233,15 +210,9 @@ class SweepPlan:
         rows) or more image vectors, so more than g of those are refused
         before any image is looked up.  Otherwise each heavy lane adds its
         image, G K_A on its erased cells (cached per lane bits; a free
-        cell's is its global column), and an elimination of those keys
-        decides.  With no split, the test is ``erasure.recoverable``."""
+        cell's is its global column), and ``eliminate_keys`` on those keys
+        decides."""
         split = self.split
-        if split is None:
-            cells = []
-            while word:
-                cells.append(c := word.bit_length() - 1)
-                word ^= 1 << c
-            return recoverable(self.h, cells)
         x, guards = word, split.guards
         for low in split.clears:
             x &= (x | guards) - low
@@ -265,7 +236,7 @@ class SweepPlan:
                 if len(images) < MAX_IMAGES:
                     images[part] = image
             vecs += image
-        return not _eliminate_keys(self.h.field.sub_key, vecs, split.g)
+        return not vecs or not eliminate_keys(self.h.field.sub_key, vecs, split.g)[1]
 
     def _image(self, part: int) -> list:
         """The image of the lane holding the bits of ``part``: its erased
@@ -277,7 +248,7 @@ class SweepPlan:
         keys, r = split.keys, split.nlocal[s]
         part >>= split.offsets[s]
         cols = [keys[c] for k, c in enumerate(split.lanes[s]) if part >> k & 1]
-        return [v[r:] for v in _eliminate_keys(self.h.field.sub_key, cols, r, stop=False)]
+        return [v[r:] for v in eliminate_keys(self.h.field.sub_key, cols, r, stop=False)[1]]
 
     def cells(self, choice, extras) -> list[int]:
         """The sorted coordinates of the chosen columns and the extra cells."""
@@ -537,7 +508,8 @@ def check_array(
     1); sampled mode draws ``count`` (at least 1) patterns from the given
     seed, with ``random.Random(seed).sample``'s selection and its
     ``getrandbits`` calls, so a seed gives the same report.  Raises
-    InvalidParameter unless y, gamma, count and seed are ints (not bools),
+    InvalidParameter unless y, gamma, count, seed, ``exhaustive_limit``
+    and a given ``d`` are ints (not bools),
     0 <= y <= the eligible columns and 0 <= gamma <= the real cells left
     outside any y of them.  The report carries the sector-disk
     qualification bit y*rows + gamma > d - 1 when the minimum distance
@@ -560,7 +532,9 @@ def check_array(
     built only when it is kept.  ``workers`` is accepted, for callers that
     still pass it, and ignored: every sweep runs in this process.
     """
-    for name, value in (("y", y), ("gamma", gamma), ("count", count), ("seed", seed)):
+    ints = [("y", y), ("gamma", gamma), ("count", count), ("seed", seed),
+            ("exhaustive_limit", exhaustive_limit)] + ([("d", d)] if d is not None else [])
+    for name, value in ints:
         if isinstance(value, bool) or not isinstance(value, int):
             raise InvalidParameter(f"{name} must be an int, got {value!r}")
     if columns not in ("all", "data"):

@@ -1,9 +1,10 @@
 """Dense linear-algebra references for the differential tests.  The
-library decides recoverability and decodes erasures by one sparse column
-elimination, finds minimum distances by a pruned search, and shortens the
-dual code to a repair set from H's supports; these functions are the plain
-dense versions they are compared against, and are not used by the library,
-whose ranks all come from ``Matrix.eliminate``.
+library decides recoverability and decodes erasures by one column
+elimination on search keys (``algebra.eliminate_keys``), finds minimum
+distances by a pruned search, and shortens the dual code to a repair set
+from H's supports; these functions are the plain dense versions they are
+compared against, and are not used by the library, whose ranks all come
+from ``eliminate_keys``.
 """
 
 import itertools

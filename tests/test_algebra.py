@@ -14,7 +14,6 @@ from lrckit.algebra import (
     Matrix,
     Poly,
     dump_matrix,
-    eliminate_vectors,
     interpolant,
     interpolate,
     lagrange_basis,
@@ -747,67 +746,45 @@ def test_eliminate_counts_the_dense_rank(mc, data):
     m, cols = mc
     fld = m.field
     bound = data.draw(st.one_of(st.none(), st.integers(0, m.nrows)))
-    tagged = data.draw(st.booleans())
-    pivots, dependents = m.eliminate(cols, tagged=tagged, stop=False, bound=bound)
+    pivots, dependents = m.eliminate(cols, stop=False, bound=bound)
     top = m.nrows if bound is None else bound
     assert len(pivots) == Matrix(fld, m.rows[:top], m.ncols).columns(cols).rank()
     assert len(pivots) + len(dependents) == len(cols)
-    rows = [pr for pr, _, _, _ in pivots]
-    for k, (pr, pinv, u, nz) in enumerate(pivots):
-        assert pr < top and fld.mul(pinv, u[pr]) == 1
-        assert nz == [i for i in nz if u[i]] and set(nz) == {i for i, x in enumerate(u) if x}
+    rows = [pr for pr, _ in pivots]
+    for k, (pr, u) in enumerate(pivots):
+        assert pr < top and u[pr] == 1 and len(u) == m.nrows
         assert not any(u[r] for r in rows[:k])  # zero on the earlier pivot rows
     for v in dependents:
-        assert not any(v[:top])
-    if tagged:  # each vector is the combination of the columns its tags name
-        for v in [u for _, _, u, _ in pivots] + dependents:
-            combo = [0] * m.nrows
-            for t, c in enumerate(cols):
-                combo = fld.vec_sub(combo, fld.neg(v[m.nrows + t]), m.column(c))
-            assert combo == v[:m.nrows]
+        assert len(v) == m.nrows and not any(v[:top])
+    # each key is a combination of the columns, and together they span
+    # what the columns span
+    span = [m.column(c) for c in cols]
+    rank = Matrix(fld, span, m.nrows).rank()
+    keys = [list(u) for _, u in pivots] + [list(v) for v in dependents]
+    for key in keys:
+        assert Matrix(fld, span + [key], m.nrows).rank() == rank
+    assert Matrix(fld, keys, m.nrows).rank() == rank
 
 
-@given(matrices_with_columns(), st.booleans())
+@given(matrices_with_columns())
 @settings(max_examples=300, deadline=None)
-def test_eliminate_stops_at_a_dependent_column(mc, tagged):
+def test_eliminate_stops_at_a_dependent_column(mc):
     m, cols = mc
-    pivots, dependents = m.eliminate(cols, tagged=tagged)
+    pivots, dependents = m.eliminate(cols)
     assert bool(dependents) == (m.columns(cols).rank() < len(cols))
     assert len(dependents) <= 1
     if not dependents:
         assert len(pivots) == len(cols)
 
 
-@given(matrices_with_columns(), st.data())
-@settings(max_examples=200, deadline=None)
-def test_eliminate_vectors_runs_eliminate_on_any_live_superset(mc, data):
-    """The core on the columns as dense vectors, each with every position
-    live, reduces them as ``Matrix.eliminate`` does from the sparse
-    supports."""
-    m, cols = mc
-    bound = data.draw(st.integers(0, m.nrows))
-    stop = data.draw(st.booleans())
-    got = eliminate_vectors(m.field, [(m.column(c), set(range(m.nrows))) for c in cols], bound,
-                            stop)
-    want = m.eliminate(cols, stop=stop, bound=bound)
-    if want == ([], [None]):  # eliminate's shortcut: fewer rows touched than columns
-        assert got[1]
-        return
-
-    def key(result):
-        pivots, dependents = result
-        return [(pr, pinv, u, sorted(nz)) for pr, pinv, u, nz in pivots], dependents
-
-    assert key(got) == key(want)
-
-
 def test_eliminate_on_no_columns_and_no_rows():
     m = Matrix(F9, [[1, 0, 2], [0, 0, 4]])
     assert m.eliminate([]) == ([], [])
-    assert m.eliminate([], stop=False, tagged=True) == ([], [])
+    assert m.eliminate([], stop=False) == ([], [])
     assert m.eliminate([1]) == ([], [None])  # a zero column touches no row
+    assert m.eliminate([1], stop=False) == ([], [F9.vec_key([0, 0])])
     empty = Matrix(F9, [], 3)
-    assert empty.eliminate([0, 2], stop=False) == ([], [[], []])
+    assert empty.eliminate([0, 2], stop=False) == ([], [F9.vec_key([])] * 2)
 
 
 def test_private_columns_are_the_columns_with_one_nonzero():

@@ -681,13 +681,19 @@ def test_circuit_rule_keeps_every_circuit(m):
     assert distance(min_distance) == distance(naive_min_distance)
 
 
+# the linear decoder's keys of all five kinds: bytes on prime fields (F_127
+# at the lanes' 2p - 2 = 252 edge) and in characteristic 2, tuples on F_131,
+# on the odd extension F_9 and in characteristic 2 past q = 256 (F_512)
+SOLVE_FIELDS = DISTANCE_FIELDS + [FiniteField(127), FiniteField(2, 9)]
+
+
 @st.composite
 def sparse_erasures(draw):
-    """A mostly-zero matrix up to 6x11 with a zero column and a last column
-    that combines two others, so that dependent erasures are not all caught
-    by counting the rows they touch; and erased coordinates, repeats
-    allowed."""
-    fld = draw(st.sampled_from(DISTANCE_FIELDS))
+    """A mostly-zero matrix up to 6x11 over one of ``SOLVE_FIELDS`` with a
+    zero column and a last column that combines two others, so that
+    dependent erasures are not all caught by counting the rows they touch;
+    and erased coordinates, repeats allowed."""
+    fld = draw(st.sampled_from(SOLVE_FIELDS))
     nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(2, 10))
     entry = st.one_of(st.just(0), st.just(0), st.integers(1, fld.q - 1))
     rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
@@ -860,6 +866,12 @@ def test_min_distance_rejects_bound_below_one():
     for d_max in (0, -3):
         with pytest.raises(InvalidParameter):
             min_distance(h, d_max=d_max)
+
+
+@pytest.mark.parametrize("d_max", [4.5, 3.0, True, "3"])
+def test_min_distance_rejects_a_bound_that_is_not_an_int(d_max):
+    with pytest.raises(InvalidParameter, match="d_max must be an int"):
+        min_distance(Matrix(F2, [[1, 0, 1], [0, 1, 1]]), d_max=d_max)
 
 
 def test_min_distance_dmax_sentinel():

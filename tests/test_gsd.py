@@ -229,7 +229,7 @@ def test_local_repair_map_is_built_once_per_array(example1_layout_module, monkey
     check_array(arr, y=1, gamma=1)
     assert {name: len(codes) for name, codes in calls.items()} == {
         "local_repair_map": 1, "row_split": 1}
-    assert arr.plan.split is not None and arr.plan.images
+    assert any(arr.plan.split.nlocal) and arr.plan.images
 
 
 def test_example3_splits_into_six_global_rows(ex3_array):
@@ -291,6 +291,12 @@ def test_check_array_exhaustive_guard(ex1_array):
     dict(y=1, gamma=1.0),
     dict(y=1, gamma=1, mode="sampled", count=2.5),
     dict(y=1, gamma=1, mode="sampled", count="10"),
+    dict(y=1, gamma=0, d=True),  # would be echoed into gsd_condition
+    dict(y=1, gamma=0, d=5.5),
+    dict(y=1, gamma=0, d="5"),
+    dict(y=1, gamma=1, exhaustive_limit=10.0**6),
+    dict(y=1, gamma=1, exhaustive_limit=True),
+    dict(y=1, gamma=1, mode="sampled", exhaustive_limit=None),
 ])
 def test_check_array_rejects_bad_arguments(ex1_array, kw):
     with pytest.raises(InvalidParameter):

@@ -117,9 +117,10 @@ def test_library_is_stdlib_only(path):
     assert third_party_imports(path.read_text()) == []
 
 
-# the dense reference eliminations; the library itself runs
-# ``Matrix.eliminate``, so only algebra.py, which defines them, names them
-DENSE_REFERENCE = {"rref", "rank", "nullspace"}
+# the dense reference eliminations and the list-vector update that only
+# ``rref`` runs; the library itself eliminates by ``algebra.eliminate_keys``,
+# so only algebra.py, which defines them, names them
+DENSE_REFERENCE = {"rref", "rank", "nullspace", "vec_sub_at"}
 
 
 def dense_reference_calls(source: str) -> list[str]:
@@ -139,9 +140,12 @@ def test_dense_reference_call_detector():
         "rows, piv = m.rref()",
         "f = m.rank",
         "rank = 3",
+        "fld.vec_sub_at(v, c, u, idx)",
+        "sub_at = fld.vec_sub",
     ])
     assert dense_reference_calls(source) == [
         "line 1: .rank(", "line 2: .rank(", "line 3: .nullspace(", "line 4: .rref(",
+        "line 7: .vec_sub_at(",
     ]
 
 

@@ -258,17 +258,17 @@ def test_more_columns_than_global_rows_fail_at_once(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an elimination ran")
 
-    monkeypatch.setattr(gsd, "_eliminate_keys", refuse)
+    monkeypatch.setattr(gsd, "eliminate_keys", refuse)
     assert not plan.recoverable([c for cs in code.repair_sets[:3] for c in cs])
     assert plan.images == {}
 
 
 @pytest.mark.parametrize("make", [fixtures.ag13_layout, overlapping_code])
 def test_plan_refuses_cells_outside_the_code(make):
-    """As ``recoverable`` does, with or without a split."""
+    """As ``recoverable`` does, with or without set lanes."""
     code = make() if make is overlapping_code else build_code(make())
     plan = plan_of(code)
-    assert (plan.split is None) == (make is overlapping_code)
+    assert any(plan.split.nlocal) == (make is not overlapping_code)
     for cells in ([-1], [0, code.n]):
         for test in (plan.recoverable, lambda cs: recoverable(code.check, cs)):
             with pytest.raises(InvalidParameter, match="must lie in"):
@@ -278,7 +278,9 @@ def test_plan_refuses_cells_outside_the_code(make):
 def test_overlapping_sets_are_not_peeled():
     code = overlapping_code()
     assert local_repair_map(code) == {}
-    assert row_split(code) is None  # the plan falls back to recoverable
+    split = row_split(code)  # no set lanes: every coordinate is free
+    assert split.lanes == [(c,) for c in range(code.n)] and not any(split.thresholds)
+    assert split.g == code.check.nrows
     assert not recoverable(code.check, [2, 3, 4, 5, 6])
     assert recoverable(code.check, [3, 4, 5, 6])
     assert_peel_is_exact(code, [[2, 3, 4, 5, 6], [0, 1, 2, 3, 4], [0, 1, 5, 6], [3, 4, 5, 6]])
@@ -335,8 +337,8 @@ def test_exhaustive_sweep_matches_plain_rank_tests(make, y, gamma, columns, fail
 
 
 def undeclared(arr):
-    """The array with its code's repair sets undeclared: no row split, so
-    its plan falls back to ``recoverable``."""
+    """The array with its code's repair sets undeclared: no set lanes, so
+    every coordinate is free and every nonzero row global."""
     return dataclasses.replace(arr, code=dataclasses.replace(arr.code, repair_sets=[]))
 
 
@@ -379,12 +381,13 @@ def assert_sweep_loop_is_exact(arr, y, gamma, columns, mode) -> list[bool]:
 ])
 @pytest.mark.parametrize("split", [True, False])
 def test_sweep_loop_matches_each_pattern(arrange, make, y, gamma, columns, mode, split):
-    """``assert_sweep_loop_is_exact`` on patterns of both outcomes.  Without
-    a split the loop runs on the fallback."""
+    """``assert_sweep_loop_is_exact`` on patterns of both outcomes.  With
+    the repair sets undeclared no lane has local rows, and the test is the
+    plain rank test on the free coordinates' columns."""
     lay = make()
     arr = arrange(lay, build_code(lay))
     arr = arr if split else undeclared(arr)
-    assert (arr.plan.split is not None) == split
+    assert any(arr.plan.split.nlocal) == split
     verdicts = assert_sweep_loop_is_exact(arr, y, gamma, columns, mode)
     assert 0 < sum(verdicts) < len(verdicts)
 
