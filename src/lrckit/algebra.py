@@ -1076,7 +1076,7 @@ class Matrix:
         """Column supports, row supports and private columns, built
         together on first use."""
         if self._supports is None:
-            by_row = [tuple(j for j, v in enumerate(row) if v) for row in self.rows]
+            by_row = [tuple(itertools.compress(range(self.ncols), row)) for row in self.rows]
             by_col: list[list[int]] = [[] for _ in range(self.ncols)]
             for i, js in enumerate(by_row):
                 for j in js:

@@ -96,9 +96,11 @@ def classify(
     assumes d = h + delta and r | k; when k is not divisible by r the bound
     is still evaluated but flagged advisory, and when d != h + delta the
     bound is marked inapplicable.  Raises InvalidParameter unless q is a
-    prime power, k >= 1, r >= 1 and delta >= 1.
+    prime power, k and d lie in [1, n], r >= 1 and delta >= 1.
     """
     factor_prime_power(q)
+    if not (1 <= k <= n and 1 <= d <= n):
+        raise InvalidParameter(f"k and d must lie in [1, {n}], got k = {k}, d = {d}")
     singleton = singleton_bound(n, k, r, delta)
     out: dict = {
         "n": n,

@@ -3,8 +3,8 @@ polynomial decoder, the decoder itself, a generic linear-algebra rank test
 and decoding oracle that both run ``algebra.eliminate_keys`` (the
 library's one column elimination) on H's column keys, the decoder with
 the survivors' syndrome appended as one more key, exact minimum-distance
-search, and the local repair thresholds that the array sweeps' rank test
-reads.
+search, whose cost follows the code's repair blocks, not H's order, and
+the local repair thresholds that the array sweeps' rank test reads.
 
 Local repair rests on information locality.  If the code punctured to a
 repair set A has distance d, and an erased set E meets A in at least one
@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from itertools import compress
+from operator import methodcaller
 
 from .algebra import FiniteField, Matrix, eliminate_keys, interpolant
 from .errors import Inconsistent, Infeasible, InvalidParameter, NotAdmissible
@@ -347,19 +348,17 @@ def decode_linear(code: LinearCode, erased, received) -> list[int] | None:
 
 
 def _support_masks(cols) -> tuple[list[int], list[int]]:
-    """The supports of ``cols`` as bitmasks, with the rows renumbered
-    sparsest first (ties in row order), so the lowest bit of a row mask is
-    its sparsest row: per column the rows it is nonzero at, and per row the
-    columns nonzero there."""
-    rows = list(zip(*cols))
+    """The supports of ``cols`` as bitmasks, bit i for row i and bit j for
+    column j: per column the rows it is nonzero at, and per row the columns
+    nonzero there.  ``_smallest_dependent`` passes its keys with the rows
+    sparsest first, so the lowest bit of a row mask is its sparsest row."""
     col_rows = [0] * len(cols)
     row_cols = []
-    for i, row in enumerate(sorted(rows, key=lambda row: len(row) - row.count(0))):
+    for i, row in enumerate(zip(*cols)):
         bit, mask = 1 << i, 0
-        for j, x in enumerate(row):
-            if x:
-                mask |= 1 << j
-                col_rows[j] |= bit
+        for j in compress(range(len(cols)), row):
+            mask |= 1 << j
+            col_rows[j] |= bit
         row_cols.append(mask)
     return col_rows, row_cols
 
@@ -470,6 +469,7 @@ def _dependent_subset(cols, nrows, fld: FiniteField, size, masks=None) -> bool:
 
 
 NODE_GUARD = 10**8  # most rank tests a distance search may project
+_ZEROS, _LEAD = methodcaller("count", 0), methodcaller("index", 1)  # C-level sort keys
 
 
 def min_distance(h: Matrix, d_max: int | None = None, workers: int = 1) -> int:
@@ -484,11 +484,10 @@ def min_distance(h: Matrix, d_max: int | None = None, workers: int = 1) -> int:
     keys (``FiniteField.vec_key`` and ``sub_key``), so a pivot touches
     only the columns nonzero at its row, and the last two columns come from
     a collision step: two later columns are dependent with the prefix iff
-    their keys coincide (see
-    ``_dependent_subset``).  ``d_max`` bounds the search and must be an
-    int (not a bool), at least 1; InvalidParameter otherwise.  Its
-    default, min(n, nrows) + 1, needs no rank: any rank(H) + 1 columns are
-    dependent and rank(H) <= min(n, nrows), so a dependent
+    their keys coincide (see ``_dependent_subset``).  ``d_max`` bounds the
+    search and must be an int (not a bool), at least 1; InvalidParameter
+    otherwise.  Its default, min(n, nrows) + 1, needs no rank: any rank(H)
+    + 1 columns are dependent and rank(H) <= min(n, nrows), so a dependent
     subset, if any, is found within it; if there is none, rank(H) = n <=
     nrows and the bound is n + 1.  Raises Infeasible when the projected
     number of rank tests, the sum of C(n, s) over the passes so far,
@@ -502,7 +501,9 @@ def min_distance(h: Matrix, d_max: int | None = None, workers: int = 1) -> int:
     columns still to pick cannot meet (see ``_dependent_subset``).  The
     row and column support masks it needs are built once per call, at that
     pass, from the columns' keys; the smaller passes, and the many
-    searches that end in them, never build them.
+    searches that end in them, never build them.  The rule prunes most
+    when each local row's columns sit together, so the search orders H
+    itself, whatever order it comes in (see ``_smallest_dependent``).
 
     A pass of size s with nrows < s <= n ends the search with no DFS: any
     s columns are dependent, as rank(H) <= nrows.
@@ -534,9 +535,14 @@ def _smallest_dependent(h: Matrix, d_max: int) -> int | None:
     A pass of size s with nrows < s <= n returns s with no search: any s
     columns are dependent, as rank(H) <= nrows, and the smaller passes
     found none.  Each column's key, ``fld.vec_key``, is built once, for
-    every pass."""
+    every pass, on H's rows sparsest first if a DFS pass (s >= 3) may run.
+    Pass 4, which builds the support masks, sorts the keys by leading row,
+    each column's sparsest, so each local row's columns sit together.  Both
+    sorts are stable and exact: a row order keeps every rank, and a
+    dependency is a set of columns."""
     n = h.ncols
-    cols = list(map(h.field.vec_key, zip(*h.rows)))
+    rows = sorted(h.rows, key=_ZEROS, reverse=True) if min(h.nrows, d_max) > 2 else h.rows
+    cols = list(map(h.field.vec_key, zip(*rows)))
     masks = None
     est = 0
     for s in range(1, d_max + 1):
@@ -548,6 +554,7 @@ def _smallest_dependent(h: Matrix, d_max: int) -> int | None:
         if h.nrows < s <= n:
             return s
         if s == 4:
+            cols.sort(key=_LEAD)
             masks = _support_masks(cols)
         if _dependent_subset(cols, h.nrows, h.field, s, masks):
             return s

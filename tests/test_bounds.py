@@ -23,6 +23,14 @@ def test_bounds_reject_non_prime_power_q(q):
         classify(24, 14, 5, 2, 2, q)
 
 
+@pytest.mark.parametrize("k, d", [(0, 5), (25, 5), (14, 0), (14, 25), (14, 1600)])
+def test_classify_rejects_k_and_d_outside_the_length(k, d):
+    """k and d must lie in [1, n], n = 24; the per-offset bounds of a d past
+    n, whose count and cost grow with d, are never computed."""
+    with pytest.raises(InvalidParameter, match=r"must lie in \[1, 24\]"):
+        classify(24, k, d, 2, 2, 11)
+
+
 def test_length_bound_example1_parameters():
     rep = length_bound(11, 2, 2, 3, 0)
     assert rep["applicable"] and rep["branch"] == "even"

@@ -184,6 +184,10 @@ def decode_args(layout, n, first):
         (*EX1_CHECK, "--y", "0", "--gamma", "1", "--d", "0"),
         (*EX1_CHECK, "--y", "0", "--gamma", "1", "--d", "-5"),
         (*EX1_CHECK, "--y", "0", "--gamma", "1", "--d", "25"),
+        # a distance beyond n: refused before the per-offset bounds, whose
+        # count grows with d
+        ("bounds", "classify", "--n", "10", "--k", "5", "--d", "100000", "--r", "2",
+         "--delta", "2", "--q", "13"),
     ],
 )
 def test_bad_invocations_are_usage_errors(tmp_path, capsys, example1_layout, args):

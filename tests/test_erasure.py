@@ -450,6 +450,13 @@ def test_min_distance_parity_code():
     assert min_distance(h) == 2
 
 
+def distance_or_none(search, m):
+    try:
+        return search(m)
+    except Infeasible:
+        return None
+
+
 # the search holds its columns as bytes keys on prime fields up to p = 127
 # and characteristic-2 fields up to q = 256, and as tuples on the others:
 # F_131 past the lane bound and the odd extension F_9
@@ -501,14 +508,8 @@ MDS_CHECKS = [vandermonde(FiniteField(7), 4), vandermonde(FiniteField(2, 3), 5)]
 @example(MDS_CHECKS[1])
 @settings(max_examples=80, deadline=None)
 def test_min_distance_matches_naive(m):
-    def distance(search):
-        try:
-            return search(m)
-        except Infeasible:
-            return None
-
-    d = distance(min_distance)
-    assert d == distance(naive_min_distance)
+    d = distance_or_none(min_distance, m)
+    assert d == distance_or_none(naive_min_distance, m)
     # only a matrix of full column rank has no dependent columns at all
     assert (d is None) == (m.rank() == m.ncols)
 
@@ -558,6 +559,61 @@ def test_passes_beyond_the_row_count_take_no_search(monkeypatch):
     h = Matrix(FiniteField(7), [[1, 1, 1, 1, 1, 1], [0, 1, 2, 3, 4, 5]])
     assert min_distance(h) == 3
     assert sizes == [1, 2]
+
+
+def equivalent_check(m, rng):
+    """m with its rows and columns permuted and each column scaled by a
+    nonzero factor, all drawn from ``rng``: a check of an equivalent code,
+    with the same distance."""
+    fld = m.field
+    rows = rng.sample(m.rows, m.nrows)
+    cols = [(j, rng.randrange(1, fld.q)) for j in rng.sample(range(m.ncols), m.ncols)]
+    return Matrix(fld, [[fld.mul(c, r[j]) for j, c in cols] for r in rows], m.ncols)
+
+
+@given(st.one_of(wide_matrices(), small_matrices()), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_min_distance_ignores_row_and_column_order(m, rng):
+    """The search orders rows and columns itself, so an equivalent check in
+    any order has the distance the naive search finds on the original."""
+    want = distance_or_none(naive_min_distance, m)
+    assert distance_or_none(min_distance, equivalent_check(m, rng)) == want
+
+
+@given(st.one_of(st.sampled_from([fixtures.example1_check(), fixtures.example2_check()]),
+                 layouts().map(parity_check_matrix)),
+       st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_min_distance_ignores_order_on_lrc_checks(h, rng):
+    """The published checks (distance 5) and the structural ones, in a
+    random equivalent order."""
+    assert min_distance(equivalent_check(h, rng)) == min_distance(h)
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_masked_passes_take_rows_sparsest_first_and_columns_by_leading_row(monkeypatch, seed):
+    """From pass 4 on, where the circuit rule runs, the keys' rows are
+    sparsest first and the leading rows of the keys do not decrease, so
+    the columns of each local row sit together: on the published example1
+    check, whose columns are not grouped so, and on shuffled copies."""
+    calls = []
+    search = erasure._dependent_subset
+
+    def recorded(cols, nrows, fld, size, masks=None):
+        calls.append((size, cols[:], masks))
+        return search(cols, nrows, fld, size, masks)
+
+    monkeypatch.setattr(erasure, "_dependent_subset", recorded)
+    h = fixtures.example1_check()
+    if seed is not None:
+        h = equivalent_check(h, random.Random(seed))
+    assert min_distance(h) == 5
+    assert [size for size, _, _ in calls] == [1, 2, 3, 4, 5]
+    for _, cols, masks in calls[3:]:
+        leads = [key.index(1) for key in cols]
+        assert leads == sorted(leads)
+        weights = [bin(row).count("1") for row in masks[1]]
+        assert weights == sorted(weights)
 
 
 @pytest.mark.parametrize("p, m", [(11, 1), (79, 1), (2, 8), (131, 1)])
@@ -671,14 +727,7 @@ def test_circuit_rule_keeps_every_circuit(m):
     prefixes: ``min_distance`` against ``naive_min_distance``, and each
     pass with the support masks against brute force."""
     assert search_passes(m, True) == [dep for _, dep in brute_force_passes(m)]
-
-    def distance(search):
-        try:
-            return search(m)
-        except Infeasible:
-            return None
-
-    assert distance(min_distance) == distance(naive_min_distance)
+    assert distance_or_none(min_distance, m) == distance_or_none(naive_min_distance, m)
 
 
 # the linear decoder's keys of all five kinds: bytes on prime fields (F_127

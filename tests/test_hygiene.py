@@ -259,3 +259,30 @@ def test_implicit_byte_order_detector():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_byte_order_is_explicit(path):
     assert implicit_byte_orders(path.read_text()) == []
+
+
+PYPROJECT = SRC.parent.parent / "pyproject.toml"
+
+
+def python_floor() -> tuple[int, int]:
+    """The (major, minor) of the ``requires-python = ">=X.Y"`` line of
+    pyproject.toml."""
+    line = next(ln for ln in PYPROJECT.read_text().splitlines()
+                if ln.startswith("requires-python"))
+    major, minor = line.split(">=")[1].strip().strip('"').split(".")[:2]
+    return int(major), int(minor)
+
+
+def test_python_floor_parse_refuses_newer_syntax():
+    """Parsing at the declared floor refuses syntax from later versions:
+    ``except*`` (3.11) and a ``type`` alias (3.12)."""
+    assert python_floor() == (3, 10)
+    for source in ["try:\n    pass\nexcept* ValueError:\n    pass\n", "type X = int\n"]:
+        with pytest.raises(SyntaxError):
+            ast.parse(source, feature_version=python_floor())
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_library_parses_at_the_python_floor(path):
+    """Every module parses as the oldest Python that pyproject.toml admits."""
+    ast.parse(path.read_text(), feature_version=python_floor())

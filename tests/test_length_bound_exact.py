@@ -98,14 +98,14 @@ def test_rational_fractional_powers_have_exact_floors(row, floor):
     assert not rep["exact"] and rep["floor"] == floor
     assert_floor_exact(*row, rep)
     q, r, delta, h, a = row
-    per_a = classify(10, 5, h + delta, r, delta, q)["length_bound"]
+    per_a = classify(100, 5, h + delta, r, delta, q)["length_bound"]
     assert per_a["per_a"][a]["floor"] == floor
     assert per_a["best_n_max"] == min(b["floor"] for b in per_a["per_a"] if b["applicable"])
 
 
 def test_classify_reports_the_exponent_of_the_best_offset():
     for q, r, delta, h in [(11, 2, 2, 7), (4, 5, 2, 7), (79, 7, 3, 6), (9, 3, 2, 11)]:
-        lb = classify(10, 5, h + delta, r, delta, q)["length_bound"]
+        lb = classify(100, 5, h + delta, r, delta, q)["length_bound"]
         best = next(b for b in lb["per_a"] if b["applicable"] and b["floor"] == lb["best_n_max"])
         power = reference_terms(q, delta, h, best["a"])[1]
         assert Fraction(lb["order_optimal_exponent"]) == power - 1
