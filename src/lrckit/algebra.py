@@ -78,8 +78,16 @@ def is_prime(n: int) -> bool:
 
 
 def iroot(x: int, v: int) -> int:
-    """floor(x ** (1/v)) for x >= 1: Newton's method on ints, from above."""
+    """floor(x ** (1/v)) for x >= 1: Newton's method on ints, from above,
+    from 2^ceil(bits/v) or, past 64 bits, from just above the float
+    estimate 2^(log2(x)/v) when that is above the root: a few steps for a
+    large v, not about 0.7 v."""
     y = 1 << -(-x.bit_length() // v)
+    if x.bit_length() > 64:
+        e = math.log2(x) / v
+        s = max(int(e) - 60, 0)
+        if (est := int(2 ** (e - s) * (1 + 2**-30) + 1) << s) ** v > x:
+            y = min(y, est)
     while True:
         z = ((v - 1) * y + x // y ** (v - 1)) // v
         if z >= y:

@@ -26,18 +26,20 @@ plain rank test on all of H, is the reference it is checked against.
 Erasure patterns are stated in terms of evaluation points, grouped by the
 repair set they hit, plus the erased global points; the coordinate-level
 view is read off the layout's point maps (``EvaluationLayout.point_coords``,
-point -> coordinate per block and for S).  The admissibility test, the
-coordinate view and the structured decoder visit only the sets a pattern
-touches, and refuse a pattern that does not fit the layout.  The
-structured decoder receives erased coordinates as ``None`` and never
-reads them.
+point -> coordinate per block and for S).  The admissibility test and
+the coordinate view walk only the sets a pattern touches, once, and refuse
+a pattern that does not fit the layout.  The structured decoder takes the
+erased coordinates from that walk, reads its heavy sets off one combined
+polynomial on barycentric weights cached per block
+(``EvaluationLayout.block_table``), receives erased coordinates as
+``None`` and never reads them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from itertools import compress
+from itertools import chain, compress
 from operator import methodcaller
 
 from .algebra import FiniteField, Matrix, eliminate_keys, interpolant
@@ -77,26 +79,25 @@ class ErasurePattern:
         (``layout.point_coords``) for the sets with erased points and the
         erased global points.  Raises InvalidParameter unless the pattern
         fits the layout (``_touched_sets``)."""
-        touched, maps = _touched_sets(layout, self), layout.point_coords
-        out = [*map(maps[-1].__getitem__, self.globals_)]
-        for b in touched:
-            out += map(maps[b].__getitem__, self.sets[b])
-        return tuple(sorted(out))
+        touched = _touched_sets(layout, self).values()
+        return tuple(sorted(chain(*touched, map(layout.point_coords[-1].__getitem__, self.globals_))))
 
 
-def _touched_sets(layout: EvaluationLayout, pat: ErasurePattern) -> list[int]:
-    """The indices of the sets with erased points, after checking that the
-    pattern fits the layout: one set of points per evaluation set, each
-    inside its set, and erased global points in S.  Raises InvalidParameter
-    otherwise, so ``ErasurePattern.make`` builds no pattern that does not
-    fit."""
+def _touched_sets(layout: EvaluationLayout, pat: ErasurePattern) -> dict[int, list[int]]:
+    """Per set with erased points, in set order, their coordinates, once
+    the pattern is checked to fit the layout: one set of points per
+    evaluation set, each inside its set, and erased global points in S.
+    Raises InvalidParameter otherwise, so ``ErasurePattern.make`` builds
+    no pattern that does not fit."""
     maps = layout.point_coords
     if len(pat.sets) != len(layout.sets):
         raise InvalidParameter(f"pattern has {len(pat.sets)} sets, the layout {len(layout.sets)}")
-    touched = list(compress(range(len(pat.sets)), pat.sets))
-    for b in touched:
-        if not maps[b].keys() >= pat.sets[b]:
-            raise InvalidParameter(f"erasures outside evaluation set {b}")
+    touched = {}
+    for b in compress(range(len(pat.sets)), pat.sets):
+        try:
+            touched[b] = [*map(maps[b].__getitem__, pat.sets[b])]
+        except KeyError:
+            raise InvalidParameter(f"erasures outside evaluation set {b}") from None
     if not maps[-1].keys() >= pat.globals_:
         raise InvalidParameter("global erasures outside the global point set")
     return touched
@@ -110,6 +111,8 @@ class AdmissibilityReport:
     budget: int   # h + delta - 1
     # per heavy set, in set order: its points, in order, in no other heavy set
     exclusive_points: dict[int, list[int]] = dc_field(default_factory=dict)
+    # per set the pattern touches, in set order: its erased coordinates
+    erased: dict[int, list[int]] = dc_field(default_factory=dict)
 
 
 def pattern_admissible(layout: EvaluationLayout, pat: ErasurePattern) -> AdmissibilityReport:
@@ -117,11 +120,13 @@ def pattern_admissible(layout: EvaluationLayout, pat: ErasurePattern) -> Admissi
     points over heavy sets plus the global erasures fits within h+delta-1,
     and each heavy set meets the union of the other heavy sets in at most
     delta-1 evaluation points, i.e. keeps at least |A_t|-delta+1 exclusive
-    points.  Only the sets the pattern touches are visited; the heavy
-    sets' exclusive points are found once, and reported for the decoder.
-    Raises InvalidParameter unless the pattern fits the layout."""
+    points.  Only the sets the pattern touches are visited, once; their
+    erased coordinates and the heavy sets' exclusive points are reported
+    for the decoder.  Raises InvalidParameter unless the pattern fits the
+    layout."""
     p = layout.params
-    heavy = [t for t in _touched_sets(layout, pat) if len(pat.sets[t]) >= p.delta]
+    touched = _touched_sets(layout, pat)
+    heavy = [t for t, lost in touched.items() if len(lost) >= p.delta]
     union = set().union(*map(pat.sets.__getitem__, heavy))
     budget = p.h + p.delta - 1
     ok = len(union) + len(pat.globals_) <= budget
@@ -133,43 +138,50 @@ def pattern_admissible(layout: EvaluationLayout, pat: ErasurePattern) -> Admissi
     for t in heavy:
         exclusive[t] = [x for x in layout.sets[t] if x not in shared]
         ok = ok and len(exclusive[t]) >= layout.interp_count(t)
-    return AdmissibilityReport(ok, heavy, len(union), budget, exclusive)
+    return AdmissibilityReport(ok, heavy, len(union), budget, exclusive, touched)
 
 
 def decode_structured(layout: EvaluationLayout, received, pat: ErasurePattern) -> list[int]:
     """Recover a codeword from an admissible pattern by the polynomial
-    procedure, evaluating every polynomial only at the points it is needed
-    at, in barycentric form (``algebra.interpolant``): no polynomial is
-    built, and the encoder (``layout.encoder``) runs once.
+    procedure, evaluating every polynomial only where it is needed, in
+    barycentric form: no polynomial is built, and the encoder
+    (``layout.encoder``) runs once.
 
     A light set's erased information symbols are the values of the
-    polynomial through its first |A_i|-delta+1 survivors.  With the heavy
-    blocks' information zero, one pass of the encoder's row plan gives
-    every check row on what is known.  For the heavy sets, the combined
-    polynomial is split into that known part and an unknown part
-    supported on the union U of the heavy sets; the unknown part has
-    degree < |U|-delta+1 and is pinned by that many values: the survivors
-    in U, each scaled by e_t(x) = prod_{y in U - A_t} (x - y), then the
-    first surviving global parities that complete the count, less the
-    pass's value of their row and divided by phi(s) = Delta(s)/U(s).  Each
-    heavy set's information x_t is then read off block t's polynomial,
-    combined / e_t, at its first |A_t|-delta+1 exclusive points (at a
-    surviving one that value is the survivor itself), and, the rows being
-    linear, added into the pass by the check groups' coefficients: block
-    t's local rows times x_t, and each global row's coefficients on block
-    t times x_t.  Admissibility guarantees enough points of each kind.
+    polynomial through its first |A_b|-delta+1 survivors
+    (``algebra.interpolant``).  With the heavy blocks' information zero, one
+    pass of the encoder's row plan gives every check row on what is known,
+    k_s at a global point s whose parity is c_s.  For the heavy sets, with U
+    their union, E their erased points and e_t(x) = prod (x - y) over
+    U - A_t, F = sum_t f_t e_t has degree < |U|-delta+1, and F(s) =
+    (c_s - k_s) U(s) / Delta(s) at s in S, U(x) = prod_{y in U} (x - y).
+    Its |U|-delta+1 nodes are the survivors of U and S', the first
+    |E|-delta+1 surviving global points.  With W_t(x) = 1 / prod (x - y)
+    over (A_t + S) - {x} (``layout.block_table``) and R(x) = prod (x - r)
+    over r in E + (S - S'), the product over the other nodes is
+    e_t(u) / (W_t(u) R(u)) at a survivor u of A_t, as
+    U - {u} = (A_t - {u}) + (U - A_t); so its term w_u F(u) sums f_t(u)
+    W_t(u) R(u) over the heavy t holding u, e_t cancelling, and a survivor
+    of block t is its own f_t(u).  At s in S' it is U(s) prod_{S - s}
+    (s - s') / R(s), so U(s) cancels, and w_s F(s) = (c_s - k_s) R(s) /
+    (Delta(s) prod_{S - s} (s - s')), the latter cached
+    (``layout.s_weights``).  At an erased x of A_t in no other heavy set it
+    is e_t(x) / (W_t(x) R'(x)), R' leaving out x's own factor, so f_t(x) =
+    F(x) / e_t(x) = sum_u w_u F(u) / (x - u) / (W_t(x) R'(x))
+    (``fld.inv_dot``).  Each node and each such x costs h + delta - 1
+    factors, and no weight is a product over the nodes.  Block t's
+    information x_t is read at its information points; only if it lost one
+    that another heavy set holds, where F mixes the blocks, is it the
+    polynomial through its first points that are not such.  One pass of
+    block t's plan then gives its local rows on x_t and what it adds to each
+    global row.
 
-    The bookkeeping visits only the sets the pattern touches.  The one
-    ``pattern_admissible`` report gives the heavy sets and their exclusive
-    points; the erased coordinates come from the layout's point maps
-    (``layout.point_coords``); the heavy blocks' information is zeroed by
-    slice; and each e_t(x) is computed once, where it is needed.
-
-    The word interleaves the information and the pass's values; zeroed at
-    the erased coordinates, it is compared with the survivors in one list
-    comparison.  It is a codeword, so it matches them iff they extend to
-    one, which admissibility makes unique; survivors the steps above did
-    not read, those of untouched blocks included, are checked there too.
+    The word interleaves the information and the pass's values, and is
+    compared in one list comparison with the survivors, completed by its
+    own erased symbols.  It is a codeword, so it matches them iff they
+    extend to one, which admissibility makes unique; survivors the steps
+    above did not read, those of untouched blocks included, are checked
+    there too.
 
     ``received`` holds None at erased coordinates; those entries are never
     read.  Raises InvalidParameter when the pattern does not fit the
@@ -182,83 +194,65 @@ def decode_structured(layout: EvaluationLayout, received, pat: ErasurePattern) -
     rep = pattern_admissible(layout, pat)
     if not rep.admissible:
         raise NotAdmissible("pattern fails the admissibility conditions")
-    heavy = rep.exclusive_points
-    maps, offsets = layout.point_coords, layout.block_offsets
-    erased = [*map(maps[-1].__getitem__, pat.globals_)]
-    light = []
-    for b in compress(range(len(pat.sets)), pat.sets):
-        lost = [*map(maps[b].__getitem__, pat.sets[b])]
-        erased += lost
-        if b not in heavy:
-            light.append((b, lost))
+    heavy, offsets = rep.exclusive_points, layout.block_offsets
+    erased = [*map(layout.point_coords[-1].__getitem__, pat.globals_), *chain(*rep.erased.values())]
     survivors = _survivors(received, erased, layout.n, fld)
-    # survivors in place and light erasures filled below; only the
-    # information coordinates are read, and the heavy blocks' are zeroed
-    word = survivors[:]
-    for b, lost in light:
-        a, off = layout.sets[b], offsets[b]
-        cnt = layout.interp_count(b)
-        fill = [c for c in lost if c < off + cnt]
-        if fill:
-            kept = [(x, word[c]) for c, x in enumerate(a, off) if x not in pat.sets[b]][:cnt]
+    (plan, gather, interleave), groups = layout.encoder, layout.check_groups
+    info = list(gather(survivors))
+    # the heavy blocks' information zeroed, and the light blocks' erased
+    # information filled from the first |A_b|-delta+1 survivors of each
+    for b, lost in rep.erased.items():
+        a, off, cnt = layout.sets[b], offsets[b], layout.interp_count(b)
+        if b in heavy:
+            info[groups[b].info] = [0] * cnt
+        elif fill := [c - off for c in lost if c < off + cnt]:
+            kept = [(x, survivors[c]) for c, x in enumerate(a, off) if x not in pat.sets[b]][:cnt]
             block = interpolant(fld, *zip(*kept))
-            for c in fill:
-                word[c] = block(a[c - off])
-    plan, gather, interleave = layout.encoder
-    groups = layout.check_groups
-    info = list(gather(word))
-    for t in heavy:
-        info[groups[t].info] = [0] * layout.interp_count(t)
+            for i in fill:
+                info[groups[b].info.start + i] = block(a[i])
     values = fld.run_plan(plan, info)
 
     if heavy:
-        glob = len(values) - p.h  # the global rows follow the local ones
-        root_product = fld.root_product
-        union = set().union(*map(layout.sets.__getitem__, heavy))
-        erased_pts = set().union(*map(pat.sets.__getitem__, heavy))
-        # e_t(x) = prod_{y in U \ A_t} (x - y), which vanishes on U \ A_t
-        outside = {t: union.difference(layout.sets[t]) for t in heavy}
-        combined_at = {}  # the survivors in U, each scaled by e_t(x)
-        for t in heavy:
-            for c, x in enumerate(layout.sets[t], offsets[t]):
-                if x not in erased_pts:
-                    combined_at[x] = fld.add(combined_at.get(x, 0),
-                                             fld.mul(root_product(outside[t], x), received[c]))
-        xs, ys = [*combined_at], [*combined_at.values()]
-        # heavy sets hold >= delta erasures, so the survivors in U fall
-        # short of the need and the first surviving global parities complete it
-        need = len(union) - p.delta + 1
-        rows = [i for i, s in enumerate(layout.s_points) if s not in pat.globals_][:need - len(xs)]
-        for i in rows:
-            s = layout.s_points[i]
-            phi = fld.div(layout.delta_at_s[i], root_product(union, s))
-            xs.append(s)
-            ys.append(fld.div(fld.sub(received[layout.global_coord(i)], values[glob + i]), phi))
-        combined = interpolant(fld, xs, ys)
+        mul, root_product, inv_dot = fld.mul, fld.root_product, fld.inv_dot
+        glob, d = len(values) - p.h, p.delta - 1
+        lost = set().union(*map(pat.sets.__getitem__, heavy))  # E
+        free = [i for i, s in enumerate(layout.s_points) if s not in pat.globals_]
+        rows = free[:len(lost) - d]  # S', the first |E| - delta + 1 surviving global points
+        roots = [*lost, *pat.globals_, *(layout.s_points[i] for i in free[len(rows):])]  # R
+        # the nodes, a survivor of U once per heavy set holding it (inv_dot
+        # sums the terms), then S'; and their terms w_u F(u)
+        nodes, ws, tables = [], [], [*map(layout.block_table, heavy)]
+        for t, (weights, _) in zip(heavy, tables):
+            a, off = layout.sets[t], offsets[t]
+            nodes += [x for x in a if x not in lost]
+            ws += [mul(mul(y, w), root_product(roots, x))
+                   for x, w, y in zip(a, weights, survivors[off:off + len(a)]) if x not in lost]
+        nodes += [layout.s_points[i] for i in rows]
+        ws += [mul(mul(fld.sub(survivors[layout.global_coord(i)], values[glob + i]),
+                       root_product(roots, layout.s_points[i])), layout.s_weights[i]) for i in rows]
 
-        for t, exclusive in heavy.items():
-            # block t's polynomial at its first exclusive points: combined(x)
-            # / e_t(x), which at a survivor is the survivor itself
-            a, lost, group = layout.sets[t], pat.sets[t], groups[t]
-            nodes = exclusive[: layout.interp_count(t)]
-            at_nodes = [fld.div(combined(x), root_product(outside[t], x)) if x in lost
-                        else received[maps[t][x]] for x in nodes]
-            if nodes == list(a[: len(nodes)]):  # the information points
-                x_t = at_nodes
-            else:
-                restore = interpolant(fld, nodes, at_nodes)
-                x_t = [restore(x) for x in a[: len(nodes)]]
-            info[group.info] = x_t
-            values[t * (p.delta - 1):(t + 1) * (p.delta - 1)] = [
-                fld.dot(row, x_t) for row in group.coeffs]
-            for j, row in enumerate(groups[-1].coeffs, glob):
-                values[j] = fld.add(values[j], fld.dot(row[group.info], x_t))
+        def at_lost(w, x):  # f_t(x) at an erased exclusive point x of A_t, weight w
+            j = roots.index(x)
+            return fld.div(inv_dot(ws, nodes, x), mul(w, root_product(roots[:j] + roots[j + 1:], x)))
+
+        for (t, exclusive), (weights, block_plan) in zip(heavy.items(), tables):
+            # x_t, at the information points, or off the first points that
+            # are not such if block t lost one that another heavy set holds
+            a, gone, off, cnt = layout.sets[t], pat.sets[t], offsets[t], layout.interp_count(t)
+            shared = gone.difference(exclusive)
+            known = [i for i, x in enumerate(a) if x not in shared][:cnt] if shared else range(cnt)
+            x_t = [at_lost(weights[i], a[i]) if a[i] in gone else survivors[off + i] for i in known]
+            if known[-1] != cnt - 1:  # not the information points
+                x_t = [*map(interpolant(fld, [a[i] for i in known], x_t), a[:cnt])]
+            info[groups[t].info] = x_t
+            out = fld.run_plan(block_plan, x_t)
+            values[t * d:(t + 1) * d] = out[:d]
+            values[glob:] = map(fld.add, values[glob:], out[d:])
 
     word = list(interleave([*info, *values]))
-    check = word[:]
     for c in erased:
-        check[c] = 0
-    if check != survivors:
+        survivors[c] = word[c]
+    if word != survivors:
         raise Inconsistent("decoded word disagrees with a survivor")
     return word
 

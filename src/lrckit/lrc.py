@@ -15,10 +15,10 @@ of rows that read the same information symbols (``check_groups``): a
 block's delta-1 local rows, and the h global rows.  The encoder runs them
 all as one row plan over the information (``FiniteField.row_plan``); the
 structured decoder (``erasure.decode_structured``) runs it once, on the
-information it knows, and adds what it restores by the groups'
-coefficients.  The generator and parity-check synthesis read the same
-groups, and the decoder's interpolants are barycentric
-(``algebra.interpolant``), so no polynomial is built on the codec path.
+information it knows, and adds each block it restores by that block's
+plan (``block_table``).  The generator and parity-check synthesis read
+the same groups, and the decoder's interpolants are barycentric, on
+weights cached per block (``block_table``), so no polynomial is built.
 
 A layout consists of an ordered h-subset S of the field (global-parity
 evaluation points) and ordered sets A_1..A_{L+1} of field elements disjoint
@@ -224,6 +224,34 @@ class EvaluationLayout:
                                      for g in groups for c in g.coeffs], k),
                 operator.itemgetter(*self.info_coords),
                 operator.itemgetter(*sorted(range(self.n), key=coords.__getitem__)))
+
+    @cached_property
+    def block_tables(self) -> dict[int, tuple[tuple[int, ...], tuple]]:
+        """The tables of ``block_table``, per block, once built."""
+        return {}
+
+    def block_table(self, b: int) -> tuple[tuple[int, ...], tuple]:
+        """Block b's tables for the structured decoder, built on first use:
+        at each point x of A_b, in order, its barycentric weight on A_b and
+        S, 1 / prod (x - y) over the other points y of both; and one row
+        plan over the block's information of its delta-1 local rows, then
+        the h global rows' coefficients on it."""
+        if (table := self.block_tables.get(b)) is None:
+            fld, a, groups, cnt = self.field, self.sets[b], self.check_groups, self.interp_count(b)
+            rows = [*groups[b].coeffs, *(row[groups[b].info] for row in groups[-1].coeffs)]
+            table = self.block_tables[b] = (
+                tuple(fld.inv(fld.root_product(a[:i] + a[i + 1:] + self.s_points, x))
+                      for i, x in enumerate(a)),
+                fld.row_plan([(range(cnt), row) for row in rows], cnt))
+        return table
+
+    @cached_property
+    def s_weights(self) -> tuple[int, ...]:
+        """At each global point s, 1 / (Delta(s) prod (s - s')) over the
+        other points s' of S."""
+        fld, s = self.field, self.s_points
+        return tuple(fld.inv(fld.mul(d, fld.root_product(s[:i] + s[i + 1:], x)))
+                     for i, (x, d) in enumerate(zip(s, self.delta_at_s)))
 
 
 def default_global_points(fld: FiniteField, h: int) -> tuple[int, ...]:

@@ -223,6 +223,18 @@ def test_family_params_near_the_primality_limit(capsys):
     assert rep["q_min_prime_power"] == 2**80 - 255 + 112
 
 
+def test_classify_at_a_large_distance(capsys):
+    """d = 1600 gives length bounds whose integer roots have v in the
+    hundreds: each root starts from a float estimate and takes a few Newton
+    steps, not about 0.7 v of them (``algebra.iroot``)."""
+    with time_budget(10):
+        assert main(["bounds", "classify", "--n", "100000", "--k", "5", "--d", "1600",
+                     "--r", "2", "--delta", "2", "--q", "13"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["singleton"], rep["optimal"]) == (99994, False)
+    assert rep["length_bound"]["h"] == 1598
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -520,3 +520,155 @@ def test_decoders_refuse_survivors_that_are_not_ints(ag13_layout, ag13_code, bad
         decode_structured(lay, received, pat)
     with pytest.raises(InvalidParameter, match=r"received word symbols must be ints in \[0, 13\)"):
         decode_linear(ag13_code, coords, received)
+
+
+@pytest.mark.parametrize("make", [fixtures.example1_layout, fixtures.ag13_layout, _f16_layout,
+                                  fixtures.example3_layout, _truncated_layout])
+def test_block_tables_hold_each_sets_weights_and_rows(make):
+    """Block b's table holds, at each point x of A_b, 1 / prod (x - y)
+    over the other points y of A_b and S: the barycentric weights of
+    ``algebra._distinct_nodes`` on A_b then S, and the root products of
+    ``fld.root_product``; and a plan that gives the block's local rows and
+    the global rows' coefficients on it.  The last set of example3 and
+    of the AG(2,3) layout over F_11 is truncated.  The tables are built on
+    first use, one block at a time, and S's weights with them."""
+    lay = make()
+    fld, glob = lay.field, lay.check_groups[-1]
+    assert "block_tables" not in vars(lay) and "s_weights" not in vars(lay)
+    rng = random.Random(lay.n)
+    for b, a in enumerate(lay.sets):
+        weights, plan = lay.block_table(b)
+        products = algebra._distinct_nodes(fld, (*a, *lay.s_points))[2][:len(a)]
+        assert [*map(fld.inv, weights)] == products
+        assert products == [fld.mul(fld.root_product([y for y in a if y != x], x),
+                                    fld.root_product(lay.s_points, x)) for x in a]
+        group = lay.check_groups[b]
+        x_b = [rng.randrange(fld.q) for _ in range(lay.interp_count(b))]
+        assert fld.run_plan(plan, x_b) == ([fld.dot(row, x_b) for row in group.coeffs]
+                                           + [fld.dot(row[group.info], x_b) for row in glob.coeffs])
+        assert lay.block_table(b) is lay.block_table(b)
+        assert list(lay.block_tables) == list(range(b + 1))
+    assert [*map(fld.inv, lay.s_weights)] == [
+        fld.mul(d, fld.root_product([z for z in lay.s_points if z != s], s))
+        for s, d in zip(lay.s_points, lay.delta_at_s)]
+
+
+def test_decoding_builds_the_tables_of_its_heavy_blocks_only():
+    """The tables are not part of a layout until a decode reads them, and
+    then only those of its heavy sets are built."""
+    lay = fixtures.example3_layout()
+    rng = random.Random(9)
+    word = encode(lay, [rng.randrange(lay.field.q) for _ in range(lay.params.k)])
+    assert "block_tables" not in vars(lay)
+    pat = ErasurePattern.make(lay, {5: lay.sets[5][:3], 40: lay.sets[40][-3:], 7: lay.sets[7][:1]})
+    assert decode_structured(lay, mask(word, pat.coords(lay)), pat) == word
+    assert sorted(lay.block_tables) == [5, 40]
+
+
+def example3_shared_pairs(rng, count):
+    """``count`` pairs of example3's sets, lines of PG(2,8) that meet in
+    one point, each with its shared point, the point's positions in both,
+    and eight points of each of its own."""
+    lay = fixtures.example3_layout()
+    out = []
+    while len(out) < count:
+        t, u = sorted(rng.sample(range(len(lay.sets) - 1), 2))  # not the truncated set
+        (x,) = set(lay.sets[t]) & set(lay.sets[u])
+        out.append((t, u, x, [y for y in lay.sets[t] if y != x], [y for y in lay.sets[u] if y != x]))
+    return lay, out
+
+
+@pytest.mark.parametrize("case", ["erased in one block", "erased in both", "surviving in both"])
+def test_shared_points_match_the_two_pass_reference(case):
+    """Two heavy sets of example3 that share a point P: P erased in one of
+    them, in both, or in neither, with the other erasures on the sets' own
+    points, and P, when erased, an information point of the block or not.
+    The structured decoder gives the two-pass reference's word, which is
+    the codeword, and with one survivor corrupted, its error or word."""
+    rng = random.Random(case)
+    lay, pairs = example3_shared_pairs(rng, 10)
+    fld, cnt = lay.field, lay.interp_count(0)
+    word = encode(lay, [rng.randrange(fld.q) for _ in range(lay.params.k)])
+    restored = 0
+    for t, u, x, own_t, own_u in pairs:
+        if case == "erased in one block":
+            per_set = {t: [x, *rng.sample(own_t, 2)], u: rng.sample(own_u, 3)}
+        elif case == "erased in both":
+            per_set = {t: [x, *rng.sample(own_t, 2)], u: [x, *rng.sample(own_u, 2)]}
+        else:
+            per_set = {t: rng.sample(own_t, 3), u: rng.sample(own_u, 3)}
+        pat = ErasurePattern.make(lay, per_set, rng.sample(lay.s_points, 2))
+        assert pattern_admissible(lay, pat).admissible
+        restored += x in per_set[t] and lay.sets[t].index(x) < cnt
+        coords = pat.coords(lay)
+        received = mask(word, coords)
+        assert decode_structured(lay, received, pat) == two_pass_decode(lay, received, pat) == word
+        c = rng.choice([c for c in range(lay.n) if c not in set(coords)])
+        received[c] = fld.add(received[c], rng.randrange(1, fld.q))
+        assert (outcome(decode_structured, lay, received, pat)
+                == outcome(two_pass_decode, lay, received, pat))
+    assert restored or case == "surviving in both"
+
+
+def test_three_heavy_sets_with_their_common_point_erased_in_two(ag13_layout):
+    """Three lines of AG(2,3) through P, P erased in two of them and one
+    own point in each of those, two own points in the third, which holds P
+    as a survivor: the structured decoder and the two-pass reference give
+    the word, and with a survivor corrupted, the same word or error."""
+    lay, fld = ag13_layout, ag13_layout.field
+    rng = random.Random(4)
+    word = encode(lay, [rng.randrange(fld.q) for _ in range(lay.params.k)])
+    for x in range(9):
+        lines = [b for b, a in enumerate(lay.sets) if x in a]
+        for keep in itertools.combinations(lines, 3):
+            own = {t: [y for y in lay.sets[t] if y != x] for t in keep}
+            per_set = {keep[0]: [x, own[keep[0]][0]], keep[1]: [x, own[keep[1]][1]],
+                       keep[2]: own[keep[2]]}
+            pat = ErasurePattern.make(lay, per_set)
+            assert pattern_admissible(lay, pat).admissible
+            coords = pat.coords(lay)
+            received = mask(word, coords)
+            assert decode_structured(lay, received, pat) == two_pass_decode(lay, received, pat) == word
+            c = rng.choice([c for c in range(lay.n) if c not in set(coords)])
+            received[c] = fld.add(received[c], 1)
+            assert (outcome(decode_structured, lay, received, pat)
+                    == outcome(two_pass_decode, lay, received, pat))
+
+
+def test_heavy_sets_take_no_quadratic_weights(monkeypatch):
+    """One example3 decode with two heavy sets of three erased points and
+    two erased global points multiplies at most (|E| + g) (nodes + lost)
+    root factors, |E| = 6 erased points, g = 4 global nodes, nodes =
+    |U| - delta + 1 = 15 and lost = 6, and evaluates one barycentric sum
+    per erased information point: weights taken as products over the
+    nodes, O(nodes^2), would pass the bound."""
+    lay = fixtures.example3_layout()
+    fld, p = lay.field, lay.params
+    rng = random.Random(6)
+    word = encode(lay, [rng.randrange(fld.q) for _ in range(p.k)])
+    t, u, x, own_t, own_u = example3_shared_pairs(rng, 1)[1][0]
+    pat = ErasurePattern.make(lay, {t: own_t[:3], u: own_u[-3:]}, lay.s_points[:2])
+    received = mask(word, pat.coords(lay))
+    assert decode_structured(lay, received, pat) == word  # the layout's caches, built
+    factors, sums = [], []
+    real_product, real_dot = fld.root_product, fld.inv_dot
+
+    def root_product(roots, y):
+        roots = list(roots)
+        factors.append(len(roots))
+        return real_product(roots, y)
+
+    def inv_dot(ws, nodes, y):
+        sums.append(len(nodes))
+        return real_dot(ws, nodes, y)
+
+    monkeypatch.setattr(fld, "root_product", root_product)
+    monkeypatch.setattr(fld, "inv_dot", inv_dot)
+    assert decode_structured(lay, received, pat) == word
+    erased, g = 6, 6 - p.delta + 1
+    nodes = len(set(lay.sets[t]) | set(lay.sets[u])) - p.delta + 1
+    assert nodes == 15
+    assert sum(factors) <= (erased + g) * (nodes + erased)
+    lost_info = sum(lay.sets[b].index(y) < lay.interp_count(b) for b, pts in
+                    ((t, own_t[:3]), (u, own_u[-3:])) for y in pts)
+    assert len(sums) == lost_info and max(sums) <= nodes + 1

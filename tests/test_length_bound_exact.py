@@ -7,6 +7,7 @@ rational x, value >= x iff x' = ((x + S) / R - c) / L <= 0 or x'^v <= q^u.
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from lrckit.algebra import iroot
 from lrckit.bounds import classify, length_bound
+from rootref import iroot_from_above
 
 
 def is_prime_power(q: int) -> bool:
@@ -116,6 +118,26 @@ def test_classify_reports_the_exponent_of_the_best_offset():
 def test_integer_root_is_the_floor_root(x, v):
     y = iroot(x, v)
     assert y**v <= x < (y + 1) ** v
+
+
+def test_integer_root_matches_the_start_from_above():
+    """The root from the float estimate is the one Newton's method gives
+    from 2^ceil(bits/v): on random x of up to 30,000 bits with v up to the
+    bit length, log-uniform, and on both sides of exact powers y^v with
+    large y and v, where a start below the root would stop at once."""
+    rng = random.Random(30)
+    cases = []
+    for _ in range(150):
+        bits = rng.randint(1, 30000)
+        v = int(math.exp(rng.uniform(0, math.log(bits + 1))))
+        cases.append((rng.getrandbits(bits) | 1 << (bits - 1), max(v, 1)))
+    for _ in range(20):
+        y, v = rng.getrandbits(rng.randint(2, 3000)) | 2, rng.randint(2, 40)
+        cases += [(y**v - 1, v), (y**v, v), (y**v + 1, v)]
+    for x, v in cases:
+        y = iroot(x, v)
+        assert y == iroot_from_above(x, v)
+        assert y**v <= x < (y + 1) ** v
 
 
 def test_agrees_with_mpmath():
