@@ -505,12 +505,25 @@ class FiniteField:
                         acc ^= zexp[zlog[x] + zlog[y]]
                     return acc
 
+                def inv_dot(ws, nodes, x):
+                    # w / (x - u) at exponent log w + q - 1 - log(x - u) >= 1
+                    acc, shift = 0, q - 1
+                    for w, u in zip(ws, nodes):
+                        acc ^= zexp[zlog[w] + shift - log[x ^ u]]
+                    return acc
+
             else:
                 def dot(a, b):
                     acc = 0
                     for x, y in zip(a, b):
                         if x and y:
                             acc = add(acc, exp[log[x] + log[y]])
+                    return acc
+
+                def inv_dot(ws, nodes, x):
+                    acc = 0
+                    for w, u in zip(ws, nodes):
+                        acc = add(acc, div(w, sub(x, u)))
                     return acc
 
             if byte_keys:
@@ -537,12 +550,6 @@ class FiniteField:
 
                 def run_plan(plan, v):
                     return [dot(vals, get(v)) for get, vals in plan]
-
-            def inv_dot(ws, nodes, x):
-                acc = 0
-                for w, u in zip(ws, nodes):
-                    acc = add(acc, div(w, sub(x, u)))
-                return acc
 
             def root_product(roots, x):
                 acc = 1

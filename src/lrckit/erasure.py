@@ -32,7 +32,8 @@ a pattern that does not fit the layout.  The structured decoder takes the
 erased coordinates from that walk, reads its heavy sets off one combined
 polynomial on barycentric weights cached per block
 (``EvaluationLayout.block_table``), receives erased coordinates as
-``None`` and never reads them.
+``None`` and never reads them; its word equals the survivors at the
+information coordinates by construction, so it compares only the parities.
 """
 
 from __future__ import annotations
@@ -122,23 +123,28 @@ def pattern_admissible(layout: EvaluationLayout, pat: ErasurePattern) -> Admissi
     delta-1 evaluation points, i.e. keeps at least |A_t|-delta+1 exclusive
     points.  Only the sets the pattern touches are visited, once; their
     erased coordinates and the heavy sets' exclusive points are reported
-    for the decoder.  Raises InvalidParameter unless the pattern fits the
-    layout."""
+    for the decoder, the shared points from ``layout.point_sets`` when two
+    or more sets are heavy.  Raises InvalidParameter unless the pattern
+    fits the layout."""
     p = layout.params
     touched = _touched_sets(layout, pat)
     heavy = [t for t, lost in touched.items() if len(lost) >= p.delta]
-    union = set().union(*map(pat.sets.__getitem__, heavy))
     budget = p.h + p.delta - 1
-    ok = len(union) + len(pat.globals_) <= budget
+    if len(heavy) < 2:  # a heavy set keeps all its points
+        union = len(pat.sets[heavy[0]]) if heavy else 0
+        return AdmissibilityReport(union + len(pat.globals_) <= budget, heavy, union, budget,
+                                   {t: [*layout.sets[t]] for t in heavy}, touched)
+    points = layout.point_sets
     seen, shared = set(), set()  # the points of the heavy sets, those of two or more
     for t in heavy:
-        shared |= seen.intersection(layout.sets[t])
-        seen.update(layout.sets[t])
-    exclusive = {}
+        shared |= seen & points[t]
+        seen |= points[t]
+    union = len(set().union(*map(pat.sets.__getitem__, heavy)))
+    exclusive, ok = {}, union + len(pat.globals_) <= budget
     for t in heavy:
         exclusive[t] = [x for x in layout.sets[t] if x not in shared]
-        ok = ok and len(exclusive[t]) >= layout.interp_count(t)
-    return AdmissibilityReport(ok, heavy, len(union), budget, exclusive, touched)
+        ok = ok and len(exclusive[t]) > len(points[t]) - p.delta
+    return AdmissibilityReport(ok, heavy, union, budget, exclusive, touched)
 
 
 def decode_structured(layout: EvaluationLayout, received, pat: ErasurePattern) -> list[int]:
@@ -165,23 +171,26 @@ def decode_structured(layout: EvaluationLayout, received, pat: ErasurePattern) -
     of block t is its own f_t(u).  At s in S' it is U(s) prod_{S - s}
     (s - s') / R(s), so U(s) cancels, and w_s F(s) = (c_s - k_s) R(s) /
     (Delta(s) prod_{S - s} (s - s')), the latter cached
-    (``layout.s_weights``).  At an erased x of A_t in no other heavy set it
-    is e_t(x) / (W_t(x) R'(x)), R' leaving out x's own factor, so f_t(x) =
-    F(x) / e_t(x) = sum_u w_u F(u) / (x - u) / (W_t(x) R'(x))
-    (``fld.inv_dot``).  Each node and each such x costs h + delta - 1
-    factors, and no weight is a product over the nodes.  Block t's
-    information x_t is read at its information points; only if it lost one
-    that another heavy set holds, where F mixes the blocks, is it the
-    polynomial through its first points that are not such.  One pass of
-    block t's plan then gives its local rows on x_t and what it adds to each
-    global row.
+    (``layout.s_weights``).  At an erased x of A_t, F(x) is l(x) sum_u w_u
+    F(u) / (x - u) (``fld.inv_dot``), l the product over the nodes, and
+    l(x) / e_t(x) = prod (x - y) over (A_t - E) + S' / prod over E - A_t.
+    F(x) = sum_v f_v(x) e_v(x) over the heavy v holding x, and e_v / W_v is
+    prod (x - y) over (U + S) - {x} for each, so f_t(x) is F(x) / e_t(x)
+    less f_v(x) W_v(x) / W_t(x) for each other such v, which kept x: a
+    shared point lost in one block only is read off F too.  No weight is a
+    product over the nodes.  Block t's information x_t is read at its
+    information points; only if it lost one that another heavy set lost
+    too, where F mixes two unknowns, is it the polynomial through its first
+    points that are not such.  One pass of block t's plan then gives its
+    local rows on x_t and what it adds to each global row.
 
-    The word interleaves the information and the pass's values, and is
-    compared in one list comparison with the survivors, completed by its
-    own erased symbols.  It is a codeword, so it matches them iff they
-    extend to one, which admissibility makes unique; survivors the steps
-    above did not read, those of untouched blocks included, are checked
-    there too.
+    The decoded word is the survivors with the erased coordinates filled
+    from the information and the pass's values (``layout.parities``).  It
+    is the survivor at each information coordinate by construction (an
+    interpolated x_t passes through them), so it is the information's
+    encoding, a codeword, iff it is at the rows' pivots too: one comparison
+    of the n - k parities checks every survivor, read above or not, and
+    admissibility makes the codeword unique.
 
     ``received`` holds None at erased coordinates; those entries are never
     read.  Raises InvalidParameter when the pattern does not fit the
@@ -189,20 +198,19 @@ def decode_structured(layout: EvaluationLayout, received, pat: ErasurePattern) -
     does not have n symbols or a survivor is missing or not an int in
     [0, q), and then Inconsistent.
     """
-    fld = layout.field
-    p = layout.params
+    fld, p = layout.field, layout.params
     rep = pattern_admissible(layout, pat)
     if not rep.admissible:
         raise NotAdmissible("pattern fails the admissibility conditions")
-    heavy, offsets = rep.exclusive_points, layout.block_offsets
-    erased = [*map(layout.point_coords[-1].__getitem__, pat.globals_), *chain(*rep.erased.values())]
+    heavy, touched, offsets, d = rep.exclusive_points, rep.erased, layout.block_offsets, p.delta - 1
+    erased = [*map(layout.point_coords[-1].__getitem__, pat.globals_), *chain(*touched.values())]
     survivors = _survivors(received, erased, layout.n, fld)
-    (plan, gather, interleave), groups = layout.encoder, layout.check_groups
+    (plan, gather, _), groups = layout.encoder, layout.check_groups
     info = list(gather(survivors))
     # the heavy blocks' information zeroed, and the light blocks' erased
     # information filled from the first |A_b|-delta+1 survivors of each
-    for b, lost in rep.erased.items():
-        a, off, cnt = layout.sets[b], offsets[b], layout.interp_count(b)
+    for b, lost in touched.items():
+        a, off, cnt = layout.sets[b], offsets[b], len(layout.sets[b]) - d
         if b in heavy:
             info[groups[b].info] = [0] * cnt
         elif fill := [c - off for c in lost if c < off + cnt]:
@@ -213,48 +221,58 @@ def decode_structured(layout: EvaluationLayout, received, pat: ErasurePattern) -
     values = fld.run_plan(plan, info)
 
     if heavy:
-        mul, root_product, inv_dot = fld.mul, fld.root_product, fld.inv_dot
-        glob, d = len(values) - p.h, p.delta - 1
-        lost = set().union(*map(pat.sets.__getitem__, heavy))  # E
-        free = [i for i, s in enumerate(layout.s_points) if s not in pat.globals_]
+        mul, div, sub, root_product, inv_dot = fld.mul, fld.div, fld.sub, fld.root_product, fld.inv_dot
+        glob, s_points, maps = len(values) - p.h, layout.s_points, layout.point_coords
+        lost, twice = set(), set()  # E, and its points lost in two or more heavy sets
+        for t in heavy:
+            twice |= lost & pat.sets[t]
+            lost |= pat.sets[t]
+        free = [i for i, s in enumerate(s_points) if s not in pat.globals_]
         rows = free[:len(lost) - d]  # S', the first |E| - delta + 1 surviving global points
-        roots = [*lost, *pat.globals_, *(layout.s_points[i] for i in free[len(rows):])]  # R
-        # the nodes, a survivor of U once per heavy set holding it (inv_dot
-        # sums the terms), then S'; and their terms w_u F(u)
-        nodes, ws, tables = [], [], [*map(layout.block_table, heavy)]
+        roots = [*lost, *pat.globals_, *map(s_points.__getitem__, free[len(rows):])]  # R
+        # the nodes, each heavy set's survivors A_t - E (a point once per set
+        # holding it: inv_dot sums the terms), then S'; and their terms w_u F(u)
+        chosen, nodes, ws, near = [*map(s_points.__getitem__, rows)], [], [], []
+        tables = [*map(layout.block_table, heavy)]
         for t, (weights, _) in zip(heavy, tables):
             a, off = layout.sets[t], offsets[t]
-            nodes += [x for x in a if x not in lost]
+            nodes += (mine := [x for x in a if x not in lost])
+            near.append(mine + chosen)
             ws += [mul(mul(y, w), root_product(roots, x))
                    for x, w, y in zip(a, weights, survivors[off:off + len(a)]) if x not in lost]
-        nodes += [layout.s_points[i] for i in rows]
-        ws += [mul(mul(fld.sub(survivors[layout.global_coord(i)], values[glob + i]),
-                       root_product(roots, layout.s_points[i])), layout.s_weights[i]) for i in rows]
+        nodes += chosen
+        ws += [mul(mul(sub(survivors[layout.global_offset + i], values[glob + i]),
+                       root_product(roots, s_points[i])), layout.s_weights[i]) for i in rows]
 
-        def at_lost(w, x):  # f_t(x) at an erased exclusive point x of A_t, weight w
-            j = roots.index(x)
-            return fld.div(inv_dot(ws, nodes, x), mul(w, root_product(roots[:j] + roots[j + 1:], x)))
-
-        for (t, exclusive), (weights, block_plan) in zip(heavy.items(), tables):
-            # x_t, at the information points, or off the first points that
-            # are not such if block t lost one that another heavy set holds
-            a, gone, off, cnt = layout.sets[t], pat.sets[t], offsets[t], layout.interp_count(t)
-            shared = gone.difference(exclusive)
-            known = [i for i, x in enumerate(a) if x not in shared][:cnt] if shared else range(cnt)
-            x_t = [at_lost(weights[i], a[i]) if a[i] in gone else survivors[off + i] for i in known]
-            if known[-1] != cnt - 1:  # not the information points
-                x_t = [*map(interpolant(fld, [a[i] for i in known], x_t), a[:cnt])]
+        for (t, exclusive), (weights, block_plan), near_t in zip(heavy.items(), tables, near):
+            # f_t at the information points, or, if t lost one that another heavy
+            # set lost too (mixed: F mixes two unknowns there), at the first unmixed
+            a, off, mixed = layout.sets[t], offsets[t], twice & pat.sets[t]
+            cnt = len(a) - d
+            known = [i for i, x in enumerate(a) if x not in mixed][:cnt] if mixed else range(cnt)
+            f_t, far = survivors[off:off + known[-1] + 1], lost - layout.point_sets[t]
+            for c in touched[t]:
+                if (i := c - off) > known[-1] or (x := a[i]) in mixed:
+                    continue
+                y = div(mul(inv_dot(ws, nodes, x), root_product(near_t, x)), root_product(far, x))
+                if x not in exclusive:  # the other heavy sets holding x kept it
+                    for v, (w_v, _) in zip(heavy, tables):
+                        if v != t and (u := maps[v].get(x)) is not None:
+                            y = sub(y, div(mul(survivors[u], w_v[u - offsets[v]]), weights[i]))
+                f_t[i] = y
+            x_t = f_t if known[-1] == cnt - 1 else [
+                *map(interpolant(fld, [a[i] for i in known], [f_t[i] for i in known]), a[:cnt])]
             info[groups[t].info] = x_t
             out = fld.run_plan(block_plan, x_t)
             values[t * d:(t + 1) * d] = out[:d]
             values[glob:] = map(fld.add, values[glob:], out[d:])
 
-    word = list(interleave([*info, *values]))
+    word, (parities, slots) = [*info, *values], layout.parities
     for c in erased:
-        survivors[c] = word[c]
-    if word != survivors:
+        survivors[c] = word[slots[c]]
+    if parities(survivors) != tuple(values):
         raise Inconsistent("decoded word disagrees with a survivor")
-    return word
+    return survivors
 
 
 def _survivors(received, erased, n: int, fld: FiniteField) -> list[int]:

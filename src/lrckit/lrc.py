@@ -110,6 +110,9 @@ class EvaluationLayout:
         self.s_points = tuple(s_points)
         self.truncated_tail = tuple(truncated_tail)
         p = params
+        # before the sets of points below, which an unhashable point or a float would upset
+        if not fld.are_elements([x for a in (self.s_points, *self.sets, self.truncated_tail) for x in a]):
+            raise InvalidParameter(f"evaluation points must be ints in [0, {fld.q})")
         if len(self.sets) != p.ell + 1:
             raise InvalidParameter(f"expected {p.ell + 1} evaluation sets")
         for i, a in enumerate(self.sets):
@@ -124,9 +127,6 @@ class EvaluationLayout:
             raise InvalidParameter(f"expected {p.h} global points")
         if len(set(self.s_points)) != p.h:
             raise InvalidParameter("global points must be distinct")
-        for x in list(self.s_points) + [x for a in self.sets for x in a]:
-            if not (0 <= x < fld.q):
-                raise InvalidParameter("evaluation point outside the field")
         self.block_offsets = []
         off = 0
         for a in self.sets:
@@ -219,11 +219,23 @@ class EvaluationLayout:
         of the information from a codeword, and the getter of the codeword
         from the information and a pass's values."""
         k, groups = self.params.k, self.check_groups
-        coords = [*self.info_coords, *(c for g in groups for c in g.pivots)]
         return (self.field.row_plan([(range(*g.info.indices(k)), c)
                                      for g in groups for c in g.coeffs], k),
                 operator.itemgetter(*self.info_coords),
-                operator.itemgetter(*sorted(range(self.n), key=coords.__getitem__)))
+                operator.itemgetter(*self.parities[1]))
+
+    @cached_property
+    def parities(self) -> tuple[operator.itemgetter, tuple[int, ...]]:
+        """The getter of a codeword's parities, the check rows' pivots, and
+        per coordinate its index in the information followed by a pass's values."""
+        pivots = [c for g in self.check_groups for c in g.pivots]
+        slots = sorted(range(self.n), key=[*self.info_coords, *pivots].__getitem__)
+        return operator.itemgetter(*pivots), tuple(slots)
+
+    @cached_property
+    def point_sets(self) -> tuple[frozenset[int], ...]:
+        """Each evaluation set's points, as a set."""
+        return tuple(map(frozenset, self.sets))
 
     @cached_property
     def block_tables(self) -> dict[int, tuple[tuple[int, ...], tuple]]:

@@ -4,6 +4,7 @@ import pickle
 import random
 from decimal import Decimal
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +26,7 @@ from lrckit.errors import DuplicateNode, InternalInvariantViolation, InvalidPara
 from linref import identity, same_row_space, solve
 from polyref import square_and_multiply_generator
 from rowref import value_from_roots
+from test_codec import FIELDS as CODEC_FIELDS
 
 F11 = FiniteField(11)
 F13 = FiniteField(13)
@@ -687,6 +689,20 @@ def test_root_product_matches_the_loop(fld, data):
     assert fld.root_product(roots + [x], x) == 0  # x among the roots
     assert fld.root_product([], x) == 1
     assert fld.root_product(iter(roots), x) == value_from_roots(fld, roots, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([f for f in CODEC_FIELDS if f.p == 2]), st.data())
+def test_characteristic_2_inv_dot_matches_the_field_sum(fld, data):
+    """The log-domain ``inv_dot`` of characteristic 2 gives sum w / (x - u)
+    by the field's own div, sub and add, with zero weights among the w and
+    x off the nodes."""
+    elem = st.integers(0, fld.q - 1)
+    x = data.draw(elem)
+    nodes = data.draw(st.lists(elem.filter(lambda u: u != x), max_size=20))
+    ws = data.draw(st.lists(st.one_of(st.just(0), elem), min_size=len(nodes), max_size=len(nodes)))
+    terms = map(fld.div, ws, map(fld.sub, itertools.repeat(x), nodes))
+    assert fld.inv_dot(ws, nodes, x) == reduce(fld.add, terms, 0)
 
 
 class Symbol(int):

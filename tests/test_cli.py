@@ -99,6 +99,16 @@ EX1_CHECK = ("gsd", "check", "--layout", "{ex1_layout}", "--construction", "basi
 GOPPA_F16 = ("--p", "2", "--m", "4", "--g2", "8,1", "--sets", "1,2,3;4,5,6")
 
 
+# ag13's layout with one key changed
+BAD_POINTS = {
+    "{str_points}": lambda d: {"sets": [["a", "b", "c"], *d["sets"][1:]]},
+    "{list_point}": lambda d: {"sets": [[0, 1, [2]], *d["sets"][1:]]},
+    "{float_s_point}": lambda d: {"s_points": [12.5, 11, 10, 9]},
+    "{float_point}": lambda d: {"sets": [[0.0, 1, 2], *d["sets"][1:]]},
+    "{float_tail}": lambda d: {"truncated_tail": [7.5]},
+}
+
+
 def decode_args(layout, n, first):
     """``erasure decode`` of the word (first, 0, ..., 0) of length n, with
     no erasures."""
@@ -188,15 +198,21 @@ def decode_args(layout, n, first):
         # count grows with d
         ("bounds", "classify", "--n", "10", "--k", "5", "--d", "100000", "--r", "2",
          "--delta", "2", "--q", "13"),
+        # ag13 layouts with an evaluation point that is not an int in [0, 13)
+        *(cmd for name in BAD_POINTS for cmd in (
+            ("erasure", "check", "--layout", name, "--pattern", "{no_erasures}"),
+            decode_args(name, 40, "0"))),
     ],
 )
 def test_bad_invocations_are_usage_errors(tmp_path, capsys, example1_layout, args):
-    from lrckit import serial
+    from lrckit import fixtures, serial
     from test_codec import _f16_layout
 
+    ag13 = serial.layout_to_dict(fixtures.ag13_layout())
     files = {"{not_json}": "{not json", "{no_keys}": "{}", "{a_list}": "[]",
              "{ex1_layout}": serial.dumps(serial.layout_to_dict(example1_layout)),
              "{f16_layout}": serial.dumps(serial.layout_to_dict(_f16_layout())),
+             **{name: serial.dumps({**ag13, **change(ag13)}) for name, change in BAD_POINTS.items()},
              "{no_erasures}": "{}",
              "{string_key}": '{"sets": {"0": [5]}}', "{far_key}": '{"sets": {"9": [5]}}',
              "{long_list}": '{"sets": [[], [], [], [], [], [], [], []]}',

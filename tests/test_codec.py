@@ -5,6 +5,7 @@ oracle, the two-pass reference (``decoderef``) and the original word, on
 fixed codes and on small random layouts.
 """
 
+import bisect
 import itertools
 import random
 
@@ -31,7 +32,7 @@ from lrckit.lrc import (
     generator_matrix,
     parity_check_matrix,
 )
-from decoderef import heavy_exclusive, two_pass_decode
+from decoderef import erased_coords, heavy_exclusive, two_pass_decode
 from polyref import poly_encode
 from rowref import check_rows, row_encode
 
@@ -198,11 +199,23 @@ def test_corrupted_survivor(case, data):
 def test_admissibility_matches_the_definitions(case):
     """The admissibility verdict and the exclusive points it reports are
     those of the reference, which reads them off the definitions; with
-    three heavy sets a point can lie in all of them."""
+    three heavy sets a point can lie in all of them.  So are the union
+    size (the erased points of the heavy sets), the budget h + delta - 1,
+    and the erased coordinates per touched set, in set order, that the
+    decoder reads: the reference's, grouped by set."""
     lay, _, _, pat = case
+    p = lay.params
     rep = pattern_admissible(lay, pat)
     assert (rep.admissible, rep.exclusive_points) == heavy_exclusive(lay, pat)
     assert rep.heavy_sets == list(rep.exclusive_points)
+    heavy = [t for t, lost in enumerate(pat.sets) if len(lost) >= p.delta]
+    assert rep.union_size == len(set().union(*(pat.sets[t] for t in heavy)))
+    assert rep.budget == p.h + p.delta - 1
+    coords = [c for c in erased_coords(lay, pat) if c < lay.global_offset]
+    by_set = {b: list(cs) for b, cs in
+              itertools.groupby(coords, lambda c: bisect.bisect_right(lay.block_offsets, c) - 1)}
+    assert list(rep.erased) == list(by_set)
+    assert {b: sorted(cs) for b, cs in rep.erased.items()} == by_set
 
 
 def test_three_heavy_sets_through_one_point(ag13_layout, ag13_code):
@@ -614,7 +627,9 @@ def test_three_heavy_sets_with_their_common_point_erased_in_two(ag13_layout):
     """Three lines of AG(2,3) through P, P erased in two of them and one
     own point in each of those, two own points in the third, which holds P
     as a survivor: the structured decoder and the two-pass reference give
-    the word, and with a survivor corrupted, the same word or error."""
+    the word, and with a survivor corrupted, the same word or error; the
+    third line's P among the survivors corrupted, at an information point
+    or not, as well."""
     lay, fld = ag13_layout, ag13_layout.field
     rng = random.Random(4)
     word = encode(lay, [rng.randrange(fld.q) for _ in range(lay.params.k)])
@@ -629,10 +644,12 @@ def test_three_heavy_sets_with_their_common_point_erased_in_two(ag13_layout):
             coords = pat.coords(lay)
             received = mask(word, coords)
             assert decode_structured(lay, received, pat) == two_pass_decode(lay, received, pat) == word
-            c = rng.choice([c for c in range(lay.n) if c not in set(coords)])
-            received[c] = fld.add(received[c], 1)
-            assert (outcome(decode_structured, lay, received, pat)
-                    == outcome(two_pass_decode, lay, received, pat))
+            for c in (rng.choice([c for c in range(lay.n) if c not in set(coords)]),
+                      lay.point_coords[keep[2]][x]):
+                bad = list(received)
+                bad[c] = fld.add(bad[c], 1)
+                assert (outcome(decode_structured, lay, bad, pat)
+                        == outcome(two_pass_decode, lay, bad, pat))
 
 
 def test_heavy_sets_take_no_quadratic_weights(monkeypatch):

@@ -352,6 +352,35 @@ def test_family_params_ag_cross_check():
     assert lay.n == rep["n"] and lay.params.k == rep["k"]
 
 
+def test_sg_family_at_delta_2_falls_short_of_h_plus_delta():
+    """The SG code that ``family_params("sg", q1=4, beta=2, delta=2, v=1)``
+    describes, [340,269] with h = 3: its sets are circles, and circles meet
+    in two points, so the four coordinates of sets 0 and 1 at their two
+    common points carry a codeword of weight 2 delta = 4 < h + delta = 5.
+    Its ell = 7 truncation, [40,29], has distance 4, below the reported
+    d_singleton."""
+    from lrckit.designs import sg_steiner
+    from lrckit.erasure import min_distance, recoverable
+
+    rep = family_params("sg", q1=4, beta=2, delta=2, v=1)
+    fld, design = FiniteField(rep["q_min_prime_power"]), sg_steiner(4, 2)
+    lay = build_layout(LrcParams(r=rep["r"], delta=2, ell=rep["blocks"] - 1, v=1, h=rep["h"]),
+                       fld, design)
+    assert (lay.n, lay.params.k) == (rep["n"], rep["k"]) == (340, 269) and fld.q == 23
+    h = build_code(lay).check
+    common = [x for x in lay.sets[0] if x in lay.sets[1]]
+    cols = sorted(lay.coord(b, lay.sets[b].index(x)) for b in (0, 1) for x in common)
+    assert len(cols) == 4 and not recoverable(h, cols)
+    (kernel,) = h.columns(cols).nullspace().rows
+    word = [0] * lay.n
+    for c, x in zip(cols, kernel):
+        word[c] = x
+    assert all(kernel) and h.mul_vec(word) == [0] * h.nrows
+    short = build_layout(LrcParams(r=4, delta=2, ell=7, v=1, h=3), fld, design)
+    assert (short.n, short.params.k) == (40, 29)
+    assert min_distance(build_code(short).check) == 4 < rep["d_singleton"] == 5
+
+
 def test_family_params_precondition_flag():
     rep = family_params("ag", q1=8, beta=2, delta=2, v=1)
     assert rep["h"] == 6 > 4
