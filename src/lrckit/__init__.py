@@ -4,11 +4,14 @@ are measured against.
 
 The package is organized by subject:
 
-- ``algebra``: exact finite fields, polynomials, matrices
+- ``algebra``: exact finite fields, polynomials, matrices, the exact
+  distance search
 - ``designs``: Steiner systems, cyclotomic packings, verification
 - ``lrc``: the two-step polynomial construction and locality checks
-- ``erasure``: erasure patterns, decoders, exact minimum distance
-- ``gsd``: array arrangements and disk+sector erasure sweeps
+- ``erasure``: erasure patterns, decoders, ``min_distance`` (the validated
+  entry to the distance search)
+- ``gsd``: array arrangements, local repair thresholds, disk+sector
+  erasure sweeps
 - ``goppa``: the congruence-style construction and its Cauchy form
 - ``bounds``: distance and length bounds, optimality classification
 - ``fixtures``: published regression matrices and end-to-end runs

@@ -1,6 +1,9 @@
 """Exact arithmetic over prime-power finite fields, dense polynomials,
 and matrices, with ``eliminate_keys``, the one column elimination that
-the library's ranks, rank tests and decoders run, on search keys.
+the library's ranks, rank tests and decoders run, on search keys, and
+``smallest_dependent``, the exact distance search that
+``erasure.min_distance``, ``lrc.verify_locality`` and
+``gsd.local_repair_map`` run.
 
 Field elements are plain Python ints in ``[0, q)``.  For an extension
 field F_{p^m} the integer ``sum(c_i * p**i)`` encodes the element with
@@ -32,7 +35,7 @@ import operator
 from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
-from .errors import DuplicateNode, InternalInvariantViolation, InvalidParameter
+from .errors import DuplicateNode, Infeasible, InternalInvariantViolation, InvalidParameter
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
@@ -922,6 +925,182 @@ def eliminate_keys(sub_key, keys, bound: int, stop: bool = True):
             if stop:
                 break
     return pivots, dependents
+
+
+def _support_masks(cols) -> tuple[list[int], list[int]]:
+    """The supports of ``cols`` as bitmasks, bit i for row i and bit j for
+    column j: per column the rows it is nonzero at, and per row the columns
+    nonzero there.  ``smallest_dependent`` passes its keys with the rows
+    sparsest first, so the lowest bit of a row mask is its sparsest row."""
+    col_rows = [0] * len(cols)
+    row_cols = []
+    for i, row in enumerate(zip(*cols)):
+        bit, mask = 1 << i, 0
+        for j in itertools.compress(range(len(cols)), row):
+            mask |= 1 << j
+            col_rows[j] |= bit
+        row_cols.append(mask)
+    return col_rows, row_cols
+
+
+def _dependent_subset(cols, nrows, fld: FiniteField, size, masks=None) -> bool:
+    """True iff some ``size`` of the columns are dependent, given that no
+    smaller subset is.  ``cols`` holds the columns as ``fld.vec_key`` maps
+    them (normalized: scaled to a leading 1), each of ``nrows`` entries.
+
+    Sizes 1 and 2 need no search: a zero column, or, with no zero column, a
+    repeat.  For larger sizes every column after the prefix (a candidate)
+    is held normalized, its own collision key.  The lowest ``size - 2``
+    columns of a subset form its prefix, found by a DFS over independent
+    prefixes in lexicographic order.  Pushing a candidate u as a pivot at
+    its leading row reduces and re-normalizes, by ``fld.sub_key``, only the
+    later candidates nonzero at that row; the others pass through
+    unchanged.  So each candidate is zero on the pivot rows, the one such
+    normalized vector in its class modulo the prefix's span, up to scale.
+    As no smaller subset is dependent, no candidate is zero, and the
+    prefix plus candidates a and b is dependent iff a == b.
+
+    At the collision level only the reduced candidates are hashed: against
+    each other, and against one set per node of every candidate of the
+    node.  That is exact.  Two untouched candidates that coincide would be
+    a dependency of ``size - 1`` columns, which the premise excludes, so
+    every collision has a reduced side.  And every hit in the set is a
+    dependent ``size``-set: a reduced candidate is zero at u's leading row,
+    so it cannot equal u or a candidate the pivot reduced; it equals an
+    untouched candidate, a collision as above, or a candidate c before u,
+    which puts c in the span of the prefix, u and the reduced candidate's
+    column.
+
+    ``masks``, ``_support_masks(cols)`` or None, turns on the
+    circuit rule.  As no smaller subset is dependent, a dependent
+    ``size``-set is a circuit: its one dependency has every coefficient
+    nonzero, so each row of the matrix meets it in no column or in at
+    least two.  The DFS carries the rows its prefix meets once and those
+    it meets more often, and skips a pivot u unless the k columns still to
+    pick, all after u, can meet every row met once: for k = 1 some column
+    meets them all, for k = 2 or 3 some column of the sparsest such row
+    leaves rows that k - 1 columns can meet, and for k >= 4 the later
+    columns together meet them all.
+    These conditions are necessary only: a skip never hides a circuit, and
+    the collision step is still the only way to answer True."""
+    if size == 1:
+        return fld.vec_key((0,) * nrows) in cols
+    if size == 2:
+        return len(set(cols)) < len(cols)
+    sub_key = fld.sub_key
+    if masks is not None:
+        col_rows, row_cols = masks
+        after = [0] * (len(cols) + 1)  # after[j]: the rows columns j.. meet
+        for j in range(len(cols) - 1, -1, -1):
+            after[j] = after[j + 1] | col_rows[j]
+
+    def coverable(need, k, lo):
+        # can k of the columns lo.. meet every row of the mask need?
+        if need & ~after[lo]:
+            return False
+        if not need or k >= 4:
+            return True
+        low = need & -need  # the sparsest row
+        here = row_cols[low.bit_length() - 1] >> lo
+        if k == 1:
+            need ^= low
+            while need and here:
+                low = need & -need
+                here &= row_cols[low.bit_length() - 1] >> lo
+                need ^= low
+            return here != 0
+        while here:
+            bit = here & -here
+            if coverable(need & ~col_rows[lo + bit.bit_length() - 1], k - 1, lo):
+                return True
+            here ^= bit
+        return False
+
+    def extend(cands, lo, once, many, depth):
+        # cands: the keys of columns lo.. reduced against the prefix,
+        # which meets the rows of once in one column and those of many in
+        # more; a pivot needs k = size - depth - 1 more columns after it,
+        # the rest of the prefix and at least two candidates
+        k = size - depth - 1
+        once2 = many2 = 0
+        leaf = k == 2
+        if leaf:  # the collision level
+            seen = set(cands)
+        for t in range(len(cands) - k):
+            if masks is not None:
+                m = col_rows[lo + t]
+                many2 = many | (once & m)
+                once2 = (once | m) & ~many2
+                if not coverable(once2, k, lo + t + 1):
+                    continue
+            u = cands[t]
+            pi = u.index(1)  # the leading row
+            if leaf:
+                reduced = [sub_key(w, w[pi], u) for w in cands[t + 1:] if w[pi]]
+                keys = set(reduced)
+                if len(keys) < len(reduced) or not keys.isdisjoint(seen):
+                    return True
+            elif extend([sub_key(w, w[pi], u) if w[pi] else w for w in cands[t + 1:]],
+                        lo + t + 1, once2, many2, depth + 1):
+                return True
+        return False
+
+    return extend(cols, 0, 0, 0, 0)
+
+
+NODE_GUARD = 10**8  # most rank tests a distance search may project
+# C-level sort keys: a row by its zeros, a key by its leading row
+_ZEROS, _LEAD = operator.methodcaller("count", 0), operator.methodcaller("index", 1)
+
+
+def smallest_dependent(h: Matrix, d_max: int) -> int | None:
+    """The smallest s <= d_max such that some s columns of H are
+    dependent, or None; ``erasure.min_distance`` is its validated entry.
+    Raises Infeasible when the projected number of rank tests, the sum of
+    C(n, s) over the passes so far, exceeds ``NODE_GUARD``; that estimate
+    ignores the pruning below, so the guard refuses the same inputs as an
+    unpruned search would.
+
+    The search is incremental by size: pass s proves that no dependent
+    subset of size < s exists before subsets of size s are examined, so
+    the first hit is exact.  A pass of size s with nrows < s <= n returns
+    s with no search: any s columns are dependent, as rank(H) <= nrows.
+    Within pass s a DFS enumerates the independent prefixes of s - 2
+    columns.  The later columns are held reduced against the prefix and
+    normalized (scaled to a leading 1), as the field's search keys
+    (``FiniteField.vec_key`` and ``sub_key``), so a pivot touches only the
+    columns nonzero at its row, and the last two columns come from a
+    collision step: two later columns are dependent with the prefix iff
+    their keys coincide (``_dependent_subset``).
+
+    Pass s runs only after the smaller passes found no dependent subset, so
+    a dependent s-set is a circuit, and every row of H meets it in no
+    column or in at least two.  From pass 4 on, the DFS uses that circuit
+    rule to skip prefixes whose once-met rows the columns still to pick
+    cannot meet.  Each column's key is built once, for every pass, on H's
+    rows sparsest first if a DFS pass (s >= 3) may run.  Pass 4 sorts the
+    keys by leading row, each column's sparsest, so each local row's
+    columns sit together, where the rule prunes most, whatever order H
+    comes in, and builds the support masks the rule reads
+    (``_support_masks``); the smaller passes, and the many searches that
+    end in them, never build them.  Both sorts are stable and exact: a row
+    order keeps every rank, and a dependency is a set of columns."""
+    n = h.ncols
+    rows = sorted(h.rows, key=_ZEROS, reverse=True) if min(h.nrows, d_max) > 2 else h.rows
+    cols = list(map(h.field.vec_key, zip(*rows)))
+    masks, est = None, 0
+    for s in range(1, d_max + 1):
+        est += math.comb(n, s)
+        if est > NODE_GUARD:
+            raise Infeasible(f"distance search would need ~{est} rank tests (> {NODE_GUARD})")
+        if h.nrows < s <= n:
+            return s
+        if s == 4:
+            cols.sort(key=_LEAD)
+            masks = _support_masks(cols)
+        if _dependent_subset(cols, h.nrows, h.field, s, masks):
+            return s
+    return None
 
 
 class Matrix:

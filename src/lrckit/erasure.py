@@ -2,26 +2,9 @@
 polynomial decoder, the decoder itself, a generic linear-algebra rank test
 and decoding oracle that both run ``algebra.eliminate_keys`` (the
 library's one column elimination) on H's column keys, the decoder with
-the survivors' syndrome appended as one more key, exact minimum-distance
-search, whose cost follows the code's repair blocks, not H's order, and
-the local repair thresholds that the array sweeps' rank test reads.
-
-Local repair rests on information locality.  If the code punctured to a
-repair set A has distance d, and an erased set E meets A in at least one
-and at most min(d, delta) - 1 coordinates, then E is recoverable iff E - A
-is: a codeword supported on E restricts on A to a punctured codeword of
-weight below d, which is zero.  ``local_repair_map`` finds those
-thresholds from the punctured checks.  The array sweeps drop such light
-sets and test the rest on the local/global split of H (``gsd.row_split``):
-with disjoint repair sets, a row is local to A when its support lies
-inside A, and global otherwise.  A's local rows vanish outside A, so the
-erased columns are independent iff the g-row matrix of each heavy set's
-image G K_A, K_A a kernel basis of its local rows on its erased cells,
-next to the global columns of the cells outside the sets, has full column
-rank: exact for any H with disjoint sets.  That is the recoverability
-argument of partial-MDS codes (Blaum, Hafner and Hetzler, IEEE T-IT 2013)
-and SD codes (Plank, Blaum and Hafner, FAST 2013).  ``recoverable``, the
-plain rank test on all of H, is the reference it is checked against.
+the survivors' syndrome appended as one more key, and ``min_distance``,
+the validated entry to the exact distance search
+(``algebra.smallest_dependent``).
 
 Erasure patterns are stated in terms of evaluation points, grouped by the
 repair set they hit, plus the erased global points; the coordinate-level
@@ -38,14 +21,12 @@ information coordinates by construction, so it compares only the parities.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
 from itertools import chain, compress
-from operator import methodcaller
 
-from .algebra import FiniteField, Matrix, eliminate_keys, interpolant
+from .algebra import FiniteField, Matrix, eliminate_keys, interpolant, smallest_dependent
 from .errors import Inconsistent, Infeasible, InvalidParameter, NotAdmissible
-from .lrc import EvaluationLayout, LinearCode, punctured_checks
+from .lrc import EvaluationLayout, LinearCode
 
 
 @dataclass(frozen=True)
@@ -359,170 +340,20 @@ def decode_linear(code: LinearCode, erased, received) -> list[int] | None:
 # exact minimum distance
 
 
-def _support_masks(cols) -> tuple[list[int], list[int]]:
-    """The supports of ``cols`` as bitmasks, bit i for row i and bit j for
-    column j: per column the rows it is nonzero at, and per row the columns
-    nonzero there.  ``_smallest_dependent`` passes its keys with the rows
-    sparsest first, so the lowest bit of a row mask is its sparsest row."""
-    col_rows = [0] * len(cols)
-    row_cols = []
-    for i, row in enumerate(zip(*cols)):
-        bit, mask = 1 << i, 0
-        for j in compress(range(len(cols)), row):
-            mask |= 1 << j
-            col_rows[j] |= bit
-        row_cols.append(mask)
-    return col_rows, row_cols
-
-
-def _dependent_subset(cols, nrows, fld: FiniteField, size, masks=None) -> bool:
-    """True iff some ``size`` of the columns are dependent, given that no
-    smaller subset is.  ``cols`` holds the columns as ``fld.vec_key`` maps
-    them (normalized: scaled to a leading 1), each of ``nrows`` entries.
-
-    Sizes 1 and 2 need no search: a zero column, or, with no zero column, a
-    repeat.  For larger sizes every column after the prefix (a candidate)
-    is held normalized, its own collision key.  The lowest ``size - 2``
-    columns of a subset form its prefix, found by a DFS over independent
-    prefixes in lexicographic order.  Pushing a candidate u as a pivot at
-    its leading row reduces and re-normalizes, by ``fld.sub_key``, only the
-    later candidates nonzero at that row; the others pass through
-    unchanged.  So each candidate is zero on the pivot rows, the one such
-    normalized vector in its class modulo the prefix's span, up to scale.
-    As no smaller subset is dependent, no candidate is zero, and the
-    prefix plus candidates a and b is dependent iff a == b.
-
-    At the collision level only the reduced candidates are hashed: against
-    each other, and against one set per node of every candidate of the
-    node.  That is exact.  Two untouched candidates that coincide would be
-    a dependency of ``size - 1`` columns, which the premise excludes, so
-    every collision has a reduced side.  And every hit in the set is a
-    dependent ``size``-set: a reduced candidate is zero at u's leading row,
-    so it cannot equal u or a candidate the pivot reduced; it equals an
-    untouched candidate, a collision as above, or a candidate c before u,
-    which puts c in the span of the prefix, u and the reduced candidate's
-    column.
-
-    ``masks``, ``_support_masks(cols)`` or None, turns on the
-    circuit rule.  As no smaller subset is dependent, a dependent
-    ``size``-set is a circuit: its one dependency has every coefficient
-    nonzero, so each row of the matrix meets it in no column or in at
-    least two.  The DFS carries the rows its prefix meets once and those
-    it meets more often, and skips a pivot u unless the k columns still to
-    pick, all after u, can meet every row met once: for k = 1 some column
-    meets them all, for k = 2 or 3 some column of the sparsest such row
-    leaves rows that k - 1 columns can meet, and for k >= 4 the later
-    columns together meet them all.
-    These conditions are necessary only: a skip never hides a circuit, and
-    the collision step is still the only way to answer True."""
-    if size == 1:
-        return fld.vec_key((0,) * nrows) in cols
-    if size == 2:
-        return len(set(cols)) < len(cols)
-    sub_key = fld.sub_key
-    if masks is not None:
-        col_rows, row_cols = masks
-        after = [0] * (len(cols) + 1)  # after[j]: the rows columns j.. meet
-        for j in range(len(cols) - 1, -1, -1):
-            after[j] = after[j + 1] | col_rows[j]
-
-    def coverable(need, k, lo):
-        # can k of the columns lo.. meet every row of the mask need?
-        if need & ~after[lo]:
-            return False
-        if not need or k >= 4:
-            return True
-        low = need & -need  # the sparsest row
-        here = row_cols[low.bit_length() - 1] >> lo
-        if k == 1:
-            need ^= low
-            while need and here:
-                low = need & -need
-                here &= row_cols[low.bit_length() - 1] >> lo
-                need ^= low
-            return here != 0
-        while here:
-            bit = here & -here
-            if coverable(need & ~col_rows[lo + bit.bit_length() - 1], k - 1, lo):
-                return True
-            here ^= bit
-        return False
-
-    def extend(cands, lo, once, many, depth):
-        # cands: the keys of columns lo.. reduced against the prefix,
-        # which meets the rows of once in one column and those of many in
-        # more; a pivot needs k = size - depth - 1 more columns after it,
-        # the rest of the prefix and at least two candidates
-        k = size - depth - 1
-        once2 = many2 = 0
-        leaf = k == 2
-        if leaf:  # the collision level
-            seen = set(cands)
-        for t in range(len(cands) - k):
-            if masks is not None:
-                m = col_rows[lo + t]
-                many2 = many | (once & m)
-                once2 = (once | m) & ~many2
-                if not coverable(once2, k, lo + t + 1):
-                    continue
-            u = cands[t]
-            pi = u.index(1)  # the leading row
-            if leaf:
-                reduced = [sub_key(w, w[pi], u) for w in cands[t + 1:] if w[pi]]
-                keys = set(reduced)
-                if len(keys) < len(reduced) or not keys.isdisjoint(seen):
-                    return True
-            elif extend([sub_key(w, w[pi], u) if w[pi] else w for w in cands[t + 1:]],
-                        lo + t + 1, once2, many2, depth + 1):
-                return True
-        return False
-
-    return extend(cols, 0, 0, 0, 0)
-
-
-NODE_GUARD = 10**8  # most rank tests a distance search may project
-_ZEROS, _LEAD = methodcaller("count", 0), methodcaller("index", 1)  # C-level sort keys
-
-
 def min_distance(h: Matrix, d_max: int | None = None, workers: int = 1) -> int:
     """Exact minimum distance of the code with parity-check matrix H: the
-    smallest s such that some s columns of H are dependent.
+    smallest s such that some s columns of H are dependent, by
+    ``algebra.smallest_dependent``, whose docstring describes the passes.
 
-    The search is incremental by size: pass s proves that no dependent
-    subset of size < s exists before subsets of size s are examined, so the
-    first hit is exact.  Within pass s a DFS enumerates the independent
-    prefixes of s - 2 columns.  The later columns are held reduced against
-    the prefix and normalized (scaled to a leading 1), as the field's search
-    keys (``FiniteField.vec_key`` and ``sub_key``), so a pivot touches
-    only the columns nonzero at its row, and the last two columns come from
-    a collision step: two later columns are dependent with the prefix iff
-    their keys coincide (see ``_dependent_subset``).  ``d_max`` bounds the
-    search and must be an int (not a bool), at least 1; InvalidParameter
-    otherwise.  Its default, min(n, nrows) + 1, needs no rank: any rank(H)
-    + 1 columns are dependent and rank(H) <= min(n, nrows), so a dependent
-    subset, if any, is found within it; if there is none, rank(H) = n <=
-    nrows and the bound is n + 1.  Raises Infeasible when the projected
-    number of rank tests, the sum of C(n, s) over the passes so far,
-    exceeds ``NODE_GUARD``; that estimate ignores the pruning below, so
-    the guard refuses the same inputs as an unpruned search would.
-
-    Pass s runs only after the smaller passes found no dependent subset, so
-    a dependent s-set is a circuit, and every row of H meets it in no
-    column or in at least two.  From the first pass of size 4 on, the DFS
-    uses that circuit rule to skip prefixes whose once-met rows the
-    columns still to pick cannot meet (see ``_dependent_subset``).  The
-    row and column support masks it needs are built once per call, at that
-    pass, from the columns' keys; the smaller passes, and the many
-    searches that end in them, never build them.  The rule prunes most
-    when each local row's columns sit together, so the search orders H
-    itself, whatever order it comes in (see ``_smallest_dependent``).
-
-    A pass of size s with nrows < s <= n ends the search with no DFS: any
-    s columns are dependent, as rank(H) <= nrows.
-
-    Each column's key is built once per call, and every pass runs in this
-    process.  ``workers`` is accepted, for callers that still pass it, and
-    ignored.
+    ``d_max`` bounds the search and must be an int (not a bool), at least
+    1; InvalidParameter otherwise, and for a matrix with no columns.  Its
+    default, min(n, nrows) + 1, needs no rank: any rank(H) + 1 columns are
+    dependent and rank(H) <= min(n, nrows), so a dependent subset, if any,
+    is found within it; if there is none, rank(H) = n <= nrows and the
+    bound is n + 1.  Raises Infeasible when no subset of size <= d_max is
+    dependent, and when the search would pass ``algebra.NODE_GUARD``.
+    ``workers`` is accepted, for callers that still pass it, and ignored:
+    the search runs in this process.
     """
     n = h.ncols
     if n == 0:
@@ -533,76 +364,7 @@ def min_distance(h: Matrix, d_max: int | None = None, workers: int = 1) -> int:
         raise InvalidParameter(f"d_max must be an int, got {d_max!r}")
     elif d_max < 1:
         raise InvalidParameter(f"d_max must be at least 1, got {d_max}")
-    s = _smallest_dependent(h, d_max)
+    s = smallest_dependent(h, d_max)
     if s is None:
         raise Infeasible(f"no dependent subset of size <= {d_max} found")
     return s
-
-
-def _smallest_dependent(h: Matrix, d_max: int) -> int | None:
-    """The passes of ``min_distance`` up to ``d_max``: the smallest s <=
-    d_max such that some s columns of H are dependent, or None.  Raises
-    Infeasible past ``NODE_GUARD``.
-
-    A pass of size s with nrows < s <= n returns s with no search: any s
-    columns are dependent, as rank(H) <= nrows, and the smaller passes
-    found none.  Each column's key, ``fld.vec_key``, is built once, for
-    every pass, on H's rows sparsest first if a DFS pass (s >= 3) may run.
-    Pass 4, which builds the support masks, sorts the keys by leading row,
-    each column's sparsest, so each local row's columns sit together.  Both
-    sorts are stable and exact: a row order keeps every rank, and a
-    dependency is a set of columns."""
-    n = h.ncols
-    rows = sorted(h.rows, key=_ZEROS, reverse=True) if min(h.nrows, d_max) > 2 else h.rows
-    cols = list(map(h.field.vec_key, zip(*rows)))
-    masks = None
-    est = 0
-    for s in range(1, d_max + 1):
-        est += math.comb(n, s)
-        if est > NODE_GUARD:
-            raise Infeasible(
-                f"distance search would need ~{est} rank tests (> {NODE_GUARD})"
-            )
-        if h.nrows < s <= n:
-            return s
-        if s == 4:
-            cols.sort(key=_LEAD)
-            masks = _support_masks(cols)
-        if _dependent_subset(cols, h.nrows, h.field, s, masks):
-            return s
-    return None
-
-
-# ----------------------------------------------------------------------
-# local repair thresholds
-
-
-def local_repair_map(code: LinearCode) -> dict[int, tuple[int, int]]:
-    """Coordinate -> (repair set, threshold t), for the coordinates of
-    every repair set of ``code`` with t >= 1, where t = min(d, delta) - 1
-    and d is the distance of the code punctured to the set: at most t
-    erasures in the set are repaired from it alone (module docstring).
-
-    d is tested only as far as delta - 1: the passes of ``min_distance``
-    of size < delta on each set's ``lrc.punctured_checks`` matrix.  A set
-    whose check is empty, or whose search would pass ``NODE_GUARD``, gets
-    t = 0.  The map is empty when delta < 2 or when the repair sets are
-    not disjoint: a sweep drops a set by the erasures it counts there,
-    which would miss those of a shared coordinate counted for another
-    set."""
-    sets = code.repair_sets
-    if len(set().union(*sets)) < sum(map(len, sets)):
-        return {}
-    out = {}
-    for b, (coords, pc) in enumerate(zip(sets, punctured_checks(code))):
-        if pc.nrows == 0:
-            continue
-        try:
-            d = _smallest_dependent(pc, code.delta - 1)
-        except Infeasible:
-            continue
-        t = code.delta - 1 if d is None else d - 1
-        if t:
-            out.update(dict.fromkeys(coords, (b, t)))
-    return out
-

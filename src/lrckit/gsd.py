@@ -1,6 +1,6 @@
 """Arrange codes from the polynomial construction into sector-disk style
 arrays and sweep disk+sector erasure patterns against the recoverability
-oracle.
+oracle, on the split of H and the local repair thresholds it owns.
 
 Three arrangements are provided: the basic one (data column per evaluation
 point, global parities in trailing columns), the rearranged one (global
@@ -30,18 +30,18 @@ The test runs on packed words, so that a pattern costs a few big-int
 operations and a rank test on at most g short keys.  Each set owns a lane
 of bits, one per member and a guard bit above them, and each coordinate
 outside the sets a lane of its own; a pattern is the sum of its cells'
-words.  A set holding at most its local repair threshold
-(``erasure.local_repair_map``) is dropped: a codeword supported on E
-restricts on A to a punctured codeword of weight below the punctured
-distance, which is zero.  Clearing the lowest bit of every lane t times,
-under per-lane masks, leaves just the lanes holding more than their
-threshold t, and only those are read back.  A's image G_{E_A} K_A
-depends on (A, E_A) alone, so it is cached, and held, as the free
-columns are, as the field's search keys (``FiniteField.vec_key``); the
-rank test is ``algebra.eliminate_keys`` on them.  A free coordinate's
-image is its column on the global rows, so with no set lane the test is
-the plain rank test on all of H, as ``erasure.recoverable``, the
-reference, runs it.
+words.  A set A holding at most its local repair threshold t
+(``local_repair_map``: min(d, delta) - 1, d the distance of the code
+punctured to A) is dropped, as E is recoverable iff E - A is: a codeword
+supported on E restricts on A to a punctured codeword of weight below d,
+which is zero.  Clearing the lowest bit of every lane t times, under
+per-lane masks, leaves just the lanes holding more than their threshold
+t, and only those are read back.  A's image G_{E_A} K_A depends on (A,
+E_A) alone, so it is cached, and held, as the free columns are, as the
+field's search keys (``FiniteField.vec_key``); the rank test is
+``algebra.eliminate_keys`` on them.  A free coordinate's image is its
+column on the global rows, so with no set lane the test is the plain rank
+test on all of H, as ``erasure.recoverable``, the reference, runs it.
 
 Each array keeps what its sweeps read, built on first use
 (``ArrayLayout.plan``): the column coordinates, the words of its cells and
@@ -62,10 +62,9 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .algebra import PRIME_LIMIT, Matrix, eliminate_keys, factor_prime_power
+from .algebra import PRIME_LIMIT, Matrix, eliminate_keys, factor_prime_power, smallest_dependent
 from .errors import Infeasible, InvalidParameter, NotRegular
-from .lrc import EvaluationLayout, LinearCode
-from .erasure import local_repair_map
+from .lrc import EvaluationLayout, LinearCode, punctured_checks
 
 
 # The most (repair set, erased cells) images a sweep plan keeps; past it,
@@ -84,7 +83,7 @@ class RowSplit:
     lane, and every other coordinate (a free one) owns a lane of its own,
     after the sets' lanes.  ``lanes``: per lane, its coordinates by
     position; ``offsets``: its first bit.  ``nlocal`` and ``thresholds``:
-    per lane, its local row count and its ``erasure.local_repair_map``
+    per lane, its local row count and its ``local_repair_map``
     threshold, 0 for a free lane.  ``keys``: per coordinate, the search key
     (``FiniteField.vec_key``) of its column on its lane's local rows, then
     on the global rows.  ``guards``: every lane's guard bit; ``clears[i]``:
@@ -104,12 +103,46 @@ class RowSplit:
     spans: list[tuple[int, int, int]]
 
 
+def _owners(sets) -> dict[int, int] | None:
+    """Coordinate -> the index of its repair set, or None when the sets
+    overlap: a sweep then neither splits on nor drops any set."""
+    owner = {c: s for s, cs in enumerate(sets) for c in cs}
+    return owner if len(owner) == sum(map(len, sets)) else None
+
+
+def local_repair_map(code: LinearCode) -> dict[int, tuple[int, int]]:
+    """Coordinate -> (repair set, threshold t), for the coordinates of
+    every repair set of ``code`` with t >= 1, where t = min(d, delta) - 1
+    and d is the distance of the code punctured to the set: at most t
+    erasures in the set are repaired from it alone (module docstring).
+
+    d is tested only as far as delta - 1: the passes of
+    ``algebra.smallest_dependent`` of size < delta on each set's
+    ``lrc.punctured_checks`` matrix.  A set whose check is empty (d = 1),
+    or whose search would pass ``algebra.NODE_GUARD``, gets t = 0.  The map
+    is empty when delta < 2 or when the repair sets overlap (``_owners``):
+    a sweep drops a set by the erasures it counts there, which would miss
+    those of a shared coordinate counted for another set."""
+    if _owners(code.repair_sets) is None:
+        return {}
+    out = {}
+    for b, (coords, pc) in enumerate(zip(code.repair_sets, punctured_checks(code))):
+        try:
+            d = smallest_dependent(pc, code.delta - 1)
+        except Infeasible:
+            continue
+        t = code.delta - 1 if d is None else d - 1
+        if t:
+            out.update(dict.fromkeys(coords, (b, t)))
+    return out
+
+
 def row_split(code: LinearCode) -> RowSplit:
     """The ``RowSplit`` of the code's H.  When its repair sets overlap, no
     set owns a lane and every coordinate is free."""
     h, sets = code.check, code.repair_sets
-    owner = {c: s for s, cs in enumerate(sets) for c in cs}
-    if len(owner) < sum(map(len, sets)):
+    owner = _owners(sets)
+    if owner is None:
         sets, owner = [], {}
     local: list[list[int]] = [[] for _ in sets]
     glob = []
@@ -696,6 +729,18 @@ def family_params(family: str, **kw) -> dict:
     statements (h + delta - 1); ``d_singleton`` is the value the distance
     bound actually pins for these optimal codes (h + delta).  The two
     disagree by one; reports carry both.
+
+    Precondition ``sets_meet_below_delta``: tau <= delta or h <= delta, tau
+    the design's strength (3 for SG, 2 for AG, PG and the packings), as its
+    blocks meet in at most tau - 1 points.  Otherwise two repair sets A and
+    B share a delta-set P, and the notes say d <= 2 delta < h + delta.  With
+    g_X = prod_{y in X} (x - y), f_A = lambda prod_{A - P} (x - y) and f_B =
+    -lambda prod_{B - P} (x - y), lambda != 0, fit their blocks' degree
+    bounds, and f_A g_B + f_B g_A = lambda prod_P (prod_{A - P} prod_{B - P}
+    - prod_{B - P} prod_{A - P}) vanishes identically.  With every other f_i
+    zero, sum_i f_i prod_{j != i} g_j is its multiple by prod_{j != A, B}
+    g_j, so every global parity is zero, and the codeword is f_A on A and
+    f_B on B, nonzero exactly at P in each: weight 2 delta.
     """
     family = family.upper()
     delta = kw["delta"]
@@ -754,19 +799,23 @@ def family_params(family: str, **kw) -> dict:
     h = r - v
     k = (blocks - 1) * r + v
     n = rows * cols
+    tau = 3 if family == "SG" else 2  # the design's strength
     preconds = {
         "v_in_range": 1 <= v <= r - 1,
         "h_le_delta_sq": h <= delta * delta,
+        "sets_meet_below_delta": tau <= delta or h <= delta,
     }
     if not preconds["h_le_delta_sq"]:
         notes.append(f"h = {h} > delta^2 = {delta * delta}: corollary inapplicable")
     if not preconds["v_in_range"]:
         notes.append(f"v = {v} outside [1, r-1] with r = {r}")
     d_singleton = h + delta
-    notes.append(
-        "source statements print d = h+delta-1; the distance matching the "
-        "optimality claim and the Singleton-type bound is h+delta"
-    )
+    if preconds["sets_meet_below_delta"]:
+        notes.append("source statements print d = h+delta-1; the distance matching the "
+                     "optimality claim and the Singleton-type bound is h+delta")
+    else:
+        notes.append(f"two sets share delta = {delta} points (blocks of a strength-{tau} design), "
+                     f"which forces d <= 2*delta = {2 * delta} < h+delta = {h + delta}")
     return {
         "family": family,
         "r": r,

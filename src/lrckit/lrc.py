@@ -32,7 +32,8 @@ time and the structured decoder walks only the sets the pattern touches.
 A ``LinearCode`` is a code given by its parity check H alone, with declared
 repair sets.  ``verify_locality`` checks the paper's information locality
 on it, shortening the dual to each repair set from H's own supports
-(``punctured_checks``), whatever the order or the form of H's rows.
+(``punctured_checks``), whatever the order or the form of H's rows, and
+finds each punctured distance by ``algebra.smallest_dependent``.
 """
 
 from __future__ import annotations
@@ -42,10 +43,11 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
-from .algebra import FiniteField, Matrix, lagrange_basis
+from .algebra import FiniteField, Matrix, lagrange_basis, smallest_dependent
 from .designs import Design
 from .errors import (
     FieldTooSmall,
+    Infeasible,
     InternalInvariantViolation,
     InvalidParameter,
 )
@@ -465,9 +467,9 @@ class LocalityReport:
 def verify_locality(code: LinearCode) -> LocalityReport:
     """Check the declared repair sets: each punctured code must have minimum
     distance >= delta, and the union of repair sets must project onto a
-    rank-k set of coordinates."""
-    from .erasure import min_distance  # local import to avoid a cycle
-
+    rank-k set of coordinates.  Each punctured distance is exact: that of
+    ``erasure.min_distance``, by ``algebra.smallest_dependent`` within its
+    default bound, min(n, nrows) + 1, and with its Infeasible."""
     dists = []
     ok = True
     for pc in punctured_checks(code):
@@ -475,7 +477,10 @@ def verify_locality(code: LinearCode) -> LocalityReport:
             dists.append(1)  # punctured code is the full space
             ok = False
             continue
-        d = min_distance(pc)
+        bound = min(pc.ncols, pc.nrows) + 1
+        d = smallest_dependent(pc, bound)
+        if d is None:
+            raise Infeasible(f"no dependent subset of size <= {bound} found")
         dists.append(d)
         if d < code.delta:
             ok = False

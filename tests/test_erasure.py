@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from lrckit import erasure, fixtures, gsd
+from lrckit import algebra, erasure, fixtures, gsd
 from lrckit.algebra import FiniteField, Matrix
 from lrckit.erasure import (
     ErasurePattern,
@@ -534,7 +534,7 @@ def wide_matrices(draw):
 @given(st.one_of(wide_matrices(), small_matrices()), st.integers(1, 14))
 @settings(max_examples=150, deadline=None)
 def test_smallest_dependent_matches_naive(m, d_max):
-    """``_smallest_dependent``, which answers a pass of size s with
+    """``smallest_dependent``, which answers a pass of size s with
     nrows < s <= n at once, against the naive search, on wide matrices
     (whose passes reach past the row count) and with ``d_max`` below,
     at and above n."""
@@ -542,20 +542,20 @@ def test_smallest_dependent_matches_naive(m, d_max):
         want = naive_min_distance(m, d_max)
     except Infeasible:
         want = None
-    assert erasure._smallest_dependent(m, d_max) == want
+    assert algebra.smallest_dependent(m, d_max) == want
 
 
 def test_passes_beyond_the_row_count_take_no_search(monkeypatch):
     """Every 3 columns of a 2-row matrix are dependent, so a distance-3
     search answers pass 3 without the DFS."""
     sizes = []
-    search = erasure._dependent_subset
+    search = algebra._dependent_subset
 
     def recorded(cols, nrows, fld, size, masks=None):
         sizes.append(size)
         return search(cols, nrows, fld, size, masks)
 
-    monkeypatch.setattr(erasure, "_dependent_subset", recorded)
+    monkeypatch.setattr(algebra, "_dependent_subset", recorded)
     h = Matrix(FiniteField(7), [[1, 1, 1, 1, 1, 1], [0, 1, 2, 3, 4, 5]])
     assert min_distance(h) == 3
     assert sizes == [1, 2]
@@ -597,13 +597,13 @@ def test_masked_passes_take_rows_sparsest_first_and_columns_by_leading_row(monke
     the columns of each local row sit together: on the published example1
     check, whose columns are not grouped so, and on shuffled copies."""
     calls = []
-    search = erasure._dependent_subset
+    search = algebra._dependent_subset
 
     def recorded(cols, nrows, fld, size, masks=None):
         calls.append((size, cols[:], masks))
         return search(cols, nrows, fld, size, masks)
 
-    monkeypatch.setattr(erasure, "_dependent_subset", recorded)
+    monkeypatch.setattr(algebra, "_dependent_subset", recorded)
     h = fixtures.example1_check()
     if seed is not None:
         h = equivalent_check(h, random.Random(seed))
@@ -663,8 +663,8 @@ def search_passes(m, with_masks):
     """``_dependent_subset`` on each pass that ``brute_force_passes`` runs,
     with or without the support masks."""
     cols = [m.field.vec_key(m.column(j)) for j in range(m.ncols)]
-    masks = erasure._support_masks(cols) if with_masks else None
-    return [erasure._dependent_subset(cols, m.nrows, m.field, s, masks)
+    masks = algebra._support_masks(cols) if with_masks else None
+    return [algebra._dependent_subset(cols, m.nrows, m.field, s, masks)
             for s, _ in brute_force_passes(m)]
 
 
@@ -905,7 +905,7 @@ def test_default_bound_takes_no_rank(monkeypatch, example1_check):
 def test_min_distance_guard(monkeypatch):
     rng = random.Random(2)
     m = Matrix(F11, [[rng.randrange(11) for _ in range(30)] for _ in range(10)])
-    monkeypatch.setattr(erasure, "NODE_GUARD", 10)
+    monkeypatch.setattr(algebra, "NODE_GUARD", 10)
     with pytest.raises(Infeasible):
         min_distance(m)
 

@@ -342,6 +342,7 @@ def test_family_params_ag_cross_check():
     rep = family_params("ag", q1=3, beta=2, delta=2, v=1)
     assert (rep["rows"], rep["cols"]) == (4, 9)
     assert rep["h"] == 1 and rep["r"] == 2
+    assert all(rep["preconditions"].values())
     # build the actual array and compare shapes
     from lrckit.designs import ag_steiner
 
@@ -358,11 +359,18 @@ def test_sg_family_at_delta_2_falls_short_of_h_plus_delta():
     in two points, so the four coordinates of sets 0 and 1 at their two
     common points carry a codeword of weight 2 delta = 4 < h + delta = 5.
     Its ell = 7 truncation, [40,29], has distance 4, below the reported
-    d_singleton."""
+    d_singleton.  The report flags it: circles are blocks of a 3-design, so
+    ``sets_meet_below_delta`` fails, and the notes give the 2 delta
+    ceiling instead of h + delta; at delta = 3 the flag holds again."""
     from lrckit.designs import sg_steiner
     from lrckit.erasure import min_distance, recoverable
 
     rep = family_params("sg", q1=4, beta=2, delta=2, v=1)
+    assert not rep["preconditions"]["sets_meet_below_delta"]
+    assert any("d <= 2*delta = 4 < h+delta = 5" in note for note in rep["notes"])
+    assert not any("is h+delta" in note for note in rep["notes"])
+    assert family_params("sg", q1=4, beta=2, delta=3, v=1)["preconditions"][
+        "sets_meet_below_delta"]
     fld, design = FiniteField(rep["q_min_prime_power"]), sg_steiner(4, 2)
     lay = build_layout(LrcParams(r=rep["r"], delta=2, ell=rep["blocks"] - 1, v=1, h=rep["h"]),
                        fld, design)

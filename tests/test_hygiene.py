@@ -2,6 +2,7 @@
 
 import ast
 import sys
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,74 @@ def test_unused_import_detector():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def package_imports(source: str) -> list[tuple[str, int, bool]]:
+    """(lrckit module, line, inside a function) for each import of one, in
+    line order: ``from .x import ...``, ``from . import x``, ``from
+    lrckit.x import ...``, ``from lrckit import x`` and ``import
+    lrckit.x``."""
+    tree = ast.parse(source)
+    nested = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for node in ast.walk(fn)}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                base = node.module
+            elif (node.module or "").split(".")[0] == "lrckit":
+                base = node.module.partition(".")[2]
+            else:
+                continue
+            mods = [base.split(".")[0]] if base else [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            mods = [alias.name.split(".")[1] for alias in node.names
+                    if alias.name.startswith("lrckit.")]
+        else:
+            continue
+        out += [(mod, node.lineno, id(node) in nested) for mod in mods]
+    return sorted(out, key=lambda item: item[1])
+
+
+def test_package_import_detector():
+    source = "\n".join([
+        "from .lrc import encode",
+        "from . import fixtures, serial",
+        "from lrckit.algebra import Matrix",
+        "import os, lrckit.gsd",
+        "from os.path import join",
+        "def f():",
+        "    from .erasure import min_distance",
+        "    import json",
+        "class C:",
+        "    def g(self):",
+        "        from lrckit import bounds",
+    ])
+    assert package_imports(source) == [
+        ("lrc", 1, False), ("fixtures", 2, False), ("serial", 2, False),
+        ("algebra", 3, False), ("gsd", 4, False), ("erasure", 7, True), ("bounds", 11, True),
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_package_imports_sit_at_module_level(path):
+    """An import of an lrckit module inside a function hides a dependency,
+    typically one that would close an import cycle."""
+    assert [line for _, line, inside in package_imports(path.read_text()) if inside] == []
+
+
+def test_package_imports_are_acyclic():
+    """The modules' imports of each other form no cycle, and the distance
+    search and the split sit below ``erasure``: neither ``lrc`` nor ``gsd``
+    imports it."""
+    graph = {path.stem: {mod for mod, _, _ in package_imports(path.read_text())}
+             for path in MODULES}
+    try:
+        TopologicalSorter(graph).prepare()
+    except CycleError as err:
+        pytest.fail(f"import cycle: {' -> '.join(err.args[1])}")
+    assert "erasure" not in graph["lrc"] | graph["gsd"]
 
 
 # FiniteField's tables; only algebra.py, which owns the prime/extension

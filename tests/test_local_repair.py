@@ -1,6 +1,6 @@
 """Differential tests of the local-then-global rank test that
 ``gsd.check_array`` runs on each pattern (``gsd.SweepPlan.verdict``):
-``erasure.local_repair_map`` against dense punctured checks and the naive
+``gsd.local_repair_map`` against dense punctured checks and the naive
 distance, the plan's test, cold, warm and past its cache bound, against
 plain ``recoverable``, the peel reference (``patternref.peel``) followed by
 ``recoverable`` against plain ``recoverable``, and exhaustive and sampled
@@ -23,10 +23,10 @@ from hypothesis import given, settings, strategies as st
 
 from lrckit import fixtures, gsd, serial
 from lrckit.algebra import FiniteField, Matrix
-from lrckit.erasure import local_repair_map, recoverable
+from lrckit.erasure import recoverable
 from lrckit.errors import Infeasible, InvalidParameter
-from lrckit.gsd import (MAX_WITNESS, SweepPlan, basic_array, check_array, rearranged_array,
-                        row_split, truncated_array)
+from lrckit.gsd import (MAX_WITNESS, SweepPlan, basic_array, check_array, local_repair_map,
+                        rearranged_array, row_split, truncated_array)
 from lrckit.lrc import LinearCode, build_code, generator_matrix
 from linref import dense_punctured_check, naive_min_distance, random_code
 from patternref import array_patterns, peel, sampled_array_patterns

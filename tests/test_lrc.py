@@ -202,6 +202,21 @@ def test_random_code_fails_locality():
     assert not verify_locality(code).ok
 
 
+def test_locality_raises_as_min_distance_does_on_independent_columns():
+    """One repair set over the 3x3 identity check on F_2: its punctured
+    check is the identity, whose columns are independent, so no subset
+    within the default bound, min(n, nrows) + 1 = 4, is dependent.
+    ``verify_locality`` runs the distance search without ``min_distance``,
+    and raises the same Infeasible, word for word."""
+    check = Matrix(FiniteField(2), [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    code = LinearCode(k=0, check=check, repair_sets=[(0, 1, 2)], delta=2)
+    message = "no dependent subset of size <= 4 found"
+    for run in (lambda: min_distance(check), lambda: verify_locality(code)):
+        with pytest.raises(Infeasible) as err:
+            run()
+        assert str(err.value) == message
+
+
 def distance_or_infeasible(m):
     try:
         return min_distance(m)
